@@ -51,8 +51,6 @@ from .kato import (
     key_lemma_setups,
     line_component_setup,
     matching_first_component,
-    verdicts_to_csv,
-    verdicts_to_jsonl,
     verify_spectral_bounds,
 )
 from .projections import (
@@ -99,8 +97,7 @@ __all__ = [
     "check_operator_inequality", "check_hodge_inequality",
     "equality_witness", "matching_first_component", "fuzz_key_lemma",
     "fuzz_operator_inequality", "fuzz_hodge_inequality",
-    "key_lemma_setups", "line_component_setup", "verdicts_to_csv",
-    "verdicts_to_jsonl",
+    "key_lemma_setups", "line_component_setup",
     # fields
     "TrigField", "ScenarioReport", "random_field", "exterior_derivative",
     "coderivative", "apply_operator", "make_scenario", "run_scenario",

@@ -64,25 +64,22 @@ TWISTOR_SYMBOL_SAMPLES = 64
 # output plumbing
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _write_report(args, payload: dict, header, rows) -> None:
+    """The JSON payload, or the CSV header and rows, to --out or stdout."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow(["" if x is None else x for x in row])
+        text = buf.getvalue()
+    else:
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(["" if x is None else x for x in row])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -112,36 +109,31 @@ _FAMILY_DECLARED = {
 }
 
 
+def _conformity_row(family: str, n: int, k, P, declared, tolerance: float) -> dict:
+    rep = conformity_report(P, tol=tolerance)
+    gap = abs(rep.rho_squared - float(declared)) / float(declared)
+    return {
+        "family": family, "n": n, "k": k,
+        "declared": exact_to_json(declared),
+        "measured": rep.rho_squared,
+        "residual": max(rep.residual, gap),
+        "ok": bool(rep.certified and gap <= tolerance),
+    }
+
+
 def conformity_table(max_n: int, tolerance: float) -> list:
     """One row per catalog projection for every dimension up to max_n."""
     rows = []
     for n in range(2, max_n + 1):
         for family in ("exterior", "interior", "symmetrization", "contraction"):
             for k in _FAMILY_DEGREES[family](n):
-                P = _FAMILY_BUILDERS[family](n, k)
-                rep = conformity_report(P, tol=tolerance)
-                declared = _FAMILY_DECLARED[family](n, k)
-                gap = abs(rep.rho_squared - float(declared)) / float(declared)
-                rows.append({
-                    "family": family, "n": n, "k": k,
-                    "declared": exact_to_json(declared),
-                    "measured": rep.rho_squared,
-                    "residual": max(rep.residual, gap),
-                    "ok": bool(rep.certified and gap <= tolerance),
-                })
-        for family, builder, declared in (
-                ("clifford", clifford_projection, Fraction(n)),
-                ("twistor", twistor_projection, Fraction(1))):
-            P = builder(n)
-            rep = conformity_report(P, tol=tolerance)
-            gap = abs(rep.rho_squared - float(declared)) / float(declared)
-            rows.append({
-                "family": family, "n": n, "k": None,
-                "declared": exact_to_json(declared),
-                "measured": rep.rho_squared,
-                "residual": max(rep.residual, gap),
-                "ok": bool(rep.certified and gap <= tolerance),
-            })
+                rows.append(_conformity_row(
+                    family, n, k, _FAMILY_BUILDERS[family](n, k),
+                    _FAMILY_DECLARED[family](n, k), tolerance))
+        rows.append(_conformity_row("clifford", n, None, clifford_projection(n),
+                                    Fraction(n), tolerance))
+        rows.append(_conformity_row("twistor", n, None, twistor_projection(n),
+                                    Fraction(1), tolerance))
     return rows
 
 
@@ -181,12 +173,8 @@ def _cmd_projections_verify(args) -> int:
         "rows": rows,
         "passed": passed,
     }
-    if args.format == "csv":
-        header = ["family", "n", "k", "declared", "measured", "residual", "ok"]
-        text = _csv_text(header, [[r[h] for h in header] for r in rows])
-    else:
-        text = _json_text(payload)
-    _emit(text, args.out)
+    header = ["family", "n", "k", "declared", "measured", "residual", "ok"]
+    _write_report(args, payload, header, [[r[h] for h in header] for r in rows])
     if not passed:
         first = next(r for r in rows if not r["ok"])
         print(f"first failing entry: {first['family']} n={first['n']} "
@@ -201,6 +189,10 @@ def _cmd_projections_verify(args) -> int:
 
 
 def _cmd_ellipticity(args) -> int:
+    if args.coarse < 1 or args.refine < 0:
+        print("error: --coarse >= 1 and --refine >= 0 are required",
+              file=sys.stderr)
+        return 2
     op = parse_op_string(args.op)
     result = ellipticity_constant(op, coarse_samples=args.coarse,
                                   refine_steps=args.refine)
@@ -213,16 +205,12 @@ def _cmd_ellipticity(args) -> int:
         "rho_squared": exact_to_json(op.rho_squared),
         "matches_declared": matches,
     }
-    if args.format == "csv":
-        header = ["op", "epsilon", "declared", "matches", "method",
-                  "invariant", "samples", "refinement_steps"]
-        row = [args.op, result.epsilon, exact_to_json(result.declared),
-               matches, result.method, result.invariant, result.samples,
-               result.refinement_steps]
-        text = _csv_text(header, [row])
-    else:
-        text = _json_text(payload)
-    _emit(text, args.out)
+    header = ["op", "epsilon", "declared", "matches", "method",
+              "invariant", "samples", "refinement_steps"]
+    row = [args.op, result.epsilon, exact_to_json(result.declared),
+           matches, result.method, result.invariant, result.samples,
+           result.refinement_steps]
+    _write_report(args, payload, header, [row])
     return 0 if matches is not False else 1
 
 
@@ -260,16 +248,12 @@ def _cmd_kato_fuzz(args) -> int:
         "version": __version__,
         **report.to_json_dict(),
     }
-    if args.format == "csv":
-        header = ["theorem", "operator", "samples", "violations",
-                  "min_margin", "min_relative_margin", "seed", "passed"]
-        row = [report.theorem, report.operator, report.samples,
-               report.violations, report.min_margin,
-               report.min_relative_margin, report.seed, report.passed]
-        text = _csv_text(header, [row])
-    else:
-        text = _json_text(payload)
-    _emit(text, args.out)
+    header = ["theorem", "operator", "samples", "violations",
+              "min_margin", "min_relative_margin", "seed", "passed"]
+    row = [report.theorem, report.operator, report.samples,
+           report.violations, report.min_margin,
+           report.min_relative_margin, report.seed, report.passed]
+    _write_report(args, payload, header, [row])
     return 0 if report.passed else 1
 
 
@@ -307,18 +291,14 @@ def _cmd_field_run(args) -> int:
         "version": __version__,
         **report.to_json_dict(),
     }
-    if args.format == "csv":
-        header = ["scenario", "theorem", "operator", "n", "k", "c", "c_star",
-                  "sample_points", "skipped_points", "violations",
-                  "min_margin", "branch", "passed"]
-        row = [report.scenario, report.theorem, report.operator, report.n,
-               report.k, report.c, report.c_star, report.sample_points,
-               report.skipped_points, report.violations, report.min_margin,
-               report.branch, report.passed]
-        text = _csv_text(header, [row])
-    else:
-        text = _json_text(payload)
-    _emit(text, args.out)
+    header = ["scenario", "theorem", "operator", "n", "k", "c", "c_star",
+              "sample_points", "skipped_points", "violations",
+              "min_margin", "branch", "passed"]
+    row = [report.scenario, report.theorem, report.operator, report.n,
+           report.k, report.c, report.c_star, report.sample_points,
+           report.skipped_points, report.violations, report.min_margin,
+           report.branch, report.passed]
+    _write_report(args, payload, header, [row])
     return 0 if report.passed else 1
 
 
@@ -385,13 +365,8 @@ def _cmd_suite_all(args) -> int:
         "components": components,
         "passed": passed,
     }
-    if args.format == "csv":
-        header = ["component", "name", "passed"]
-        text = _csv_text(header, [[c["component"], c["name"], c["passed"]]
-                                  for c in components])
-    else:
-        text = _json_text(payload)
-    _emit(text, args.out)
+    _write_report(args, payload, ["component", "name", "passed"],
+                  [[c["component"], c["name"], c["passed"]] for c in components])
     return 0 if passed else 1
 
 

@@ -14,10 +14,6 @@ class BadDegree(VerificationError):
     """Form or symmetric-power degree outside the valid range."""
 
 
-class NotHermitian(VerificationError):
-    """Matrix handed to a hermitian eigensolver is not self-adjoint."""
-
-
 class NotSurjective(VerificationError):
     """Candidate projection does not reach its whole codomain."""
 

@@ -15,18 +15,18 @@ same batched inequality arithmetic used by the fuzzers.
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import FiberMismatch, UnknownScenario, ZeroSection
 from .kato import (
-    MARGIN_TOL_FACTOR,
+    INF,
     _form_kit,
     batch_hodge_margins,
+    batch_lemma_gain,
     batch_operator_margins,
     hodge_gain_pair,
-    operator_constants,
+    kato_gain_operator,
 )
 from .spaces import exterior_power, wedge_delete, wedge_insert
 from .symbols import OperatorSpec, catalog
@@ -128,7 +128,12 @@ class TrigField:
 
 def random_field(n: int, fiber_dim: int, mode_count: int, max_freq: int,
                  rng) -> TrigField:
-    """Random band-limited field; always includes the constant mode."""
+    """Random band-limited field; always includes the constant mode.
+
+    mode_count is capped at the number of canonical frequencies with
+    entries in [-max_freq, max_freq], ((2 max_freq + 1)^n - 1)/2 + 1.
+    """
+    mode_count = min(mode_count, ((2 * max_freq + 1) ** n - 1) // 2 + 1)
     modes = [(tuple([0] * n),
               rng.standard_normal(fiber_dim) + 1j * rng.standard_normal(fiber_dim),
               np.zeros(fiber_dim))]
@@ -419,6 +424,7 @@ def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0,
         return Scenario(name, "foldo", n, None, op.domain_fiber.dim, f,
                         operator=op)
     if name == "higgs-dPhi":
+        _require_degree(name, n, 1)
         psi = random_field(n, 1, mode_count, max_freq, rng)
         f = exterior_derivative(psi, 0)
         return Scenario(name, "hodge", n, 1, 1, f, d_vanishing=True,
@@ -428,6 +434,8 @@ def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0,
 
 
 def _require_degree(name: str, n: int, k: int):
+    if n < 2:
+        raise UnknownScenario(f"{name} needs n >= 2, got n={n}")
     if k < 1 or k > n - 1:
         raise UnknownScenario(f"{name} needs 1 <= k <= {n - 1}, got k={k}")
 
@@ -504,14 +512,13 @@ def closedness_residual(sc: Scenario, points: np.ndarray) -> float | None:
 
 def _refined_limit(sc: Scenario) -> str | None:
     if sc.theorem == "hodge":
-        g = min(Fraction(1, sc.k), Fraction(1, sc.n - sc.k))
-        return str(1 + g)
+        return str(1 + hodge_gain_pair(0, 0, sc.n, sc.k, True, True).overall)
     rho = sc.operator.rho_squared
     eps = sc.operator.epsilon
-    if rho is None or eps is None or rho == eps:
+    if rho is None or eps is None:
         return None
-    g = Fraction(eps) / (Fraction(rho) - Fraction(eps))
-    return str(1 + g)
+    g = kato_gain_operator(0, rho, eps, True)
+    return None if g == INF else str(1 + g)
 
 
 def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
@@ -542,16 +549,15 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
         cstar_out = float(c_star)
         # per-side gains under the declared certificates; the bound in
         # force is their minimum, but each side is worth reporting
-        pair = hodge_gain_pair(c, c_star, sc.n, sc.k,
-                               bool(sc.d_vanishing), bool(sc.dstar_vanishing))
-        side_gains = {"gain_d": float(pair.d_gain),
-                      "gain_dstar": float(pair.dstar_gain)}
+        side_gains = {
+            "gain_d": float(batch_lemma_gain(c, sc.k, bool(sc.d_vanishing))),
+            "gain_dstar": float(batch_lemma_gain(c_star, sc.n - sc.k,
+                                                 bool(sc.dstar_vanishing)))}
     else:
         out = batch_operator_margins(sc.operator, grads, phi, c)
         margin, tol_scale = out["margin"], out["full_scale"]
-        gain = float(np.min(np.where(out["vanishing"], np.inf,
-                                     out["epsilon"] * c
-                                     / (1.0 + (out["rho_squared"] - out["epsilon"]) * c))))
+        # the bound in force at non-vanishing points
+        gain = float(np.min(np.where(out["vanishing"], INF, out["gain"])))
         branch = "vanishing" if bool(np.all(out["vanishing"])) else "nonvanishing"
         op_label = sc.operator.name
         cstar_out = None
@@ -575,7 +581,8 @@ def run_scenario(name: str, n: int, k: int | None = None, c: float = 1.0,
     margin, tol_scale = ev["margin"], ev["tol_scale"]
     gain, branch = ev["gain"], ev["branch"]
     op_label, cstar_out, skipped = ev["operator"], ev["c_star"], ev["skipped"]
-    violations = int(np.sum(margin < -FIELD_MARGIN_TOL_FACTOR * tol_scale))
+    # written so that a NaN margin fails too
+    violations = int(np.sum(~(margin >= -FIELD_MARGIN_TOL_FACTOR * tol_scale)))
     min_rel = float(np.min(margin / np.maximum(tol_scale, 1e-300)))
     return ScenarioReport(
         scenario=name, theorem=sc.theorem, operator=op_label, n=sc.n, k=sc.k,

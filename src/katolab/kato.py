@@ -10,18 +10,27 @@ the claim is
 with the gain depending on the operator constants (rho^2, epsilon),
 on the interpolation weight c, and on whether P(u) vanishes.  The Hodge
 variant carries two weights (c, c_star) for the wedge and contraction
-parts and takes the minimum of the two gains.  Every check returns a
-KatoVerdict with the branch taken, both sides, and the margin; fuzzers
-evaluate the same arithmetic vectorized over sample batches.
+parts and takes the minimum of the two gains.
+
+Every gain is the two-component lemma's g(c, a): 1/a on the vanishing
+branch, c / (1 + a c) otherwise.  The operator gain is
+epsilon * g(c, rho^2 - epsilon) and the two form gains are g(c, k) and
+g(c_star, n - k).  kato_gain_lemma evaluates g exactly (the Fraction
+reference, with kato_gain_operator and hodge_gain_pair as thin
+wrappers); batch_lemma_gain evaluates it vectorized and is the only
+float version.
+
+The arithmetic of each inequality lives in one batch kernel
+(batch_operator_margins, batch_hodge_margins, and the key-lemma
+kernel).  A single-shot check validates its input, runs its kernel on
+one row and wraps that row in a KatoVerdict; the fuzzers run the same
+kernels over random row chunks through one driver.
 
 Infinite gains are represented by math.inf (the extended reals): they
 occur exactly when rho^2 = epsilon on the vanishing branch, and force
 rhs = 0 through a zero pairing, which is itself checked.
 """
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,9 +38,15 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadConstants, BadDegree, NotUnit, ZeroOperator, ZeroSection
-from .linmap import LinearMap, gram_schmidt_columns, orthonormal_complement
-from .projections import conformity_factor, exterior_projection, interior_projection
-from .symbols import OperatorSpec, ellipticity_constant
+from .linmap import LinearMap, orthonormal_complement
+from .projections import (
+    conformity_factor,
+    exterior_projection,
+    interior_projection,
+    line_image_basis,
+)
+from .spaces import exterior_power, fiber_space
+from .symbols import OperatorSpec, ellipticity_constant, unit_covector
 
 INF = math.inf
 
@@ -41,12 +56,25 @@ _PAIRING_ZERO_FACTOR = 1e-20  # |d|phi||^2 at or below this * scale is treated a
 
 
 # ---------------------------------------------------------------------------
-# gain formulas (exact when fed Fractions)
+# gain formulas
 
 
 def _exactify(x):
     # ints ride along as Fractions so declared constants stay exact
     return Fraction(x) if isinstance(x, int) else x
+
+
+def _check_weights(c) -> None:
+    w = np.asarray(c, dtype=float)
+    ok = np.isfinite(w) & (w >= 0)
+    if not np.all(ok):
+        bad = np.ravel(w)[~np.ravel(ok)][0]
+        raise BadConstants(f"interpolation weight must be finite and >= 0, got {bad}")
+
+
+def _check_bound(bound) -> None:
+    if bound < 0:
+        raise BadConstants(f"spectral bound must be >= 0, got {bound}")
 
 
 def kato_gain_lemma(c, bound, vanishing: bool):
@@ -58,36 +86,26 @@ def kato_gain_lemma(c, bound, vanishing: bool):
     int inputs.
     """
     c, bound = _exactify(c), _exactify(bound)
-    if c < 0:
-        raise BadConstants(f"interpolation weight c must be >= 0, got {c}")
-    if bound < 0:
-        raise BadConstants(f"spectral bound must be >= 0, got {bound}")
+    _check_weights(c)
+    _check_bound(bound)
     if vanishing:
-        if bound == 0:
-            return INF
-        return 1 / bound
-    if bound == 0:
-        return c
+        return INF if bound == 0 else 1 / bound
     return c / (1 + bound * c)
 
 
 def kato_gain_operator(c, rho_squared, epsilon, vanishing: bool):
     """Gain for a conformal injectively elliptic operator.
 
-    Vanishing branch: epsilon / (rho^2 - epsilon), infinite when the two
-    constants coincide.  Non-vanishing: epsilon c / (1 + (rho^2 - epsilon) c).
+    epsilon * kato_gain_lemma(c, rho^2 - epsilon): epsilon / (rho^2 -
+    epsilon) on the vanishing branch, infinite when the two constants
+    coincide, and epsilon c / (1 + (rho^2 - epsilon) c) otherwise.
     """
-    c, rho_squared, epsilon = _exactify(c), _exactify(rho_squared), _exactify(epsilon)
+    rho_squared, epsilon = _exactify(rho_squared), _exactify(epsilon)
     if epsilon <= 0:
         raise BadConstants(f"epsilon must be positive, got {epsilon}")
     if epsilon > rho_squared:
         raise BadConstants(f"epsilon {epsilon} exceeds rho^2 {rho_squared}")
-    gap = rho_squared - epsilon
-    if vanishing:
-        return INF if gap == 0 else epsilon / gap
-    if c < 0:
-        raise BadConstants(f"interpolation weight c must be >= 0, got {c}")
-    return epsilon * c / (1 + gap * c)
+    return epsilon * kato_gain_lemma(c, rho_squared - epsilon, vanishing)
 
 
 @dataclass(frozen=True)
@@ -101,19 +119,32 @@ def hodge_gain_pair(c, c_star, n: int, k: int,
                     d_vanishing: bool, dstar_vanishing: bool) -> HodgeGains:
     """Pair of gains for degree-k forms in dimension n.
 
-    Wedge side: 1/k when the derivative part vanishes, else c/(1+kc).
-    Contraction side: 1/(n-k) when the codifferential part vanishes,
-    else c_star/(1+(n-k)c_star).  The inequality uses the minimum.
+    Wedge side: kato_gain_lemma(c, k), that is 1/k when the derivative
+    part vanishes, else c/(1+kc).  Contraction side:
+    kato_gain_lemma(c_star, n - k).  The inequality uses the minimum.
     Degrees 0 and n are rejected: there is nothing two-sided to verify.
     """
     if k < 1 or k > n - 1:
         raise BadDegree(f"hodge gains need 1 <= k <= {n - 1}, got k={k}")
-    c, c_star = _exactify(c), _exactify(c_star)
-    if (not d_vanishing and c < 0) or (not dstar_vanishing and c_star < 0):
-        raise BadConstants("interpolation weights must be >= 0")
-    gd = Fraction(1, k) if d_vanishing else c / (1 + k * c)
-    gs = Fraction(1, n - k) if dstar_vanishing else c_star / (1 + (n - k) * c_star)
+    gd = kato_gain_lemma(c, k, d_vanishing)
+    gs = kato_gain_lemma(c_star, n - k, dstar_vanishing)
     return HodgeGains(gd, gs, min(gd, gs))
+
+
+def batch_lemma_gain(c, bound, vanishing, weight=1.0):
+    """Vectorized weight * kato_gain_lemma(c, bound, vanishing).
+
+    c is a scalar or per-row array, bound a scalar, vanishing a bool or
+    per-row mask.  The weight enters the numerators (weight/bound and
+    weight*c / (1 + bound*c)), which is where the operator inequality
+    puts epsilon.  Raises BadConstants for negative or non-finite
+    weights and for a negative bound.
+    """
+    c = np.asarray(c, dtype=float)
+    _check_weights(c)
+    _check_bound(bound)
+    cap = INF if bound == 0 else weight / bound
+    return np.where(vanishing, cap, weight * c / (1.0 + bound * c))
 
 
 def operator_constants(op: OperatorSpec):
@@ -199,8 +230,12 @@ class _FormKit:
         return np.stack([P.matrix[:, i * width:(i + 1) * width].real
                          for i in range(n)])
 
-    def direction(self, blocks: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return np.tensordot(xi, blocks, axes=([0], [0]))
+    def flat_maps(self, fiber_dim: int):
+        """(wedge, contraction) as matrices on flattened V* (x) Lambda^k (x) E."""
+        eye = np.eye(fiber_dim)
+        dim = self.n * self.dim_k * fiber_dim
+        return tuple(np.einsum("iab,ef->aeibf", blocks, eye).reshape(-1, dim)
+                     for blocks in (self.eps_k, self.iota_k))
 
 
 _FORM_KITS: dict = {}
@@ -213,55 +248,39 @@ def _form_kit(n: int, k: int) -> _FormKit:
     return _FORM_KITS[key]
 
 
+def _block_split(kit: _FormKit, V: np.ndarray, xi: np.ndarray):
+    """Four blocks of V (rows, n, C(n,k), fiber) along per-row unit covectors.
+
+    The covector slot splits into the xi line and its complement; the
+    form slot into "contains xi" (wedge(xi) after contract(xi)) and the
+    rest.  Returns (v11, v12, v21, v22), each shaped like V.
+    """
+    w = np.einsum("ni,nixf->nxf", xi, V)
+    line = np.einsum("ni,nxf->nixf", xi, w)
+    perp = V - line
+    blocks = []
+    for cov in (line, perp):
+        z = np.einsum("nj,jcb,nibf->nicf", xi, kit.iota_k, cov)
+        has = np.einsum("nj,jac,nicf->niaf", xi, kit.eps_km, z)
+        blocks += [has, cov - has]
+    return tuple(blocks)
+
+
 def four_block_decompose(v: np.ndarray, xi0, n: int, k: int,
                          fiber_dim: int = 1) -> FourBlockSplit:
     """Split v along the covector line and the xi0-content of the form slot.
 
-    The form-side projector onto "contains xi0" is wedge(xi0) after
-    contract(xi0); together with the covector line split this produces
-    four mutually orthogonal blocks whose squared norms add up to |v|^2.
+    The one-row view of the split batch_hodge_margins uses; the four
+    blocks are mutually orthogonal and their squared norms add up to
+    |v|^2.
     """
     xi0 = _check_unit(xi0)
     kit = _form_kit(n, k)
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (n * kit.dim_k * fiber_dim,):
         raise ValueError("vector length does not match n * C(n,k) * fiber_dim")
-    V = v.reshape(n, kit.dim_k, fiber_dim)
-    eps = kit.direction(kit.eps_km, xi0)
-    iota = kit.direction(kit.iota_k, xi0)
-    contains = eps @ iota
-    w = xi0 @ V.reshape(n, -1)
-    line = np.einsum("i,jf->ijf", xi0, w.reshape(kit.dim_k, fiber_dim))
-    perp = V - line
-    out = []
-    for cov in (line, perp):
-        has = np.einsum("ab,ibf->iaf", contains, cov)
-        out.append(has)
-        out.append(cov - has)
-    v11, v12, v21, v22 = (x.reshape(-1) for x in out)
-    return FourBlockSplit(v11, v12, v21, v22, xi0)
-
-
-def apply_form_map(blocks: np.ndarray, v: np.ndarray, n: int,
-                   fiber_dim: int) -> np.ndarray:
-    """Apply a direction-blocked form symbol to v in V* (x) Lambda (x) E.
-
-    blocks has shape (n, out_dim, in_dim); the direction slot of v is
-    contracted against the block index, the fiber rides along.
-    """
-    width = blocks.shape[2]
-    V = np.asarray(v, dtype=np.complex128).reshape(n, width, fiber_dim)
-    return np.einsum("iab,ibf->af", blocks, V).reshape(-1)
-
-
-def wedge_of_gradient(v: np.ndarray, n: int, k: int, fiber_dim: int = 1) -> np.ndarray:
-    """epsilon-part of a gradient surrogate: the d phi stand-in."""
-    return apply_form_map(_form_kit(n, k).eps_k, v, n, fiber_dim)
-
-
-def contraction_of_gradient(v: np.ndarray, n: int, k: int, fiber_dim: int = 1) -> np.ndarray:
-    """iota-part of a gradient surrogate: the d* phi stand-in (up to sign)."""
-    return apply_form_map(_form_kit(n, k).iota_k, v, n, fiber_dim)
+    blocks = _block_split(kit, v.reshape(1, n, kit.dim_k, fiber_dim), xi0[None, :])
+    return FourBlockSplit(*(b.reshape(-1) for b in blocks), xi0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +301,6 @@ class SpectralBounds:
                 and self.max_perp_eigenvalue <= self.rho_squared - self.epsilon
                 + self.tolerance)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "min_line_eigenvalue": self.min_line_eigenvalue,
-            "max_perp_eigenvalue": self.max_perp_eigenvalue,
-            "epsilon": self.epsilon,
-            "rho_squared": self.rho_squared,
-            "tolerance": self.tolerance,
-            "satisfied": self.satisfied,
-        }
-
 
 def verify_spectral_bounds(op: OperatorSpec, xi0,
                            tol: float = MARGIN_TOL_FACTOR) -> SpectralBounds:
@@ -304,19 +313,13 @@ def verify_spectral_bounds(op: OperatorSpec, xi0,
     xi0 = _check_unit(xi0)
     n, dE = op.base_dim, op.domain_fiber.dim
     rho2, eps = operator_constants(op)
-    M = op.full_symbol.matrix
-    line_embed = np.zeros((n * dE, dE))
-    for e in range(dE):
-        line_embed[e::dE, e] = xi0
-    F1 = gram_schmidt_columns(M @ line_embed)
-    P1 = F1.conj().T @ M
+    F1 = line_image_basis(op.full_symbol, xi0, dE)
+    P1 = (F1.conj().T @ op.full_symbol.matrix).reshape(-1, n, dE)
+    # covector slot in the frame (xi0, W): column 0 is the line part
     W = orthonormal_complement(xi0[:, None].astype(complex), n).real
-    perp_embed = np.zeros((n * dE, (n - 1) * dE))
-    for j in range(n - 1):
-        for e in range(dE):
-            perp_embed[e::dE, j * dE + e] = W[:, j]
-    T = P1 @ line_embed
-    H = P1 @ perp_embed
+    framed = np.einsum("rie,ij->rje", P1, np.column_stack([xi0, W]))
+    T = framed[:, 0]
+    H = framed[:, 1:].reshape(framed.shape[0], (n - 1) * dE)
     tt = T @ T.conj().T
     hh = H @ H.conj().T
     min_line = float(np.linalg.eigvalsh(tt)[0]) if tt.size else 0.0
@@ -367,39 +370,38 @@ class KatoVerdict:
         return out
 
 
-VERDICT_CSV_COLUMNS = ("theorem", "branch", "c", "c_star", "lhs", "rhs",
-                       "margin", "seed")
+def _row(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.complex128)[None, :]
 
 
-def verdicts_to_csv(verdicts, stream=None) -> str | None:
-    """Fixed-column CSV for verdict batches; None fields become ''."""
-    own = stream is None
-    if own:
-        stream = io.StringIO()
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(VERDICT_CSV_COLUMNS)
-    for v in verdicts:
-        w.writerow([
-            v.theorem, v.branch, v.c,
-            "" if v.c_star is None else v.c_star,
-            v.lhs, v.rhs, v.margin,
-            "" if v.seed is None else v.seed,
-        ])
-    if own:
-        return stream.getvalue()
-    return None
+def _section_row(phi) -> np.ndarray:
+    phi = _row(phi)
+    if float(np.linalg.norm(phi)) <= 1e-12:
+        raise ZeroSection("inequality undefined where the section vanishes")
+    return phi
 
 
-def verdicts_to_jsonl(verdicts, stream=None) -> str | None:
-    own = stream is None
-    if own:
-        stream = io.StringIO()
-    for v in verdicts:
-        stream.write(json.dumps(v.to_json_dict(), sort_keys=True))
-        stream.write("\n")
-    if own:
-        return stream.getvalue()
-    return None
+def _row_verdict(theorem: str, out: dict, c, c_star, seed) -> KatoVerdict:
+    """Row 0 of a kernel output as a KatoVerdict."""
+    cor = out.get("margin_cor")
+    return KatoVerdict(
+        theorem, "vanishing" if out["vanishing"][0] else "nonvanishing",
+        float(c), None if c_star is None else float(c_star),
+        float(out["lhs"][0]), float(out["rhs"][0]), float(out["margin"][0]),
+        float(out["gain"][0]), float(out["full_scale"][0]), seed,
+        corollary_margin=None if cor is None else float(cor[0]))
+
+
+def _branch(forced, norm_sq: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Forced branch flags broadcast to the rows, or detected from a norm."""
+    if forced is None:
+        return np.sqrt(norm_sq) <= BRANCH_NORM_FACTOR * scale
+    return np.broadcast_to(np.asarray(forced, dtype=bool), scale.shape)
+
+
+def _sq(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row, over all trailing axes."""
+    return np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +416,25 @@ def _restricted_top_eigenvalue(C: LinearMap, sub_basis: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(G)[-1])
 
 
+def _key_lemma_margins(C: np.ndarray, a: float, u1: np.ndarray,
+                       u2: np.ndarray, c) -> dict:
+    """Row margins of |u2|^2 + c |C(u1+u2)|^2 >= gain * |C(u1)|^2."""
+    tot_sq = _sq((u1 + u2) @ C.T)
+    first_sq = _sq(u1 @ C.T)
+    u2_sq = _sq(u2)
+    scale = _sq(u1) + u2_sq
+    vanishing = _branch(None, tot_sq, scale)
+    gain = batch_lemma_gain(c, a, vanishing)
+    lhs = u2_sq + c * tot_sq
+    with np.errstate(invalid="ignore"):
+        rhs = gain * first_sq
+    if a == 0:
+        rhs = np.where(vanishing & (first_sq <= _PAIRING_ZERO_FACTOR * scale),
+                       0.0, rhs)
+    return {"margin": lhs - rhs, "lhs": lhs, "rhs": rhs, "full_scale": scale,
+            "vanishing": vanishing, "gain": gain}
+
+
 def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
                     u2: np.ndarray, c: float, seed: int | None = None) -> KatoVerdict:
     """|u2|^2 + c |C(u1+u2)|^2 >= gain * |C(u1)|^2 with the branch gain.
@@ -422,22 +443,9 @@ def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
     lives in; the spectral bound is the measured top eigenvalue of the
     restriction of C C* to that component.
     """
-    u1 = np.asarray(u1, dtype=np.complex128)
-    u2 = np.asarray(u2, dtype=np.complex128)
     a = _restricted_top_eigenvalue(C, sub_basis)
-    scale = float(np.linalg.norm(u1) ** 2 + np.linalg.norm(u2) ** 2)
-    total = C.apply(u1 + u2)
-    vanishing = float(np.linalg.norm(total)) <= BRANCH_NORM_FACTOR * scale
-    gain = kato_gain_lemma(c, a, vanishing)
-    lhs = float(np.linalg.norm(u2) ** 2 + c * np.linalg.norm(total) ** 2)
-    target = float(np.linalg.norm(C.apply(u1)) ** 2)
-    if math.isinf(gain):
-        rhs = 0.0 if target <= _PAIRING_ZERO_FACTOR * scale else INF
-    else:
-        rhs = float(gain) * target
-    return KatoVerdict("key-lemma", "vanishing" if vanishing else "nonvanishing",
-                       float(c), None, lhs, rhs, lhs - rhs, float(gain), scale,
-                       seed)
+    out = _key_lemma_margins(C.matrix, a, _row(u1), _row(u2), c)
+    return _row_verdict("key-lemma", out, c, None, seed)
 
 
 def equality_witness(C: LinearMap, sub_basis: np.ndarray):
@@ -468,102 +476,7 @@ def matching_first_component(C: LinearMap, u2: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pointwise theorem checks
-
-
-def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
-                              c: float, seed: int | None = None) -> KatoVerdict:
-    """Pointwise refined Kato inequality of a first-order operator.
-
-    u plays the full gradient of phi at one point, P(u) the operator
-    value; the right side uses the norm-gradient surrogate built from
-    the pairing of u against phi.
-    """
-    n, dE = op.base_dim, op.domain_fiber.dim
-    u = np.asarray(u, dtype=np.complex128)
-    phi = np.asarray(phi, dtype=np.complex128)
-    phi_norm = float(np.linalg.norm(phi))
-    if phi_norm <= 1e-12:
-        raise ZeroSection("inequality undefined where the section vanishes")
-    rho2, eps = operator_constants(op)
-    Pu = op.full_symbol.apply(u)
-    scale = float(np.linalg.norm(u) ** 2)
-    vanishing = float(np.linalg.norm(Pu)) <= BRANCH_NORM_FACTOR * scale
-    gain = kato_gain_operator(c, rho2, eps, vanishing)
-    b = np.real(u.reshape(n, dE) @ phi.conj())
-    dnorm_sq = float(b @ b) / phi_norm ** 2
-    lhs = scale + c * float(np.linalg.norm(Pu) ** 2)
-    if math.isinf(gain):
-        rhs = 0.0 if dnorm_sq <= _PAIRING_ZERO_FACTOR * max(scale, 1.0) else INF
-    else:
-        rhs = (1.0 + float(gain)) * dnorm_sq
-    full_scale = lhs + (0.0 if math.isinf(rhs) else rhs)
-    return KatoVerdict("foldo", "vanishing" if vanishing else "nonvanishing",
-                       float(c), None, lhs, rhs, lhs - rhs, float(gain),
-                       full_scale, seed)
-
-
-def check_hodge_inequality(v: np.ndarray, phi: np.ndarray, n: int, k: int,
-                           fiber_dim: int = 1, c: float = 1.0,
-                           c_star: float = 1.0,
-                           d_vanishing: bool | None = None,
-                           dstar_vanishing: bool | None = None,
-                           seed: int | None = None) -> KatoVerdict:
-    """Two-sided refined Kato inequality for degree-k form coefficients.
-
-    Checks the final inequality (gradient + weighted wedge/contraction
-    terms against the norm-gradient surrogate) and, through the
-    corollary_margin field, the intermediate block inequality with
-    |v11|^2 + |v12|^2 on the right.  Branch flags can be forced by
-    callers holding exact closedness certificates; by default they are
-    detected from the wedge/contraction norms.
-    """
-    kit = _form_kit(n, k)
-    v = np.asarray(v, dtype=np.complex128)
-    phi = np.asarray(phi, dtype=np.complex128)
-    phi_norm = float(np.linalg.norm(phi))
-    if phi_norm <= 1e-12:
-        raise ZeroSection("inequality undefined where the section vanishes")
-    scale = float(np.linalg.norm(v) ** 2)
-    eps_v = apply_form_map(kit.eps_k, v, n, fiber_dim)
-    iota_v = apply_form_map(kit.iota_k, v, n, fiber_dim)
-    if d_vanishing is None:
-        d_vanishing = float(np.linalg.norm(eps_v)) <= BRANCH_NORM_FACTOR * scale
-    if dstar_vanishing is None:
-        dstar_vanishing = float(np.linalg.norm(iota_v)) <= BRANCH_NORM_FACTOR * scale
-    gains = hodge_gain_pair(c, c_star, n, k, d_vanishing, dstar_vanishing)
-    b = np.real(v.reshape(n, -1) @ phi.conj())
-    dnorm_sq = float(b @ b) / phi_norm ** 2
-    bnorm = math.sqrt(float(b @ b))
-    xi0 = b / bnorm if bnorm > 1e-14 * max(scale, 1.0) else _first_basis(n)
-    split = four_block_decompose(v, xi0, n, k, fiber_dim)
-    lhs = (scale + c * float(np.linalg.norm(eps_v) ** 2)
-           + c_star * float(np.linalg.norm(iota_v) ** 2))
-    rhs = (1.0 + float(gains.overall)) * dnorm_sq
-    # block form of the same inequality: partial symbols, block norms right
-    eps_part = apply_form_map(kit.eps_k, split.v12 + split.v21, n, fiber_dim)
-    iota_part = apply_form_map(kit.iota_k, split.v11 + split.v22, n, fiber_dim)
-    dvc = float(np.linalg.norm(eps_part)) <= BRANCH_NORM_FACTOR * scale
-    dsc = float(np.linalg.norm(iota_part)) <= BRANCH_NORM_FACTOR * scale
-    cor_gains = hodge_gain_pair(c, c_star, n, k, dvc, dsc)
-    lhs_cor = (scale + c * float(np.linalg.norm(eps_part) ** 2)
-               + c_star * float(np.linalg.norm(iota_part) ** 2))
-    rhs_cor = (1.0 + float(cor_gains.overall)) * (
-        float(np.linalg.norm(split.v11) ** 2 + np.linalg.norm(split.v12) ** 2))
-    branch = "vanishing" if (d_vanishing and dstar_vanishing) else "nonvanishing"
-    return KatoVerdict("hodge", branch, float(c), float(c_star), lhs, rhs,
-                       lhs - rhs, float(gains.overall), lhs + rhs, seed,
-                       corollary_margin=lhs_cor - rhs_cor)
-
-
-def _first_basis(n: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[0] = 1.0
-    return e
-
-
-# ---------------------------------------------------------------------------
-# batched margin arithmetic, shared by the fuzzers and the field runs
+# the two theorems: batch kernels and their one-row checks
 
 
 def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
@@ -579,19 +492,14 @@ def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     rho2, eps = operator_constants(op)
     m = u.shape[0]
     Pu = u @ op.full_symbol.matrix.T
-    pu_sq = np.sum(np.abs(Pu) ** 2, axis=1)
-    scale = np.sum(np.abs(u) ** 2, axis=1)
-    if vanishing is None:
-        vanishing = np.sqrt(pu_sq) <= BRANCH_NORM_FACTOR * scale
-    else:
-        vanishing = np.broadcast_to(np.asarray(vanishing, dtype=bool), (m,))
+    pu_sq = _sq(Pu)
+    scale = _sq(u)
+    vanishing = _branch(vanishing, pu_sq, scale)
     b = np.real(np.einsum("nie,ne->ni", u.reshape(m, n, dE), phi.conj()))
-    dnorm_sq = np.sum(b ** 2, axis=1) / np.sum(np.abs(phi) ** 2, axis=1)
-    c = np.asarray(c, dtype=float)
-    lhs = scale + c * pu_sq
-    gain_vanishing = INF if rho2 == eps else eps / (rho2 - eps)
-    gains = np.where(vanishing, gain_vanishing,
-                     eps * c / (1.0 + (rho2 - eps) * c))
+    dnorm_sq = np.sum(b ** 2, axis=1) / _sq(phi)
+    gains = batch_lemma_gain(c, rho2 - eps, vanishing, weight=eps)
+    lhs = scale + np.asarray(c, dtype=float) * pu_sq
+    gain_vanishing = float(batch_lemma_gain(0.0, rho2 - eps, True, weight=eps))
     with np.errstate(invalid="ignore"):
         rhs = (1.0 + gains) * dnorm_sq
     if math.isinf(gain_vanishing):
@@ -602,9 +510,21 @@ def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     return {
         "margin": margin, "lhs": lhs, "rhs": rhs, "scale": scale,
         "full_scale": full_scale, "vanishing": vanishing, "pu_sq": pu_sq,
-        "dnorm_sq": dnorm_sq, "gain_vanishing": gain_vanishing,
+        "dnorm_sq": dnorm_sq, "gain": gains, "gain_vanishing": gain_vanishing,
         "rho_squared": rho2, "epsilon": eps,
     }
+
+
+def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
+                              c: float, seed: int | None = None) -> KatoVerdict:
+    """Pointwise refined Kato inequality of a first-order operator.
+
+    u plays the full gradient of phi at one point, P(u) the operator
+    value; the right side uses the norm-gradient surrogate built from
+    the pairing of u against phi.  One row of batch_operator_margins.
+    """
+    out = batch_operator_margins(op, _row(u), _section_row(phi), c)
+    return _row_verdict("foldo", out, c, None, seed)
 
 
 def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
@@ -613,83 +533,84 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
                         diagnostics: bool = False) -> dict:
     """Vectorized two-sided form-inequality margins for row batches.
 
-    Checks the final inequality and the intermediate block form; with
-    diagnostics=True also returns the worst residuals of the split
-    identities (Pythagoras, the two annihilation laws, dominance of the
-    full symbols over their block restrictions).
+    Checks the final inequality and the intermediate block form, whose
+    right side is |v11|^2 + |v12|^2 for the blocks along xi0 = b/|b|
+    (e_1* where the pairing b vanishes).  A certificate on the full
+    symbol also certifies the block form, since the block restrictions
+    are dominated by the full symbols.  With diagnostics=True also
+    returns the worst residuals of the split identities (Pythagoras, the
+    two annihilation laws, that dominance).
     """
     kit = _form_kit(n, k)
     m = v.shape[0]
     V = v.reshape(m, n, kit.dim_k, fiber_dim)
-    scale = np.sum(np.abs(v) ** 2, axis=1)
-    eps_v = np.einsum("iab,nibf->naf", kit.eps_k, V)
-    iota_v = np.einsum("iab,nibf->naf", kit.iota_k, V)
-    eps_sq = np.sum(np.abs(eps_v) ** 2, axis=(1, 2))
-    iota_sq = np.sum(np.abs(iota_v) ** 2, axis=(1, 2))
-    if d_vanishing is None:
-        dvan = np.sqrt(eps_sq) <= BRANCH_NORM_FACTOR * scale
-    else:
-        dvan = np.broadcast_to(np.asarray(d_vanishing, dtype=bool), (m,))
-    if dstar_vanishing is None:
-        svan = np.sqrt(iota_sq) <= BRANCH_NORM_FACTOR * scale
-    else:
-        svan = np.broadcast_to(np.asarray(dstar_vanishing, dtype=bool), (m,))
+    scale = _sq(v)
+    eps_sq = _sq(np.einsum("iab,nibf->naf", kit.eps_k, V))
+    iota_sq = _sq(np.einsum("iab,nibf->naf", kit.iota_k, V))
+    dvan = _branch(d_vanishing, eps_sq, scale)
+    svan = _branch(dstar_vanishing, iota_sq, scale)
     Phi = phi.reshape(m, kit.dim_k * fiber_dim)
     b = np.real(np.einsum("nix,nx->ni", V.reshape(m, n, -1), Phi.conj()))
     bnorm = np.linalg.norm(b, axis=1)
-    dnorm_sq = bnorm ** 2 / np.sum(np.abs(phi) ** 2, axis=1)
+    dnorm_sq = bnorm ** 2 / _sq(phi)
     xi = np.where((bnorm > 1e-14)[:, None],
-                  b / np.maximum(bnorm, 1e-300)[:, None],
-                  np.tile(_first_basis(n), (m, 1)))
-    w = np.einsum("ni,nixf->nxf", xi, V)
-    line = np.einsum("ni,nxf->nixf", xi, w)
-    perp = V - line
-    z_line = np.einsum("nj,jcb,nibf->nicf", xi, kit.iota_k, line)
-    has_line = np.einsum("nj,jac,nicf->niaf", xi, kit.eps_km, z_line)
-    z_perp = np.einsum("nj,jcb,nibf->nicf", xi, kit.iota_k, perp)
-    has_perp = np.einsum("nj,jac,nicf->niaf", xi, kit.eps_km, z_perp)
-    v11, v12 = has_line, line - has_line
-    v21, v22 = has_perp, perp - has_perp
-    sq = lambda x: np.sum(np.abs(x) ** 2, axis=(1, 2, 3))
-    n11, n12, n21, n22 = sq(v11), sq(v12), sq(v21), sq(v22)
-    eps_part = np.einsum("iab,nibf->naf", kit.eps_k, v12 + v21)
-    iota_part = np.einsum("iab,nibf->naf", kit.iota_k, v11 + v22)
-    eps_part_sq = np.sum(np.abs(eps_part) ** 2, axis=(1, 2))
-    iota_part_sq = np.sum(np.abs(iota_part) ** 2, axis=(1, 2))
+                  b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
+    v11, v12, v21, v22 = _block_split(kit, V, xi)
+    n11, n12 = _sq(v11), _sq(v12)
+    eps_part_sq = _sq(np.einsum("iab,nibf->naf", kit.eps_k, v12 + v21))
+    iota_part_sq = _sq(np.einsum("iab,nibf->naf", kit.iota_k, v11 + v22))
     c = np.asarray(c, dtype=float)
     cs = np.asarray(c_star, dtype=float)
-    gd = np.where(dvan, 1.0 / k, c / (1.0 + k * c))
-    gs = np.where(svan, 1.0 / (n - k), cs / (1.0 + (n - k) * cs))
-    gmin = np.minimum(gd, gs)
+    gmin = np.minimum(batch_lemma_gain(c, k, dvan),
+                      batch_lemma_gain(cs, n - k, svan))
     lhs = scale + c * eps_sq + cs * iota_sq
     rhs = (1.0 + gmin) * dnorm_sq
-    margin = lhs - rhs
-    dvc = np.sqrt(eps_part_sq) <= BRANCH_NORM_FACTOR * scale
-    dsc = np.sqrt(iota_part_sq) <= BRANCH_NORM_FACTOR * scale
-    gd_c = np.where(dvc | dvan, 1.0 / k, c / (1.0 + k * c))
-    gs_c = np.where(dsc | svan, 1.0 / (n - k), cs / (1.0 + (n - k) * cs))
+    dvc = _branch(None, eps_part_sq, scale) | dvan
+    dsc = _branch(None, iota_part_sq, scale) | svan
     lhs_cor = scale + c * eps_part_sq + cs * iota_part_sq
-    rhs_cor = (1.0 + np.minimum(gd_c, gs_c)) * (n11 + n12)
-    margin_cor = lhs_cor - rhs_cor
+    rhs_cor = (1.0 + np.minimum(batch_lemma_gain(c, k, dvc),
+                                batch_lemma_gain(cs, n - k, dsc))) * (n11 + n12)
     out = {
-        "margin": margin, "lhs": lhs, "rhs": rhs, "scale": scale,
-        "full_scale": lhs + rhs, "margin_cor": margin_cor,
+        "margin": lhs - rhs, "lhs": lhs, "rhs": rhs, "scale": scale,
+        "full_scale": lhs + rhs, "margin_cor": lhs_cor - rhs_cor,
         "cor_scale": lhs_cor + rhs_cor, "d_vanishing": dvan,
-        "dstar_vanishing": svan, "dnorm_sq": dnorm_sq,
-        "eps_sq": eps_sq, "iota_sq": iota_sq, "gain": gmin,
+        "dstar_vanishing": svan, "vanishing": dvan & svan,
+        "dnorm_sq": dnorm_sq, "eps_sq": eps_sq, "iota_sq": iota_sq,
+        "gain": gmin,
     }
     if diagnostics:
         safe = np.maximum(scale, 1e-300)
         out["pythagoras_residual"] = float(np.max(
-            np.abs(n11 + n12 + n21 + n22 - scale) / safe))
+            np.abs(n11 + n12 + _sq(v21) + _sq(v22) - scale) / safe))
         dead_eps = np.einsum("iab,nibf->naf", kit.eps_k, v11)
         dead_iota = np.einsum("iab,nibf->naf", kit.iota_k, v12)
         out["block_identity_residual"] = max(
-            float(np.max(np.sqrt(np.sum(np.abs(dead_eps) ** 2, axis=(1, 2))) / safe)),
-            float(np.max(np.sqrt(np.sum(np.abs(dead_iota) ** 2, axis=(1, 2))) / safe)))
+            float(np.max(np.sqrt(_sq(dead_eps)) / safe)),
+            float(np.max(np.sqrt(_sq(dead_iota)) / safe)))
         out["dominance_residual"] = float(np.max(
             np.maximum(eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe))
     return out
+
+
+def check_hodge_inequality(v: np.ndarray, phi: np.ndarray, n: int, k: int,
+                           fiber_dim: int = 1, c: float = 1.0,
+                           c_star: float = 1.0,
+                           d_vanishing: bool | None = None,
+                           dstar_vanishing: bool | None = None,
+                           seed: int | None = None) -> KatoVerdict:
+    """Two-sided refined Kato inequality for degree-k form coefficients.
+
+    Checks the final inequality (gradient + weighted wedge/contraction
+    terms against the norm-gradient surrogate) and, through the
+    corollary_margin field, the intermediate block inequality with
+    |v11|^2 + |v12|^2 on the right.  Branch flags can be forced by
+    callers holding exact closedness certificates; by default they are
+    detected from the wedge/contraction norms.  One row of
+    batch_hodge_margins.
+    """
+    out = batch_hodge_margins(n, k, fiber_dim, _row(v), _section_row(phi),
+                              c, c_star, d_vanishing, dstar_vanishing)
+    return _row_verdict("hodge", out, c, c_star, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +655,15 @@ class FuzzReport:
         }
 
 
-def _weights(rng, count: int, c_max: float) -> np.ndarray:
+def _weights(rng, count: int, c_max: float, fixed: float | None = None) -> np.ndarray:
+    if fixed is not None:
+        return np.full(count, fixed, dtype=float)
     # cubic bias toward small weights plus a slice of exact zeros;
     # both regimes of the interpolation matter
     c = c_max * rng.random(count) ** 3
     c[: max(1, count // 64)] = 0.0
     return c
+
 
 def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
     return (rng.standard_normal((count, dim))
@@ -751,6 +675,50 @@ def _null_space(M: np.ndarray) -> np.ndarray:
     top = s[0] if s.size else 0.0
     rank = int(np.sum(s > 1e-12 * max(top, 1e-300)))
     return vh[rank:].conj().T
+
+
+def _failures(margin: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    # written so that a NaN margin fails too
+    return ~(margin >= -MARGIN_TOL_FACTOR * scale)
+
+
+def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
+          chunk: int, sample, kernel, worst=None):
+    """The fuzz loop shared by every fuzzer.
+
+    Each chunk draws up to chunk rows with sample(rng, m) and checks
+    them with kernel(*rows).  The kernel output carries "margin" and
+    "full_scale" (plus "margin_cor"/"cor_scale" for a second inequality
+    on the same rows) and a "vanishing" branch mask.  worst maps extra
+    report keys to (kernel key, np.min or np.max), folded over chunks.
+    Returns the report and the last chunk's kernel output.
+    """
+    rng = np.random.default_rng(seed)
+    done = violations = 0
+    min_margin = min_rel = INF
+    branches = {"vanishing": 0, "nonvanishing": 0}
+    folded = {}
+    out = {}
+    while done < samples:
+        m = min(chunk, samples - done)
+        out = kernel(*sample(rng, m))
+        margin, scale = out["margin"], out["full_scale"]
+        bad = _failures(margin, scale)
+        if "margin_cor" in out:
+            bad |= _failures(out["margin_cor"], out["cor_scale"])
+        violations += int(np.sum(bad))
+        min_margin = min(min_margin, float(np.min(margin)))
+        min_rel = min(min_rel, float(np.min(margin / np.maximum(scale, 1e-300))))
+        vanishing = int(np.sum(out["vanishing"]))
+        branches["vanishing"] += vanishing
+        branches["nonvanishing"] += m - vanishing
+        for name, (key, pick) in (worst or {}).items():
+            val = pick(out[key])
+            folded[name] = float(val if name not in folded else pick((folded[name], val)))
+        done += m
+    report = FuzzReport(theorem, label, samples, violations, min_margin, min_rel,
+                        MARGIN_TOL_FACTOR, seed, c_range, branches, extras=folded)
+    return report, out
 
 
 def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
@@ -765,45 +733,27 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
     """
     n, dE = op.base_dim, op.domain_fiber.dim
     null = _null_space(op.full_symbol.matrix)
-    rng = np.random.default_rng(seed)
-    done = 0
-    violations = 0
-    min_margin = INF
-    min_rel = INF
-    branches = {"vanishing": 0, "nonvanishing": 0}
-    last = {}
-    while done < samples:
-        m = min(chunk, samples - done)
+
+    def sample(rng, m):
         u = _complex_rows(rng, m, n * dE)
         phi = _complex_rows(rng, m, dE)
-        c = np.full(m, c_fixed, dtype=float) if c_fixed is not None else _weights(rng, m, c_max)
+        c = _weights(rng, m, c_max, c_fixed)
         nk = int(kernel_fraction * m) if null.shape[1] else 0
         if nk:
-            g = _complex_rows(rng, nk, null.shape[1])
-            u[:nk] = g @ null.T  # columns of null span ker P
-        last = batch_operator_margins(op, u, phi, c)
-        margin, full_scale = last["margin"], last["full_scale"]
-        bad = margin < -MARGIN_TOL_FACTOR * full_scale
-        violations += int(np.sum(bad))
-        min_margin = min(min_margin, float(np.min(margin)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(full_scale > 0, margin / np.maximum(full_scale, 1e-300), 0.0)
-        min_rel = min(min_rel, float(np.min(rel)))
-        branches["vanishing"] += int(np.sum(last["vanishing"]))
-        branches["nonvanishing"] += int(np.sum(~last["vanishing"]))
-        done += m
-    return FuzzReport(
-        "foldo", op.name, samples, violations,
-        min_margin, min_rel, MARGIN_TOL_FACTOR, seed,
-        (0.0, c_max) if c_fixed is None else (c_fixed, c_fixed),
-        branches,
-        extras={
-            "gain_vanishing": last["gain_vanishing"],
-            "rho_squared": last["rho_squared"],
-            "epsilon": last["epsilon"],
-            "kernel_dim": int(null.shape[1]),
-        },
-    )
+            u[:nk] = _complex_rows(rng, nk, null.shape[1]) @ null.T  # columns of null span ker P
+        return u, phi, c
+
+    report, last = _fuzz(
+        "foldo", op.name, samples, seed,
+        (0.0, c_max) if c_fixed is None else (c_fixed, c_fixed), chunk, sample,
+        lambda u, phi, c: batch_operator_margins(op, u, phi, c))
+    report.extras.update({
+        "gain_vanishing": last["gain_vanishing"],
+        "rho_squared": last["rho_squared"],
+        "epsilon": last["epsilon"],
+        "kernel_dim": int(null.shape[1]),
+    })
+    return report
 
 
 def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
@@ -820,63 +770,34 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
     """
     kit = _form_kit(n, k)
     dim = n * kit.dim_k * fiber_dim
-    eps_mat = np.einsum("iab,ef->aeibf", kit.eps_k,
-                        np.eye(fiber_dim)).reshape(kit.dim_up * fiber_dim, dim)
-    iota_mat = np.einsum("iab,ef->aeibf", kit.iota_k,
-                         np.eye(fiber_dim)).reshape(kit.dim_dn * fiber_dim, dim)
-    null_eps = _null_space(eps_mat)
-    null_iota = _null_space(iota_mat)
-    rng = np.random.default_rng(seed)
-    done = violations = 0
-    min_margin = min_rel = INF
-    min_margin_cor = INF
-    dominance_residual = -INF
-    block_identity_residual = 0.0
-    pythagoras_residual = 0.0
-    branches = {"vanishing": 0, "nonvanishing": 0}
-    while done < samples:
-        m = min(chunk, samples - done)
+    nulls = [_null_space(mat) for mat in kit.flat_maps(fiber_dim)]
+
+    def sample(rng, m):
         v = _complex_rows(rng, m, dim)
         phi = _complex_rows(rng, m, kit.dim_k * fiber_dim)
-        c = np.full(m, c_fixed, dtype=float) if c_fixed is not None else _weights(rng, m, c_max)
-        cs = np.full(m, cstar_fixed, dtype=float) if cstar_fixed is not None else _weights(rng, m, c_max)
+        c = _weights(rng, m, c_max, c_fixed)
+        cs = _weights(rng, m, c_max, cstar_fixed)
         nk = int(kernel_fraction * m)
-        if nk and null_eps.shape[1]:
-            v[:nk] = _complex_rows(rng, nk, null_eps.shape[1]) @ null_eps.T
-        if nk and null_iota.shape[1]:
-            v[nk:2 * nk] = _complex_rows(rng, nk, null_iota.shape[1]) @ null_iota.T
-        out = batch_hodge_margins(n, k, fiber_dim, v, phi, c, cs,
-                                  diagnostics=True)
-        pythagoras_residual = max(pythagoras_residual, out["pythagoras_residual"])
-        block_identity_residual = max(block_identity_residual,
-                                      out["block_identity_residual"])
-        dominance_residual = max(dominance_residual, out["dominance_residual"])
-        margin, full_scale = out["margin"], out["full_scale"]
-        margin_cor, cor_scale = out["margin_cor"], out["cor_scale"]
-        bad = (margin < -MARGIN_TOL_FACTOR * full_scale) | (
-            margin_cor < -MARGIN_TOL_FACTOR * cor_scale)
-        violations += int(np.sum(bad))
-        min_margin = min(min_margin, float(np.min(margin)))
-        min_margin_cor = min(min_margin_cor, float(np.min(margin_cor)))
-        min_rel = min(min_rel, float(np.min(margin / np.maximum(full_scale, 1e-300))))
-        van = out["d_vanishing"] & out["dstar_vanishing"]
-        branches["vanishing"] += int(np.sum(van))
-        branches["nonvanishing"] += int(np.sum(~van))
-        done += m
-    return FuzzReport(
+        for i, null in enumerate(nulls):
+            if nk and null.shape[1]:
+                v[i * nk:(i + 1) * nk] = _complex_rows(rng, nk, null.shape[1]) @ null.T
+        return v, phi, c, cs
+
+    report, _ = _fuzz(
         "hodge", f"hodge:{n}:{k}" + (f" fiber={fiber_dim}" if fiber_dim > 1 else ""),
-        samples, violations, min_margin, min_rel, MARGIN_TOL_FACTOR, seed,
-        (0.0, c_max) if c_fixed is None else (c_fixed, cstar_fixed),
-        branches,
-        extras={
-            "min_margin_corollary": min_margin_cor,
-            "dominance_residual": dominance_residual,
-            "block_identity_residual": block_identity_residual,
-            "pythagoras_residual": pythagoras_residual,
-            "gain_d_vanishing": 1.0 / k,
-            "gain_dstar_vanishing": 1.0 / (n - k),
-        },
-    )
+        samples, seed, (0.0, c_max) if c_fixed is None else (c_fixed, cstar_fixed),
+        chunk, sample,
+        lambda v, phi, c, cs: batch_hodge_margins(n, k, fiber_dim, v, phi, c, cs,
+                                                  diagnostics=True),
+        worst={"min_margin_corollary": ("margin_cor", np.min),
+               "dominance_residual": ("dominance_residual", np.max),
+               "block_identity_residual": ("block_identity_residual", np.max),
+               "pythagoras_residual": ("pythagoras_residual", np.max)})
+    report.extras.update({
+        "gain_d_vanishing": float(batch_lemma_gain(0.0, k, True)),
+        "gain_dstar_vanishing": float(batch_lemma_gain(0.0, n - k, True)),
+    })
+    return report
 
 
 def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
@@ -889,51 +810,22 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
     (up to least squares rounding), exercising the vanishing branch.
     """
     a = _restricted_top_eigenvalue(C, sub_basis)
-    dimU = C.domain.dim
-    r = sub_basis.shape[1]
     pinv = np.linalg.pinv(C.matrix)
-    rng = np.random.default_rng(seed)
-    done = violations = 0
-    min_margin = min_rel = INF
-    branches = {"vanishing": 0, "nonvanishing": 0}
-    while done < samples:
-        m = min(chunk, samples - done)
-        u1 = _complex_rows(rng, m, dimU)
-        u2 = _complex_rows(rng, m, r) @ sub_basis.T  # coords -> ambient
+
+    def sample(rng, m):
+        u1 = _complex_rows(rng, m, C.domain.dim)
+        u2 = _complex_rows(rng, m, sub_basis.shape[1]) @ sub_basis.T  # coords -> ambient
         c = _weights(rng, m, c_max)
         nf = int(forced_fraction * m)
         if nf:
             img = (u1[:nf] + u2[:nf]) @ C.matrix.T
             u1[:nf] = u1[:nf] - img @ pinv.T
-        img_total = (u1 + u2) @ C.matrix.T
-        img_first = u1 @ C.matrix.T
-        tot_sq = np.sum(np.abs(img_total) ** 2, axis=1)
-        first_sq = np.sum(np.abs(img_first) ** 2, axis=1)
-        u2_sq = np.sum(np.abs(u2) ** 2, axis=1)
-        scale = np.sum(np.abs(u1) ** 2, axis=1) + u2_sq
-        vanishing = np.sqrt(tot_sq) <= BRANCH_NORM_FACTOR * scale
-        if a == 0:
-            gains = np.where(vanishing, INF, c)
-        else:
-            gains = np.where(vanishing, 1.0 / a, c / (1.0 + a * c))
-        lhs = u2_sq + c * tot_sq
-        rhs = gains * first_sq
-        if a == 0:
-            rhs = np.where(vanishing & (first_sq <= _PAIRING_ZERO_FACTOR * scale),
-                           0.0, rhs)
-        margin = lhs - rhs
-        bad = margin < -MARGIN_TOL_FACTOR * scale
-        violations += int(np.sum(bad))
-        min_margin = min(min_margin, float(np.min(margin)))
-        min_rel = min(min_rel, float(np.min(margin / np.maximum(scale, 1e-300))))
-        branches["vanishing"] += int(np.sum(vanishing))
-        branches["nonvanishing"] += int(np.sum(~vanishing))
-        done += m
-    return FuzzReport(
-        "key-lemma", label, samples, violations, min_margin, min_rel,
-        MARGIN_TOL_FACTOR, seed, (0.0, c_max), branches,
-        extras={"spectral_bound": a},
-    )
+        return u1, u2, c
+
+    report, _ = _fuzz("key-lemma", label, samples, seed, (0.0, c_max), chunk,
+                      sample, lambda u1, u2, c: _key_lemma_margins(C.matrix, a, u1, u2, c))
+    report.extras["spectral_bound"] = a
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +840,6 @@ def key_lemma_setups(n: int, k: int, fiber_dim: int = 1):
     symbols.  Returns a list of (label, C, sub_basis, exact_bound).
     """
     kit = _form_kit(n, k)
-    from .spaces import exterior_power  # local: avoids a cycle at import time
     labels_k = exterior_power(n, k).labels
     dim_k, dE = kit.dim_k, fiber_dim
     has1 = [j for j, lab in enumerate(labels_k) if 1 in lab]
@@ -962,27 +853,19 @@ def key_lemma_setups(n: int, k: int, fiber_dim: int = 1):
                     out.append((i * dim_k + j) * dE + e)
         return out
 
-    c12 = cols([0], no1)
-    c21 = cols(range(1, n), has1)
-    c11 = cols([0], has1)
-    c22 = cols(range(1, n), no1)
-    dim = n * dim_k * dE
-    eps_mat = np.einsum("iab,ef->aeibf", kit.eps_k, np.eye(dE)).reshape(
-        kit.dim_up * dE, dim)
-    iota_mat = np.einsum("iab,ef->aeibf", kit.iota_k, np.eye(dE)).reshape(
-        kit.dim_dn * dE, dim)
-    from .spaces import fiber_space  # local import, same reason
+    eps_mat, iota_mat = kit.flat_maps(dE)
     setups = []
-    for label, mat, keep, sub, bound in (
-        ("wedge-on-mixed-blocks", eps_mat, c12 + c21, c21, float(k)),
-        ("contraction-on-diagonal-blocks", iota_mat, c11 + c22, c22, float(n - k)),
+    for label, mat, first, second, bound in (
+        ("wedge-on-mixed-blocks", eps_mat, cols([0], no1),
+         cols(range(1, n), has1), float(k)),
+        ("contraction-on-diagonal-blocks", iota_mat, cols([0], has1),
+         cols(range(1, n), no1), float(n - k)),
     ):
-        U = fiber_space(len(keep), "restricted")
-        Y = fiber_space(mat.shape[0], "image")
-        C = LinearMap(U, Y, mat[:, keep])
-        sub_basis = np.zeros((len(keep), len(sub)), dtype=complex)
-        for col, amb in enumerate(sub):
-            sub_basis[keep.index(amb), col] = 1.0
+        keep = first + second
+        C = LinearMap(fiber_space(len(keep), "restricted"),
+                      fiber_space(mat.shape[0], "image"), mat[:, keep])
+        # the second component is the trailing block of coordinates
+        sub_basis = np.eye(len(keep), dtype=complex)[:, len(first):]
         setups.append((label, C, sub_basis, bound))
     return setups
 
@@ -994,18 +877,10 @@ def line_component_setup(op: OperatorSpec):
     spectral bound is rho^2 - epsilon.
     """
     n, dE = op.base_dim, op.domain_fiber.dim
-    xi0 = _first_basis(n)
-    M = op.full_symbol.matrix
-    line_embed = np.zeros((n * dE, dE))
-    for e in range(dE):
-        line_embed[e::dE, e] = xi0
-    F1 = gram_schmidt_columns(M @ line_embed)
-    from .spaces import fiber_space
+    F1 = line_image_basis(op.full_symbol, unit_covector(n), dE)
     C = LinearMap(op.full_symbol.domain, fiber_space(F1.shape[1], "image"),
-                  F1.conj().T @ M)
-    sub_basis = np.zeros((n * dE, (n - 1) * dE), dtype=complex)
-    for j in range(1, n):
-        for e in range(dE):
-            sub_basis[j * dE + e, (j - 1) * dE + e] = 1.0
+                  F1.conj().T @ op.full_symbol.matrix)
+    # with xi0 = e_1* the perp part is every covector slot but the first
+    sub_basis = np.eye(n * dE, dtype=complex)[:, dE:]
     rho2, eps = operator_constants(op)
     return f"line-component-{op.name}", C, sub_basis, rho2 - eps

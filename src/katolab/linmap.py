@@ -1,4 +1,4 @@
-"""Linear maps between descriptor spaces, with adjoints and spectra.
+"""Linear maps between descriptor spaces, with adjoints and orthonormal bases.
 
 All bases are orthonormal, so the adjoint is the conjugate transpose of
 the coefficient matrix and no Gram matrices ever appear.  Matrices are
@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotHermitian
-from .spaces import SpaceDescriptor, tensor_product
+from .spaces import SpaceDescriptor
 
 
 @dataclass(eq=False)
@@ -58,25 +57,8 @@ class LinearMap:
         return float(np.linalg.norm(self.matrix, 2))
 
 
-def adjoint(P: LinearMap) -> LinearMap:
-    return P.adjoint()
-
-
-def compose(A: LinearMap, B: LinearMap) -> LinearMap:
-    return A.compose(B)
-
-
 def identity_map(space: SpaceDescriptor) -> LinearMap:
     return LinearMap(space, space, np.eye(space.dim))
-
-
-def tensor_map(A: LinearMap, B: LinearMap) -> LinearMap:
-    """Kronecker product acting on the ordered tensor product."""
-    return LinearMap(
-        tensor_product((A.domain, B.domain)),
-        tensor_product((A.codomain, B.codomain)),
-        np.kron(A.matrix, B.matrix),
-    )
 
 
 def stack_maps(maps, codomain: SpaceDescriptor) -> LinearMap:
@@ -87,38 +69,6 @@ def stack_maps(maps, codomain: SpaceDescriptor) -> LinearMap:
         if m.domain != dom:
             raise ValueError("stacked maps must share their domain")
     return LinearMap(dom, codomain, np.vstack([m.matrix for m in maps]))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a self-adjoint map, ascending, plus a residual.
-
-    residual is max over eigenpairs of ||M v - lambda v||, an a
-    posteriori certificate independent of the solver.
-    """
-
-    eigenvalues: tuple
-    residual: float
-
-
-def hermitian_spectrum(M: LinearMap, tol: float = 1e-10) -> Spectrum:
-    """Spectrum of a self-adjoint endomorphism.
-
-    Raises NotHermitian when ||M - M*|| exceeds tol * ||M|| in the
-    spectral norm.  The returned residual certifies every eigenpair.
-    """
-    if M.domain != M.codomain:
-        raise NotHermitian("spectrum requested for a non-endomorphism")
-    A = M.matrix
-    if A.size == 0:
-        return Spectrum((), 0.0)
-    scale = np.linalg.norm(A, 2)
-    dev = np.linalg.norm(A - A.conj().T, 2)
-    if dev > tol * max(scale, 1e-300):
-        raise NotHermitian(f"self-adjointness residual {dev:.3e} exceeds {tol:.1e} * norm")
-    vals, vecs = np.linalg.eigh(A)
-    res = float(np.max(np.linalg.norm(A @ vecs - vecs * vals, axis=0)))
-    return Spectrum(tuple(float(v) for v in vals), res)
 
 
 def gram_schmidt_columns(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:

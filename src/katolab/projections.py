@@ -24,7 +24,7 @@ import numpy as np
 
 from .clifford import clifford_generators, spinor_dim, spinor_space
 from .errors import BadDegree, NotConformal, NotSurjective
-from .linmap import LinearMap, gram_schmidt_columns, orthonormal_complement
+from .linmap import LinearMap, gram_schmidt_columns
 from .spaces import (
     SpaceDescriptor,
     dual_space,
@@ -175,17 +175,6 @@ class ProjectionReport:
     domain_dim: int
     codomain_dim: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rho_squared": self.rho_squared,
-            "residual": self.residual,
-            "surjective": self.surjective,
-            "certified": self.certified,
-            "tolerance": self.tolerance,
-            "domain_dim": self.domain_dim,
-            "codomain_dim": self.codomain_dim,
-        }
-
 
 def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> ProjectionReport:
     """Measure rho^2 = trace(P P*) / dim W and its relative residual.
@@ -251,29 +240,3 @@ def line_image_basis(P: LinearMap, xi: np.ndarray, fiber_dim: int,
         cols[:, e] = m @ v
     return gram_schmidt_columns(cols, tol)
 
-
-def split_components(P: LinearMap, F1: np.ndarray,
-                     tol: float = DEFAULT_CONFORMITY_TOL):
-    """Components of P along an orthogonal split W = F1 (+) F1-perp.
-
-    F1 is a matrix of orthonormal columns in codomain coordinates.  The
-    components of a conformal projection along any orthogonal split are
-    conformal with the same factor; both are measured and reported.  A
-    zero-dimensional component is vacuous and inherits the parent factor.
-    Returns (P1, P2, (report1, report2)).
-    """
-    parent = conformity_factor(P, tol)
-    F1 = np.asarray(F1, dtype=np.complex128)
-    F2 = orthonormal_complement(F1, P.codomain.dim)
-    comps = []
-    reports = []
-    for idx, B in enumerate((F1, F2)):
-        cod = fiber_space(B.shape[1], f"component{idx + 1}")
-        comp = LinearMap(P.domain, cod, B.conj().T @ P.matrix)
-        comps.append(comp)
-        if B.shape[1] == 0:
-            reports.append(ProjectionReport(parent.rho_squared, 0.0, True, True,
-                                            tol, P.domain.dim, 0))
-        else:
-            reports.append(conformity_factor(comp, tol))
-    return comps[0], comps[1], (reports[0], reports[1])

@@ -116,26 +116,6 @@ def fiber_space(dim: int, tag: str = "fiber") -> SpaceDescriptor:
     return SpaceDescriptor("fiber", dim, tuple((tag, i) for i in range(1, dim + 1)))
 
 
-def build_space(kind: str, n: int = 0, k: int | None = None,
-                factors=None, dim: int | None = None, tag: str = "fiber") -> SpaceDescriptor:
-    """Single entry point used by serialization and the CLI."""
-    if kind == "base":
-        return base_space(n)
-    if kind == "dual":
-        return dual_space(n)
-    if kind == "exterior":
-        return exterior_power(n, k)
-    if kind == "symmetric":
-        return symmetric_power(n, k)
-    if kind == "tensor":
-        return tensor_product(factors)
-    if kind == "sum":
-        return direct_sum(factors)
-    if kind == "fiber":
-        return fiber_space(dim, tag)
-    raise ValueError(f"unknown space kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # combinatorics shared by the wedge and symmetric constructions
 

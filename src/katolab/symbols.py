@@ -68,10 +68,6 @@ class OperatorSpec:
         )
 
 
-def exact_to_float(x):
-    return None if x is None else float(x)
-
-
 def exact_to_json(x):
     """Fractions go out as 'p/q' strings so exactness survives JSON."""
     if x is None:
@@ -101,6 +97,13 @@ def principal_square(op: OperatorSpec, xi) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # deterministic direction sampling
+
+
+def unit_covector(n: int) -> np.ndarray:
+    """The first dual basis vector e_1* of R^n, the default direction."""
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    return e1
 
 
 def _generalized_golden(d: int) -> float:
@@ -143,30 +146,13 @@ def quasi_unit_covectors(n: int, count: int) -> np.ndarray:
     return g / norms[:, None]
 
 
-def random_unit_covectors(n: int, count: int, rng) -> np.ndarray:
-    """Seeded gaussian directions, normalized."""
-    g = rng.standard_normal((count, n))
-    norms = np.linalg.norm(g, axis=1)
-    bad = norms < 1e-12
-    if np.any(bad):
-        g[bad, 0] = 1.0
-        norms = np.linalg.norm(g, axis=1)
-    return g / norms[:, None]
-
-
-def _basis_covector(n: int) -> np.ndarray:
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    return e1
-
-
 def _sorted_square_spectrum(op: OperatorSpec, xi) -> np.ndarray:
     return np.linalg.eigvalsh(principal_square(op, xi))
 
 
 def invariance_deviation(op: OperatorSpec, sample_count: int = 32) -> float:
     """Largest spectral deviation of P_xi* P_xi across sampled directions."""
-    ref = _sorted_square_spectrum(op, _basis_covector(op.base_dim))
+    ref = _sorted_square_spectrum(op, unit_covector(op.base_dim))
     worst = 0.0
     for xi in quasi_unit_covectors(op.base_dim, sample_count):
         dev = float(np.max(np.abs(_sorted_square_spectrum(op, xi) - ref)))
@@ -231,7 +217,7 @@ def ellipticity_constant(op: OperatorSpec, coarse_samples: int = 256,
         return float(_sorted_square_spectrum(op, xi)[0])
 
     if invariance_check(op, invariance_samples):
-        e1 = _basis_covector(n)
+        e1 = unit_covector(n)
         return EllipticityResult(lam_min(e1), tuple(e1), True,
                                  invariance_samples, 0, "invariant-exact",
                                  op.epsilon)

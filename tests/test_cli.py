@@ -110,6 +110,36 @@ def test_kato_fuzz_hodge_needs_degrees(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("theorem,flag,value", [
+    ("foldo", "--c", "nan"), ("foldo", "--c", "inf"), ("foldo", "--c", "-1"),
+    ("hodge", "--c", "nan"), ("hodge", "--c-star", "nan"),
+])
+def test_kato_fuzz_bad_weight_is_config_error(capsys, theorem, flag, value):
+    target = ["--op", "dirac:2"] if theorem == "foldo" else ["--n", "3", "--k", "1"]
+    code, out, err = _run(capsys, "kato", "fuzz", "--theorem", theorem, *target,
+                          "--samples", "200", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert "weight" in err
+
+
+def test_field_run_nan_weight_is_config_error(capsys):
+    code, out, err = _run(capsys, "field", "run", "--scenario", "closed-form",
+                          "--n", "3", "--grid", "50", "--c", "nan")
+    assert code == 2
+    assert out == ""
+    assert "weight" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--coarse", "0"), ("--refine", "-1")])
+def test_ellipticity_rejects_bad_sizes(capsys, flag, value):
+    code, out, err = _run(capsys, "ellipticity", "--op", "dirac:3",
+                          f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_field_run_smoke(capsys):
     code, out, _ = _run(capsys, "field", "run", "--scenario", "monopole-omega",
                         "--n", "3", "--grid", "500", "--seed", "4")

@@ -256,6 +256,22 @@ def test_scenario_dimension_restrictions():
         make_scenario("generic-form", 3, k=3)
 
 
+def test_random_field_caps_modes_at_available_frequencies():
+    # n = 1 with max_freq 3 has the zero mode and 3 canonical nonzero ones
+    f = random_field(1, 2, 8, 3, np.random.default_rng(0))
+    assert len(f.freqs) == 4
+    # from n = 2 on the cap (25 at max_freq 3) leaves mode_count alone
+    assert len(random_field(2, 1, 8, 3, np.random.default_rng(0)).freqs) == 8
+
+
+def test_dimension_one_scenarios():
+    sc = make_scenario("dirac-spinor", 1)
+    assert sc.n == 1 and len(sc.section.freqs) == 4
+    for name in ("generic-form", "closed-form", "coclosed-form", "higgs-dPhi"):
+        with pytest.raises(UnknownScenario, match="needs n >= 2"):
+            make_scenario(name, 1)
+
+
 def test_run_scenario_no_violations_small():
     for name, n in [("generic-form", 3), ("closed-form", 3),
                     ("dirac-spinor", 3), ("twistor-spinor", 2),

@@ -24,7 +24,6 @@ from katolab.kato import (
     check_hodge_inequality,
     check_key_lemma,
     check_operator_inequality,
-    contraction_of_gradient,
     decompose_line,
     equality_witness,
     four_block_decompose,
@@ -38,10 +37,8 @@ from katolab.kato import (
     line_component_setup,
     matching_first_component,
     operator_constants,
-    verdicts_to_csv,
-    verdicts_to_jsonl,
     verify_spectral_bounds,
-    wedge_of_gradient,
+    _form_kit,
     _restricted_top_eigenvalue,
 )
 from katolab.spaces import exterior_power
@@ -193,6 +190,14 @@ def _contains_projector_oracle(xi: np.ndarray, n: int, k: int) -> np.ndarray:
     return Rk @ diag @ Rk.T
 
 
+def _wedge(v, n, k, dE):
+    return _form_kit(n, k).flat_maps(dE)[0] @ v
+
+
+def _contract(v, n, k, dE):
+    return _form_kit(n, k).flat_maps(dE)[1] @ v
+
+
 @pytest.mark.parametrize("n,k,dE", [(2, 1, 1), (3, 1, 1), (3, 2, 2), (4, 2, 1)])
 def test_four_block_matches_minor_oracle(n, k, dE):
     rng = np.random.default_rng(n * 10 + k)
@@ -245,8 +250,8 @@ def test_four_block_symbol_annihilation():
         dim = n * math.comb(n, k) * dE
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         s = four_block_decompose(v, xi, n, k, dE)
-        assert np.linalg.norm(wedge_of_gradient(s.v11, n, k, dE)) < 1e-10
-        assert np.linalg.norm(contraction_of_gradient(s.v12, n, k, dE)) < 1e-10
+        assert np.linalg.norm(_wedge(s.v11, n, k, dE)) < 1e-10
+        assert np.linalg.norm(_contract(s.v12, n, k, dE)) < 1e-10
 
 
 def test_four_block_spectral_caps():
@@ -260,10 +265,10 @@ def test_four_block_spectral_caps():
         for _ in range(10):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             s = four_block_decompose(v, xi, n, k, 1)
-            w = wedge_of_gradient(s.v21, n, k, 1)
+            w = _wedge(s.v21, n, k, 1)
             assert (np.linalg.norm(w) ** 2
                     <= k * np.linalg.norm(s.v21) ** 2 + 1e-10)
-            q = contraction_of_gradient(s.v22, n, k, 1)
+            q = _contract(s.v22, n, k, 1)
             assert (np.linalg.norm(q) ** 2
                     <= (n - k) * np.linalg.norm(s.v22) ** 2 + 1e-10)
 
@@ -276,13 +281,13 @@ def test_four_block_border_degrees_conformal():
         xi = _unit(rng, n)
         v = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
         s = four_block_decompose(v, xi, n, 1, 1)
-        w = wedge_of_gradient(s.v21, n, 1, 1)
+        w = _wedge(s.v21, n, 1, 1)
         assert np.linalg.norm(w) ** 2 == pytest.approx(
             np.linalg.norm(s.v21) ** 2, rel=1e-10)
         dim = n * math.comb(n, n - 1)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         s = four_block_decompose(v, xi, n, n - 1, 1)
-        q = contraction_of_gradient(s.v22, n, n - 1, 1)
+        q = _contract(s.v22, n, n - 1, 1)
         assert np.linalg.norm(q) ** 2 == pytest.approx(
             np.linalg.norm(s.v22) ** 2, rel=1e-10)
 
@@ -599,19 +604,10 @@ def _sample_verdicts():
     ]
 
 
-def test_verdict_csv_columns_and_blanks():
-    text = verdicts_to_csv(_sample_verdicts())
-    lines = text.strip().split("\n")
-    assert lines[0] == "theorem,branch,c,c_star,lhs,rhs,margin,seed"
-    first = lines[1].split(",")
-    assert first[0] == "foldo" and first[3] == "" and first[7] == "9"
-    second = lines[2].split(",")
-    assert second[0] == "hodge" and second[3] == "2.0" and second[7] == ""
-
-
 def test_verdict_jsonl_inf_encoding():
     import json
-    text = verdicts_to_jsonl(_sample_verdicts())
+    text = "".join(json.dumps(v.to_json_dict(), sort_keys=True) + "\n"
+                   for v in _sample_verdicts())
     rows = [json.loads(line) for line in text.strip().split("\n")]
     assert rows[0]["gain"] == 0.5
     assert rows[1]["gain"] == "inf"

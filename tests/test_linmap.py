@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katolab.errors import NotHermitian
 from katolab.linmap import (
     LinearMap,
     gram_schmidt_columns,
-    hermitian_spectrum,
     identity_map,
     orthonormal_complement,
     stack_maps,
-    tensor_map,
 )
 from katolab.spaces import direct_sum, fiber_space
 
@@ -50,34 +47,6 @@ def test_matrix_is_frozen():
         P.matrix[0, 0] = 5.0
 
 
-def test_hermitian_spectrum_quadratic_formula_oracle():
-    # closed-form eigenvalues of [[a, b], [conj(b), d]]
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        a, d = rng.standard_normal(2)
-        b = rng.standard_normal() + 1j * rng.standard_normal()
-        m = np.array([[a, b], [np.conj(b), d]])
-        tr, disc = a + d, np.sqrt((a - d) ** 2 + 4 * abs(b) ** 2)
-        expected = sorted([(tr - disc) / 2, (tr + disc) / 2])
-        sp = hermitian_spectrum(LinearMap(fiber_space(2, "x"), fiber_space(2, "x"), m))
-        assert np.allclose(sp.eigenvalues, expected, atol=1e-12)
-        assert sp.residual <= 1e-12 * max(1.0, abs(tr) + disc)
-
-
-def test_hermitian_spectrum_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NotHermitian):
-        hermitian_spectrum(LinearMap(fiber_space(2, "x"), fiber_space(2, "x"), m))
-
-
-def test_spectrum_is_ascending():
-    rng = np.random.default_rng(3)
-    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = g + g.conj().T
-    sp = hermitian_spectrum(LinearMap(fiber_space(5, "x"), fiber_space(5, "x"), h))
-    assert list(sp.eigenvalues) == sorted(sp.eigenvalues)
-
-
 def test_gram_schmidt_orthonormal_and_deterministic():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
@@ -103,17 +72,6 @@ def test_orthonormal_complement():
     assert np.allclose(b.conj().T @ c, 0.0, atol=1e-12)
     full = np.hstack([b, c])
     assert np.allclose(full.conj().T @ full, np.eye(5), atol=1e-12)
-
-
-def test_tensor_map_action_on_product_vectors():
-    rng = np.random.default_rng(17)
-    A = _random_map(rng, 2, 3)
-    B = _random_map(rng, 3, 2)
-    T = tensor_map(A, B)
-    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    out = T.apply(np.kron(u, v))
-    assert np.allclose(out, np.kron(A.apply(u), B.apply(v)), atol=1e-12)
 
 
 def test_stack_maps():

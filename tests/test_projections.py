@@ -5,7 +5,6 @@ import pytest
 
 from katolab.clifford import spinor_dim
 from katolab.errors import BadDegree, NotConformal, NotSurjective
-from katolab.linmap import gram_schmidt_columns
 from katolab.projections import (
     clifford_projection,
     conformity_factor,
@@ -14,7 +13,6 @@ from katolab.projections import (
     exterior_projection,
     interior_projection,
     line_image_basis,
-    split_components,
     symmetrization_projection,
     twistor_projection,
 )
@@ -249,34 +247,6 @@ def test_not_conformal_raises_with_residual():
     with pytest.raises(NotConformal) as exc:
         conformity_factor(P)
     assert exc.value.residual == rep.residual > 1e-2
-
-
-def test_split_components_random_split_shares_factor():
-    # components along any orthogonal codomain split stay conformal
-    P = symmetrization_projection(3, 1)
-    rng = np.random.default_rng(41)
-    F1 = gram_schmidt_columns(rng.standard_normal((P.codomain.dim, 2))
-                              + 1j * rng.standard_normal((P.codomain.dim, 2)))
-    P1, P2, (r1, r2) = split_components(P, F1)
-    assert abs(r1.rho_squared - 4.0) <= 1e-10
-    assert abs(r2.rho_squared - 4.0) <= 1e-10
-    # the stacked components reassemble the norm of P u
-    u = rng.standard_normal(P.domain.dim)
-    total = np.linalg.norm(P1.apply(u)) ** 2 + np.linalg.norm(P2.apply(u)) ** 2
-    assert abs(total - np.linalg.norm(P.apply(u)) ** 2) <= 1e-10 * total
-
-
-def test_split_components_full_line_image_degenerate_side():
-    # Clifford in n=3: the line image is the whole codomain, the
-    # complementary component is zero-dimensional and vacuously conformal
-    P = clifford_projection(3)
-    xi = np.array([1.0, 0.0, 0.0])
-    F1 = line_image_basis(P, xi, spinor_dim(3))
-    assert F1.shape == (2, 2)
-    P1, P2, (r1, r2) = split_components(P, F1)
-    assert abs(r1.rho_squared - 3.0) <= 1e-10
-    assert abs(r2.rho_squared - 3.0) <= 1e-10
-    assert P2.codomain.dim == 0
 
 
 def test_line_image_basis_orthonormal():

@@ -16,7 +16,6 @@ from katolab.symbols import (
     parse_op_string,
     principal_square,
     quasi_unit_covectors,
-    random_unit_covectors,
     symbol_at,
     twist,
 )
@@ -165,13 +164,6 @@ def test_quasi_unit_covectors_are_unit_and_deterministic(n):
     # nesting: a longer sweep extends the shorter one
     c = quasi_unit_covectors(n, 80)
     assert np.array_equal(c[:40], a)
-
-
-def test_random_unit_covectors_seeded():
-    r1 = random_unit_covectors(4, 16, np.random.default_rng(7))
-    r2 = random_unit_covectors(4, 16, np.random.default_rng(7))
-    assert np.array_equal(r1, r2)
-    assert np.allclose(np.linalg.norm(r1, axis=1), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("extra_dim", [1, 2, 3])
