@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -74,7 +75,7 @@ def _write_report(args, payload: dict, header, rows) -> None:
             w.writerow(["" if x is None else x for x in row])
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -159,8 +160,9 @@ def twistor_symbol_rows(max_n: int, tolerance: float,
 
 
 def _cmd_projections_verify(args) -> int:
-    if args.max_n < 2:
-        print("error: --max-n must be at least 2", file=sys.stderr)
+    if args.max_n < 2 or not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        print("error: --max-n >= 2 and a finite --tolerance >= 0 are required",
+              file=sys.stderr)
         return 2
     rows = conformity_table(args.max_n, args.tolerance)
     rows += twistor_symbol_rows(args.max_n, args.tolerance)
@@ -219,8 +221,8 @@ def _cmd_ellipticity(args) -> int:
 
 
 def _cmd_kato_fuzz(args) -> int:
-    if args.samples < 1:
-        print("error: samples >= 1 is required", file=sys.stderr)
+    if args.samples < 1 or args.dim_e < 1:
+        print("error: samples >= 1 and --dim-e >= 1 are required", file=sys.stderr)
         return 2
     if args.theorem == "foldo":
         if not args.op:
@@ -268,8 +270,8 @@ def _dump_points(path: str, sc_name: str, n: int, k, c, c_star, grid: int,
     ev = evaluate_scenario(sc, X, c, c_star)
     header = [f"x{i + 1}" for i in range(sc.n)] + ["margin", "scale", "ok"]
     rows = []
-    for p, m, s in zip(ev["points"], ev["margin"], ev["tol_scale"]):
-        rows.append(list(p) + [m, s, bool(m >= -FIELD_MARGIN_TOL_FACTOR * s)])
+    for p, m, s, odd in zip(ev["points"], ev["margin"], ev["tol_scale"], ev["nonfinite"]):
+        rows.append(list(p) + [m, s, bool(not odd and m >= -FIELD_MARGIN_TOL_FACTOR * s)])
     with open(path, "w", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)

@@ -25,8 +25,11 @@ from .kato import (
     batch_hodge_margins,
     batch_lemma_gain,
     batch_operator_margins,
+    finite_minima,
     hodge_gain_pair,
     kato_gain_operator,
+    nonfinite_rows,
+    report_json,
 )
 from .spaces import exterior_power, wedge_delete, wedge_insert
 from .symbols import OperatorSpec, catalog
@@ -94,11 +97,13 @@ class TrigField:
                 sin_c[row] = 0.0  # sin(0) contributes nothing
         return cls(n, fiber_dim, freqs, cos_c, sin_c)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Values at an (N, n) array of points, shape (N, fiber_dim)."""
-        X = np.asarray(points, dtype=float).reshape(-1, self.n)
-        phases = X @ self.freqs.T.astype(float)
-        return np.cos(phases) @ self.cos_coeffs + np.sin(phases) @ self.sin_coeffs
+    def evaluate(self, points) -> np.ndarray:
+        """Values at an (N, n) array of points, or at a PhaseTable of this
+        field's frequencies, shape (N, fiber_dim)."""
+        table = points if isinstance(points, PhaseTable) else PhaseTable(self, points)
+        if not np.array_equal(table.freqs, self.freqs):
+            raise FiberMismatch("phase table was built for other frequencies")
+        return table.values(self.cos_coeffs, self.sin_coeffs)
 
     def map_fiber(self, matrix: np.ndarray) -> "TrigField":
         """Apply a constant fiber map to every coefficient."""
@@ -124,6 +129,22 @@ class TrigField:
         # coefficient-sum bound; exact enough for scale decisions
         return float(np.sum(np.linalg.norm(self.cos_coeffs, axis=1))
                      + np.sum(np.linalg.norm(self.sin_coeffs, axis=1)))
+
+
+class PhaseTable:
+    """cos(m.x) and sin(m.x) for the frequencies of a field at fixed points;
+    its gradient, d, d* and operator image keep them, so share one table."""
+
+    def __init__(self, f: TrigField, points):
+        X = np.asarray(points, dtype=float).reshape(-1, f.n)
+        phases = X @ f.freqs.T.astype(float)
+        self.freqs, self.cos, self.sin = f.freqs, np.cos(phases), np.sin(phases)
+
+    def values(self, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
+        """sum_m cos(m.x) a_m + sin(m.x) b_m per point, as real matmuls."""
+        out = self.cos @ np.ascontiguousarray(cos_coeffs).view(float)
+        out += self.sin @ np.ascontiguousarray(sin_coeffs).view(float)
+        return out.view(np.complex128)
 
 
 def random_field(n: int, fiber_dim: int, mode_count: int, max_freq: int,
@@ -162,59 +183,45 @@ def _split_form_fiber(f: TrigField, k: int, extra_dim: int):
     return dim_k
 
 
-def exterior_derivative(f: TrigField, k: int, extra_dim: int = 1) -> TrigField:
-    """d of a degree-k form field (extra fiber factors ride along).
+def _form_derivative(f: TrigField, k: int, extra_dim: int, up: bool) -> TrigField:
+    """d (up) or the codifferential of a degree-k form field, per frequency.
 
-    Acts per frequency: the partial derivative swaps cos and sin rows
-    with the frequency factor, the wedge reshuffles label slots with
-    insertion signs.
+    The partial derivative swaps cos and sin rows with the frequency
+    factor; the wedge (up) or the contraction reshuffles label slots with
+    its signs, negated for the codifferential.
     """
     n = f.n
     _split_form_fiber(f, k, extra_dim)
-    labels_k = exterior_power(n, k).labels
-    labels_up = exterior_power(n, k + 1).labels if k + 1 <= n else []
-    pos_up = {lab: j for j, lab in enumerate(labels_up)}
-    K = len(f.freqs)
-    dim_up = len(labels_up)
-    cos_d = np.zeros((K, dim_up * extra_dim), dtype=np.complex128)
-    sin_d = np.zeros((K, dim_up * extra_dim), dtype=np.complex128)
+    degree = k + 1 if up else k - 1
+    labels_out = exterior_power(n, degree).labels if 0 <= degree <= n else []
+    pos = {lab: j for j, lab in enumerate(labels_out)}
+    K, width = len(f.freqs), len(labels_out) * extra_dim
+    cos_d = np.zeros((K, width), dtype=np.complex128)
+    sin_d = np.zeros((K, width), dtype=np.complex128)
     A = f.cos_coeffs.reshape(K, -1, extra_dim)
     B = f.sin_coeffs.reshape(K, -1, extra_dim)
-    for j, lab in enumerate(labels_k):
+    for j, lab in enumerate(exterior_power(n, k).labels):
         for i in range(1, n + 1):
-            ins = wedge_insert(i, lab)
-            if ins is None:
+            hit = wedge_insert(i, lab) if up else wedge_delete(i, lab)
+            if hit is None:
                 continue
-            sign, up = ins
-            t = pos_up[up]
+            sign, out = hit[0] if up else -hit[0], hit[1]
+            t = pos[out]
             mi = f.freqs[:, i - 1].astype(float)[:, None]
             cos_d[:, t * extra_dim:(t + 1) * extra_dim] += sign * mi * B[:, j]
             sin_d[:, t * extra_dim:(t + 1) * extra_dim] -= sign * mi * A[:, j]
-    return TrigField(n, dim_up * extra_dim, f.freqs, cos_d, sin_d)
+    return TrigField(n, width, f.freqs, cos_d, sin_d)
+
+
+def exterior_derivative(f: TrigField, k: int, extra_dim: int = 1) -> TrigField:
+    """d of a degree-k form field (extra fiber factors ride along)."""
+    return _form_derivative(f, k, extra_dim, up=True)
 
 
 def coderivative(f: TrigField, k: int, extra_dim: int = 1) -> TrigField:
     """Codifferential of a degree-k form field: minus contraction of the
     derivative, matching the adjoint of d on the flat torus."""
-    n = f.n
-    _split_form_fiber(f, k, extra_dim)
-    labels_k = exterior_power(n, k).labels
-    labels_dn = exterior_power(n, k - 1).labels if k >= 1 else []
-    pos_dn = {lab: j for j, lab in enumerate(labels_dn)}
-    K = len(f.freqs)
-    dim_dn = len(labels_dn)
-    cos_d = np.zeros((K, dim_dn * extra_dim), dtype=np.complex128)
-    sin_d = np.zeros((K, dim_dn * extra_dim), dtype=np.complex128)
-    A = f.cos_coeffs.reshape(K, -1, extra_dim)
-    B = f.sin_coeffs.reshape(K, -1, extra_dim)
-    for j, lab in enumerate(labels_k):
-        for i in lab:
-            sign, down = wedge_delete(i, lab)
-            t = pos_dn[down]
-            mi = f.freqs[:, i - 1].astype(float)[:, None]
-            cos_d[:, t * extra_dim:(t + 1) * extra_dim] -= sign * mi * B[:, j]
-            sin_d[:, t * extra_dim:(t + 1) * extra_dim] += sign * mi * A[:, j]
-    return TrigField(n, dim_dn * extra_dim, f.freqs, cos_d, sin_d)
+    return _form_derivative(f, k, extra_dim, up=False)
 
 
 def apply_operator(op: OperatorSpec, f: TrigField) -> TrigField:
@@ -316,6 +323,7 @@ class ScenarioReport:
     tolerance_factor: float
     seed: int
     extras: dict = dc_field(default_factory=dict)
+    nonfinite: int = 0   # points with a non-finite number, counted as violations too
 
     @property
     def passed(self) -> bool:
@@ -325,30 +333,7 @@ class ScenarioReport:
         return ok and self.symbol_residual <= SYMBOL_CONSISTENCY_TOL
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "theorem": self.theorem,
-            "operator": self.operator,
-            "n": self.n,
-            "k": self.k,
-            "fiber_dim": self.fiber_dim,
-            "c": self.c,
-            "c_star": self.c_star,
-            "sample_points": self.sample_points,
-            "skipped_points": self.skipped_points,
-            "violations": self.violations,
-            "min_margin": self.min_margin,
-            "min_relative_margin": self.min_relative_margin,
-            "branch": self.branch,
-            "gain_bound": self.gain_bound,
-            "refined_limit_constant": self.refined_limit_constant,
-            "closedness_residual": self.closedness_residual,
-            "symbol_residual": self.symbol_residual,
-            "tolerance_factor": self.tolerance_factor,
-            "seed": self.seed,
-            "passed": self.passed,
-            **self.extras,
-        }
+        return report_json(self)
 
 
 SCENARIO_NAMES = (
@@ -469,17 +454,14 @@ def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
     coefficient tables against the wedge/contraction symbol applied to
     the evaluated gradient.  For operator scenarios: the operator applied
     at the coefficient level against the symbol on gradient values.
-    Relative to the sup of the gradient.
+    Relative to the sup of the gradient.  points may be a PhaseTable.
     """
     f = sc.section
     grad_vals = f.gradient().evaluate(points)
     ref = max(float(np.max(np.linalg.norm(grad_vals, axis=1))), 1e-300)
     if sc.theorem == "hodge":
-        kit = _form_kit(sc.n, sc.k)
-        N = len(points)
-        V = grad_vals.reshape(N, sc.n, kit.dim_k, sc.fiber_dim)
-        eps_grad = np.einsum("iab,nibf->naf", kit.eps_k, V).reshape(N, -1)
-        iota_grad = np.einsum("iab,nibf->naf", kit.iota_k, V).reshape(N, -1)
+        eps_mat, iota_mat = _form_kit(sc.n, sc.k).flat_maps(sc.fiber_dim)
+        eps_grad, iota_grad = grad_vals @ eps_mat.T, grad_vals @ iota_mat.T
         d_vals = exterior_derivative(f, sc.k, sc.fiber_dim).evaluate(points)
         cod_vals = coderivative(f, sc.k, sc.fiber_dim).evaluate(points)
         r1 = float(np.max(np.linalg.norm(d_vals - eps_grad, axis=1)))
@@ -491,7 +473,7 @@ def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
 
 
 def closedness_residual(sc: Scenario, points: np.ndarray) -> float | None:
-    """Sup of the certified-zero derivative over the grid, or None."""
+    """Sup of the certified-zero derivative over points (or a PhaseTable), or None."""
     if sc.theorem != "hodge" or (not sc.d_vanishing and not sc.dstar_vanishing):
         return None
     f = sc.section
@@ -526,11 +508,13 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
     """Per-point margins of a scenario on given points.
 
     Returns kept points, margins, the per-point tolerance scales, and
-    the labeling the report needs.  Points where the section nearly
-    vanishes are dropped (the surrogate is undefined there).
+    the labeling the report needs, plus the phase table of X for the
+    residual checks.  Points where the section nearly vanishes are
+    dropped (the surrogate is undefined there).
     """
-    phi = sc.section.evaluate(X)
-    grads = sc.section.gradient().evaluate(X)
+    table = PhaseTable(sc.section, X)
+    phi = sc.section.evaluate(table)
+    grads = sc.section.gradient().evaluate(table)
     norms = np.linalg.norm(phi, axis=1)
     keep = norms > SKIP_NORM_FACTOR * float(np.max(norms))
     if not np.any(keep):
@@ -564,9 +548,10 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
         side_gains = {}
     return {
         "points": X[keep], "kept": keep, "margin": margin,
-        "tol_scale": tol_scale, "gain": gain, "branch": branch,
+        "tol_scale": tol_scale, "nonfinite": nonfinite_rows(out),
+        "gain": gain, "branch": branch,
         "operator": op_label, "c_star": cstar_out,
-        "skipped": int(np.sum(~keep)), "side_gains": side_gains,
+        "skipped": int(np.sum(~keep)), "side_gains": side_gains, "table": table,
     }
 
 
@@ -581,18 +566,20 @@ def run_scenario(name: str, n: int, k: int | None = None, c: float = 1.0,
     margin, tol_scale = ev["margin"], ev["tol_scale"]
     gain, branch = ev["gain"], ev["branch"]
     op_label, cstar_out, skipped = ev["operator"], ev["c_star"], ev["skipped"]
+    nonfinite = ev["nonfinite"]
     # written so that a NaN margin fails too
-    violations = int(np.sum(~(margin >= -FIELD_MARGIN_TOL_FACTOR * tol_scale)))
-    min_rel = float(np.min(margin / np.maximum(tol_scale, 1e-300)))
+    violations = int(np.sum(nonfinite | ~(margin >= -FIELD_MARGIN_TOL_FACTOR * tol_scale)))
+    min_margin, min_rel = finite_minima(margin, tol_scale, ~nonfinite)
     return ScenarioReport(
         scenario=name, theorem=sc.theorem, operator=op_label, n=sc.n, k=sc.k,
         fiber_dim=sc.fiber_dim, c=float(c), c_star=cstar_out,
         sample_points=int(len(X)), skipped_points=skipped,
-        violations=violations, min_margin=float(np.min(margin)),
+        violations=violations, min_margin=min_margin,
         min_relative_margin=min_rel, branch=branch, gain_bound=gain,
         refined_limit_constant=_refined_limit(sc),
-        closedness_residual=closedness_residual(sc, X),
-        symbol_residual=symbol_consistency_residual(sc, X),
+        closedness_residual=closedness_residual(sc, ev["table"]),
+        symbol_residual=symbol_consistency_residual(sc, ev["table"]),
         tolerance_factor=FIELD_MARGIN_TOL_FACTOR, seed=seed,
         extras={**ev["side_gains"], "notes": sc.notes},
+        nonfinite=int(np.sum(nonfinite)),
     )

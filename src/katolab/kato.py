@@ -26,11 +26,22 @@ kernel).  A single-shot check validates its input, runs its kernel on
 one row and wraps that row in a KatoVerdict; the fuzzers run the same
 kernels over random row chunks through one driver.
 
+The form kernel is matrix multiplies on real views, where (fiber,
+re/im) acts as a real fiber of size 2 fiber: each symbol application is
+one matmul against a cached fiber-expanded matrix, and the four-block
+split along a unit covector xi uses the projector Q_xi = eps(xi) iota(xi)
+onto the forms containing xi, one batched matmul per row block.  With
+w = xi . V: v11 = xi (x) Q w, v12 = xi (x) (w - Q w), v21 = Q V - v11,
+v22 = V - v12 - Q V.  A row with a non-finite margin, side or scale
+fails; the kernels run under np.errstate, so overflow is a failure.
+
 Infinite gains are represented by math.inf (the extended reals): they
 occur exactly when rho^2 = epsilon on the vanishing branch, and force
 rhs = 0 through a zero pairing, which is itself checked.
 """
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,6 +64,10 @@ INF = math.inf
 BRANCH_NORM_FACTOR = 1e-10    # ||P(u)|| <= this * scale picks the vanishing branch
 MARGIN_TOL_FACTOR = 1e-9      # margins below -this * scale count as violations
 _PAIRING_ZERO_FACTOR = 1e-20  # |d|phi||^2 at or below this * scale is treated as 0
+# key-lemma chunks are drawn and checked in blocks of this many rows: with whole-chunk
+# arrays the allocator keeps a layout-dependent amount of freed memory, so peak RSS
+# would vary from run to run by about two chunk-sized arrays
+_LEMMA_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +146,7 @@ def hodge_gain_pair(c, c_star, n: int, k: int,
     return HodgeGains(gd, gs, min(gd, gs))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def batch_lemma_gain(c, bound, vanishing, weight=1.0):
     """Vectorized weight * kato_gain_lemma(c, bound, vanishing).
 
@@ -211,59 +227,57 @@ class FourBlockSplit:
 
 
 class _FormKit:
-    """Cached direction blocks of the wedge/contraction symbols."""
+    """Wedge/contraction symbol tables on degree-k forms, built once per (n, k).
+
+    maps: the two symbols on flattened V* (x) Lambda^k; iota_dir and
+    eps_km_dir: row i is the flattened contraction on Lambda^k and wedge
+    on Lambda^(k-1) by e_i*.
+    """
 
     def __init__(self, n: int, k: int):
         if k < 1 or k > n - 1:
             raise BadDegree(f"form split needs 1 <= k <= {n - 1}, got k={k}")
         self.n, self.k = n, k
         self.dim_k = math.comb(n, k)
-        self.dim_up = math.comb(n, k + 1)
         self.dim_dn = math.comb(n, k - 1)
-        self.eps_k = self._blocks(exterior_projection(n, k), self.dim_k)
-        self.eps_km = self._blocks(exterior_projection(n, k - 1), self.dim_dn)
-        self.iota_k = self._blocks(interior_projection(n, k), self.dim_k)
+        self.maps = (exterior_projection(n, k).matrix.real,
+                     interior_projection(n, k).matrix.real)
+        self.iota_dir = self._directions(self.maps[1])
+        self.eps_km_dir = self._directions(exterior_projection(n, k - 1).matrix.real)
 
-    @staticmethod
-    def _blocks(P: LinearMap, width: int) -> np.ndarray:
-        n = P.domain.dim // width
-        return np.stack([P.matrix[:, i * width:(i + 1) * width].real
-                         for i in range(n)])
+    def _directions(self, P: np.ndarray) -> np.ndarray:
+        # columns are direction-major: block i acts on the e_i* slot
+        return P.reshape(P.shape[0], self.n, -1).transpose(1, 0, 2).reshape(self.n, -1)
 
+    @functools.lru_cache(maxsize=None)
     def flat_maps(self, fiber_dim: int):
-        """(wedge, contraction) as matrices on flattened V* (x) Lambda^k (x) E."""
-        eye = np.eye(fiber_dim)
-        dim = self.n * self.dim_k * fiber_dim
-        return tuple(np.einsum("iab,ef->aeibf", blocks, eye).reshape(-1, dim)
-                     for blocks in (self.eps_k, self.iota_k))
+        """(wedge, contraction) on flattened V* (x) Lambda^k (x) E, cached per fiber."""
+        maps = tuple(np.kron(M, np.eye(fiber_dim)) for M in self.maps)
+        for M in maps:
+            M.flags.writeable = False
+        return maps
 
 
-_FORM_KITS: dict = {}
+_form_kit = functools.lru_cache(maxsize=None)(_FormKit)
 
 
-def _form_kit(n: int, k: int) -> _FormKit:
-    key = (n, k)
-    if key not in _FORM_KITS:
-        _FORM_KITS[key] = _FormKit(n, k)
-    return _FORM_KITS[key]
+def _four_blocks(kit: _FormKit, V: np.ndarray, xi: np.ndarray):
+    """Four blocks of real-view rows V (m, n, C(n,k) * 2 fiber) along unit xi rows.
 
-
-def _block_split(kit: _FormKit, V: np.ndarray, xi: np.ndarray):
-    """Four blocks of V (rows, n, C(n,k), fiber) along per-row unit covectors.
-
-    The covector slot splits into the xi line and its complement; the
-    form slot into "contains xi" (wedge(xi) after contract(xi)) and the
-    rest.  Returns (v11, v12, v21, v22), each shaped like V.
+    The covector slot splits into the xi line and its complement, the
+    form slot into the image of Q_xi (forms containing xi) and the rest.
+    Returns (v11, v12, v21, v22), each shaped like V.
     """
-    w = np.einsum("ni,nixf->nxf", xi, V)
-    line = np.einsum("ni,nxf->nixf", xi, w)
-    perp = V - line
-    blocks = []
-    for cov in (line, perp):
-        z = np.einsum("nj,jcb,nibf->nicf", xi, kit.iota_k, cov)
-        has = np.einsum("nj,jac,nicf->niaf", xi, kit.eps_km, z)
-        blocks += [has, cov - has]
-    return tuple(blocks)
+    m, n = xi.shape
+    iota_xi = (xi @ kit.iota_dir).reshape(m, kit.dim_dn, kit.dim_k)
+    eps_xi = (xi @ kit.eps_km_dir).reshape(m, kit.dim_k, kit.dim_dn)
+    QV = np.matmul((eps_xi @ iota_xi)[:, None],
+                   V.reshape(m, n, kit.dim_k, -1)).reshape(V.shape)
+    w = np.einsum("ni,nix->nx", xi, V)
+    Qw = np.einsum("ni,nix->nx", xi, QV)
+    v11 = xi[:, :, None] * Qw[:, None]
+    v12 = xi[:, :, None] * (w - Qw)[:, None]
+    return v11, v12, QV - v11, V - v12 - QV
 
 
 def four_block_decompose(v: np.ndarray, xi0, n: int, k: int,
@@ -276,11 +290,11 @@ def four_block_decompose(v: np.ndarray, xi0, n: int, k: int,
     """
     xi0 = _check_unit(xi0)
     kit = _form_kit(n, k)
-    v = np.asarray(v, dtype=np.complex128)
+    v = np.ascontiguousarray(v, dtype=np.complex128)
     if v.shape != (n * kit.dim_k * fiber_dim,):
         raise ValueError("vector length does not match n * C(n,k) * fiber_dim")
-    blocks = _block_split(kit, v.reshape(1, n, kit.dim_k, fiber_dim), xi0[None, :])
-    return FourBlockSplit(*(b.reshape(-1) for b in blocks), xi0)
+    blocks = _four_blocks(kit, v.view(float).reshape(1, n, -1), xi0[None, :])
+    return FourBlockSplit(*(b.reshape(-1).view(complex) for b in blocks), xi0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +363,22 @@ class KatoVerdict:
 
     @property
     def passed(self) -> bool:
-        return self.margin >= -MARGIN_TOL_FACTOR * self.scale
+        finite = all(map(math.isfinite, (self.lhs, self.rhs, self.margin, self.scale)))
+        return finite and self.margin >= -MARGIN_TOL_FACTOR * self.scale
 
     def to_json_dict(self) -> dict:
-        out = {
-            "theorem": self.theorem,
-            "branch": self.branch,
-            "c": self.c,
-            "c_star": self.c_star,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "gain": "inf" if math.isinf(self.gain) else self.gain,
-            "scale": self.scale,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
-        if self.corollary_margin is not None:
-            out["corollary_margin"] = self.corollary_margin
-        return out
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        if self.corollary_margin is None:
+            del out["corollary_margin"]
+        out["passed"] = self.passed
+        return {k: json_number(v) for k, v in out.items()}
+
+
+def json_number(x):
+    """x as standard JSON holds it: a non-finite float becomes "inf", "-inf" or "nan"."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    return x
 
 
 def _row(x) -> np.ndarray:
@@ -404,6 +415,14 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim)))
 
 
+def _rsq(x: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
+    """Squared norm of each row of a real array, of M applied to it when given."""
+    x = x.reshape(x.shape[0], -1)
+    if M is not None:
+        x = x @ M.T
+    return np.einsum("ij,ij->i", x, x)
+
+
 # ---------------------------------------------------------------------------
 # the two-component key lemma
 
@@ -416,6 +435,7 @@ def _restricted_top_eigenvalue(C: LinearMap, sub_basis: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(G)[-1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _key_lemma_margins(C: np.ndarray, a: float, u1: np.ndarray,
                        u2: np.ndarray, c) -> dict:
     """Row margins of |u2|^2 + c |C(u1+u2)|^2 >= gain * |C(u1)|^2."""
@@ -426,8 +446,7 @@ def _key_lemma_margins(C: np.ndarray, a: float, u1: np.ndarray,
     vanishing = _branch(None, tot_sq, scale)
     gain = batch_lemma_gain(c, a, vanishing)
     lhs = u2_sq + c * tot_sq
-    with np.errstate(invalid="ignore"):
-        rhs = gain * first_sq
+    rhs = gain * first_sq
     if a == 0:
         rhs = np.where(vanishing & (first_sq <= _PAIRING_ZERO_FACTOR * scale),
                        0.0, rhs)
@@ -479,6 +498,7 @@ def matching_first_component(C: LinearMap, u2: np.ndarray) -> np.ndarray:
 # the two theorems: batch kernels and their one-row checks
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
                            c, vanishing=None) -> dict:
     """Vectorized operator-inequality margins for row batches.
@@ -500,8 +520,7 @@ def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     gains = batch_lemma_gain(c, rho2 - eps, vanishing, weight=eps)
     lhs = scale + np.asarray(c, dtype=float) * pu_sq
     gain_vanishing = float(batch_lemma_gain(0.0, rho2 - eps, True, weight=eps))
-    with np.errstate(invalid="ignore"):
-        rhs = (1.0 + gains) * dnorm_sq
+    rhs = (1.0 + gains) * dnorm_sq
     if math.isinf(gain_vanishing):
         zero_pair = dnorm_sq <= _PAIRING_ZERO_FACTOR * np.maximum(scale, 1.0)
         rhs = np.where(vanishing & zero_pair, 0.0, rhs)
@@ -527,6 +546,7 @@ def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     return _row_verdict("foldo", out, c, None, seed)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
                         phi: np.ndarray, c, c_star,
                         d_vanishing=None, dstar_vanishing=None,
@@ -543,22 +563,21 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
     """
     kit = _form_kit(n, k)
     m = v.shape[0]
-    V = v.reshape(m, n, kit.dim_k, fiber_dim)
-    scale = _sq(v)
-    eps_sq = _sq(np.einsum("iab,nibf->naf", kit.eps_k, V))
-    iota_sq = _sq(np.einsum("iab,nibf->naf", kit.iota_k, V))
+    # real views: (fiber, re/im) is a real fiber of size 2 fiber_dim
+    V = np.ascontiguousarray(v, dtype=np.complex128).view(float).reshape(m, n, -1)
+    Phi = np.ascontiguousarray(phi, dtype=np.complex128).view(float).reshape(m, -1)
+    eps, iota = kit.flat_maps(2 * fiber_dim)
+    scale, eps_sq, iota_sq = _rsq(V), _rsq(V, eps), _rsq(V, iota)
     dvan = _branch(d_vanishing, eps_sq, scale)
     svan = _branch(dstar_vanishing, iota_sq, scale)
-    Phi = phi.reshape(m, kit.dim_k * fiber_dim)
-    b = np.real(np.einsum("nix,nx->ni", V.reshape(m, n, -1), Phi.conj()))
+    b = np.einsum("nix,nx->ni", V, Phi)
     bnorm = np.linalg.norm(b, axis=1)
-    dnorm_sq = bnorm ** 2 / _sq(phi)
+    dnorm_sq = bnorm ** 2 / _rsq(Phi)
     xi = np.where((bnorm > 1e-14)[:, None],
                   b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
-    v11, v12, v21, v22 = _block_split(kit, V, xi)
-    n11, n12 = _sq(v11), _sq(v12)
-    eps_part_sq = _sq(np.einsum("iab,nibf->naf", kit.eps_k, v12 + v21))
-    iota_part_sq = _sq(np.einsum("iab,nibf->naf", kit.iota_k, v11 + v22))
+    v11, v12, v21, v22 = _four_blocks(kit, V, xi)
+    n11, n12 = _rsq(v11), _rsq(v12)
+    eps_part_sq, iota_part_sq = _rsq(v12 + v21, eps), _rsq(v11 + v22, iota)
     c = np.asarray(c, dtype=float)
     cs = np.asarray(c_star, dtype=float)
     gmin = np.minimum(batch_lemma_gain(c, k, dvan),
@@ -581,12 +600,9 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
     if diagnostics:
         safe = np.maximum(scale, 1e-300)
         out["pythagoras_residual"] = float(np.max(
-            np.abs(n11 + n12 + _sq(v21) + _sq(v22) - scale) / safe))
-        dead_eps = np.einsum("iab,nibf->naf", kit.eps_k, v11)
-        dead_iota = np.einsum("iab,nibf->naf", kit.iota_k, v12)
-        out["block_identity_residual"] = max(
-            float(np.max(np.sqrt(_sq(dead_eps)) / safe)),
-            float(np.max(np.sqrt(_sq(dead_iota)) / safe)))
+            np.abs(n11 + n12 + _rsq(v21) + _rsq(v22) - scale) / safe))
+        out["block_identity_residual"] = float(np.max(
+            np.sqrt(np.maximum(_rsq(v11, eps), _rsq(v12, iota))) / safe))
         out["dominance_residual"] = float(np.max(
             np.maximum(eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe))
     return out
@@ -632,27 +648,28 @@ class FuzzReport:
     c_range: tuple
     branch_counts: dict
     extras: dict = field(default_factory=dict)
+    nonfinite: int = 0   # rows with a non-finite number, counted as violations too
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "operator": self.operator,
-            "samples": self.samples,
-            "violations": self.violations,
-            "min_margin": self.min_margin,
-            "min_relative_margin": self.min_relative_margin,
-            "tolerance_factor": self.tolerance_factor,
-            "seed": self.seed,
-            "c_range": list(self.c_range),
-            "branch_counts": self.branch_counts,
-            "passed": self.passed,
-            **{k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-               for k, v in self.extras.items()},
-        }
+        return report_json(self)
+
+
+def report_json(report) -> dict:
+    """A report dataclass as standard JSON values.
+
+    Every field, passed, and the extras flattened in; nonfinite only
+    when nonzero, and non-finite floats as strings.
+    """
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+           if f.name not in ("extras", "nonfinite")}
+    out.update(passed=report.passed, **report.extras)
+    if report.nonfinite:
+        out["nonfinite"] = report.nonfinite
+    return {k: json_number(list(v) if isinstance(v, tuple) else v) for k, v in out.items()}
 
 
 def _weights(rng, count: int, c_max: float, fixed: float | None = None) -> np.ndarray:
@@ -670,6 +687,17 @@ def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
             + 1j * rng.standard_normal((count, dim)))
 
 
+def _complex_row_blocks(rng, count: int, dim: int) -> list:
+    """_complex_rows(rng, count, dim) in blocks of _LEMMA_BLOCK rows, from the same draws."""
+    blocks = [np.empty((min(_LEMMA_BLOCK, count - i), dim), dtype=complex)
+              for i in range(0, count, _LEMMA_BLOCK)]
+    for z in blocks:
+        z.real = rng.standard_normal(z.shape)
+    for z in blocks:
+        z.imag = rng.standard_normal(z.shape)
+    return blocks
+
+
 def _null_space(M: np.ndarray) -> np.ndarray:
     u, s, vh = np.linalg.svd(M)
     top = s[0] if s.size else 0.0
@@ -677,9 +705,21 @@ def _null_space(M: np.ndarray) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def _failures(margin: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    # written so that a NaN margin fails too
-    return ~(margin >= -MARGIN_TOL_FACTOR * scale)
+def nonfinite_rows(out: dict) -> np.ndarray:
+    """Rows of a kernel output with a non-finite margin, side or scale."""
+    bad = np.zeros(np.shape(out["margin"]), dtype=bool)
+    for key in ("margin", "lhs", "rhs", "full_scale", "margin_cor", "cor_scale"):
+        if key in out:
+            bad |= ~np.isfinite(out[key])
+    return bad
+
+
+def finite_minima(margin: np.ndarray, scale: np.ndarray, ok: np.ndarray):
+    """(min margin, min margin/scale) over the rows in ok; inf when there are none."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = margin / np.maximum(scale, 1e-300)
+    return (float(np.min(margin, where=ok, initial=INF)),
+            float(np.min(rel, where=ok, initial=INF)))
 
 
 def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
@@ -694,7 +734,7 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
     Returns the report and the last chunk's kernel output.
     """
     rng = np.random.default_rng(seed)
-    done = violations = 0
+    done = violations = nonfinite = 0
     min_margin = min_rel = INF
     branches = {"vanishing": 0, "nonvanishing": 0}
     folded = {}
@@ -702,13 +742,15 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
     while done < samples:
         m = min(chunk, samples - done)
         out = kernel(*sample(rng, m))
-        margin, scale = out["margin"], out["full_scale"]
-        bad = _failures(margin, scale)
+        odd = nonfinite_rows(out)
+        # written so that a NaN margin fails too
+        bad = odd | ~(out["margin"] >= -MARGIN_TOL_FACTOR * out["full_scale"])
         if "margin_cor" in out:
-            bad |= _failures(out["margin_cor"], out["cor_scale"])
+            bad |= ~(out["margin_cor"] >= -MARGIN_TOL_FACTOR * out["cor_scale"])
+        nonfinite += int(np.sum(odd))
         violations += int(np.sum(bad))
-        min_margin = min(min_margin, float(np.min(margin)))
-        min_rel = min(min_rel, float(np.min(margin / np.maximum(scale, 1e-300))))
+        low, low_rel = finite_minima(out["margin"], out["full_scale"], ~odd)
+        min_margin, min_rel = min(min_margin, low), min(min_rel, low_rel)
         vanishing = int(np.sum(out["vanishing"]))
         branches["vanishing"] += vanishing
         branches["nonvanishing"] += m - vanishing
@@ -717,7 +759,7 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
             folded[name] = float(val if name not in folded else pick((folded[name], val)))
         done += m
     report = FuzzReport(theorem, label, samples, violations, min_margin, min_rel,
-                        MARGIN_TOL_FACTOR, seed, c_range, branches, extras=folded)
+                        MARGIN_TOL_FACTOR, seed, c_range, branches, folded, nonfinite)
     return report, out
 
 
@@ -811,19 +853,25 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
     """
     a = _restricted_top_eigenvalue(C, sub_basis)
     pinv = np.linalg.pinv(C.matrix)
+    starts = range(0, chunk, _LEMMA_BLOCK)
 
     def sample(rng, m):
-        u1 = _complex_rows(rng, m, C.domain.dim)
-        u2 = _complex_rows(rng, m, sub_basis.shape[1]) @ sub_basis.T  # coords -> ambient
+        u1 = _complex_row_blocks(rng, m, C.domain.dim)
+        u2 = [z @ sub_basis.T for z in _complex_row_blocks(rng, m, sub_basis.shape[1])]
         c = _weights(rng, m, c_max)
         nf = int(forced_fraction * m)
-        if nf:
-            img = (u1[:nf] + u2[:nf]) @ C.matrix.T
-            u1[:nf] = u1[:nf] - img @ pinv.T
+        for x1, x2, start in zip(u1, u2, starts):  # C(u1 + u2) = 0 on the first nf rows
+            f = min(max(nf - start, 0), len(x1))
+            x1[:f] = x1[:f] - ((x1[:f] + x2[:f]) @ C.matrix.T) @ pinv.T
         return u1, u2, c
 
+    def kernel(u1, u2, c):
+        outs = [_key_lemma_margins(C.matrix, a, x1, x2, c[start:start + len(x1)])
+                for x1, x2, start in zip(u1, u2, starts)]
+        return {key: np.concatenate([out[key] for out in outs]) for key in outs[0]}
+
     report, _ = _fuzz("key-lemma", label, samples, seed, (0.0, c_max), chunk,
-                      sample, lambda u1, u2, c: _key_lemma_margins(C.matrix, a, u1, u2, c))
+                      sample, kernel)
     report.extras["spectral_bound"] = a
     return report
 

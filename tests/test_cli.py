@@ -1,10 +1,12 @@
 """Command line behavior: exit codes, formats, config files, determinism."""
 
+import argparse
 import json
+import warnings
 
 import pytest
 
-from katolab.cli import main
+from katolab.cli import _write_report, main
 
 
 def _run(capsys, *argv):
@@ -129,6 +131,62 @@ def test_field_run_nan_weight_is_config_error(capsys):
     assert code == 2
     assert out == ""
     assert "weight" in err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_projections_verify_rejects_bad_tolerance(capsys, value):
+    code, out, err = _run(capsys, "projections", "verify", "--max-n", "2",
+                          f"--tolerance={value}")
+    assert code == 2
+    assert out == ""
+    assert "--tolerance" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_kato_fuzz_hodge_rejects_bad_fiber_dimension(capsys, value):
+    code, out, err = _run(capsys, "kato", "fuzz", "--theorem", "hodge", "--n", "3",
+                          "--k", "1", "--samples", "100", f"--dim-e={value}")
+    assert code == 2
+    assert out == ""
+    assert "--dim-e >= 1" in err
+
+
+def test_write_report_refuses_non_finite_floats():
+    args = argparse.Namespace(format="json", out=None)
+    with pytest.raises(ValueError):
+        _write_report(args, {"min_margin": float("nan")}, [], [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "run", "--scenario", "generic-form", "--n", "3", "--c", "1e308",
+     "--grid", "50"],
+    ["kato", "fuzz", "--theorem", "foldo", "--op", "dirac:3", "--c", "1e308",
+     "--samples", "2000"],
+])
+def test_overflowing_weight_fails_with_standard_json(capsys, argv):
+    # finite weights large enough to overflow: every non-finite row is a
+    # failure, counted, and the report stays standard JSON with no warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = _run(capsys, *argv)
+    assert code == 1
+    payload = _strict_json(out)
+    assert payload["passed"] is False
+    assert payload["nonfinite"] > 0
+    assert payload["violations"] >= payload["nonfinite"]
+
+
+def test_finite_reports_carry_no_nonfinite_key(capsys):
+    code, out, _ = _run(capsys, "field", "run", "--scenario", "closed-form",
+                        "--n", "3", "--grid", "200")
+    assert code == 0
+    assert "nonfinite" not in _strict_json(out)
 
 
 @pytest.mark.parametrize("flag,value", [("--coarse", "0"), ("--refine", "-1")])

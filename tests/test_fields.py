@@ -17,6 +17,7 @@ from katolab.fields import (
     CLOSEDNESS_TOL,
     SCENARIO_NAMES,
     SYMBOL_CONSISTENCY_TOL,
+    PhaseTable,
     Scenario,
     TrigField,
     apply_operator,
@@ -316,3 +317,29 @@ def test_scenario_grid_contents():
     assert "instanton-F" not in names
     combos = scenario_grid([4])
     assert ("instanton-F", 4, 2) in combos
+
+
+def test_phase_table_serves_every_derived_field():
+    rng = np.random.default_rng(41)
+    f = random_field(3, 3, 6, 2, rng)
+    X = sample_points(3, 200)
+    table = PhaseTable(f, X)
+    for g in (f, f.gradient(), exterior_derivative(f, 1), coderivative(f, 1),
+              f.map_fiber(rng.standard_normal((2, 3)))):
+        assert np.allclose(g.evaluate(table), g.evaluate(X), rtol=0, atol=1e-12)
+
+
+def test_phase_table_rejects_other_frequencies():
+    rng = np.random.default_rng(42)
+    f = random_field(2, 1, 5, 2, rng)
+    g = random_field(2, 1, 5, 2, rng)
+    with pytest.raises(FiberMismatch):
+        g.evaluate(PhaseTable(f, sample_points(2, 10)))
+
+
+def test_run_scenario_overflow_is_counted_not_passed():
+    rep = run_scenario("generic-form", 3, c=1e308, points=50)
+    assert rep.nonfinite > 0
+    assert rep.violations >= rep.nonfinite
+    assert not rep.passed
+    assert rep.to_json_dict()["nonfinite"] == rep.nonfinite

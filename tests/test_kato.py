@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from katolab import kato
 from katolab.errors import BadConstants, BadDegree, NotUnit, ZeroOperator, ZeroSection
 from katolab.kato import (
     INF,
@@ -491,10 +492,9 @@ def test_hodge_inequality_forced_branch_flags():
     # explicitly lands on the stronger gain
     rng = np.random.default_rng(32)
     n, k = 4, 2
-    dim = n * math.comb(n, k)
     from katolab.kato import _form_kit, _null_space
     kit = _form_kit(n, k)
-    eps_mat = np.einsum("iab->aib", kit.eps_k).reshape(kit.dim_up, dim)
+    eps_mat = kit.flat_maps(1)[0]
     null = _null_space(eps_mat)
     v = null @ (rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1]))
     phi = rng.standard_normal(math.comb(n, k)) + 1j * rng.standard_normal(math.comb(n, k))
@@ -580,6 +580,21 @@ def test_fuzz_key_lemma_batches():
         assert report.passed, label
         assert report.branch_counts["vanishing"] > 0
         assert report.extras["spectral_bound"] == pytest.approx(bound, abs=1e-9)
+
+
+def test_fuzz_key_lemma_row_blocks_do_not_change_the_report(monkeypatch):
+    # whole chunks in one block against blocks that split every chunk
+    # unevenly, with a short last chunk and forced rows across blocks
+    label, C, sub, _ = key_lemma_setups(5, 2)[1]
+    monkeypatch.setattr(kato, "_LEMMA_BLOCK", 10**6)
+    whole = fuzz_key_lemma(C, sub, 5000, seed=107, label=label, chunk=2300)
+    monkeypatch.setattr(kato, "_LEMMA_BLOCK", 333)
+    blocked = fuzz_key_lemma(C, sub, 5000, seed=107, label=label, chunk=2300)
+    assert blocked.to_json_dict() == whole.to_json_dict()
+    rows = kato._complex_row_blocks(np.random.default_rng(3), 1000, 7)
+    assert [len(b) for b in rows] == [333, 333, 333, 1]
+    want = kato._complex_rows(np.random.default_rng(3), 1000, 7)
+    assert np.array_equal(np.concatenate(rows), want)
 
 
 def test_fuzz_reports_deterministic():

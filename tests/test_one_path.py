@@ -29,6 +29,7 @@ from katolab.kato import (
     check_hodge_inequality,
     check_key_lemma,
     check_operator_inequality,
+    fuzz_operator_inequality,
     hodge_gain_pair,
     kato_gain_lemma,
     kato_gain_operator,
@@ -235,3 +236,17 @@ def test_nan_margin_never_passes():
     # one finite row per chunk of 4, 4, 2 rows
     assert report.violations == 7
     assert not report.passed
+
+
+def test_overflowing_rows_fail_and_are_counted():
+    op = parse_op_string("dirac:3")
+    rng = np.random.default_rng(3)
+    u, phi = _rows(rng, 1, 6)[0], _rows(rng, 1, 2)[0]
+    verdict = check_operator_inequality(op, u, phi, 1e308)
+    assert math.isinf(verdict.lhs)
+    assert not verdict.passed
+    report = fuzz_operator_inequality(op, 500, 0, c_fixed=1e308)
+    assert report.nonfinite > 0
+    assert report.violations >= report.nonfinite
+    assert math.isfinite(report.min_margin)
+    assert report.to_json_dict()["nonfinite"] == report.nonfinite
