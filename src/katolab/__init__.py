@@ -39,7 +39,6 @@ from .kato import (
     check_hodge_inequality,
     check_key_lemma,
     check_operator_inequality,
-    decompose_line,
     equality_witness,
     four_block_decompose,
     fuzz_hodge_inequality,
@@ -92,7 +91,7 @@ __all__ = [
     "symbol_at", "ellipticity_constant", "invariance_check", "twist",
     # inequality engine
     "KatoVerdict", "FuzzReport", "SpectralBounds", "kato_gain_lemma",
-    "kato_gain_operator", "hodge_gain_pair", "decompose_line",
+    "kato_gain_operator", "hodge_gain_pair",
     "four_block_decompose", "verify_spectral_bounds", "check_key_lemma",
     "check_operator_inequality", "check_hodge_inequality",
     "equality_witness", "matching_first_component", "fuzz_key_lemma",

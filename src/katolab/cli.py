@@ -31,7 +31,6 @@ from .errors import (
     VerificationError,
 )
 from .fields import (
-    FIELD_MARGIN_TOL_FACTOR,
     evaluate_scenario,
     make_scenario,
     run_scenario,
@@ -87,26 +86,16 @@ def _write_report(args, payload: dict, header, rows) -> None:
 # conformity table
 
 
-_FAMILY_DEGREES = {
-    # the verified degree window of each catalog family
-    "exterior": lambda n: range(0, n),
-    "interior": lambda n: range(1, n + 1),
-    "symmetrization": lambda n: range(1, n),
-    "contraction": lambda n: range(1, n),
-}
-
-_FAMILY_BUILDERS = {
-    "exterior": exterior_projection,
-    "interior": interior_projection,
-    "symmetrization": symmetrization_projection,
-    "contraction": contraction_projection,
-}
-
-_FAMILY_DECLARED = {
-    "exterior": lambda n, k: Fraction(k + 1),
-    "interior": lambda n, k: Fraction(n - k + 1),
-    "symmetrization": lambda n, k: Fraction((k + 1) ** 2),
-    "contraction": lambda n, k: Fraction(n + k - 1, k),
+_FAMILIES = {
+    # builder, verified degree window, declared rho^2
+    "exterior": (exterior_projection, lambda n: range(0, n),
+                 lambda n, k: Fraction(k + 1)),
+    "interior": (interior_projection, lambda n: range(1, n + 1),
+                 lambda n, k: Fraction(n - k + 1)),
+    "symmetrization": (symmetrization_projection, lambda n: range(1, n),
+                       lambda n, k: Fraction((k + 1) ** 2)),
+    "contraction": (contraction_projection, lambda n: range(1, n),
+                    lambda n, k: Fraction(n + k - 1, k)),
 }
 
 
@@ -126,11 +115,10 @@ def conformity_table(max_n: int, tolerance: float) -> list:
     """One row per catalog projection for every dimension up to max_n."""
     rows = []
     for n in range(2, max_n + 1):
-        for family in ("exterior", "interior", "symmetrization", "contraction"):
-            for k in _FAMILY_DEGREES[family](n):
-                rows.append(_conformity_row(
-                    family, n, k, _FAMILY_BUILDERS[family](n, k),
-                    _FAMILY_DECLARED[family](n, k), tolerance))
+        for family, (build, degrees, declared) in _FAMILIES.items():
+            for k in degrees(n):
+                rows.append(_conformity_row(family, n, k, build(n, k),
+                                            declared(n, k), tolerance))
         rows.append(_conformity_row("clifford", n, None, clifford_projection(n),
                                     Fraction(n), tolerance))
         rows.append(_conformity_row("twistor", n, None, twistor_projection(n),
@@ -252,10 +240,7 @@ def _cmd_kato_fuzz(args) -> int:
     }
     header = ["theorem", "operator", "samples", "violations",
               "min_margin", "min_relative_margin", "seed", "passed"]
-    row = [report.theorem, report.operator, report.samples,
-           report.violations, report.min_margin,
-           report.min_relative_margin, report.seed, report.passed]
-    _write_report(args, payload, header, [row])
+    _write_report(args, payload, header, [[payload[h] for h in header]])
     return 0 if report.passed else 1
 
 
@@ -269,9 +254,8 @@ def _dump_points(path: str, sc_name: str, n: int, k, c, c_star, grid: int,
     X = sample_points(sc.n, grid)
     ev = evaluate_scenario(sc, X, c, c_star)
     header = [f"x{i + 1}" for i in range(sc.n)] + ["margin", "scale", "ok"]
-    rows = []
-    for p, m, s, odd in zip(ev["points"], ev["margin"], ev["tol_scale"], ev["nonfinite"]):
-        rows.append(list(p) + [m, s, bool(not odd and m >= -FIELD_MARGIN_TOL_FACTOR * s)])
+    rows = [list(p) + [m, s, bool(ok)]
+            for p, m, s, ok in zip(ev["points"], ev["margin"], ev["tol_scale"], ev["ok"])]
     with open(path, "w", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -296,11 +280,7 @@ def _cmd_field_run(args) -> int:
     header = ["scenario", "theorem", "operator", "n", "k", "c", "c_star",
               "sample_points", "skipped_points", "violations",
               "min_margin", "branch", "passed"]
-    row = [report.scenario, report.theorem, report.operator, report.n,
-           report.k, report.c, report.c_star, report.sample_points,
-           report.skipped_points, report.violations, report.min_margin,
-           report.branch, report.passed]
-    _write_report(args, payload, header, [row])
+    _write_report(args, payload, header, [[payload[h] for h in header]])
     return 0 if report.passed else 1
 
 
@@ -393,54 +373,34 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(raw: str, like) -> object:
-    if isinstance(like, bool):
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got '{raw}'")
-    if like is None or isinstance(like, str):
-        return raw
-    try:
-        return type(like)(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse '{raw}' as {type(like).__name__}") from None
+# namespace entries that are not flags: the parser and dispatch set them
+_INTERNAL_KEYS = ("config", "command", "subcommand", "handler")
 
 
-def _apply_config(args: argparse.Namespace, argv: list) -> None:
-    config = _parse_config_file(args.config)
-    for key, raw in config.items():
-        if key in ("config",):
-            raise ConfigError("config files cannot nest")
-        if not hasattr(args, key) or key.startswith("_"):
+def _with_config(args: argparse.Namespace, argv: list) -> list:
+    """argv with the --config file's entries as --key=value tokens.
+
+    The tokens go ahead of the first option, so that a flag given on the
+    command line comes later and wins.  Keys must name a flag of this
+    subcommand exactly: an abbreviation would otherwise reach argparse.
+    """
+    tokens = []
+    for key, raw in _parse_config_file(args.config).items():
+        if key not in vars(args) or key in _INTERNAL_KEYS:
             raise ConfigError(f"unknown config key '{key}' for this command")
-        flag = "--" + key.replace("_", "-")
-        explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if explicit:
-            continue  # command line beats the file
-        current = getattr(args, key)
-        converter = args._types.get(key)
-        if converter is not None:
-            try:
-                value = converter(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"cannot parse '{raw}' for key '{key}'") from None
-        else:
-            value = _coerce(raw, current)
-        setattr(args, key, value)
+        tokens.append(f"--{key.replace('_', '-')}={raw}")
+    first = next(i for i, tok in enumerate(argv) if tok.startswith("-"))
+    return argv[:first] + tokens + argv[first:]
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
 
-def _add_common(p: argparse.ArgumentParser, types: dict) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value file with defaults for this command")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
-    types.update({"format": str, "out": str})
 
 
 def build_parser():
@@ -453,27 +413,22 @@ def build_parser():
     proj = sub.add_parser("projections", help="conformal projection checks")
     proj_sub = proj.add_subparsers(dest="subcommand", required=True)
     pv = proj_sub.add_parser("verify", help="conformity table of the catalog")
-    t: dict = {}
     pv.add_argument("--max-n", type=int, default=6)
     pv.add_argument("--tolerance", type=float, default=DEFAULT_TABLE_TOL)
-    t.update({"max_n": int, "tolerance": float})
-    _add_common(pv, t)
-    pv.set_defaults(handler=_cmd_projections_verify, _types=t)
+    _add_common(pv)
+    pv.set_defaults(handler=_cmd_projections_verify)
 
     el = sub.add_parser("ellipticity", help="measure an ellipticity constant")
-    t = {}
     el.add_argument("--op", required=True,
                     help="operator as name:n[:k], e.g. dirac:3 or hodge:4:2")
     el.add_argument("--coarse", type=int, default=256)
     el.add_argument("--refine", type=int, default=20)
-    t.update({"op": str, "coarse": int, "refine": int})
-    _add_common(el, t)
-    el.set_defaults(handler=_cmd_ellipticity, _types=t)
+    _add_common(el)
+    el.set_defaults(handler=_cmd_ellipticity)
 
     kato = sub.add_parser("kato", help="inequality fuzzing")
     kato_sub = kato.add_subparsers(dest="subcommand", required=True)
     kf = kato_sub.add_parser("fuzz", help="batch-check an inequality")
-    t = {}
     kf.add_argument("--theorem", choices=("foldo", "hodge"), required=True)
     kf.add_argument("--op", help="operator for foldo, optional hodge:n:k for hodge")
     kf.add_argument("--n", type=int)
@@ -483,15 +438,12 @@ def build_parser():
     kf.add_argument("--c-star", type=float, help="fix the second weight (hodge)")
     kf.add_argument("--samples", type=int, default=100000)
     kf.add_argument("--seed", type=int, default=0)
-    t.update({"theorem": str, "op": str, "n": int, "k": int, "dim_e": int,
-              "c": float, "c_star": float, "samples": int, "seed": int})
-    _add_common(kf, t)
-    kf.set_defaults(handler=_cmd_kato_fuzz, _types=t)
+    _add_common(kf)
+    kf.set_defaults(handler=_cmd_kato_fuzz)
 
     fl = sub.add_parser("field", help="field scenario runs")
     fl_sub = fl.add_subparsers(dest="subcommand", required=True)
     fr = fl_sub.add_parser("run", help="sample a scenario and check margins")
-    t = {}
     fr.add_argument("--scenario", required=True)
     fr.add_argument("--n", type=int, required=True)
     fr.add_argument("--k", type=int)
@@ -501,19 +453,15 @@ def build_parser():
                     help="number of sample points")
     fr.add_argument("--seed", type=int, default=0)
     fr.add_argument("--dump-points", help="write per-point margins to this CSV")
-    t.update({"scenario": str, "n": int, "k": int, "c": float,
-              "c_star": float, "grid": int, "seed": int, "dump_points": str})
-    _add_common(fr, t)
-    fr.set_defaults(handler=_cmd_field_run, _types=t)
+    _add_common(fr)
+    fr.set_defaults(handler=_cmd_field_run)
 
     su = sub.add_parser("suite", help="composed runs")
     su_sub = su.add_subparsers(dest="subcommand", required=True)
     sa = su_sub.add_parser("all", help="smoke-size pass over every layer")
-    t = {}
     sa.add_argument("--seed", type=int, default=0)
-    t.update({"seed": int})
-    _add_common(sa, t)
-    sa.set_defaults(handler=_cmd_suite_all, _types=t)
+    _add_common(sa)
+    sa.set_defaults(handler=_cmd_suite_all)
 
     return parser
 
@@ -523,13 +471,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_with_config(args, argv))
+        return args.handler(args)
     except SystemExit as e:
         code = e.code
         return 0 if code is None else int(code) if str(code).isdigit() else 2
-    try:
-        if getattr(args, "config", None):
-            _apply_config(args, argv)
-        return args.handler(args)
     except (ConfigError, UnknownName, UnknownScenario, BadDegree, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

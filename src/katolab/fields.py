@@ -507,9 +507,9 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
                       c_star: float) -> dict:
     """Per-point margins of a scenario on given points.
 
-    Returns kept points, margins, the per-point tolerance scales, and
-    the labeling the report needs, plus the phase table of X for the
-    residual checks.  Points where the section nearly vanishes are
+    Returns kept points, margins, the per-point tolerance scales, the
+    per-point pass mask ok, and the labeling the report needs, plus the
+    phase table of X for the residual checks.  Points where the section nearly vanishes are
     dropped (the surrogate is undefined there).
     """
     table = PhaseTable(sc.section, X)
@@ -546,9 +546,12 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
         op_label = sc.operator.name
         cstar_out = None
         side_gains = {}
+    nonfinite = nonfinite_rows(out)
     return {
         "points": X[keep], "kept": keep, "margin": margin,
-        "tol_scale": tol_scale, "nonfinite": nonfinite_rows(out),
+        "tol_scale": tol_scale, "nonfinite": nonfinite,
+        # the pass rule per point; a NaN margin compares False and fails
+        "ok": ~nonfinite & (margin >= -FIELD_MARGIN_TOL_FACTOR * tol_scale),
         "gain": gain, "branch": branch,
         "operator": op_label, "c_star": cstar_out,
         "skipped": int(np.sum(~keep)), "side_gains": side_gains, "table": table,
@@ -567,8 +570,7 @@ def run_scenario(name: str, n: int, k: int | None = None, c: float = 1.0,
     gain, branch = ev["gain"], ev["branch"]
     op_label, cstar_out, skipped = ev["operator"], ev["c_star"], ev["skipped"]
     nonfinite = ev["nonfinite"]
-    # written so that a NaN margin fails too
-    violations = int(np.sum(nonfinite | ~(margin >= -FIELD_MARGIN_TOL_FACTOR * tol_scale)))
+    violations = int(np.sum(~ev["ok"]))
     min_margin, min_rel = finite_minima(margin, tol_scale, ~nonfinite)
     return ScenarioReport(
         scenario=name, theorem=sc.theorem, operator=op_label, n=sc.n, k=sc.k,

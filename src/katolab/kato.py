@@ -160,7 +160,9 @@ def batch_lemma_gain(c, bound, vanishing, weight=1.0):
     _check_weights(c)
     _check_bound(bound)
     cap = INF if bound == 0 else weight / bound
-    return np.where(vanishing, cap, weight * c / (1.0 + bound * c))
+    bc = bound * c
+    # where bound*c overflows, the gain is its limit weight/bound
+    return np.where(vanishing | np.isinf(bc), cap, weight * c / (1.0 + bc))
 
 
 def operator_constants(op: OperatorSpec):
@@ -183,27 +185,6 @@ def _check_unit(xi0: np.ndarray) -> np.ndarray:
     if abs(float(np.linalg.norm(xi0)) - 1.0) > 1e-12:
         raise NotUnit("direction covector must be unit length")
     return xi0
-
-
-@dataclass(frozen=True)
-class LineSplit:
-    """u = xi0 (x) w plus a part with no xi0 component."""
-
-    line: np.ndarray
-    perp: np.ndarray
-    xi0: np.ndarray
-
-
-def decompose_line(u: np.ndarray, xi0, n: int, fiber_dim: int) -> LineSplit:
-    """Orthogonal split of u in V* (x) E along the line spanned by xi0."""
-    xi0 = _check_unit(xi0)
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (n * fiber_dim,):
-        raise ValueError("vector length does not match n * fiber_dim")
-    blocks = u.reshape(n, fiber_dim)
-    w = xi0 @ blocks
-    line = np.einsum("i,e->ie", xi0, w).reshape(-1)
-    return LineSplit(line, u - line, xi0)
 
 
 @dataclass(frozen=True)
@@ -602,7 +583,7 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
         out["pythagoras_residual"] = float(np.max(
             np.abs(n11 + n12 + _rsq(v21) + _rsq(v22) - scale) / safe))
         out["block_identity_residual"] = float(np.max(
-            np.sqrt(np.maximum(_rsq(v11, eps), _rsq(v12, iota))) / safe))
+            np.sqrt(np.maximum(_rsq(v11, eps), _rsq(v12, iota)) / safe)))
         out["dominance_residual"] = float(np.max(
             np.maximum(eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe))
     return out
@@ -683,8 +664,10 @@ def _weights(rng, count: int, c_max: float, fixed: float | None = None) -> np.nd
 
 
 def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
-    return (rng.standard_normal((count, dim))
-            + 1j * rng.standard_normal((count, dim)))
+    z = np.empty((count, dim), dtype=complex)
+    z.real = rng.standard_normal(z.shape)
+    z.imag = rng.standard_normal(z.shape)
+    return z
 
 
 def _complex_row_blocks(rng, count: int, dim: int) -> list:

@@ -2,8 +2,7 @@
 
 All bases are orthonormal, so the adjoint is the conjugate transpose of
 the coefficient matrix and no Gram matrices ever appear.  Matrices are
-complex (np.complex128) and frozen after construction; maps compose only
-when the inner descriptors agree exactly.
+complex (np.complex128) and frozen after construction.
 """
 
 from dataclasses import dataclass, field
@@ -41,20 +40,8 @@ class LinearMap:
     def adjoint(self) -> "LinearMap":
         return LinearMap(self.codomain, self.domain, self.matrix.conj().T)
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other; defined only when descriptors match."""
-        if other.codomain != self.domain:
-            raise ValueError("composition mismatch: inner spaces differ")
-        return LinearMap(other.domain, self.codomain, self.matrix @ other.matrix)
-
     def scale(self, a) -> "LinearMap":
         return LinearMap(self.domain, self.codomain, a * self.matrix)
-
-    def norm(self) -> float:
-        """Spectral norm."""
-        if self.matrix.size == 0:
-            return 0.0
-        return float(np.linalg.norm(self.matrix, 2))
 
 
 def identity_map(space: SpaceDescriptor) -> LinearMap:

@@ -8,7 +8,7 @@ orderings are lexicographic throughout.
 
 Conventions
 -----------
-base / dual     R^n with basis e_1..e_n, resp. the dual basis.  Both are
+dual            the dual of R^n with the dual basis e_1*..e_n*,
                 orthonormal, labels are the integers 1..n.
 exterior(k)     wedge powers of the dual space; basis e_J* for strictly
                 increasing k-tuples J, orthonormal under the determinant
@@ -26,8 +26,7 @@ fiber           an abstract auxiliary fiber with numbered basis.
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, factorial
-from collections import Counter
+from math import comb
 
 from .errors import BadDegree
 
@@ -44,21 +43,9 @@ class SpaceDescriptor:
         if self.dim != len(self.labels):
             raise ValueError("dim does not match number of labels")
 
-    def index(self, label):
-        # linear scan is fine at these dimensions; hot paths build
-        # their own lookup dicts once
-        return self.labels.index(label)
-
-
-def base_space(n: int) -> SpaceDescriptor:
-    """Euclidean model space R^n with its standard orthonormal basis."""
-    if n < 1:
-        raise BadDegree(f"base space needs n >= 1, got {n}")
-    return SpaceDescriptor("base", n, tuple(range(1, n + 1)))
-
 
 def dual_space(n: int) -> SpaceDescriptor:
-    """Dual of base_space(n); the covector side of every symbol."""
+    """Dual of R^n with the dual basis; the covector side of every symbol."""
     if n < 1:
         raise BadDegree(f"dual space needs n >= 1, got {n}")
     return SpaceDescriptor("dual", n, tuple(range(1, n + 1)))
@@ -159,16 +146,3 @@ def multiset_remove(i: int, a: tuple):
 
 def multiplicity(a: tuple, i: int) -> int:
     return a.count(i)
-
-
-def arrangement_count(a: tuple) -> int:
-    """Number of distinct orderings of the multi-index a.
-
-    Equals k! / prod(m_i!) and also 1 / |Sym(e_a)|^2, so the unit basis
-    vector of the symmetric power is sqrt(arrangement_count) * Sym(e_a).
-    """
-    k = len(a)
-    denom = 1
-    for m in Counter(a).values():
-        denom *= factorial(m)
-    return factorial(k) // denom

@@ -295,12 +295,29 @@ def test_config_flags_beat_file(tmp_path, capsys):
 
 
 def test_config_unknown_key(tmp_path, capsys):
+    # internal namespace entries and abbreviations are not flags either
+    for key in ("warp_factor", "handler", "command", "subcommand", "sam"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = 9\n")
+        code, _, err = _run(capsys, "kato", "fuzz", "--theorem", "foldo",
+                            "--op", "dirac:2", "--config", str(cfg))
+        assert code == 2, key
+        assert f"unknown config key '{key}'" in err
+
+
+@pytest.mark.parametrize("line,flag", [("format = xml", "--format"),
+                                       ("c = abc", "--c"),
+                                       ("samples = 1.5", "--samples")])
+def test_config_bad_value_is_usage_error(tmp_path, capsys, line, flag):
+    # config values go through the same argparse checks as the flags
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp_factor = 9\n")
-    code, _, err = _run(capsys, "kato", "fuzz", "--theorem", "foldo",
-                        "--op", "dirac:2", "--config", str(cfg))
+    cfg.write_text(line + "\n")
+    code, out, err = _run(capsys, "kato", "fuzz", "--theorem", "foldo",
+                          "--op", "dirac:2", "--samples", "200", "--config", str(cfg))
     assert code == 2
-    assert "warp_factor" in err
+    assert out == ""
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
 
 
 def test_config_dash_keys_normalize(tmp_path, capsys):

@@ -100,8 +100,8 @@ def _reference_margins(n, k, fiber_dim, v, phi, c, c_star,
         "pythagoras_residual": float(np.max(
             np.abs(n11 + n12 + _sq(v21) + _sq(v22) - scale) / safe)),
         "block_identity_residual": max(
-            float(np.max(np.sqrt(_sq(dead_eps)) / safe)),
-            float(np.max(np.sqrt(_sq(dead_iota)) / safe))),
+            float(np.max(np.sqrt(_sq(dead_eps) / safe))),
+            float(np.max(np.sqrt(_sq(dead_iota) / safe)))),
         "dominance_residual": float(np.max(
             np.maximum(eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe)),
     }

@@ -25,7 +25,6 @@ from katolab.kato import (
     check_hodge_inequality,
     check_key_lemma,
     check_operator_inequality,
-    decompose_line,
     equality_witness,
     four_block_decompose,
     fuzz_hodge_inequality,
@@ -124,45 +123,12 @@ def test_operator_constants_measured_fallback():
 
 
 # ---------------------------------------------------------------------------
-# line split
+# four-block split, with a minor-matrix oracle
 
 
 def _unit(rng, n):
     x = rng.standard_normal(n)
     return x / np.linalg.norm(x)
-
-
-def test_decompose_line_pythagoras_and_orthogonality():
-    rng = np.random.default_rng(7)
-    for n, dE in [(2, 1), (3, 2), (5, 3)]:
-        xi = _unit(rng, n)
-        u = rng.standard_normal(n * dE) + 1j * rng.standard_normal(n * dE)
-        s = decompose_line(u, xi, n, dE)
-        assert np.allclose(s.line + s.perp, u)
-        assert abs(np.vdot(s.line, s.perp)) < 1e-12
-        total = np.linalg.norm(s.line) ** 2 + np.linalg.norm(s.perp) ** 2
-        assert total == pytest.approx(np.linalg.norm(u) ** 2, rel=1e-12)
-        # the perp part has no xi component in its covector slot
-        assert np.linalg.norm(xi @ s.perp.reshape(n, dE)) < 1e-12
-
-
-def test_decompose_line_idempotent():
-    rng = np.random.default_rng(8)
-    xi = _unit(rng, 4)
-    u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    s = decompose_line(u, xi, 4, 2)
-    again = decompose_line(s.line, xi, 4, 2)
-    assert np.allclose(again.line, s.line)
-    assert np.linalg.norm(again.perp) < 1e-12
-
-
-def test_decompose_line_rejects_non_unit():
-    with pytest.raises(NotUnit):
-        decompose_line(np.ones(4, dtype=complex), np.array([1.0, 1.0]), 2, 2)
-
-
-# ---------------------------------------------------------------------------
-# four-block split, with a minor-matrix oracle
 
 
 def _exterior_matrix_of(R: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -206,6 +172,8 @@ def test_four_block_matches_minor_oracle(n, k, dE):
     dimk = math.comb(n, k)
     v = rng.standard_normal(n * dimk * dE) + 1j * rng.standard_normal(n * dimk * dE)
     split = four_block_decompose(v, xi, n, k, dE)
+    with pytest.raises(NotUnit):
+        four_block_decompose(v, 2.0 * xi, n, k, dE)
     Q = _contains_projector_oracle(xi, n, k)
     P_line = np.kron(np.outer(xi, xi), np.kron(Q, np.eye(dE)))
     P_line_out = np.kron(np.outer(xi, xi), np.kron(np.eye(dimk) - Q, np.eye(dE)))
@@ -485,6 +453,17 @@ def test_hodge_inequality_random_margins():
             assert verdict.margin >= -1e-9 * verdict.scale
             assert verdict.corollary_margin is not None
             assert verdict.corollary_margin >= -1e-9 * verdict.scale
+
+
+def test_block_identity_residual_is_scale_invariant():
+    # a relative residual: rescaling the rows must not move it by orders
+    rng = np.random.default_rng(37)
+    dim_k = math.comb(5, 2)
+    v = rng.standard_normal((200, 5 * dim_k)) + 1j * rng.standard_normal((200, 5 * dim_k))
+    phi = rng.standard_normal((200, dim_k)) + 1j * rng.standard_normal((200, dim_k))
+    res = [kato.batch_hodge_margins(5, 2, 1, s * v, phi, 1.0, 1.0, diagnostics=True)
+           ["block_identity_residual"] for s in (1e-6, 1.0, 1e6)]
+    assert 0.0 < max(res) <= 10.0 * min(res), res
 
 
 def test_hodge_inequality_forced_branch_flags():

@@ -30,17 +30,6 @@ def test_adjoint_inner_product_identity(seed, dout, din):
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
-def test_compose_requires_matching_descriptors():
-    rng = np.random.default_rng(0)
-    A = _random_map(rng, 3, 4)
-    B = _random_map(rng, 4, 2)
-    with pytest.raises(ValueError):
-        B.compose(A)
-    # fiber tags differ even though dims agree
-    C = A.compose(LinearMap(fiber_space(2, "in"), A.domain, rng.standard_normal((4, 2))))
-    assert C.matrix.shape == (3, 2)
-
-
 def test_matrix_is_frozen():
     P = identity_map(fiber_space(2, "x"))
     with pytest.raises(ValueError):

@@ -136,9 +136,10 @@ def test_key_lemma_batch_equals_single_shots(seed, which, m, matched):
 # ---------------------------------------------------------------------------
 # the vectorized gain against the exact references
 
-# dyadic values: the float inputs are exact and the float gain rounds once
+# dyadic values: the float inputs are exact and the float gain rounds once;
+# at 1e308, bound*c overflows and the float gain is the limit weight/bound
 WEIGHTS = [Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(1), Fraction(3),
-           Fraction(1024)]
+           Fraction(1024), Fraction(1e308)]
 BOUNDS = [Fraction(0), Fraction(1, 4), Fraction(1), Fraction(2), Fraction(5)]
 OPERATOR_CONSTANTS = [(Fraction(3), Fraction(1)), (Fraction(4), Fraction(1)),
                       (Fraction(1), Fraction(1, 2)), (Fraction(1), Fraction(3, 4)),

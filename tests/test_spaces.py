@@ -3,8 +3,6 @@ from math import comb
 
 from katolab.errors import BadDegree
 from katolab.spaces import (
-    arrangement_count,
-    base_space,
     direct_sum,
     dual_space,
     exterior_power,
@@ -19,10 +17,9 @@ from katolab.spaces import (
 
 
 def test_base_and_dual_dims():
-    assert base_space(4).dim == 4
     assert dual_space(4).labels == (1, 2, 3, 4)
     with pytest.raises(BadDegree):
-        base_space(0)
+        dual_space(0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -96,10 +93,3 @@ def test_multiset_helpers():
     assert multiset_insert(2, (1, 2, 4)) == (1, 2, 2, 4)
     assert multiset_remove(2, (1, 2, 2)) == (1, 2)
     assert multiset_remove(5, (1, 2)) is None
-
-
-def test_arrangement_count():
-    assert arrangement_count((1, 2, 3)) == 6
-    assert arrangement_count((1, 1, 2)) == 3
-    assert arrangement_count((2, 2, 2)) == 1
-    assert arrangement_count(()) == 1
