@@ -35,7 +35,7 @@ from .fields import (
     make_scenario,
     run_scenario,
     sample_points,
-    scenario_grid,
+    scenario_report,
 )
 from .kato import fuzz_hodge_inequality, fuzz_operator_inequality
 from .projections import (
@@ -209,8 +209,17 @@ def _cmd_ellipticity(args) -> int:
 
 
 def _cmd_kato_fuzz(args) -> int:
-    if args.samples < 1 or args.dim_e < 1:
+    if args.samples < 1 or (args.dim_e is not None and args.dim_e < 1):
         print("error: samples >= 1 and --dim-e >= 1 are required", file=sys.stderr)
+        return 2
+    # flags the run would ignore: a foldo operator fixes all but --c,
+    # a hodge --op the degrees
+    unused = ("n", "k", "dim_e", "c_star") if args.theorem == "foldo" else (
+        ("n", "k") if args.op else ())
+    given = ["--" + key.replace("_", "-") for key in unused if getattr(args, key) is not None]
+    if given:
+        print(f"error: --theorem {args.theorem} {'with --op ' if args.op else ''}"
+              f"ignores {', '.join(given)}", file=sys.stderr)
         return 2
     if args.theorem == "foldo":
         if not args.op:
@@ -230,7 +239,7 @@ def _cmd_kato_fuzz(args) -> int:
         if args.n is None or args.k is None:
             print("error: --theorem hodge needs --n and --k", file=sys.stderr)
             return 2
-        report = fuzz_hodge_inequality(args.n, args.k, args.dim_e,
+        report = fuzz_hodge_inequality(args.n, args.k, args.dim_e or 1,
                                        args.samples, args.seed,
                                        c_fixed=args.c, cstar_fixed=args.c_star)
     payload = {
@@ -248,12 +257,8 @@ def _cmd_kato_fuzz(args) -> int:
 # field scenarios
 
 
-def _dump_points(path: str, sc_name: str, n: int, k, c, c_star, grid: int,
-                 seed: int) -> None:
-    sc = make_scenario(sc_name, n, k=k, seed=seed)
-    X = sample_points(sc.n, grid)
-    ev = evaluate_scenario(sc, X, c, c_star)
-    header = [f"x{i + 1}" for i in range(sc.n)] + ["margin", "scale", "ok"]
+def _dump_points(path: str, n: int, ev: dict) -> None:
+    header = [f"x{i + 1}" for i in range(n)] + ["margin", "scale", "ok"]
     rows = [list(p) + [m, s, bool(ok)]
             for p, m, s, ok in zip(ev["points"], ev["margin"], ev["tol_scale"], ev["ok"])]
     with open(path, "w", encoding="utf-8") as fh:
@@ -266,12 +271,12 @@ def _cmd_field_run(args) -> int:
     if args.grid < 1:
         print("error: grid >= 1 is required", file=sys.stderr)
         return 2
-    report = run_scenario(args.scenario, args.n, k=args.k, c=args.c,
-                          c_star=args.c_star, points=args.grid,
-                          seed=args.seed)
+    sc = make_scenario(args.scenario, args.n, k=args.k, seed=args.seed)
+    X = sample_points(sc.n, args.grid)
+    ev = evaluate_scenario(sc, X, args.c, args.c_star)
     if args.dump_points:
-        _dump_points(args.dump_points, args.scenario, args.n, args.k,
-                     args.c, args.c_star, args.grid, args.seed)
+        _dump_points(args.dump_points, sc.n, ev)
+    report = scenario_report(sc, X, ev, args.c, args.seed)
     payload = {
         "command": "field run",
         "version": __version__,
@@ -433,7 +438,7 @@ def build_parser():
     kf.add_argument("--op", help="operator for foldo, optional hodge:n:k for hodge")
     kf.add_argument("--n", type=int)
     kf.add_argument("--k", type=int)
-    kf.add_argument("--dim-e", type=int, default=1)
+    kf.add_argument("--dim-e", type=int, help="extra fiber dimension (hodge, default 1)")
     kf.add_argument("--c", type=float, help="fix the interpolation weight")
     kf.add_argument("--c-star", type=float, help="fix the second weight (hodge)")
     kf.add_argument("--samples", type=int, default=100000)

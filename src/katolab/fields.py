@@ -234,10 +234,7 @@ def apply_operator(op: OperatorSpec, f: TrigField) -> TrigField:
         raise FiberMismatch(
             f"operator {op.name} expects base {op.base_dim} and fiber "
             f"{op.domain_fiber.dim}, field has ({f.n}, {f.fiber_dim})")
-    grad = f.gradient()
-    M = op.full_symbol.matrix
-    return TrigField(f.n, M.shape[0], grad.freqs,
-                     grad.cos_coeffs @ M.T, grad.sin_coeffs @ M.T)
+    return f.gradient().map_fiber(op.full_symbol.matrix)
 
 
 def hodge_star_matrix(n: int, k: int) -> np.ndarray:
@@ -336,111 +333,78 @@ class ScenarioReport:
         return report_json(self)
 
 
-SCENARIO_NAMES = (
-    "generic-form", "closed-form", "coclosed-form", "yang-mills-F",
-    "instanton-F", "monopole-omega", "dirac-spinor", "twistor-spinor",
-    "higgs-dPhi",
-)
+# One row per scenario, in grid order: (theorem, lowest n, highest n, degree,
+# potential shift, extra fiber, notes).  theorem is "hodge" or the catalog
+# operator of a foldo scenario.  degree None takes the caller's k, default 1
+# at n = 2 and 2 above.  Shift -1 makes the section d of a degree k-1
+# potential and certifies d = 0, +1 the codifferential of a degree k+1
+# potential and certifies d* = 0, 0 a random section.
+_SCENARIOS = {
+    "generic-form": ("hodge", 2, INF, None, 0, 1, "no certificates, both branches detected"),
+    "closed-form": ("hodge", 2, INF, None, -1, 1,
+                    "section is d of a potential, closedness exact"),
+    "coclosed-form": ("hodge", 2, INF, None, 1, 1,
+                      "section is the codifferential of a potential"),
+    "yang-mills-F": ("hodge", 3, INF, 2, -1, 3, "curvature-style 2-form with a 3-dim "
+                     "fiber; the second structure identity is exact"),
+    "instanton-F": ("hodge", 4, 4, 2, -1, 3, "self-dual part of a curvature-style 2-form"),
+    "monopole-omega": ("hodge", 3, 3, 1, 1, 1, "coclosed 1-form in three dimensions"),
+    "dirac-spinor": ("dirac", 1, INF, None, 0, 1, ""),
+    "twistor-spinor": ("twistor", 2, INF, None, 0, 1, ""),
+    "higgs-dPhi": ("hodge", 2, INF, 1, -1, 1, "gradient 1-form of a scalar potential"),
+}
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
-def _default_degree(n: int) -> int:
-    return 1 if n == 2 else 2
+def _degree(name: str, n: int) -> int | None:
+    """The degree a scenario takes at dimension n unless the caller picks one."""
+    theorem, _, _, degree = _SCENARIOS[name][:4]
+    if theorem != "hodge":
+        return None
+    return min(2, n - 1) if degree is None else degree
 
 
 def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0,
                   mode_count: int = 8, max_freq: int = 3) -> Scenario:
     """Build the section field and certificates for a named scenario."""
+    if name not in _SCENARIOS:
+        raise UnknownScenario(f"unknown scenario '{name}'; choose from "
+                              + ", ".join(SCENARIO_NAMES))
+    theorem, n_min, n_max, degree, shift, extra, notes = _SCENARIOS[name]
+    if not n_min <= n <= n_max:
+        raise UnknownScenario(
+            f"{name} is a dimension-{n_min} scenario, got n={n}"
+            if n_min == n_max else f"{name} needs n >= {n_min}, got n={n}")
+    own = _degree(name, n)
+    k = own if k is None else k
+    if theorem == "hodge" and degree is None:
+        if k < 1 or k > n - 1:
+            raise UnknownScenario(f"{name} needs 1 <= k <= {n - 1}, got k={k}")
+    elif k != own:
+        raise UnknownScenario(
+            f"{name} takes {'no k' if own is None else f'only k={own}'}, got k={k}")
     rng = np.random.default_rng(seed)
-    if name == "generic-form":
-        k = _default_degree(n) if k is None else k
-        _require_degree(name, n, k)
-        f = random_field(n, math.comb(n, k), mode_count, max_freq, rng)
-        return Scenario(name, "hodge", n, k, 1, f,
-                        notes="no certificates, both branches detected")
-    if name == "closed-form":
-        k = _default_degree(n) if k is None else k
-        _require_degree(name, n, k)
-        psi = random_field(n, math.comb(n, k - 1), mode_count, max_freq, rng)
-        f = exterior_derivative(psi, k - 1)
-        return Scenario(name, "hodge", n, k, 1, f, d_vanishing=True,
-                        notes="section is d of a potential, closedness exact")
-    if name == "coclosed-form":
-        k = _default_degree(n) if k is None else k
-        _require_degree(name, n, k)
-        psi = random_field(n, math.comb(n, k + 1), mode_count, max_freq, rng)
-        f = coderivative(psi, k + 1)
-        return Scenario(name, "hodge", n, k, 1, f, dstar_vanishing=True,
-                        notes="section is the codifferential of a potential")
-    if name == "yang-mills-F":
-        if n < 3:
-            raise UnknownScenario(f"{name} needs n >= 3, got n={n}")
-        a = random_field(n, n * 3, mode_count, max_freq, rng)
-        f = exterior_derivative(a, 1, extra_dim=3)
-        return Scenario(name, "hodge", n, 2, 3, f, d_vanishing=True,
-                        notes="curvature-style 2-form with a 3-dim fiber; "
-                              "the second structure identity is exact")
-    if name == "instanton-F":
-        if n != 4:
-            raise UnknownScenario(f"{name} is a dimension-4 scenario, got n={n}")
-        a = random_field(4, 4 * 3, mode_count, max_freq, rng)
-        f = exterior_derivative(a, 1, extra_dim=3)
-        star = hodge_star_matrix(4, 2)
-        sd = np.kron((np.eye(6) + star) / 2.0, np.eye(3))
-        f = f.map_fiber(sd)
-        # the self-dual part of an exact form is neither closed nor
-        # coclosed in general; both branches are detected pointwise
-        return Scenario(name, "hodge", 4, 2, 3, f,
-                        notes="self-dual part of a curvature-style 2-form")
-    if name == "monopole-omega":
-        if n != 3:
-            raise UnknownScenario(f"{name} is a dimension-3 scenario, got n={n}")
-        psi = random_field(3, 3, mode_count, max_freq, rng)
-        f = coderivative(psi, 2)
-        return Scenario(name, "hodge", 3, 1, 1, f, dstar_vanishing=True,
-                        notes="coclosed 1-form in three dimensions")
-    if name == "dirac-spinor":
-        op = catalog("dirac", n)
+    if theorem != "hodge":
+        op = catalog(theorem, n)
         f = random_field(n, op.domain_fiber.dim, mode_count, max_freq, rng)
         return Scenario(name, "foldo", n, None, op.domain_fiber.dim, f,
-                        operator=op)
-    if name == "twistor-spinor":
-        op = catalog("twistor", n)
-        f = random_field(n, op.domain_fiber.dim, mode_count, max_freq, rng)
-        return Scenario(name, "foldo", n, None, op.domain_fiber.dim, f,
-                        operator=op)
-    if name == "higgs-dPhi":
-        _require_degree(name, n, 1)
-        psi = random_field(n, 1, mode_count, max_freq, rng)
-        f = exterior_derivative(psi, 0)
-        return Scenario(name, "hodge", n, 1, 1, f, d_vanishing=True,
-                        notes="gradient 1-form of a scalar potential")
-    raise UnknownScenario(f"unknown scenario '{name}'; choose from "
-                          + ", ".join(SCENARIO_NAMES))
-
-
-def _require_degree(name: str, n: int, k: int):
-    if n < 2:
-        raise UnknownScenario(f"{name} needs n >= 2, got n={n}")
-    if k < 1 or k > n - 1:
-        raise UnknownScenario(f"{name} needs 1 <= k <= {n - 1}, got k={k}")
+                        operator=op, notes=notes)
+    f = random_field(n, math.comb(n, k + shift) * extra, mode_count, max_freq, rng)
+    if shift:
+        f = (exterior_derivative if shift < 0 else coderivative)(f, k + shift, extra)
+    d_vanishing, dstar_vanishing = shift < 0 or None, shift > 0 or None
+    if name == "instanton-F":  # its self-dual part is in general neither closed nor coclosed
+        sd = np.kron((np.eye(6) + hodge_star_matrix(4, 2)) / 2.0, np.eye(extra))
+        f, d_vanishing, dstar_vanishing = f.map_fiber(sd), None, None
+    return Scenario(name, "hodge", n, k, extra, f, d_vanishing=d_vanishing,
+                    dstar_vanishing=dstar_vanishing, notes=notes)
 
 
 def scenario_grid(dims) -> list:
     """(name, n, k) combinations defined for the given dimensions."""
-    out = []
-    for n in dims:
-        for name in ("generic-form", "closed-form", "coclosed-form"):
-            out.append((name, n, _default_degree(n)))
-        if n >= 3:
-            out.append(("yang-mills-F", n, 2))
-        if n == 4:
-            out.append(("instanton-F", n, 2))
-        if n == 3:
-            out.append(("monopole-omega", n, 1))
-        out.append(("dirac-spinor", n, None))
-        out.append(("twistor-spinor", n, None))
-        out.append(("higgs-dPhi", n, 1))
-    return out
+    return [(name, n, _degree(name, n)) for n in dims
+            for name, (_, n_min, n_max, *_) in _SCENARIOS.items() if n_min <= n <= n_max]
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +443,11 @@ def closedness_residual(sc: Scenario, points: np.ndarray) -> float | None:
     f = sc.section
     ref = max(f.gradient().sup_norm_estimate(), 1e-300)
     worst = 0.0
-    if sc.d_vanishing:
-        vals = exterior_derivative(f, sc.k, sc.fiber_dim).evaluate(points)
-        worst = max(worst, float(np.max(np.linalg.norm(vals, axis=1))))
-    if sc.dstar_vanishing:
-        vals = coderivative(f, sc.k, sc.fiber_dim).evaluate(points)
-        worst = max(worst, float(np.max(np.linalg.norm(vals, axis=1))))
+    for certified, derivative in ((sc.d_vanishing, exterior_derivative),
+                                  (sc.dstar_vanishing, coderivative)):
+        if certified:
+            vals = derivative(f, sc.k, sc.fiber_dim).evaluate(points)
+            worst = max(worst, float(np.max(np.linalg.norm(vals, axis=1))))
     return worst / ref
 
 
@@ -558,26 +521,17 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
     }
 
 
-def run_scenario(name: str, n: int, k: int | None = None, c: float = 1.0,
-                 c_star: float = 1.0, points: int = 10000, seed: int = 0,
-                 mode_count: int = 8, max_freq: int = 3) -> ScenarioReport:
-    """Sample a scenario on its grid and check every admissible point."""
-    sc = make_scenario(name, n, k=k, seed=seed, mode_count=mode_count,
-                       max_freq=max_freq)
-    X = sample_points(sc.n, points)
-    ev = evaluate_scenario(sc, X, c, c_star)
-    margin, tol_scale = ev["margin"], ev["tol_scale"]
-    gain, branch = ev["gain"], ev["branch"]
-    op_label, cstar_out, skipped = ev["operator"], ev["c_star"], ev["skipped"]
+def scenario_report(sc: Scenario, X: np.ndarray, ev: dict, c: float,
+                    seed: int) -> ScenarioReport:
+    """The report of a scenario whose points X gave ev = evaluate_scenario(...)."""
     nonfinite = ev["nonfinite"]
-    violations = int(np.sum(~ev["ok"]))
-    min_margin, min_rel = finite_minima(margin, tol_scale, ~nonfinite)
+    min_margin, min_rel = finite_minima(ev["margin"], ev["tol_scale"], ~nonfinite)
     return ScenarioReport(
-        scenario=name, theorem=sc.theorem, operator=op_label, n=sc.n, k=sc.k,
-        fiber_dim=sc.fiber_dim, c=float(c), c_star=cstar_out,
-        sample_points=int(len(X)), skipped_points=skipped,
-        violations=violations, min_margin=min_margin,
-        min_relative_margin=min_rel, branch=branch, gain_bound=gain,
+        scenario=sc.name, theorem=sc.theorem, operator=ev["operator"], n=sc.n,
+        k=sc.k, fiber_dim=sc.fiber_dim, c=float(c), c_star=ev["c_star"],
+        sample_points=int(len(X)), skipped_points=ev["skipped"],
+        violations=int(np.sum(~ev["ok"])), min_margin=min_margin,
+        min_relative_margin=min_rel, branch=ev["branch"], gain_bound=ev["gain"],
         refined_limit_constant=_refined_limit(sc),
         closedness_residual=closedness_residual(sc, ev["table"]),
         symbol_residual=symbol_consistency_residual(sc, ev["table"]),
@@ -585,3 +539,13 @@ def run_scenario(name: str, n: int, k: int | None = None, c: float = 1.0,
         extras={**ev["side_gains"], "notes": sc.notes},
         nonfinite=int(np.sum(nonfinite)),
     )
+
+
+def run_scenario(name: str, n: int, k: int | None = None, c: float = 1.0,
+                 c_star: float = 1.0, points: int = 10000, seed: int = 0,
+                 mode_count: int = 8, max_freq: int = 3) -> ScenarioReport:
+    """Sample a scenario on its grid and check every admissible point."""
+    sc = make_scenario(name, n, k=k, seed=seed, mode_count=mode_count,
+                       max_freq=max_freq)
+    X = sample_points(sc.n, points)
+    return scenario_report(sc, X, evaluate_scenario(sc, X, c, c_star), c, seed)

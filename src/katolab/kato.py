@@ -233,6 +233,8 @@ class _FormKit:
     @functools.lru_cache(maxsize=None)
     def flat_maps(self, fiber_dim: int):
         """(wedge, contraction) on flattened V* (x) Lambda^k (x) E, cached per fiber."""
+        if fiber_dim < 1:
+            raise ValueError(f"fiber dimension must be >= 1, got {fiber_dim}")
         maps = tuple(np.kron(M, np.eye(fiber_dim)) for M in self.maps)
         for M in maps:
             M.flags.writeable = False
@@ -714,14 +716,15 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
     "full_scale" (plus "margin_cor"/"cor_scale" for a second inequality
     on the same rows) and a "vanishing" branch mask.  worst maps extra
     report keys to (kernel key, np.min or np.max), folded over chunks.
-    Returns the report and the last chunk's kernel output.
     """
+    if samples < 1 or chunk < 1:
+        raise ValueError(f"fuzzing needs samples >= 1 and chunk >= 1, "
+                         f"got samples={samples}, chunk={chunk}")
     rng = np.random.default_rng(seed)
     done = violations = nonfinite = 0
     min_margin = min_rel = INF
     branches = {"vanishing": 0, "nonvanishing": 0}
     folded = {}
-    out = {}
     while done < samples:
         m = min(chunk, samples - done)
         out = kernel(*sample(rng, m))
@@ -741,9 +744,8 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
             val = pick(out[key])
             folded[name] = float(val if name not in folded else pick((folded[name], val)))
         done += m
-    report = FuzzReport(theorem, label, samples, violations, min_margin, min_rel,
-                        MARGIN_TOL_FACTOR, seed, c_range, branches, folded, nonfinite)
-    return report, out
+    return FuzzReport(theorem, label, samples, violations, min_margin, min_rel,
+                      MARGIN_TOL_FACTOR, seed, c_range, branches, folded, nonfinite)
 
 
 def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
@@ -768,14 +770,15 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
             u[:nk] = _complex_rows(rng, nk, null.shape[1]) @ null.T  # columns of null span ker P
         return u, phi, c
 
-    report, last = _fuzz(
+    report = _fuzz(
         "foldo", op.name, samples, seed,
         (0.0, c_max) if c_fixed is None else (c_fixed, c_fixed), chunk, sample,
         lambda u, phi, c: batch_operator_margins(op, u, phi, c))
+    rho2, eps = operator_constants(op)
     report.extras.update({
-        "gain_vanishing": last["gain_vanishing"],
-        "rho_squared": last["rho_squared"],
-        "epsilon": last["epsilon"],
+        "gain_vanishing": float(batch_lemma_gain(0.0, rho2 - eps, True, weight=eps)),
+        "rho_squared": rho2,
+        "epsilon": eps,
         "kernel_dim": int(null.shape[1]),
     })
     return report
@@ -808,7 +811,7 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
                 v[i * nk:(i + 1) * nk] = _complex_rows(rng, nk, null.shape[1]) @ null.T
         return v, phi, c, cs
 
-    report, _ = _fuzz(
+    report = _fuzz(
         "hodge", f"hodge:{n}:{k}" + (f" fiber={fiber_dim}" if fiber_dim > 1 else ""),
         samples, seed, (0.0, c_max) if c_fixed is None else (c_fixed, cstar_fixed),
         chunk, sample,
@@ -853,8 +856,8 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
                 for x1, x2, start in zip(u1, u2, starts)]
         return {key: np.concatenate([out[key] for out in outs]) for key in outs[0]}
 
-    report, _ = _fuzz("key-lemma", label, samples, seed, (0.0, c_max), chunk,
-                      sample, kernel)
+    report = _fuzz("key-lemma", label, samples, seed, (0.0, c_max), chunk,
+                   sample, kernel)
     report.extras["spectral_bound"] = a
     return report
 

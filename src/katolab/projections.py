@@ -43,39 +43,32 @@ DEFAULT_CONFORMITY_TOL = 1e-10
 _SURJECTIVITY_CUTOFF = 1e-10   # relative singular value cutoff for rank
 
 
+def _insertion_map(n: int, src: SpaceDescriptor, dst: SpaceDescriptor,
+                   entry) -> LinearMap:
+    """V* (x) src -> dst whose column e_i* (x) label holds the single entry
+    entry(i, label) = (value, target label), or nothing when it is None."""
+    M = np.zeros((dst.dim, n * src.dim))
+    pos = {lab: p for p, lab in enumerate(dst.labels)}
+    for j, lab in enumerate(src.labels):
+        for i in range(1, n + 1):
+            hit = entry(i, lab)
+            if hit is not None:
+                M[pos[hit[1]], (i - 1) * src.dim + j] = hit[0]
+    return LinearMap(tensor_product((dual_space(n), src)), dst, M)
+
+
 def exterior_projection(n: int, k: int) -> LinearMap:
     """Wedge insertion V* (x) Lambda^k -> Lambda^{k+1}; needs 0 <= k <= n-1."""
     if k < 0 or k > n - 1:
         raise BadDegree(f"exterior projection needs 0 <= k <= {n - 1}, got k={k}")
-    Lk = exterior_power(n, k)
-    Lk1 = exterior_power(n, k + 1)
-    dom = tensor_product((dual_space(n), Lk))
-    M = np.zeros((Lk1.dim, dom.dim))
-    pos = {lab: p for p, lab in enumerate(Lk1.labels)}
-    for jJ, J in enumerate(Lk.labels):
-        for i in range(1, n + 1):
-            ins = wedge_insert(i, J)
-            if ins is None:
-                continue
-            sign, K = ins
-            M[pos[K], (i - 1) * Lk.dim + jJ] = sign
-    return LinearMap(dom, Lk1, M)
+    return _insertion_map(n, exterior_power(n, k), exterior_power(n, k + 1), wedge_insert)
 
 
 def interior_projection(n: int, k: int) -> LinearMap:
     """Contraction V* (x) Lambda^k -> Lambda^{k-1}; needs 1 <= k <= n."""
     if k < 1 or k > n:
         raise BadDegree(f"interior projection needs 1 <= k <= {n}, got k={k}")
-    Lk = exterior_power(n, k)
-    Lk1 = exterior_power(n, k - 1)
-    dom = tensor_product((dual_space(n), Lk))
-    M = np.zeros((Lk1.dim, dom.dim))
-    pos = {lab: p for p, lab in enumerate(Lk1.labels)}
-    for jJ, J in enumerate(Lk.labels):
-        for i in J:
-            sign, K = wedge_delete(i, J)
-            M[pos[K], (i - 1) * Lk.dim + jJ] = sign
-    return LinearMap(dom, Lk1, M)
+    return _insertion_map(n, exterior_power(n, k), exterior_power(n, k - 1), wedge_delete)
 
 
 def symmetrization_projection(n: int, k: int) -> LinearMap:
@@ -88,16 +81,12 @@ def symmetrization_projection(n: int, k: int) -> LinearMap:
     """
     if k < 0:
         raise BadDegree(f"symmetrization needs k >= 0, got k={k}")
-    Sk = symmetric_power(n, k)
-    Sk1 = symmetric_power(n, k + 1)
-    dom = tensor_product((dual_space(n), Sk))
-    M = np.zeros((Sk1.dim, dom.dim))
-    pos = {lab: p for p, lab in enumerate(Sk1.labels)}
-    for ja, a in enumerate(Sk.labels):
-        for i in range(1, n + 1):
-            b = multiset_insert(i, a)
-            M[pos[b], (i - 1) * Sk.dim + ja] = sqrt((k + 1) * multiplicity(b, i))
-    return LinearMap(dom, Sk1, M)
+
+    def entry(i, a):
+        b = multiset_insert(i, a)
+        return sqrt((k + 1) * multiplicity(b, i)), b
+
+    return _insertion_map(n, symmetric_power(n, k), symmetric_power(n, k + 1), entry)
 
 
 def contraction_projection(n: int, k: int) -> LinearMap:
@@ -107,16 +96,9 @@ def contraction_projection(n: int, k: int) -> LinearMap:
     """
     if k < 1:
         raise BadDegree(f"contraction needs k >= 1, got k={k}")
-    Sk = symmetric_power(n, k)
-    Sk1 = symmetric_power(n, k - 1)
-    dom = tensor_product((dual_space(n), Sk))
-    M = np.zeros((Sk1.dim, dom.dim))
-    pos = {lab: p for p, lab in enumerate(Sk1.labels)}
-    for ja, a in enumerate(Sk.labels):
-        for i in set(a):
-            g = multiset_remove(i, a)
-            M[pos[g], (i - 1) * Sk.dim + ja] = sqrt(multiplicity(a, i) / k)
-    return LinearMap(dom, Sk1, M)
+    return _insertion_map(
+        n, symmetric_power(n, k), symmetric_power(n, k - 1),
+        lambda i, a: (sqrt(multiplicity(a, i) / k), multiset_remove(i, a)) if i in a else None)
 
 
 def clifford_projection(n: int) -> LinearMap:

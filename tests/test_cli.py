@@ -6,7 +6,9 @@ import warnings
 
 import pytest
 
+from katolab import cli, fields
 from katolab.cli import _write_report, main
+from katolab.fields import evaluate_scenario
 
 
 def _run(capsys, *argv):
@@ -112,6 +114,18 @@ def test_kato_fuzz_hodge_needs_degrees(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["--theorem", "foldo", "--op", "dirac:3", "--dim-e", "3"], "--dim-e"),
+    (["--theorem", "foldo", "--op", "dirac:3", "--c-star", "2"], "--c-star"),
+    (["--theorem", "hodge", "--op", "hodge:4:2", "--n", "5", "--k", "1"], "--n, --k"),
+])
+def test_kato_fuzz_refuses_ignored_flags(capsys, argv, flags):
+    code, out, err = _run(capsys, "kato", "fuzz", *argv, "--samples", "100")
+    assert code == 2
+    assert out == ""
+    assert flags in err
+
+
 @pytest.mark.parametrize("theorem,flag,value", [
     ("foldo", "--c", "nan"), ("foldo", "--c", "inf"), ("foldo", "--c", "-1"),
     ("hodge", "--c", "nan"), ("hodge", "--c-star", "nan"),
@@ -211,6 +225,33 @@ def test_field_run_unknown_scenario(capsys):
     code, _, err = _run(capsys, "field", "run", "--scenario", "bogus", "--n", "3")
     assert code == 2
     assert "scenario" in err
+
+
+def test_field_run_refuses_other_degree(capsys):
+    code, out, err = _run(capsys, "field", "run", "--scenario", "yang-mills-F",
+                          "--n", "4", "--k", "3", "--grid", "50")
+    assert code == 2
+    assert out == ""
+    assert "k=3" in err
+
+
+def test_field_run_dump_points_evaluates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_scenario", counted)
+    monkeypatch.setattr(fields, "evaluate_scenario", counted)
+    dump = tmp_path / "points.csv"
+    code, out, _ = _run(capsys, "field", "run", "--scenario", "closed-form", "--n", "3",
+                        "--grid", "300", "--dump-points", str(dump))
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out)
+    assert payload["sample_points"] == 300
+    assert len(dump.read_text().strip().split("\n")) == 1 + 300 - payload["skipped_points"]
 
 
 def test_field_run_dump_points(tmp_path, capsys):

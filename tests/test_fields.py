@@ -255,6 +255,14 @@ def test_scenario_dimension_restrictions():
         make_scenario("no-such-thing", 3)
     with pytest.raises(UnknownScenario):
         make_scenario("generic-form", 3, k=3)
+    # fixed-degree and spinor scenarios take no other k
+    for name, n, k in [("yang-mills-F", 4, 3), ("yang-mills-F", 4, 1),
+                       ("instanton-F", 4, 1), ("monopole-omega", 3, 2),
+                       ("higgs-dPhi", 3, 2), ("dirac-spinor", 3, 1),
+                       ("twistor-spinor", 3, 2)]:
+        with pytest.raises(UnknownScenario, match="takes"):
+            make_scenario(name, n, k=k)
+    assert make_scenario("yang-mills-F", 4, k=2).k == 2
 
 
 def test_random_field_caps_modes_at_available_frequencies():
@@ -308,6 +316,41 @@ def test_run_scenario_deterministic():
     assert r1.to_json_dict() == r2.to_json_dict()
     r3 = run_scenario("generic-form", 3, points=500, seed=22)
     assert r3.min_margin != r1.min_margin
+
+
+# scenario_grid(range(2, 8)) at the time the scenarios became one table;
+# perfbench derives each configuration's seed from its position here
+_GRID_2_TO_7 = [
+    ("generic-form", 2, 1), ("closed-form", 2, 1), ("coclosed-form", 2, 1),
+    ("dirac-spinor", 2, None), ("twistor-spinor", 2, None), ("higgs-dPhi", 2, 1),
+    ("generic-form", 3, 2), ("closed-form", 3, 2), ("coclosed-form", 3, 2),
+    ("yang-mills-F", 3, 2), ("monopole-omega", 3, 1), ("dirac-spinor", 3, None),
+    ("twistor-spinor", 3, None), ("higgs-dPhi", 3, 1),
+    ("generic-form", 4, 2), ("closed-form", 4, 2), ("coclosed-form", 4, 2),
+    ("yang-mills-F", 4, 2), ("instanton-F", 4, 2), ("dirac-spinor", 4, None),
+    ("twistor-spinor", 4, None), ("higgs-dPhi", 4, 1),
+    ("generic-form", 5, 2), ("closed-form", 5, 2), ("coclosed-form", 5, 2),
+    ("yang-mills-F", 5, 2), ("dirac-spinor", 5, None), ("twistor-spinor", 5, None),
+    ("higgs-dPhi", 5, 1),
+    ("generic-form", 6, 2), ("closed-form", 6, 2), ("coclosed-form", 6, 2),
+    ("yang-mills-F", 6, 2), ("dirac-spinor", 6, None), ("twistor-spinor", 6, None),
+    ("higgs-dPhi", 6, 1),
+    ("generic-form", 7, 2), ("closed-form", 7, 2), ("coclosed-form", 7, 2),
+    ("yang-mills-F", 7, 2), ("dirac-spinor", 7, None), ("twistor-spinor", 7, None),
+    ("higgs-dPhi", 7, 1),
+]
+
+
+def test_scenario_grid_order_is_pinned():
+    assert scenario_grid(range(2, 8)) == _GRID_2_TO_7
+
+
+def test_every_grid_entry_builds():
+    # n = 1 admits only the Dirac spinor
+    assert [name for name, n, _ in scenario_grid(range(1, 8)) if n == 1] == ["dirac-spinor"]
+    for name, n, k in scenario_grid(range(1, 8)):
+        sc = make_scenario(name, n, k=k, seed=5, mode_count=3, max_freq=1)
+        assert (sc.name, sc.n, sc.k) == (name, n, k)
 
 
 def test_scenario_grid_contents():

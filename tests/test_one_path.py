@@ -29,6 +29,8 @@ from katolab.kato import (
     check_hodge_inequality,
     check_key_lemma,
     check_operator_inequality,
+    fuzz_hodge_inequality,
+    fuzz_key_lemma,
     fuzz_operator_inequality,
     hodge_gain_pair,
     kato_gain_lemma,
@@ -233,11 +235,36 @@ def test_nan_margin_never_passes():
         return {"margin": margin, "full_scale": np.ones(m),
                 "vanishing": np.zeros(m, dtype=bool)}
 
-    report, _ = _fuzz("foldo", "stub", 10, 0, (0.0, 0.0), 4, sample, kernel)
+    report = _fuzz("foldo", "stub", 10, 0, (0.0, 0.0), 4, sample, kernel)
     # one finite row per chunk of 4, 4, 2 rows
     assert report.violations == 7
     assert not report.passed
 
+
+
+def _fuzz_at(theorem, samples, chunk, fiber_dim=1):
+    if theorem == "foldo":
+        return fuzz_operator_inequality(parse_op_string("dirac:3"), samples, 0,
+                                        chunk=chunk)
+    if theorem == "hodge":
+        return fuzz_hodge_inequality(3, 1, fiber_dim, samples, 0, chunk=chunk)
+    _, C, sub, _ = key_lemma_setups(3, 1)[0]
+    return fuzz_key_lemma(C, sub, samples, 0, chunk=chunk)
+
+
+@pytest.mark.parametrize("theorem", ["foldo", "hodge", "key-lemma"])
+@pytest.mark.parametrize("samples, chunk", [(0, 100), (-3, 100), (10, 0), (10, -4)])
+def test_fuzzers_refuse_sizes_below_one(theorem, samples, chunk):
+    # no report on zero samples, no endless loop or crash on an empty chunk
+    with pytest.raises(ValueError, match="samples >= 1 and chunk >= 1"):
+        _fuzz_at(theorem, samples, chunk)
+    assert _fuzz_at(theorem, 10, 4).samples == 10
+
+
+@pytest.mark.parametrize("fiber_dim", [0, -1])
+def test_hodge_fuzz_refuses_empty_fiber(fiber_dim):
+    with pytest.raises(ValueError, match="fiber dimension must be >= 1"):
+        _fuzz_at("hodge", 10, 100, fiber_dim)
 
 def test_overflowing_rows_fail_and_are_counted():
     op = parse_op_string("dirac:3")
