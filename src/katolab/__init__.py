@@ -23,7 +23,6 @@ from .errors import (
 from .fields import (
     ScenarioReport,
     TrigField,
-    apply_operator,
     coderivative,
     exterior_derivative,
     make_scenario,
@@ -67,7 +66,6 @@ from .symbols import (
     OperatorSpec,
     catalog,
     ellipticity_constant,
-    invariance_check,
     parse_op_string,
     symbol_at,
     twist,
@@ -88,7 +86,7 @@ __all__ = [
     "contraction_projection", "clifford_projection", "twistor_projection",
     # symbols
     "OperatorSpec", "EllipticityResult", "catalog", "parse_op_string",
-    "symbol_at", "ellipticity_constant", "invariance_check", "twist",
+    "symbol_at", "ellipticity_constant", "twist",
     # inequality engine
     "KatoVerdict", "FuzzReport", "SpectralBounds", "kato_gain_lemma",
     "kato_gain_operator", "hodge_gain_pair",
@@ -99,6 +97,6 @@ __all__ = [
     "key_lemma_setups", "line_component_setup",
     # fields
     "TrigField", "ScenarioReport", "random_field", "exterior_derivative",
-    "coderivative", "apply_operator", "make_scenario", "run_scenario",
+    "coderivative", "make_scenario", "run_scenario",
     "scenario_grid", "sample_points",
 ]

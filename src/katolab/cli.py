@@ -16,20 +16,9 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
-from .errors import (
-    BadDegree,
-    ConfigError,
-    NotConformal,
-    NotSurjective,
-    UnknownName,
-    UnknownScenario,
-    VerificationError,
-)
+from .errors import ConfigError, NotConformal, NotSurjective, VerificationError
 from .fields import (
     evaluate_scenario,
     make_scenario,
@@ -38,26 +27,13 @@ from .fields import (
     scenario_report,
 )
 from .kato import fuzz_hodge_inequality, fuzz_operator_inequality
-from .projections import (
-    clifford_projection,
-    conformity_report,
-    contraction_projection,
-    exterior_projection,
-    interior_projection,
-    symmetrization_projection,
-    twistor_projection,
-)
+from .projections import DEFAULT_CONFORMITY_TOL, conformity_table, exact_to_json
 from .symbols import (
-    catalog,
+    DEFAULT_DIRECTIONS,
     ellipticity_constant,
-    exact_to_json,
     parse_op_string,
-    quasi_unit_covectors,
-    symbol_at,
+    twistor_symbol_rows,
 )
-
-DEFAULT_TABLE_TOL = 1e-10
-TWISTOR_SYMBOL_SAMPLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -84,67 +60,6 @@ def _write_report(args, payload: dict, header, rows) -> None:
 
 # ---------------------------------------------------------------------------
 # conformity table
-
-
-_FAMILIES = {
-    # builder, verified degree window, declared rho^2
-    "exterior": (exterior_projection, lambda n: range(0, n),
-                 lambda n, k: Fraction(k + 1)),
-    "interior": (interior_projection, lambda n: range(1, n + 1),
-                 lambda n, k: Fraction(n - k + 1)),
-    "symmetrization": (symmetrization_projection, lambda n: range(1, n),
-                       lambda n, k: Fraction((k + 1) ** 2)),
-    "contraction": (contraction_projection, lambda n: range(1, n),
-                    lambda n, k: Fraction(n + k - 1, k)),
-}
-
-
-def _conformity_row(family: str, n: int, k, P, declared, tolerance: float) -> dict:
-    rep = conformity_report(P, tol=tolerance)
-    gap = abs(rep.rho_squared - float(declared)) / float(declared)
-    return {
-        "family": family, "n": n, "k": k,
-        "declared": exact_to_json(declared),
-        "measured": rep.rho_squared,
-        "residual": max(rep.residual, gap),
-        "ok": bool(rep.certified and gap <= tolerance),
-    }
-
-
-def conformity_table(max_n: int, tolerance: float) -> list:
-    """One row per catalog projection for every dimension up to max_n."""
-    rows = []
-    for n in range(2, max_n + 1):
-        for family, (build, degrees, declared) in _FAMILIES.items():
-            for k in degrees(n):
-                rows.append(_conformity_row(family, n, k, build(n, k),
-                                            declared(n, k), tolerance))
-        rows.append(_conformity_row("clifford", n, None, clifford_projection(n),
-                                    Fraction(n), tolerance))
-        rows.append(_conformity_row("twistor", n, None, twistor_projection(n),
-                                    Fraction(1), tolerance))
-    return rows
-
-
-def twistor_symbol_rows(max_n: int, tolerance: float,
-                        samples: int = TWISTOR_SYMBOL_SAMPLES) -> list:
-    """Pointwise twistor symbol law: P_v* P_v is ((n-1)/n) * identity."""
-    rows = []
-    for n in range(2, max_n + 1):
-        op = catalog("twistor", n)
-        target = (n - 1) / n
-        worst = 0.0
-        for v in quasi_unit_covectors(n, samples):
-            M = symbol_at(op, v).matrix
-            dev = np.linalg.norm(M.conj().T @ M - target * np.eye(M.shape[1]), 2)
-            worst = max(worst, float(dev) / target)
-        rows.append({
-            "family": "twistor-symbol", "n": n, "k": None,
-            "declared": exact_to_json(Fraction(n - 1, n)),
-            "measured": None, "residual": worst,
-            "ok": bool(worst <= tolerance),
-        })
-    return rows
 
 
 def _cmd_projections_verify(args) -> int:
@@ -186,22 +101,20 @@ def _cmd_ellipticity(args) -> int:
     op = parse_op_string(args.op)
     result = ellipticity_constant(op, coarse_samples=args.coarse,
                                   refine_steps=args.refine)
-    matches = result.matches_declared()
     payload = {
         "command": "ellipticity",
         "version": __version__,
         "op": args.op,
         **result.to_json_dict(),
         "rho_squared": exact_to_json(op.rho_squared),
-        "matches_declared": matches,
     }
     header = ["op", "epsilon", "declared", "matches", "method",
               "invariant", "samples", "refinement_steps"]
-    row = [args.op, result.epsilon, exact_to_json(result.declared),
-           matches, result.method, result.invariant, result.samples,
-           result.refinement_steps]
+    row = [payload[key] for key in ("op", "epsilon", "declared_epsilon",
+                                    "matches_declared", "method", "invariant",
+                                    "samples", "refinement_steps")]
     _write_report(args, payload, header, [row])
-    return 0 if matches is not False else 1
+    return 0 if payload["matches_declared"] is not False else 1
 
 
 # ---------------------------------------------------------------------------
@@ -295,55 +208,35 @@ def _cmd_field_run(args) -> int:
 
 def _cmd_suite_all(args) -> int:
     components = []
-    table_rows = conformity_table(3, DEFAULT_TABLE_TOL)
-    table_rows += twistor_symbol_rows(3, DEFAULT_TABLE_TOL)
-    components.append({
-        "component": "projections",
-        "name": "conformity-table-max-n-3",
-        "passed": all(r["ok"] for r in table_rows),
-        "detail": {"rows": len(table_rows)},
-    })
+
+    def add(component, name, passed, **detail):
+        components.append({"component": component, "name": name,
+                           "passed": passed, "detail": detail})
+
+    table_rows = conformity_table(3, DEFAULT_CONFORMITY_TOL)
+    table_rows += twistor_symbol_rows(3, DEFAULT_CONFORMITY_TOL)
+    add("projections", "conformity-table-max-n-3",
+        all(r["ok"] for r in table_rows), rows=len(table_rows))
     for spec in ("dirac:3", "twistor:3", "hodge:4:2"):
-        op = parse_op_string(spec)
-        result = ellipticity_constant(op)
-        components.append({
-            "component": "ellipticity",
-            "name": spec,
-            "passed": result.matches_declared() is not False,
-            "detail": {"epsilon": result.epsilon, "method": result.method},
-        })
+        result = ellipticity_constant(parse_op_string(spec))
+        add("ellipticity", spec, result.matches_declared() is not False,
+            epsilon=result.epsilon, method=result.method)
     for i, spec in enumerate(("dirac:3", "twistor:4")):
-        op = parse_op_string(spec)
-        rep = fuzz_operator_inequality(op, 20000, args.seed + i)
-        components.append({
-            "component": "kato-fuzz",
-            "name": f"foldo {spec}",
-            "passed": rep.passed,
-            "detail": {"violations": rep.violations,
-                       "min_relative_margin": rep.min_relative_margin},
-        })
+        rep = fuzz_operator_inequality(parse_op_string(spec), 20000, args.seed + i)
+        add("kato-fuzz", f"foldo {spec}", rep.passed, violations=rep.violations,
+            min_relative_margin=rep.min_relative_margin)
     rep = fuzz_hodge_inequality(4, 2, 1, 20000, args.seed + 7)
-    components.append({
-        "component": "kato-fuzz",
-        "name": "hodge 4:2",
-        "passed": rep.passed,
-        "detail": {"violations": rep.violations,
-                   "min_relative_margin": rep.min_relative_margin},
-    })
+    add("kato-fuzz", "hodge 4:2", rep.passed, violations=rep.violations,
+        min_relative_margin=rep.min_relative_margin)
     for j, (name, n, k) in enumerate((("generic-form", 3, 2),
                                       ("closed-form", 3, 2),
                                       ("yang-mills-F", 4, 2),
                                       ("dirac-spinor", 3, None),
                                       ("twistor-spinor", 3, None))):
         rep = run_scenario(name, n, k=k, points=2000, seed=args.seed + 10 + j)
-        components.append({
-            "component": "field",
-            "name": f"{name} n={n}",
-            "passed": rep.passed,
-            "detail": {"violations": rep.violations,
-                       "min_relative_margin": rep.min_relative_margin,
-                       "symbol_residual": rep.symbol_residual},
-        })
+        add("field", f"{name} n={n}", rep.passed, violations=rep.violations,
+            min_relative_margin=rep.min_relative_margin,
+            symbol_residual=rep.symbol_residual)
     passed = all(c["passed"] for c in components)
     payload = {
         "command": "suite all",
@@ -419,15 +312,17 @@ def build_parser():
     proj_sub = proj.add_subparsers(dest="subcommand", required=True)
     pv = proj_sub.add_parser("verify", help="conformity table of the catalog")
     pv.add_argument("--max-n", type=int, default=6)
-    pv.add_argument("--tolerance", type=float, default=DEFAULT_TABLE_TOL)
+    pv.add_argument("--tolerance", type=float, default=DEFAULT_CONFORMITY_TOL)
     _add_common(pv)
     pv.set_defaults(handler=_cmd_projections_verify)
 
     el = sub.add_parser("ellipticity", help="measure an ellipticity constant")
     el.add_argument("--op", required=True,
                     help="operator as name:n[:k], e.g. dirac:3 or hodge:4:2")
-    el.add_argument("--coarse", type=int, default=256)
-    el.add_argument("--refine", type=int, default=20)
+    el.add_argument("--coarse", type=int, default=DEFAULT_DIRECTIONS,
+                    help="directions swept, for the invariance test and the search")
+    el.add_argument("--refine", type=int, default=20,
+                    help="rounds of the local search when the symbol is not invariant")
     _add_common(el)
     el.set_defaults(handler=_cmd_ellipticity)
 
@@ -482,13 +377,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         code = e.code
         return 0 if code is None else int(code) if str(code).isdigit() else 2
-    except (ConfigError, UnknownName, UnknownScenario, BadDegree, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (NotSurjective, NotConformal) as e:
         print(f"verification error: {e}", file=sys.stderr)
         return 1
-    except VerificationError as e:
+    except (VerificationError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

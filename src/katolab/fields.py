@@ -175,14 +175,6 @@ def random_field(n: int, fiber_dim: int, mode_count: int, max_freq: int,
 # form calculus at the coefficient level
 
 
-def _split_form_fiber(f: TrigField, k: int, extra_dim: int):
-    dim_k = math.comb(f.n, k)
-    if f.fiber_dim != dim_k * extra_dim:
-        raise FiberMismatch(
-            f"fiber dim {f.fiber_dim} is not C({f.n},{k}) * {extra_dim}")
-    return dim_k
-
-
 def _form_derivative(f: TrigField, k: int, extra_dim: int, up: bool) -> TrigField:
     """d (up) or the codifferential of a degree-k form field, per frequency.
 
@@ -191,7 +183,8 @@ def _form_derivative(f: TrigField, k: int, extra_dim: int, up: bool) -> TrigFiel
     its signs, negated for the codifferential.
     """
     n = f.n
-    _split_form_fiber(f, k, extra_dim)
+    if f.fiber_dim != math.comb(n, k) * extra_dim:
+        raise FiberMismatch(f"fiber dim {f.fiber_dim} is not C({n},{k}) * {extra_dim}")
     degree = k + 1 if up else k - 1
     labels_out = exterior_power(n, degree).labels if 0 <= degree <= n else []
     pos = {lab: j for j, lab in enumerate(labels_out)}
@@ -222,19 +215,6 @@ def coderivative(f: TrigField, k: int, extra_dim: int = 1) -> TrigField:
     """Codifferential of a degree-k form field: minus contraction of the
     derivative, matching the adjoint of d on the flat torus."""
     return _form_derivative(f, k, extra_dim, up=False)
-
-
-def apply_operator(op: OperatorSpec, f: TrigField) -> TrigField:
-    """The operator applied to a section field, at the coefficient level.
-
-    First order with constant coefficients on the flat torus: the value
-    is the full symbol contracted against the derivative of f.
-    """
-    if f.n != op.base_dim or f.fiber_dim != op.domain_fiber.dim:
-        raise FiberMismatch(
-            f"operator {op.name} expects base {op.base_dim} and fiber "
-            f"{op.domain_fiber.dim}, field has ({f.n}, {f.fiber_dim})")
-    return f.gradient().map_fiber(op.full_symbol.matrix)
 
 
 def hodge_star_matrix(n: int, k: int) -> np.ndarray:
@@ -268,13 +248,11 @@ def sample_points(n: int, count: int) -> np.ndarray:
     q = max(2, math.ceil(count ** (1.0 / n)))
     while q ** n < count:
         q += 1
-    axes = []
-    for j in range(n):
-        off = math.modf(_GOLDEN * (j + 1))[0]
-        axes.append((np.arange(q) + off) * (2.0 * math.pi / q))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    return X[:count]
+    # the first count rows of the row-major q^n mesh, without building it
+    index = np.unravel_index(np.arange(count), (q,) * n)
+    offsets = [math.modf(_GOLDEN * (j + 1))[0] for j in range(n)]
+    return np.stack([(index[j] + offsets[j]) * (2.0 * math.pi / q) for j in range(n)],
+                    axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +409,9 @@ def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
         r1 = float(np.max(np.linalg.norm(d_vals - eps_grad, axis=1)))
         r2 = float(np.max(np.linalg.norm(cod_vals + iota_grad, axis=1)))
         return max(r1, r2) / ref
-    op_vals = apply_operator(sc.operator, f).evaluate(points)
+    # first order with constant coefficients: the operator is its full
+    # symbol applied to the coefficients of the gradient
+    op_vals = f.gradient().map_fiber(sc.operator.full_symbol.matrix).evaluate(points)
     sym_vals = grad_vals @ sc.operator.full_symbol.matrix.T
     return float(np.max(np.linalg.norm(op_vals - sym_vals, axis=1))) / ref
 

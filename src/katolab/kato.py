@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadConstants, BadDegree, NotUnit, ZeroOperator, ZeroSection
-from .linmap import LinearMap, orthonormal_complement
+from .linmap import LinearMap
 from .projections import (
     conformity_factor,
     exterior_projection,
@@ -311,14 +311,12 @@ def verify_spectral_bounds(op: OperatorSpec, xi0,
     n, dE = op.base_dim, op.domain_fiber.dim
     rho2, eps = operator_constants(op)
     F1 = line_image_basis(op.full_symbol, xi0, dE)
-    P1 = (F1.conj().T @ op.full_symbol.matrix).reshape(-1, n, dE)
-    # covector slot in the frame (xi0, W): column 0 is the line part
-    W = orthonormal_complement(xi0[:, None].astype(complex), n).real
-    framed = np.einsum("rie,ij->rje", P1, np.column_stack([xi0, W]))
-    T = framed[:, 0]
-    H = framed[:, 1:].reshape(framed.shape[0], (n - 1) * dE)
+    P1 = F1.conj().T @ op.full_symbol.matrix
+    # T is P1 on the line part; the perp Gram is P1 P1* - T T*, since any
+    # orthonormal frame of covectors completes xi0
+    T = np.tensordot(P1.reshape(-1, n, dE), xi0, axes=([1], [0]))
     tt = T @ T.conj().T
-    hh = H @ H.conj().T
+    hh = P1 @ P1.conj().T - tt
     min_line = float(np.linalg.eigvalsh(tt)[0]) if tt.size else 0.0
     max_perp = float(np.linalg.eigvalsh(hh)[-1]) if hh.size else 0.0
     return SpectralBounds(min_line, max_perp, eps, rho2, tol)
@@ -410,12 +408,12 @@ def _rsq(x: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
 # the two-component key lemma
 
 
-def _restricted_top_eigenvalue(C: LinearMap, sub_basis: np.ndarray) -> float:
+def _restricted_gram(C: LinearMap, sub_basis: np.ndarray):
+    """C on the component spanned by the orthonormal columns of sub_basis,
+    its Gram C C* there, and the Gram's top eigenvalue (0 when empty)."""
     Chat = C.matrix @ sub_basis
     G = Chat @ Chat.conj().T
-    if G.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(G)[-1])
+    return Chat, G, float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -445,7 +443,7 @@ def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
     lives in; the spectral bound is the measured top eigenvalue of the
     restriction of C C* to that component.
     """
-    a = _restricted_top_eigenvalue(C, sub_basis)
+    a = _restricted_gram(C, sub_basis)[2]
     out = _key_lemma_margins(C.matrix, a, _row(u1), _row(u2), c)
     return _row_verdict("key-lemma", out, c, None, seed)
 
@@ -458,12 +456,10 @@ def equality_witness(C: LinearMap, sub_basis: np.ndarray):
     which equals the top eigenvalue up to rounding.  Raises ZeroOperator
     when the restriction is (numerically) zero.
     """
-    Chat = C.matrix @ sub_basis
-    G = Chat @ Chat.conj().T
-    if G.size == 0 or np.linalg.norm(G, 2) <= 1e-12:
+    Chat, G, top = _restricted_gram(C, sub_basis)
+    if top <= 1e-12:
         raise ZeroOperator("restricted map is zero; no equality witness exists")
-    vals, vecs = np.linalg.eigh(G)
-    y = vecs[:, -1]
+    y = np.linalg.eigh(G)[1][:, -1]
     u2 = sub_basis @ (Chat.conj().T @ y)
     u2 = u2 / np.linalg.norm(u2)
     ratio = float(np.linalg.norm(C.apply(u2)) ** 2)
@@ -837,7 +833,7 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
     A forced_fraction slice gets u1 adjusted so C(u1 + u2) = 0 exactly
     (up to least squares rounding), exercising the vanishing branch.
     """
-    a = _restricted_top_eigenvalue(C, sub_basis)
+    a = _restricted_gram(C, sub_basis)[2]
     pinv = np.linalg.pinv(C.matrix)
     starts = range(0, chunk, _LEMMA_BLOCK)
 

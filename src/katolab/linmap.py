@@ -84,14 +84,3 @@ def gram_schmidt_columns(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         return np.zeros((M.shape[0], 0), dtype=np.complex128)
     return np.column_stack(basis)
 
-
-def orthonormal_complement(B: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
-    """Complete the orthonormal columns of B to a basis of C^dim.
-
-    Runs Gram-Schmidt over the identity columns against B; the result
-    spans the orthogonal complement of the column space of B.
-    """
-    if B.shape[0] != dim:
-        raise ValueError("ambient dimension mismatch")
-    full = gram_schmidt_columns(np.hstack([B, np.eye(dim)]), tol)
-    return full[:, B.shape[1]:]

@@ -5,20 +5,23 @@ positive multiple rho^2 of the identity on W; its adjoint is then a
 conformal immersion.  The catalog covers the first-order geometric
 symbols used everywhere downstream:
 
-    exterior_projection(n, k)        f (x) w        -> f ^ w           rho^2 = k + 1
-    interior_projection(n, k)        f (x) w        -> contract(f, w)  rho^2 = n - k + 1
-    symmetrization_projection(n, k)  f (x) A        -> sym insert      rho^2 = (k + 1)^2
-    contraction_projection(n, k)     f (x) A        -> A(f, ...)       rho^2 = (n + k - 1) / k
-    clifford_projection(n)           f (x) s        -> c_f(s)          rho^2 = n
-    twistor_projection(n)            f (x) s        -> ker-c part      rho^2 = 1
+    exterior_projection(n, k)        f (x) w        -> f ^ w
+    interior_projection(n, k)        f (x) w        -> contract(f, w)
+    symmetrization_projection(n, k)  f (x) A        -> sym insert
+    contraction_projection(n, k)     f (x) A        -> A(f, ...)
+    clifford_projection(n)           f (x) s        -> c_f(s)
+    twistor_projection(n)            f (x) s        -> ker-c part
 
 All live on V* tensor (fiber) with V* the n-dimensional covector space.
-Matrix entries of the wedge and symmetric constructions are assembled
+FAMILIES declares each family's degree window and exact rho^2.  Matrix
+entries of the wedge and symmetric constructions are assembled
 combinatorially; conformity is then measured, never assumed.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import sqrt
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .spaces import (
     fiber_space,
     multiset_insert,
     multiset_remove,
-    multiplicity,
     symmetric_power,
     tensor_product,
     wedge_delete,
@@ -84,7 +86,7 @@ def symmetrization_projection(n: int, k: int) -> LinearMap:
 
     def entry(i, a):
         b = multiset_insert(i, a)
-        return sqrt((k + 1) * multiplicity(b, i)), b
+        return sqrt((k + 1) * b.count(i)), b
 
     return _insertion_map(n, symmetric_power(n, k), symmetric_power(n, k + 1), entry)
 
@@ -98,7 +100,7 @@ def contraction_projection(n: int, k: int) -> LinearMap:
         raise BadDegree(f"contraction needs k >= 1, got k={k}")
     return _insertion_map(
         n, symmetric_power(n, k), symmetric_power(n, k - 1),
-        lambda i, a: (sqrt(multiplicity(a, i) / k), multiset_remove(i, a)) if i in a else None)
+        lambda i, a: (sqrt(a.count(i) / k), multiset_remove(i, a)) if i in a else None)
 
 
 def clifford_projection(n: int) -> LinearMap:
@@ -139,6 +141,32 @@ def twistor_projection(n: int) -> LinearMap:
         )
     cod = fiber_space((n - 1) * dS, "twistor")
     return LinearMap(dom, cod, B.conj().T)
+
+
+class Family(NamedTuple):
+    """A projection family: build(n, k), the degrees k it is verified in at
+    dimension n ((None,) for a family without a degree), and the declared
+    exact rho^2(n, k)."""
+
+    build: Callable
+    degrees: Callable
+    rho_squared: Callable
+
+
+FAMILIES = {
+    "exterior": Family(exterior_projection, lambda n: range(0, n),
+                       lambda n, k: Fraction(k + 1)),
+    "interior": Family(interior_projection, lambda n: range(1, n + 1),
+                       lambda n, k: Fraction(n - k + 1)),
+    "symmetrization": Family(symmetrization_projection, lambda n: range(1, n),
+                             lambda n, k: Fraction((k + 1) ** 2)),
+    "contraction": Family(contraction_projection, lambda n: range(1, n),
+                          lambda n, k: Fraction(n + k - 1, k)),
+    "clifford": Family(lambda n, k: clifford_projection(n), lambda n: (None,),
+                       lambda n, k: Fraction(n)),
+    "twistor": Family(lambda n, k: twistor_projection(n), lambda n: (None,),
+                      lambda n, k: Fraction(1)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +228,37 @@ def conformity_factor(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
             residual=rep.residual,
         )
     return rep
+
+
+def exact_to_json(x):
+    """Fractions go out as 'p/q' strings so exactness survives JSON."""
+    if x is None:
+        return None
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    return float(x)
+
+
+def _conformity_row(family: str, n: int, k, P, declared, tolerance: float) -> dict:
+    rep = conformity_report(P, tol=tolerance)
+    gap = abs(rep.rho_squared - float(declared)) / float(declared)
+    return {
+        "family": family, "n": n, "k": k,
+        "declared": exact_to_json(declared),
+        "measured": rep.rho_squared,
+        "residual": max(rep.residual, gap),
+        "ok": bool(rep.certified and gap <= tolerance),
+    }
+
+
+def conformity_table(max_n: int, tolerance: float) -> list:
+    """One row per family and verified degree for every n in 2..max_n."""
+    return [_conformity_row(family, n, k, fam.build(n, k), fam.rho_squared(n, k),
+                            tolerance)
+            for n in range(2, max_n + 1)
+            for family, fam in FAMILIES.items() for k in fam.degrees(n)]
 
 
 def line_image_basis(P: LinearMap, xi: np.ndarray, fiber_dim: int,

@@ -143,6 +143,3 @@ def multiset_remove(i: int, a: tuple):
     pos = a.index(i)
     return a[:pos] + a[pos + 1:]
 
-
-def multiplicity(a: tuple, i: int) -> int:
-    return a.count(i)

@@ -9,9 +9,9 @@ constant is
 
 infimum over the unit sphere of covectors.  For every catalog symbol the
 spectrum of P_xi* P_xi does not depend on xi, which turns the infimum
-into one exact eigenvalue computation; the generic fallback is a
-deterministic quasi-uniform sphere sweep plus local refinement and is
-reported as an upper bound.
+into one exact eigenvalue computation.  One deterministic quasi-uniform
+sphere sweep decides that; when it fails, the sweep seeds a local
+refinement whose result is reported as an upper bound.
 """
 
 from dataclasses import dataclass
@@ -23,10 +23,10 @@ import numpy as np
 from .errors import BadDegree, UnknownName, ZeroCovector
 from .linmap import LinearMap, identity_map, stack_maps
 from .projections import (
-    clifford_projection,
+    FAMILIES,
+    exact_to_json,
     exterior_projection,
     interior_projection,
-    twistor_projection,
 )
 from .spaces import (
     SpaceDescriptor,
@@ -38,10 +38,9 @@ from .spaces import (
 )
 from .clifford import spinor_space
 
-CATALOG_NAMES = ("connection", "dirac", "twistor", "hodge",
-                 "exterior-only", "interior-only")
-
 INVARIANCE_TOL = 1e-8
+DEFAULT_DIRECTIONS = 32
+TWISTOR_SYMBOL_SAMPLES = 64
 
 
 @dataclass(eq=False)
@@ -68,17 +67,6 @@ class OperatorSpec:
         )
 
 
-def exact_to_json(x):
-    """Fractions go out as 'p/q' strings so exactness survives JSON."""
-    if x is None:
-        return None
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return float(x)
-
-
 def symbol_at(op: OperatorSpec, xi) -> LinearMap:
     """Directional symbol P_xi : E -> F for a nonzero real covector xi."""
     xi = np.asarray(xi, dtype=float)
@@ -90,9 +78,11 @@ def symbol_at(op: OperatorSpec, xi) -> LinearMap:
     return LinearMap(op.domain_fiber, op.target, m)
 
 
-def principal_square(op: OperatorSpec, xi) -> np.ndarray:
-    p = symbol_at(op, xi).matrix
-    return p.conj().T @ p
+def principal_squares(op: OperatorSpec, xis) -> np.ndarray:
+    """The (m, dE, dE) stack of P_xi* P_xi for an (m, n) block of covectors."""
+    p = np.tensordot(np.asarray(xis, dtype=float), op.symbol_tensor(),
+                     axes=([1], [1]))
+    return p.conj().transpose(0, 2, 1) @ p
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +115,7 @@ def quasi_unit_covectors(n: int, count: int) -> np.ndarray:
     if n < 1 or count < 1:
         raise ValueError("need n >= 1 and count >= 1")
     if n == 1:
-        return np.array([[1.0 if j % 2 == 0 else -1.0] for j in range(count)])
+        return np.where(np.arange(count) % 2 == 0, 1.0, -1.0)[:, None]
     d = 2 * ((n + 1) // 2)
     phi = _generalized_golden(d)
     alpha = np.array([phi ** -(i + 1) for i in range(d)])
@@ -144,26 +134,6 @@ def quasi_unit_covectors(n: int, count: int) -> np.ndarray:
         g[degenerate, 0] = 1.0
         norms = np.linalg.norm(g, axis=1)
     return g / norms[:, None]
-
-
-def _sorted_square_spectrum(op: OperatorSpec, xi) -> np.ndarray:
-    return np.linalg.eigvalsh(principal_square(op, xi))
-
-
-def invariance_deviation(op: OperatorSpec, sample_count: int = 32) -> float:
-    """Largest spectral deviation of P_xi* P_xi across sampled directions."""
-    ref = _sorted_square_spectrum(op, unit_covector(op.base_dim))
-    worst = 0.0
-    for xi in quasi_unit_covectors(op.base_dim, sample_count):
-        dev = float(np.max(np.abs(_sorted_square_spectrum(op, xi) - ref)))
-        worst = max(worst, dev)
-    return worst
-
-
-def invariance_check(op: OperatorSpec, sample_count: int = 32,
-                     tol: float = INVARIANCE_TOL) -> bool:
-    """True when the symbol spectrum is direction-independent to tol."""
-    return invariance_deviation(op, sample_count) <= tol
 
 
 @dataclass(frozen=True)
@@ -200,54 +170,79 @@ def _tangent_basis(xi: np.ndarray) -> np.ndarray:
     return q[:, 1:n]
 
 
-def ellipticity_constant(op: OperatorSpec, coarse_samples: int = 256,
-                         refine_steps: int = 20,
-                         invariance_samples: int = 32) -> EllipticityResult:
+def ellipticity_constant(op: OperatorSpec,
+                         coarse_samples: int = DEFAULT_DIRECTIONS,
+                         refine_steps: int = 20) -> EllipticityResult:
     """Injective ellipticity constant of the symbol.
 
-    Direction-invariant symbols resolve exactly at xi = e_1*.  Otherwise
-    a quasi-uniform sweep of coarse_samples directions seeds a local
-    search (probes along tangent directions with a quadratic vertex
-    guess and shrinking radius); that branch is an upper bound and says
-    so in its method field.
+    One quasi-uniform sweep of coarse_samples directions is compared with
+    the spectrum at xi = e_1*.  A direction-invariant symbol resolves
+    exactly there.  Otherwise the sweep's best direction seeds a local
+    search of refine_steps rounds (probes along tangent directions with a
+    quadratic vertex guess and shrinking radius); that branch is an upper
+    bound and says so in its method field.
     """
     n = op.base_dim
 
-    def lam_min(xi):
-        return float(_sorted_square_spectrum(op, xi)[0])
+    def lam_min(xis):
+        return np.linalg.eigvalsh(principal_squares(op, xis))[:, 0]
 
-    if invariance_check(op, invariance_samples):
-        e1 = unit_covector(n)
-        return EllipticityResult(lam_min(e1), tuple(e1), True,
-                                 invariance_samples, 0, "invariant-exact",
-                                 op.epsilon)
+    e1 = unit_covector(n)
+    ref = np.linalg.eigvalsh(principal_squares(op, e1[None]))[0]
     pts = quasi_unit_covectors(n, coarse_samples)
-    vals = np.array([lam_min(xi) for xi in pts])
-    best = int(np.argmin(vals))
-    xi, val = pts[best].copy(), float(vals[best])
+    # blocks of about 2^18 symbol entries keep memory flat in coarse_samples
+    block = max(1, 2 ** 18 // (op.target.dim * op.domain_fiber.dim))
+    lows, worst = [], 0.0
+    for i in range(0, coarse_samples, block):
+        spectra = np.linalg.eigvalsh(principal_squares(op, pts[i:i + block]))
+        lows.append(spectra[:, 0])
+        worst = max(worst, float(np.max(np.abs(spectra - ref))))
+    if worst <= INVARIANCE_TOL:
+        return EllipticityResult(float(ref[0]), tuple(e1), True, coarse_samples,
+                                 0, "invariant-exact", op.epsilon)
+    lows = np.concatenate(lows)
+    best = int(np.argmin(lows))
+    xi, val = pts[best].copy(), float(lows[best])
     radius = 0.4
     for _ in range(refine_steps):
         moved = False
         for t in _tangent_basis(xi).T:
-            probes = []
-            for s in (radius, -radius):
-                cand = xi + s * t
-                cand /= np.linalg.norm(cand)
-                probes.append((lam_min(cand), cand))
-            fp, fm = probes[0][0], probes[1][0]
+            cands = xi + np.outer((radius, -radius), t)
+            cands /= np.linalg.norm(cands, axis=1)[:, None]
+            fp, fm = lam_min(cands)
+            probes = [(fp, cands[0]), (fm, cands[1])]
             denom = fp + fm - 2.0 * val
             if denom > 1e-15:
                 sv = 0.5 * radius * (fm - fp) / denom
                 cand = xi + np.clip(sv, -radius, radius) * t
                 cand /= np.linalg.norm(cand)
-                probes.append((lam_min(cand), cand))
+                probes.append((lam_min(cand[None])[0], cand))
             pv, pxi = min(probes, key=lambda q: q[0])
             if pv < val:
-                val, xi, moved = pv, pxi, True
+                val, xi, moved = float(pv), pxi, True
         if not moved:
             radius *= 0.5
     return EllipticityResult(val, tuple(xi), False, coarse_samples,
                              refine_steps, "sampled-upper-bound", op.epsilon)
+
+
+def twistor_symbol_rows(max_n: int, tolerance: float,
+                        samples: int = TWISTOR_SYMBOL_SAMPLES) -> list:
+    """Pointwise twistor symbol law: P_v* P_v is ((n-1)/n) * identity."""
+    rows = []
+    for n in range(2, max_n + 1):
+        op = catalog("twistor", n)
+        target = float(op.epsilon)
+        S = principal_squares(op, quasi_unit_covectors(n, samples))
+        dev = np.linalg.norm(S - target * np.eye(S.shape[1]), 2, axis=(1, 2))
+        worst = float(np.max(dev)) / target
+        rows.append({
+            "family": "twistor-symbol", "n": n, "k": None,
+            "declared": exact_to_json(op.epsilon),
+            "measured": None, "residual": worst,
+            "ok": bool(worst <= tolerance),
+        })
+    return rows
 
 
 def twist(op: OperatorSpec, extra_fiber: SpaceDescriptor) -> OperatorSpec:
@@ -275,8 +270,15 @@ def twist(op: OperatorSpec, extra_fiber: SpaceDescriptor) -> OperatorSpec:
     )
 
 
-def default_hodge_weights(n: int, k: int) -> tuple:
-    return 1.0 / sqrt(k + 1), 1.0 / sqrt(n - k + 1)
+# catalog operators that are one projection family's map: (family, domain
+# fiber at (n, k), declared epsilon at (n, k))
+_FAMILY_OPERATORS = {
+    "dirac": ("clifford", lambda n, k: spinor_space(n), lambda n, k: Fraction(1)),
+    "twistor": ("twistor", lambda n, k: spinor_space(n),
+                lambda n, k: Fraction(n - 1, n)),
+    "exterior-only": ("exterior", exterior_power, lambda n, k: Fraction(int(k == 0))),
+    "interior-only": ("interior", exterior_power, lambda n, k: Fraction(int(k == n))),
+}
 
 
 def catalog(name: str, n: int, k: int | None = None, weights=None,
@@ -285,19 +287,23 @@ def catalog(name: str, n: int, k: int | None = None, weights=None,
 
     connection      identity symbol on an auxiliary fiber (dim fiber_dim,
                     default 2); rho^2 = 1, epsilon = 1.
-    dirac           Clifford action on spinors; rho^2 = n, epsilon = 1.
-    twistor         kernel-of-Clifford projection; rho^2 = 1,
+    dirac           Clifford action on spinors (clifford family);
+                    epsilon = 1.
+    twistor         kernel-of-Clifford projection (twistor family);
                     epsilon = (n-1)/n.  Needs n >= 2.
     hodge           weighted stack of wedge and contraction on degree-k
-                    forms, 1 <= k <= n-1; default weights
-                    (1/sqrt(k+1), 1/sqrt(n-k+1)) make it conformal with
-                    rho^2 = 1 and epsilon = min(1/(k+1), 1/(n-k+1)).
+                    forms, 1 <= k <= n-1; default weights 1/sqrt of the
+                    exterior and interior rho^2 make it conformal with
+                    rho^2 = 1 and epsilon the smaller inverse of the two.
                     Custom weights are allowed and generally break
                     conformity; they are reported, not declared.
-    exterior-only   plain wedge symbol; rho^2 = k+1, injectively
+    exterior-only   plain wedge symbol (exterior family); injectively
                     elliptic only in degree 0.
-    interior-only   plain contraction symbol; rho^2 = n-k+1, injectively
-                    elliptic only in degree n.
+    interior-only   plain contraction symbol (interior family);
+                    injectively elliptic only in degree n.
+
+    The family operators take rho^2 and their degree window from their
+    row of projections.FAMILIES; a k outside that window raises BadDegree.
     """
     if name == "connection":
         d = 2 if fiber_dim is None else fiber_dim
@@ -307,48 +313,37 @@ def catalog(name: str, n: int, k: int | None = None, weights=None,
         dom = tensor_product((dual_space(n), E))
         return OperatorSpec("connection", n, E, dom, identity_map(dom),
                             Fraction(1), Fraction(1))
-    if name == "dirac":
-        P = clifford_projection(n)
-        return OperatorSpec("dirac", n, spinor_space(n), P.codomain, P,
-                            Fraction(n), Fraction(1))
-    if name == "twistor":
-        P = twistor_projection(n)
-        return OperatorSpec("twistor", n, spinor_space(n), P.codomain, P,
-                            Fraction(1), Fraction(n - 1, n))
     if name == "hodge":
         if k is None:
             raise BadDegree("hodge symbol needs a degree k")
         if k < 1 or k > n - 1:
             raise BadDegree(f"hodge symbol needs 1 <= k <= {n - 1}, got k={k}")
-        a, b = default_hodge_weights(n, k) if weights is None else weights
+        up, down = (FAMILIES[f].rho_squared(n, k) for f in ("exterior", "interior"))
+        a, b = (1.0 / sqrt(up), 1.0 / sqrt(down)) if weights is None else weights
         wedge = exterior_projection(n, k).scale(a)
         contr = interior_projection(n, k).scale(b)
         target = direct_sum((exterior_power(n, k + 1), exterior_power(n, k - 1)))
         sym = stack_maps((wedge, contr), target)
         if weights is None:
-            rho2 = Fraction(1)
-            eps = min(Fraction(1, k + 1), Fraction(1, n - k + 1))
+            rho2, eps = Fraction(1), min(1 / up, 1 / down)
         else:
-            up, down = a * a * (k + 1), b * b * (n - k + 1)
+            up, down = a * a * up, b * b * down
             rho2 = up if abs(up - down) <= 1e-12 * max(up, down) else None
             eps = min(a * a, b * b)
         return OperatorSpec("hodge", n, exterior_power(n, k), target, sym,
                             rho2, eps)
-    if name == "exterior-only":
-        if k is None or k < 0 or k > n - 1:
-            raise BadDegree(f"exterior-only needs 0 <= k <= {n - 1}, got k={k}")
-        P = exterior_projection(n, k)
-        eps = Fraction(1) if k == 0 else Fraction(0)
-        return OperatorSpec("exterior-only", n, exterior_power(n, k),
-                            P.codomain, P, Fraction(k + 1), eps)
-    if name == "interior-only":
-        if k is None or k < 1 or k > n:
-            raise BadDegree(f"interior-only needs 1 <= k <= {n}, got k={k}")
-        P = interior_projection(n, k)
-        eps = Fraction(1) if k == n else Fraction(0)
-        return OperatorSpec("interior-only", n, exterior_power(n, k),
-                            P.codomain, P, Fraction(n - k + 1), eps)
-    raise UnknownName(f"no catalog operator named {name!r}")
+    if name not in _FAMILY_OPERATORS:
+        raise UnknownName(f"no catalog operator named {name!r}")
+    family, fiber, eps = _FAMILY_OPERATORS[name]
+    fam = FAMILIES[family]
+    window = fam.degrees(n)
+    if k not in window:
+        wanted = ("no degree" if None in window
+                  else f"{window.start} <= k <= {window.stop - 1}")
+        raise BadDegree(f"{name} at n={n} takes {wanted}, got k={k}")
+    P = fam.build(n, k)
+    return OperatorSpec(name, n, fiber(n, k), P.codomain, P,
+                        fam.rho_squared(n, k), eps(n, k))
 
 
 def parse_op_string(text: str) -> OperatorSpec:

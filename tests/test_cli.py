@@ -71,6 +71,27 @@ def test_ellipticity_known_value(capsys):
     assert payload["declared_epsilon"] == "2/3"
 
 
+@pytest.mark.parametrize("coarse", ["1", "500"])
+def test_ellipticity_reports_its_flags(capsys, coarse):
+    code, out, _ = _run(capsys, "ellipticity", "--op", "hodge:2:1",
+                        "--coarse", coarse, "--refine", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "invariant-exact"
+    assert (payload["samples"], payload["refinement_steps"]) == (int(coarse), 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["ellipticity", "--op", "dirac:3:5"],
+    ["kato", "fuzz", "--theorem", "foldo", "--op", "twistor:3:9", "--samples", "100"],
+])
+def test_surplus_operator_field_is_config_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "takes no degree" in err
+
+
 def test_ellipticity_unknown_op(capsys):
     code, _, err = _run(capsys, "ellipticity", "--op", "nonsense:3")
     assert code == 2

@@ -8,6 +8,7 @@ codifferential is testable to rounding.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from katolab.fields import (
     PhaseTable,
     Scenario,
     TrigField,
-    apply_operator,
     closedness_residual,
     coderivative,
     exterior_derivative,
@@ -159,16 +159,9 @@ def test_operator_application_matches_symbol_on_gradient():
         op = catalog(name, n)
         f = random_field(n, op.domain_fiber.dim, 6, 3, rng)
         X = sample_points(n, 150)
-        lhs = apply_operator(op, f).evaluate(X)
+        lhs = f.gradient().map_fiber(op.full_symbol.matrix).evaluate(X)
         rhs = f.gradient().evaluate(X) @ op.full_symbol.matrix.T
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-def test_apply_operator_rejects_wrong_fiber():
-    op = catalog("dirac", 3)
-    f = random_field(3, op.domain_fiber.dim + 1, 4, 2, np.random.default_rng(8))
-    with pytest.raises(FiberMismatch):
-        apply_operator(op, f)
 
 
 def test_hodge_star_frozen_values():
@@ -201,6 +194,31 @@ def test_sample_points_avoid_lattice_planes():
     # irrational offsets keep coordinates away from exact multiples of pi
     X = sample_points(2, 400)
     assert np.min(np.abs(np.sin(X))) > 1e-3
+
+
+@pytest.mark.parametrize("n,count", [(1, 7), (2, 50), (3, 1000), (4, 37), (5, 1)])
+def test_sample_points_are_the_leading_mesh_rows(n, count):
+    # the first count rows of the full row-major mesh, bit for bit
+    q = max(2, math.ceil(count ** (1.0 / n)))
+    while q ** n < count:
+        q += 1
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    axes = [(np.arange(q) + math.modf(golden * (j + 1))[0]) * (2.0 * math.pi / q)
+            for j in range(n)]
+    mesh = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    assert np.array_equal(sample_points(n, count), mesh[:count])
+
+
+def test_sample_points_memory_is_linear_in_count():
+    # the 2^16-row mesh alone would take 8 MB
+    tracemalloc.start()
+    try:
+        X = sample_points(16, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (10, 16)
+    assert peak < 100_000
 
 
 # ---------------------------------------------------------------------------

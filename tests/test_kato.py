@@ -39,8 +39,9 @@ from katolab.kato import (
     operator_constants,
     verify_spectral_bounds,
     _form_kit,
-    _restricted_top_eigenvalue,
+    _restricted_gram,
 )
+from katolab.projections import line_image_basis
 from katolab.spaces import exterior_power
 from katolab.symbols import catalog
 
@@ -290,6 +291,20 @@ def test_spectral_bounds_hold(name, n, k):
         assert b.max_perp_eigenvalue <= b.rho_squared - b.epsilon + 1e-9
 
 
+@pytest.mark.parametrize("name,n,k", SPECTRAL_OPS)
+def test_perp_gram_matches_an_explicit_frame(name, n, k):
+    # the frameless perp Gram P1 P1* - T T* against P1 on a frame completing xi0
+    op = catalog(name, n, k=k) if k is not None else catalog(name, n)
+    xi = _unit(np.random.default_rng(5), n)
+    dE = op.domain_fiber.dim
+    F1 = line_image_basis(op.full_symbol, xi, dE)
+    P1 = (F1.conj().T @ op.full_symbol.matrix).reshape(-1, n, dE)
+    frame = np.linalg.qr(np.column_stack([xi, np.eye(n)[:, :n - 1]]))[0]
+    H = np.einsum("rie,ij->rje", P1, frame[:, 1:]).reshape(P1.shape[0], -1)
+    framed = float(np.linalg.eigvalsh(H @ H.conj().T)[-1])
+    assert verify_spectral_bounds(op, xi).max_perp_eigenvalue == pytest.approx(framed, abs=1e-12)
+
+
 def test_spectral_bounds_tight_for_dirac():
     # the perp component of the dirac symbol has top eigenvalue exactly
     # rho^2 - epsilon = n - 1
@@ -306,7 +321,7 @@ def test_spectral_bounds_tight_for_dirac():
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2), (5, 3)])
 def test_key_lemma_setups_exact_bounds(n, k):
     for label, C, sub, bound in key_lemma_setups(n, k):
-        measured = _restricted_top_eigenvalue(C, sub)
+        measured = _restricted_gram(C, sub)[2]
         assert measured == pytest.approx(bound, abs=1e-9), label
 
 
@@ -359,7 +374,7 @@ def test_equality_witness_zero_restriction():
 
 def test_line_component_setup_bound():
     label, C, sub, bound = line_component_setup(catalog("dirac", 3))
-    measured = _restricted_top_eigenvalue(C, sub)
+    measured = _restricted_gram(C, sub)[2]
     assert measured <= bound + 1e-9
     report = fuzz_key_lemma(C, sub, 2000, seed=3, label=label)
     assert report.passed

@@ -6,7 +6,6 @@ from katolab.linmap import (
     LinearMap,
     gram_schmidt_columns,
     identity_map,
-    orthonormal_complement,
     stack_maps,
 )
 from katolab.spaces import direct_sum, fiber_space
@@ -51,16 +50,6 @@ def test_gram_schmidt_orthonormal_and_deterministic():
     p1 = b1 @ b1.conj().T
     p2 = q @ q.conj().T
     assert np.allclose(p1, p2, atol=1e-10)
-
-
-def test_orthonormal_complement():
-    rng = np.random.default_rng(13)
-    b = gram_schmidt_columns(rng.standard_normal((5, 2)))
-    c = orthonormal_complement(b, 5)
-    assert c.shape == (5, 3)
-    assert np.allclose(b.conj().T @ c, 0.0, atol=1e-12)
-    full = np.hstack([b, c])
-    assert np.allclose(full.conj().T @ full, np.eye(5), atol=1e-12)
 
 
 def test_stack_maps():

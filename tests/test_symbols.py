@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,8 @@ from katolab.symbols import (
     OperatorSpec,
     catalog,
     ellipticity_constant,
-    invariance_check,
-    invariance_deviation,
     parse_op_string,
-    principal_square,
+    principal_squares,
     quasi_unit_covectors,
     symbol_at,
     twist,
@@ -89,6 +88,39 @@ def test_symbol_at_is_linear_in_xi():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def test_principal_squares_stack_the_directional_squares():
+    op = catalog("hodge", 4, 2)
+    xis = quasi_unit_covectors(4, 5)
+    stack = principal_squares(op, xis)
+    assert stack.shape == (5, 6, 6)
+    for xi, square in zip(xis, stack):
+        p = symbol_at(op, xi).matrix
+        assert np.allclose(square, p.conj().T @ p, atol=1e-14)
+
+
+@pytest.mark.parametrize("coarse", [1, 32, 500])
+def test_ellipticity_reports_the_directions_swept(coarse):
+    res = ellipticity_constant(catalog("hodge", 2, 1), coarse_samples=coarse,
+                               refine_steps=3)
+    assert res.method == "invariant-exact"
+    assert (res.samples, res.refinement_steps) == (coarse, 0)
+    skewed = ellipticity_constant(_axis_weighted_symbol(), coarse_samples=coarse,
+                                  refine_steps=3)
+    assert (skewed.samples, skewed.refinement_steps) == (coarse, 3)
+
+
+def test_ellipticity_sweep_memory_is_flat_in_directions():
+    # the whole 3000-direction stack of hodge:6:3 squares would take 77 MB
+    tracemalloc.start()
+    try:
+        res = ellipticity_constant(catalog("hodge", 6, 3), coarse_samples=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.samples == 3000 and res.invariant
+    assert peak < 25e6
+
+
 def test_symbol_at_rejects_zero():
     op = catalog("dirac", 2)
     with pytest.raises(ZeroCovector):
@@ -117,12 +149,6 @@ def _axis_weighted_symbol():
     return OperatorSpec("skewed", 2, E, F, LinearMap(dom, F, m))
 
 
-def test_non_invariant_symbol_detected():
-    op = _axis_weighted_symbol()
-    assert not invariance_check(op)
-    assert invariance_deviation(op) > 1e-3
-
-
 def test_ellipticity_fallback_matches_closed_form_oracle():
     # with t = xi_1^2 the smallest eigenvalue is (2 + 3t - sqrt(5t^2 + 4t))/2,
     # minimized at t = 1/5 with value 4/5 (stationarity: 5t^2 + 4t - 1 = 0)
@@ -131,10 +157,8 @@ def test_ellipticity_fallback_matches_closed_form_oracle():
     lam = (2.0 + 3.0 * t - np.sqrt(5.0 * t * t + 4.0 * t)) / 2.0
     oracle = 0.8
     assert abs(float(lam.min()) - oracle) <= 1e-8
-    scan = min(
-        float(np.linalg.eigvalsh(principal_square(op, xi))[0])
-        for xi in quasi_unit_covectors(2, 500)
-    )
+    scan = float(np.min(np.linalg.eigvalsh(
+        principal_squares(op, quasi_unit_covectors(2, 500)))[:, 0]))
     assert scan >= oracle - 1e-12
     res = ellipticity_constant(op, coarse_samples=512, refine_steps=30)
     assert not res.invariant
@@ -147,10 +171,8 @@ def test_sampling_refinement_is_monotone():
     op = _axis_weighted_symbol()
 
     def sweep_min(count):
-        return min(
-            float(np.linalg.eigvalsh(principal_square(op, xi))[0])
-            for xi in quasi_unit_covectors(2, count)
-        )
+        squares = principal_squares(op, quasi_unit_covectors(2, count))
+        return float(np.min(np.linalg.eigvalsh(squares)[:, 0]))
 
     assert sweep_min(256) <= sweep_min(64) + 1e-15
 
@@ -198,6 +220,14 @@ def test_catalog_errors():
         catalog("hodge", 4, k=4)
     with pytest.raises(BadDegree):
         catalog("exterior-only", 3, k=3)
+    # a degree outside the family window, or a degree where none is taken
+    with pytest.raises(BadDegree):
+        catalog("interior-only", 3, k=0)
+    for name in ("dirac", "twistor"):
+        with pytest.raises(BadDegree):
+            catalog(name, 3, k=1)
+        with pytest.raises(BadDegree):
+            parse_op_string(f"{name}:3:5")
     with pytest.raises(UnknownName):
         parse_op_string("dirac")
     with pytest.raises(UnknownName):
