@@ -322,7 +322,7 @@ def build_parser():
     el.add_argument("--coarse", type=int, default=DEFAULT_DIRECTIONS,
                     help="directions swept, for the invariance test and the search")
     el.add_argument("--refine", type=int, default=20,
-                    help="rounds of the local search when the symbol is not invariant")
+                    help="rounds of the local search at most, when the symbol is not invariant")
     _add_common(el)
     el.set_defaults(handler=_cmd_ellipticity)
 

@@ -397,8 +397,11 @@ def _sq(x: np.ndarray) -> np.ndarray:
 
 
 def _rsq(x: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
-    """Squared norm of each row of a real array, of M applied to it when given."""
+    """Squared norm of each row of a real array, of M applied to it when given;
+    of a complex array without M, over its real view."""
     x = x.reshape(x.shape[0], -1)
+    if np.iscomplexobj(x):
+        x = np.ascontiguousarray(x).view(float)
     if M is not None:
         x = x @ M.T
     return np.einsum("ij,ij->i", x, x)
@@ -409,21 +412,23 @@ def _rsq(x: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
 
 
 def _restricted_gram(C: LinearMap, sub_basis: np.ndarray):
-    """C on the component spanned by the orthonormal columns of sub_basis,
-    its Gram C C* there, and the Gram's top eigenvalue (0 when empty)."""
+    """C on the component spanned by the orthonormal columns of sub_basis
+    (ValueError beyond 1e-10), its Gram C C* there, and the Gram's top
+    eigenvalue (0 when empty)."""
+    drift = sub_basis.conj().T @ sub_basis - np.eye(sub_basis.shape[1])
+    if not np.max(np.abs(drift), initial=0.0) <= 1e-10:
+        raise ValueError("sub_basis columns must be orthonormal within 1e-10")
     Chat = C.matrix @ sub_basis
     G = Chat @ Chat.conj().T
     return Chat, G, float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _key_lemma_margins(C: np.ndarray, a: float, u1: np.ndarray,
-                       u2: np.ndarray, c) -> dict:
-    """Row margins of |u2|^2 + c |C(u1+u2)|^2 >= gain * |C(u1)|^2."""
-    tot_sq = _sq((u1 + u2) @ C.T)
-    first_sq = _sq(u1 @ C.T)
-    u2_sq = _sq(u2)
-    scale = _sq(u1) + u2_sq
+def _key_lemma_margins(a: float, Cu1: np.ndarray, Cu2: np.ndarray,
+                       u1_sq: np.ndarray, u2_sq: np.ndarray, c) -> dict:
+    """Row margins of |u2|^2 + c |C u1 + C u2|^2 >= gain * |C u1|^2, from the
+    images C u1, C u2 and the squared norms of u1, u2."""
+    tot_sq, first_sq, scale = _rsq(Cu1 + Cu2), _rsq(Cu1), u1_sq + u2_sq
     vanishing = _branch(None, tot_sq, scale)
     gain = batch_lemma_gain(c, a, vanishing)
     lhs = u2_sq + c * tot_sq
@@ -440,11 +445,13 @@ def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
     """|u2|^2 + c |C(u1+u2)|^2 >= gain * |C(u1)|^2 with the branch gain.
 
     sub_basis holds orthonormal columns spanning the component that u2
-    lives in; the spectral bound is the measured top eigenvalue of the
-    restriction of C C* to that component.
+    lives in (ValueError otherwise); the spectral bound is the measured
+    top eigenvalue of the restriction of C C* to that component.
     """
     a = _restricted_gram(C, sub_basis)[2]
-    out = _key_lemma_margins(C.matrix, a, _row(u1), _row(u2), c)
+    u1, u2 = _row(u1), _row(u2)
+    out = _key_lemma_margins(a, u1 @ C.matrix.T, u2 @ C.matrix.T,
+                             _rsq(u1), _rsq(u2), c)
     return _row_verdict("key-lemma", out, c, None, seed)
 
 
@@ -832,24 +839,28 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
 
     A forced_fraction slice gets u1 adjusted so C(u1 + u2) = 0 exactly
     (up to least squares rounding), exercising the vanishing branch.
+    sub_basis must hold orthonormal columns (ValueError otherwise).
     """
-    a = _restricted_gram(C, sub_basis)[2]
-    pinv = np.linalg.pinv(C.matrix)
+    Chat, _, a = _restricted_gram(C, sub_basis)
+    # u2 = sub_basis z is kept as z: C u2 = Chat z and |u2| = |z|
+    CT, ChatT = np.ascontiguousarray(C.matrix.T), np.ascontiguousarray(Chat.T)
+    pinvT = np.ascontiguousarray(np.linalg.pinv(C.matrix).T)
     starts = range(0, chunk, _LEMMA_BLOCK)
 
     def sample(rng, m):
         u1 = _complex_row_blocks(rng, m, C.domain.dim)
-        u2 = [z @ sub_basis.T for z in _complex_row_blocks(rng, m, sub_basis.shape[1])]
+        z = _complex_row_blocks(rng, m, sub_basis.shape[1])
         c = _weights(rng, m, c_max)
         nf = int(forced_fraction * m)
-        for x1, x2, start in zip(u1, u2, starts):  # C(u1 + u2) = 0 on the first nf rows
+        for x1, x2, start in zip(u1, z, starts):  # C(u1 + u2) = 0 on the first nf rows
             f = min(max(nf - start, 0), len(x1))
-            x1[:f] = x1[:f] - ((x1[:f] + x2[:f]) @ C.matrix.T) @ pinv.T
-        return u1, u2, c
+            x1[:f] -= (x1[:f] @ CT + x2[:f] @ ChatT) @ pinvT
+        return u1, z, c
 
-    def kernel(u1, u2, c):
-        outs = [_key_lemma_margins(C.matrix, a, x1, x2, c[start:start + len(x1)])
-                for x1, x2, start in zip(u1, u2, starts)]
+    def kernel(u1, z, c):
+        outs = [_key_lemma_margins(a, x1 @ CT, x2 @ ChatT, _rsq(x1), _rsq(x2),
+                                   c[start:start + len(x1)])
+                for x1, x2, start in zip(u1, z, starts)]
         return {key: np.concatenate([out[key] for out in outs]) for key in outs[0]}
 
     report = _fuzz("key-lemma", label, samples, seed, (0.0, c_max), chunk,

@@ -199,11 +199,13 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
         return ProjectionReport(0.0, 0.0, True, True, tol, P.domain.dim, 0)
     G = m @ m.conj().T
     rho2 = float(np.real(np.trace(G))) / dw
-    sv = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
-    top = float(sv[0]) if sv.size else 0.0
-    rank = int(np.sum(sv > _SURJECTIVITY_CUTOFF * max(top, 1e-300)))
-    surjective = rank == dw
     residual = float(np.linalg.norm(G - rho2 * np.eye(dw), 2)) / max(rho2, 1e-300)
+    # every eigenvalue of G in rho^2 (1 +- 1/2) makes m onto, with a
+    # singular-value ratio of at least 1/sqrt(3); otherwise test the rank
+    surjective = rho2 > 1e-300 and residual < 0.5
+    if not surjective and m.size:
+        sv = np.linalg.svd(m, compute_uv=False)
+        surjective = int(np.sum(sv > _SURJECTIVITY_CUTOFF * max(sv[0], 1e-300))) == dw
     certified = surjective and residual <= tol
     return ProjectionReport(rho2, residual, surjective, certified, tol,
                             P.domain.dim, dw)

@@ -178,9 +178,10 @@ def ellipticity_constant(op: OperatorSpec,
     One quasi-uniform sweep of coarse_samples directions is compared with
     the spectrum at xi = e_1*.  A direction-invariant symbol resolves
     exactly there.  Otherwise the sweep's best direction seeds a local
-    search of refine_steps rounds (probes along tangent directions with a
-    quadratic vertex guess and shrinking radius); that branch is an upper
-    bound and says so in its method field.
+    search of at most refine_steps rounds, reported as run (probes along
+    tangent directions with a quadratic vertex guess and a radius that
+    shrinks until 1 + radius rounds to 1 and can no longer turn the unit
+    xi); that branch is an upper bound and says so in its method field.
     """
     n = op.base_dim
 
@@ -203,8 +204,9 @@ def ellipticity_constant(op: OperatorSpec,
     lows = np.concatenate(lows)
     best = int(np.argmin(lows))
     xi, val = pts[best].copy(), float(lows[best])
-    radius = 0.4
-    for _ in range(refine_steps):
+    radius, rounds = 0.4, 0
+    while rounds < refine_steps and 1.0 + radius != 1.0:
+        rounds += 1
         moved = False
         for t in _tangent_basis(xi).T:
             cands = xi + np.outer((radius, -radius), t)
@@ -223,7 +225,7 @@ def ellipticity_constant(op: OperatorSpec,
         if not moved:
             radius *= 0.5
     return EllipticityResult(val, tuple(xi), False, coarse_samples,
-                             refine_steps, "sampled-upper-bound", op.epsilon)
+                             rounds, "sampled-upper-bound", op.epsilon)
 
 
 def twistor_symbol_rows(max_n: int, tolerance: float,

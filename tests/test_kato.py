@@ -350,6 +350,28 @@ def test_key_lemma_vanishing_branch_from_matched_component():
         assert verdict.margin >= -1e-9 * verdict.scale
 
 
+def _scaled_basis(sub):
+    return 1.001 * sub
+
+
+def _skewed_basis(sub):
+    # the first two columns no longer orthogonal
+    skewed = sub.copy()
+    skewed[:, 1] += 1e-6 * sub[:, 0]
+    return skewed
+
+
+@pytest.mark.parametrize("spoil", [_scaled_basis, _skewed_basis])
+def test_key_lemma_rejects_a_non_orthonormal_sub_basis(spoil):
+    label, C, sub, _ = key_lemma_setups(3, 1)[0]
+    bad = spoil(sub)
+    u1, u2 = np.ones(C.domain.dim, dtype=complex), bad[:, 0]
+    with pytest.raises(ValueError, match="orthonormal"):
+        check_key_lemma(C, bad, u1, u2, 1.0)
+    with pytest.raises(ValueError, match="orthonormal"):
+        fuzz_key_lemma(C, bad, 100, seed=1, label=label)
+
+
 def test_equality_witness_saturates_bound():
     for n, k in [(3, 1), (4, 2), (5, 2)]:
         for label, C, sub, bound in key_lemma_setups(n, k):

@@ -22,6 +22,7 @@ from katolab.kato import (
     _key_lemma_margins,
     _null_space,
     _restricted_gram,
+    _rsq,
     _form_kit,
     batch_hodge_margins,
     batch_lemma_gain,
@@ -130,7 +131,9 @@ def test_key_lemma_batch_equals_single_shots(seed, which, m, matched):
     if matched:
         u1 = np.array([matching_first_component(C, row) for row in u2])
     c = _weights(rng, m)
-    out = _key_lemma_margins(C.matrix, _restricted_gram(C, sub)[2], u1, u2, c)
+    CT = C.matrix.T
+    out = _key_lemma_margins(_restricted_gram(C, sub)[2], u1 @ CT, u2 @ CT,
+                             _rsq(u1), _rsq(u2), c)
     verdicts = [check_key_lemma(C, sub, u1[i], u2[i], c[i]) for i in range(m)]
     _assert_rows_match(out, verdicts)
 

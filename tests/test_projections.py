@@ -2,10 +2,15 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from katolab import cli, projections
 from katolab.clifford import spinor_dim
 from katolab.errors import BadDegree, NotConformal, NotSurjective
+from katolab.linmap import LinearMap
 from katolab.projections import (
+    ProjectionReport,
     clifford_projection,
     conformity_factor,
     conformity_report,
@@ -16,7 +21,7 @@ from katolab.projections import (
     symmetrization_projection,
     twistor_projection,
 )
-from katolab.spaces import symmetric_power
+from katolab.spaces import fiber_space, symmetric_power
 
 # frozen factors: (constructor, n, k) -> rho^2
 FROZEN_FACTORS = {
@@ -233,6 +238,80 @@ def test_not_surjective_raises():
     with pytest.raises(NotSurjective) as exc:
         conformity_factor(P.adjoint())
     assert exc.value.residual is not None
+
+
+def test_not_surjective_raises_on_a_wide_rank_deficient_map():
+    # onto a 3-dim codomain, with the last row repeating the first
+    P = exterior_projection(3, 1)
+    m = P.matrix.copy()
+    m[-1] = m[0]
+    with pytest.raises(NotSurjective):
+        conformity_factor(LinearMap(P.domain, fiber_space(3, "w"), m))
+
+
+def _svd_rank_report(P, tol):
+    # the rank test run on every map: surjective when the singular values
+    # above the relative cutoff number dim W
+    m, dw = P.matrix, P.codomain.dim
+    G = m @ m.conj().T
+    rho2 = float(np.real(np.trace(G))) / dw
+    sv = np.linalg.svd(m, compute_uv=False)
+    cutoff = projections._SURJECTIVITY_CUTOFF * max(float(sv[0]), 1e-300)
+    surjective = int(np.sum(sv > cutoff)) == dw
+    residual = float(np.linalg.norm(G - rho2 * np.eye(dw), 2)) / max(rho2, 1e-300)
+    return ProjectionReport(rho2, residual, surjective, surjective and residual <= tol,
+                            tol, P.domain.dim, dw)
+
+
+def _random_map(rng, kind, dw, extra, spread):
+    d = dw + extra
+    a = rng.standard_normal((dw, d)) + 1j * rng.standard_normal((dw, d))
+    if kind == "zero":
+        a[:] = 0.0
+    elif kind == "rank-deficient":
+        a[-1] = rng.standard_normal(dw - 1) @ a[:-1]
+    elif kind == "near-conformal":
+        # orthonormal rows scaled to eigenvalues of G around 1: the residual is spread
+        q = np.linalg.qr(a.conj().T)[0].conj().T
+        lam = np.ones(dw)
+        lam[0], lam[-1] = 1.0 + spread, 1.0 - spread
+        a = np.sqrt(lam)[:, None] * q
+    return LinearMap(fiber_space(d, "u"), fiber_space(dw, "w"), a)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["full-rank", "rank-deficient", "near-conformal", "zero"]),
+       st.integers(2, 8), st.integers(0, 6),
+       st.sampled_from([0.0, 1e-12, 0.3, 0.4999, 0.5001, 0.7, 0.999]),
+       st.sampled_from([1e-10, 0.45, 0.6]))
+def test_conformity_report_matches_svd_rank_reference(seed, kind, dw, extra, spread, tol):
+    P = _random_map(np.random.default_rng(seed), kind, dw, extra, spread)
+    assert conformity_report(P, tol) == _svd_rank_report(P, tol)
+
+
+def test_projections_verify_runs_no_svd_in_conformity_report(monkeypatch, capsys):
+    inside, calls, reports = [False], [], []
+    svd, report = np.linalg.svd, projections.conformity_report
+
+    def counting_svd(*args, **kwargs):
+        if inside[0]:
+            calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def marked_report(*args, **kwargs):
+        reports.append(args[0].matrix.shape)
+        inside[0] = True
+        try:
+            return report(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(projections, "conformity_report", marked_report)
+    assert cli.main(["projections", "verify", "--max-n", "6"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+    assert len(reports) > 40 and calls == []
 
 
 def test_not_conformal_raises_with_residual():

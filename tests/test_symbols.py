@@ -167,6 +167,15 @@ def test_ellipticity_fallback_matches_closed_form_oracle():
     assert abs(res.epsilon - oracle) <= 1e-6     # and refined close to it
 
 
+def test_local_search_stops_once_the_radius_cannot_move_xi():
+    # 600 rounds ran in full before the stop; the estimate settles by round 60
+    op = _axis_weighted_symbol()
+    res = ellipticity_constant(op, refine_steps=600)
+    assert res.epsilon == 0.7999999999999998
+    assert res.refinement_steps < 600
+    assert ellipticity_constant(op, refine_steps=res.refinement_steps) == res
+
+
 def test_sampling_refinement_is_monotone():
     op = _axis_weighted_symbol()
 
