@@ -68,6 +68,9 @@ _PAIRING_ZERO_FACTOR = 1e-20  # |d|phi||^2 at or below this * scale is treated a
 # arrays the allocator keeps a layout-dependent amount of freed memory, so peak RSS
 # would vary from run to run by about two chunk-sized arrays
 _LEMMA_BLOCK = 4096
+# the form kernel runs m rows as m // _FORM_BLOCK equal blocks to keep its temporaries in
+# cache; no block is short, as OpenBLAS sums a product of few rows in another order
+_FORM_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +261,12 @@ def _four_blocks(kit: _FormKit, V: np.ndarray, xi: np.ndarray):
                    V.reshape(m, n, kit.dim_k, -1)).reshape(V.shape)
     w = np.einsum("ni,nix->nx", xi, V)
     Qw = np.einsum("ni,nix->nx", xi, QV)
-    v11 = xi[:, :, None] * Qw[:, None]
-    v12 = xi[:, :, None] * (w - Qw)[:, None]
-    return v11, v12, QV - v11, V - v12 - QV
+    v11 = np.einsum("ni,nx->nix", xi, Qw)
+    v12 = np.einsum("ni,nx->nix", xi, w - Qw)
+    v22 = V - v12
+    v22 -= QV
+    QV -= v11
+    return v11, v12, QV, v22
 
 
 def four_block_decompose(v: np.ndarray, xi0, n: int, k: int,
@@ -445,11 +451,13 @@ def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
     """|u2|^2 + c |C(u1+u2)|^2 >= gain * |C(u1)|^2 with the branch gain.
 
     sub_basis holds orthonormal columns spanning the component that u2
-    lives in (ValueError otherwise); the spectral bound is the measured
-    top eigenvalue of the restriction of C C* to that component.
+    lives in (ValueError otherwise, or for u2 off it by > 1e-10 |u2|); the
+    spectral bound is the top eigenvalue of C C* on that component.
     """
     a = _restricted_gram(C, sub_basis)[2]
     u1, u2 = _row(u1), _row(u2)
+    if np.linalg.norm(u2 - u2 @ sub_basis.conj() @ sub_basis.T) > 1e-10 * np.linalg.norm(u2):
+        raise ValueError("u2 must lie in the span of sub_basis within 1e-10 |u2|")
     out = _key_lemma_margins(a, u1 @ C.matrix.T, u2 @ C.matrix.T,
                              _rsq(u1), _rsq(u2), c)
     return _row_verdict("key-lemma", out, c, None, seed)
@@ -532,7 +540,6 @@ def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     return _row_verdict("foldo", out, c, None, seed)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
                         phi: np.ndarray, c, c_star,
                         d_vanishing=None, dstar_vanishing=None,
@@ -545,8 +552,27 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
     symbol also certifies the block form, since the block restrictions
     are dominated by the full symbols.  With diagnostics=True also
     returns the worst residuals of the split identities (Pythagoras, the
-    two annihilation laws, that dominance).
+    two annihilation laws, that dominance).  Runs in row blocks (_FORM_BLOCK).
     """
+    m = len(v)
+    nb = max(1, m // _FORM_BLOCK)
+
+    def block(i):
+        # per-row arguments are sliced; scalars, None and broadcast arrays pass
+        return [x[i * m // nb:(i + 1) * m // nb] if np.ndim(x) and len(x) == m else x
+                for x in (v, phi, c, c_star, d_vanishing, dstar_vanishing)]
+
+    outs = [_hodge_block(n, k, fiber_dim, *block(i), diagnostics) for i in range(nb)]
+    out = {key: np.concatenate([o.pop(key) for o in outs]) for key in list(outs[0])}
+    # the worst residual over all rows: np.max, unlike max, keeps a NaN
+    return {key: float(np.max(x)) if key.endswith("_residual") else x
+            for key, x in out.items()}
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
+                 c, c_star, d_vanishing, dstar_vanishing, diagnostics: bool) -> dict:
+    """batch_hodge_margins on one block of rows, with per-row residuals."""
     kit = _form_kit(n, k)
     m = v.shape[0]
     # real views: (fiber, re/im) is a real fiber of size 2 fiber_dim
@@ -564,8 +590,7 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
     v11, v12, v21, v22 = _four_blocks(kit, V, xi)
     n11, n12 = _rsq(v11), _rsq(v12)
     eps_part_sq, iota_part_sq = _rsq(v12 + v21, eps), _rsq(v11 + v22, iota)
-    c = np.asarray(c, dtype=float)
-    cs = np.asarray(c_star, dtype=float)
+    c, cs = np.asarray(c, dtype=float), np.asarray(c_star, dtype=float)
     gmin = np.minimum(batch_lemma_gain(c, k, dvan),
                       batch_lemma_gain(cs, n - k, svan))
     lhs = scale + c * eps_sq + cs * iota_sq
@@ -585,12 +610,11 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
     }
     if diagnostics:
         safe = np.maximum(scale, 1e-300)
-        out["pythagoras_residual"] = float(np.max(
-            np.abs(n11 + n12 + _rsq(v21) + _rsq(v22) - scale) / safe))
-        out["block_identity_residual"] = float(np.max(
-            np.sqrt(np.maximum(_rsq(v11, eps), _rsq(v12, iota)) / safe)))
-        out["dominance_residual"] = float(np.max(
-            np.maximum(eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe))
+        out["pythagoras_residual"] = np.abs(n11 + n12 + _rsq(v21) + _rsq(v22) - scale) / safe
+        out["block_identity_residual"] = np.sqrt(
+            np.maximum(_rsq(v11, eps), _rsq(v12, iota)) / safe)
+        out["dominance_residual"] = np.maximum(
+            eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe
     return out
 
 

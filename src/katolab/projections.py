@@ -20,7 +20,7 @@ combinatorially; conformity is then measured, never assumed.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import nan, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -197,6 +197,9 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
     if dw == 0:
         # empty codomain: vacuously conformal, rho^2 is reported as 0
         return ProjectionReport(0.0, 0.0, True, True, tol, P.domain.dim, 0)
+    if not np.all(np.isfinite(m)):
+        # a non-finite entry: no rho^2 or residual, and the SVD would not converge
+        return ProjectionReport(nan, nan, False, False, tol, P.domain.dim, dw)
     G = m @ m.conj().T
     rho2 = float(np.real(np.trace(G))) / dw
     residual = float(np.linalg.norm(G - rho2 * np.eye(dw), 2)) / max(rho2, 1e-300)

@@ -372,6 +372,19 @@ def test_key_lemma_rejects_a_non_orthonormal_sub_basis(spoil):
         fuzz_key_lemma(C, bad, 100, seed=1, label=label)
 
 
+def test_key_lemma_refuses_a_u2_outside_the_sub_basis_span():
+    # the top right singular vector of C with u1 = -u2 breaks the lemma's
+    # hypothesis; it used to come back as a failed verdict
+    for n, k in [(3, 1), (4, 2), (5, 2)]:
+        for label, C, sub, _ in key_lemma_setups(n, k):
+            u2 = np.linalg.svd(C.matrix)[2][0].conj()
+            with pytest.raises(ValueError, match="span of sub_basis"):
+                check_key_lemma(C, sub, -u2, u2, 1.0)
+            # its part inside the span is a valid input and keeps its verdict
+            inside = sub @ (sub.conj().T @ u2)
+            assert check_key_lemma(C, sub, -inside, inside, 1.0).passed, label
+
+
 def test_equality_witness_saturates_bound():
     for n, k in [(3, 1), (4, 2), (5, 2)]:
         for label, C, sub, bound in key_lemma_setups(n, k):

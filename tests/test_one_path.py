@@ -7,6 +7,7 @@ inside the kernel of the symbol, and rows with forced certificates.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from katolab import fields, kato
 from katolab.errors import BadConstants
 from katolab.kato import (
     INF,
@@ -39,6 +41,7 @@ from katolab.kato import (
     key_lemma_setups,
     line_component_setup,
     matching_first_component,
+    nonfinite_rows,
 )
 from katolab.symbols import parse_op_string
 
@@ -107,6 +110,98 @@ def test_hodge_batch_equals_single_shots(seed, nkf, m, rows, d_flag, s_flag):
                                        d_vanishing=d_flag, dstar_vanishing=s_flag)
                 for i in range(m)]
     _assert_rows_match(out, verdicts, cor=True)
+
+
+# the form kernel's row blocks: one block for every call, the shipped size,
+# and blocks of 700-701 rows
+FORM_BLOCKS = [10**9, 1024, 700]
+
+
+def _hodge_rows(rng, n, k, f, m):
+    # random rows with a third inside ker(wedge), so both branches occur
+    kit = _form_kit(n, k)
+    v = _rows(rng, m, n * kit.dim_k * f)
+    null = _null_space(kit.flat_maps(f)[0])
+    v[: m // 3] = _rows(rng, m // 3, null.shape[1]) @ null.T
+    return v, _rows(rng, m, kit.dim_k * f)
+
+
+@pytest.mark.parametrize("n,k,f", [(4, 2, 1), (3, 1, 3)])
+@pytest.mark.parametrize("weights", ["scalar", "per-row"])
+@pytest.mark.parametrize("flags", ["none", "bool", "per-row"])
+def test_hodge_kernel_does_not_depend_on_the_row_block(monkeypatch, n, k, f,
+                                                       weights, flags):
+    # 2101 rows: blocks of 1050/1051 and 700/700/701 rows, bit for bit; and
+    # 300 blocks of 7 rows, where OpenBLAS's small-matrix path for the symbol
+    # products sums in another order, so they agree to rounding only
+    rng = np.random.default_rng(71)
+    m = 2101
+    v, phi = _hodge_rows(rng, n, k, f, m)
+    c, cs = (1.5, 0.25) if weights == "scalar" else (_weights(rng, m), _weights(rng, m))
+    d_flag, s_flag = {"none": (None, None), "bool": (True, False),
+                      "per-row": (rng.random(m) < 0.5, rng.random(m) < 0.5)}[flags]
+    outs = {}
+    for size in FORM_BLOCKS + [7]:
+        monkeypatch.setattr(kato, "_FORM_BLOCK", size)
+        outs[size] = batch_hodge_margins(n, k, f, v, phi, c, cs, d_flag, s_flag,
+                                         diagnostics=True)
+    whole = outs[10**9]
+    for size in FORM_BLOCKS[1:]:
+        assert outs[size].keys() == whole.keys()
+        for key, want in whole.items():
+            assert np.array_equal(outs[size][key], want), (size, key)
+    scale = np.maximum(whole["full_scale"], whole["cor_scale"])
+    for key, want in whole.items():
+        got = outs[7][key]
+        if np.ndim(want) == 0:
+            assert abs(got - want) <= 1e-13, key
+        elif want.dtype == bool:
+            assert np.array_equal(got, want), key
+        else:
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), key
+
+
+def test_hodge_reports_do_not_depend_on_the_row_block(monkeypatch):
+    reports = []
+    for size in FORM_BLOCKS:
+        monkeypatch.setattr(kato, "_FORM_BLOCK", size)
+        reports.append([fuzz_hodge_inequality(4, 2, 1, 3000, 5).to_json_dict(),
+                        fuzz_hodge_inequality(3, 1, 3, 2500, 6, chunk=1100).to_json_dict(),
+                        fields.run_scenario("closed-form", 4, 2, points=1500, seed=2),
+                        fields.run_scenario("yang-mills-F", 3, 2, points=1500, seed=3)])
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_nan_row_in_a_later_block_fails_as_unblocked(monkeypatch):
+    # np.max over the blocks keeps the NaN; Python's max would drop it
+    rng = np.random.default_rng(72)
+    v, phi = _hodge_rows(rng, 4, 2, 1, 2101)
+    v[1500, 3] = math.nan
+    for size in FORM_BLOCKS + [7]:
+        monkeypatch.setattr(kato, "_FORM_BLOCK", size)
+        out = batch_hodge_margins(4, 2, 1, v, phi, 1.0, 1.0, diagnostics=True)
+        assert np.flatnonzero(nonfinite_rows(out)).tolist() == [1500]
+        for key in ("pythagoras_residual", "block_identity_residual",
+                    "dominance_residual"):
+            assert math.isnan(out[key]), (size, key)
+
+
+def test_hodge_kernel_memory_is_one_block():
+    # traced peak beyond the outputs (the inputs exist before tracing starts),
+    # at 4 and 16 blocks of the shipped 1024 rows
+    def working_bytes(blocks):
+        m = blocks * 1024
+        v, phi = _hodge_rows(np.random.default_rng(73), 5, 2, 1, m)
+        tracemalloc.start()
+        try:
+            out = batch_hodge_margins(5, 2, 1, v, phi, 1.0, 1.0, diagnostics=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(np.asarray(x).nbytes for x in out.values())
+
+    four, sixteen = working_bytes(4), working_bytes(16)
+    assert 0 < sixteen <= 1.1 * four, (four, sixteen)
 
 
 def _lemma_geometries():

@@ -249,6 +249,23 @@ def test_not_surjective_raises_on_a_wide_rank_deficient_map():
         conformity_factor(LinearMap(P.domain, fiber_space(3, "w"), m))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_map_is_not_surjective_without_an_svd(monkeypatch, bad):
+    m = np.ones((2, 3))
+    m[0, 1] = bad
+    P = LinearMap(fiber_space(3, "u"), fiber_space(2, "w"), m)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("conformity_report ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rep = conformity_report(P)
+    assert not rep.surjective and not rep.certified
+    assert np.isnan(rep.residual)
+    with pytest.raises(NotSurjective):
+        conformity_factor(P)
+
+
 def _svd_rank_report(P, tol):
     # the rank test run on every map: surjective when the singular values
     # above the relative cutoff number dim W
