@@ -22,6 +22,7 @@ from .errors import FiberMismatch, UnknownScenario, ZeroSection
 from .kato import (
     INF,
     _form_kit,
+    _row_blocks,
     batch_hodge_margins,
     batch_lemma_gain,
     batch_operator_margins,
@@ -39,6 +40,11 @@ FIELD_MARGIN_TOL_FACTOR = 1e-8   # looser than the fuzzers: points accumulate
 SKIP_NORM_FACTOR = 1e-8          # |phi(x)| below this * sup|phi| is skipped
 CLOSEDNESS_TOL = 1e-13
 SYMBOL_CONSISTENCY_TOL = 1e-12
+# PhaseTable.values fills its output in m // _VALUES_BLOCK row blocks, whatever the
+# width, cut at multiples of 48 rows: single-threaded OpenBLAS sums a product of fewer
+# than about 420 rows of 300 reals, and the rows after a product's last full 12-row
+# tile, in another order, so only such cuts keep the bits of one whole product
+_VALUES_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +147,14 @@ class PhaseTable:
         self.freqs, self.cos, self.sin = f.freqs, np.cos(phases), np.sin(phases)
 
     def values(self, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
-        """sum_m cos(m.x) a_m + sin(m.x) b_m per point, as real matmuls."""
-        out = self.cos @ np.ascontiguousarray(cos_coeffs).view(float)
-        out += self.sin @ np.ascontiguousarray(sin_coeffs).view(float)
+        """sum_m cos(m.x) a_m + sin(m.x) b_m per point, as real matmuls filled in
+        row blocks, so the only temporary is one block's sine product."""
+        A = np.ascontiguousarray(cos_coeffs).view(float)
+        B = np.ascontiguousarray(sin_coeffs).view(float)
+        out = np.empty((len(self.cos), A.shape[1]))
+        for r in _row_blocks(len(out), 0, rows=_VALUES_BLOCK, align=48):
+            np.matmul(self.cos[r], A, out=out[r])
+            out[r] += self.sin[r] @ B
         return out.view(np.complex128)
 
 
@@ -389,6 +400,13 @@ def scenario_grid(dims) -> list:
 # consistency residuals
 
 
+def _max_row_norm(a: np.ndarray) -> float:
+    """Largest row norm of a complex array, one row block at a time; np.max keeps a
+    NaN, and each row's norm has the same bits as over the whole array."""
+    return float(np.max([np.max(np.linalg.norm(a[r], axis=1))
+                         for r in _row_blocks(len(a), 2 * a.shape[1])]))
+
+
 def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
     """Worst pointwise gap between coefficient calculus and symbol action.
 
@@ -400,20 +418,19 @@ def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
     """
     f = sc.section
     grad_vals = f.gradient().evaluate(points)
-    ref = max(float(np.max(np.linalg.norm(grad_vals, axis=1))), 1e-300)
+    ref = max(_max_row_norm(grad_vals), 1e-300)
     if sc.theorem == "hodge":
         eps_mat, iota_mat = _form_kit(sc.n, sc.k).flat_maps(sc.fiber_dim)
-        eps_grad, iota_grad = grad_vals @ eps_mat.T, grad_vals @ iota_mat.T
         d_vals = exterior_derivative(f, sc.k, sc.fiber_dim).evaluate(points)
+        d_vals -= grad_vals @ eps_mat.T
         cod_vals = coderivative(f, sc.k, sc.fiber_dim).evaluate(points)
-        r1 = float(np.max(np.linalg.norm(d_vals - eps_grad, axis=1)))
-        r2 = float(np.max(np.linalg.norm(cod_vals + iota_grad, axis=1)))
-        return max(r1, r2) / ref
+        cod_vals += grad_vals @ iota_mat.T
+        return max(_max_row_norm(d_vals), _max_row_norm(cod_vals)) / ref
     # first order with constant coefficients: the operator is its full
     # symbol applied to the coefficients of the gradient
     op_vals = f.gradient().map_fiber(sc.operator.full_symbol.matrix).evaluate(points)
-    sym_vals = grad_vals @ sc.operator.full_symbol.matrix.T
-    return float(np.max(np.linalg.norm(op_vals - sym_vals, axis=1))) / ref
+    op_vals -= grad_vals @ sc.operator.full_symbol.matrix.T
+    return _max_row_norm(op_vals) / ref
 
 
 def closedness_residual(sc: Scenario, points: np.ndarray) -> float | None:
@@ -427,7 +444,7 @@ def closedness_residual(sc: Scenario, points: np.ndarray) -> float | None:
                                   (sc.dstar_vanishing, coderivative)):
         if certified:
             vals = derivative(f, sc.k, sc.fiber_dim).evaluate(points)
-            worst = max(worst, float(np.max(np.linalg.norm(vals, axis=1))))
+            worst = max(worst, _max_row_norm(vals))
     return worst / ref
 
 
@@ -462,7 +479,8 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
     keep = norms > SKIP_NORM_FACTOR * float(np.max(norms))
     if not np.any(keep):
         raise ZeroSection(f"scenario {sc.name} produced a vanishing section")
-    phi, grads = phi[keep], grads[keep]
+    if not np.all(keep):
+        phi, grads = phi[keep], grads[keep]
     if sc.theorem == "hodge":
         out = batch_hodge_margins(sc.n, sc.k, sc.fiber_dim, grads, phi,
                                   c, c_star, d_vanishing=sc.d_vanishing,

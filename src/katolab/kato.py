@@ -68,8 +68,9 @@ _PAIRING_ZERO_FACTOR = 1e-20  # |d|phi||^2 at or below this * scale is treated a
 # arrays the allocator keeps a layout-dependent amount of freed memory, so peak RSS
 # would vary from run to run by about two chunk-sized arrays
 _LEMMA_BLOCK = 4096
-# the form kernel runs m rows as m // _FORM_BLOCK equal blocks to keep its temporaries in
-# cache; no block is short, as OpenBLAS sums a product of few rows in another order
+# the form kernel and the field lab run m rows as equal blocks (_row_blocks) to keep their
+# temporaries in cache; no block is short, as OpenBLAS sums a product of few rows in
+# another order
 _FORM_BLOCK = 1024
 
 
@@ -540,6 +541,18 @@ def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     return _row_verdict("foldo", out, c, None, seed)
 
 
+def _row_blocks(m: int, width: int, rows: int | None = None, align: int = 1) -> list:
+    """Slices of m rows of `width` reals each into equal blocks: at least one, and
+    enough that a block has fewer than 2 `rows` rows (default _FORM_BLOCK) and, unless
+    it is one row, fewer than 2 `rows` * 100 entries (100 reals: the widest fiber-1
+    form row at n <= 5, whose blocks the row count alone sets).  With align, each cut
+    moves down to a multiple of align rows."""
+    rows = rows or _FORM_BLOCK
+    nb = max(1, m // rows, min(m, m * width // (rows * 100)))
+    cuts = [i * m // nb // align * align for i in range(nb)] + [m]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
                         phi: np.ndarray, c, c_star,
                         d_vanishing=None, dstar_vanishing=None,
@@ -552,17 +565,17 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
     symbol also certifies the block form, since the block restrictions
     are dominated by the full symbols.  With diagnostics=True also
     returns the worst residuals of the split identities (Pythagoras, the
-    two annihilation laws, that dominance).  Runs in row blocks (_FORM_BLOCK).
+    two annihilation laws, that dominance).  Runs in row blocks (_row_blocks).
     """
     m = len(v)
-    nb = max(1, m // _FORM_BLOCK)
 
-    def block(i):
+    def block(r):
         # per-row arguments are sliced; scalars, None and broadcast arrays pass
-        return [x[i * m // nb:(i + 1) * m // nb] if np.ndim(x) and len(x) == m else x
+        return [x[r] if np.ndim(x) and len(x) == m else x
                 for x in (v, phi, c, c_star, d_vanishing, dstar_vanishing)]
 
-    outs = [_hodge_block(n, k, fiber_dim, *block(i), diagnostics) for i in range(nb)]
+    outs = [_hodge_block(n, k, fiber_dim, *block(r), diagnostics)
+            for r in _row_blocks(m, 2 * n * math.comb(n, k) * fiber_dim)]
     out = {key: np.concatenate([o.pop(key) for o in outs]) for key in list(outs[0])}
     # the worst residual over all rows: np.max, unlike max, keeps a NaN
     return {key: float(np.max(x)) if key.endswith("_residual") else x
@@ -589,7 +602,12 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
                   b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
     v11, v12, v21, v22 = _four_blocks(kit, V, xi)
     n11, n12 = _rsq(v11), _rsq(v12)
-    eps_part_sq, iota_part_sq = _rsq(v12 + v21, eps), _rsq(v11 + v22, iota)
+    if diagnostics:
+        pythagoras = n11 + n12 + _rsq(v21) + _rsq(v22) - scale
+    # the parts the wedge and the contraction see, summed in place: one block fewer
+    v21 += v12
+    v22 += v11
+    eps_part_sq, iota_part_sq = _rsq(v21, eps), _rsq(v22, iota)
     c, cs = np.asarray(c, dtype=float), np.asarray(c_star, dtype=float)
     gmin = np.minimum(batch_lemma_gain(c, k, dvan),
                       batch_lemma_gain(cs, n - k, svan))
@@ -610,7 +628,7 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
     }
     if diagnostics:
         safe = np.maximum(scale, 1e-300)
-        out["pythagoras_residual"] = np.abs(n11 + n12 + _rsq(v21) + _rsq(v22) - scale) / safe
+        out["pythagoras_residual"] = np.abs(pythagoras) / safe
         out["block_identity_residual"] = np.sqrt(
             np.maximum(_rsq(v11, eps), _rsq(v12, iota)) / safe)
         out["dominance_residual"] = np.maximum(

@@ -1,4 +1,4 @@
-"""Linear maps between descriptor spaces, with adjoints and orthonormal bases.
+"""Linear maps between descriptor spaces, in orthonormal bases.
 
 All bases are orthonormal, so the adjoint is the conjugate transpose of
 the coefficient matrix and no Gram matrices ever appear.  Matrices are
@@ -36,9 +36,6 @@ class LinearMap:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.complex128)
         return self.matrix @ vec
-
-    def adjoint(self) -> "LinearMap":
-        return LinearMap(self.codomain, self.domain, self.matrix.conj().T)
 
     def scale(self, a) -> "LinearMap":
         return LinearMap(self.domain, self.codomain, a * self.matrix)

@@ -200,7 +200,15 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
     if not np.all(np.isfinite(m)):
         # a non-finite entry: no rho^2 or residual, and the SVD would not converge
         return ProjectionReport(nan, nan, False, False, tol, P.domain.dim, dw)
-    G = m @ m.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = m @ m.conj().T
+    scale = 1.0
+    if not np.all(np.isfinite(G)) or (np.real(np.trace(G)) < 1e-250 * dw and np.any(m)):
+        # finite entries whose Gram overflows or underflows: measure m over its largest
+        # real or imaginary part, and report rho^2 at full scale (inf or 0 out of range)
+        scale = float(np.max(np.abs(m.view(float))))
+        m = m / scale
+        G = m @ m.conj().T
     rho2 = float(np.real(np.trace(G))) / dw
     residual = float(np.linalg.norm(G - rho2 * np.eye(dw), 2)) / max(rho2, 1e-300)
     # every eigenvalue of G in rho^2 (1 +- 1/2) makes m onto, with a
@@ -210,7 +218,7 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
         sv = np.linalg.svd(m, compute_uv=False)
         surjective = int(np.sum(sv > _SURJECTIVITY_CUTOFF * max(sv[0], 1e-300))) == dw
     certified = surjective and residual <= tol
-    return ProjectionReport(rho2, residual, surjective, certified, tol,
+    return ProjectionReport(rho2 * scale * scale, residual, surjective, certified, tol,
                             P.domain.dim, dw)
 
 

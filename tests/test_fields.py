@@ -8,11 +8,15 @@ codifferential is testable to rounding.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import katolab
 from katolab.errors import FiberMismatch, UnknownScenario
 from katolab.fields import (
     CLOSEDNESS_TOL,
@@ -23,6 +27,7 @@ from katolab.fields import (
     TrigField,
     closedness_residual,
     coderivative,
+    evaluate_scenario,
     exterior_derivative,
     hodge_star_matrix,
     make_scenario,
@@ -388,6 +393,46 @@ def test_phase_table_serves_every_derived_field():
     for g in (f, f.gradient(), exterior_derivative(f, 1), coderivative(f, 1),
               f.map_fiber(rng.standard_normal((2, 3)))):
         assert np.allclose(g.evaluate(table), g.evaluate(X), rtol=0, atol=1e-12)
+
+
+# values in blocks of 1024-2047 rows cut at multiples of 48, against the one product
+_ONE_PRODUCT_CHECK = """
+import numpy as np
+from katolab.fields import PhaseTable, make_scenario, sample_points
+for name, n, points in (("yang-mills-F", 5, 2500), ("yang-mills-F", 5, 5000),
+                        ("instanton-F", 4, 5000), ("generic-form", 5, 3001)):
+    f = make_scenario(name, n).section
+    table = PhaseTable(f, sample_points(n, points))
+    for g in (f, f.gradient()):
+        whole = (table.cos @ np.ascontiguousarray(g.cos_coeffs).view(float)
+                 + table.sin @ np.ascontiguousarray(g.sin_coeffs).view(float))
+        assert np.array_equal(g.evaluate(table).view(float), whole), (name, n, points)
+"""
+
+
+def test_blocked_phase_values_are_the_one_product_bit_for_bit():
+    # in a single-threaded child, as the benchmark runs: threaded OpenBLAS splits a
+    # product's rows among its threads, each with its own last tile, so the one
+    # product's bits at 300-real rows depend on the thread count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(katolab.__file__)))
+    subprocess.run([sys.executable, "-c", _ONE_PRODUCT_CHECK], env=env, check=True)
+
+
+def test_evaluate_scenario_holds_its_inputs_and_one_kernel_block():
+    # yang-mills-F at n = 5: 2,500 gradient rows of 300 reals (5.7 MiB) and the
+    # section (1.1 MiB) plus one kernel block; whole-grid temporaries took 22.6 MiB
+    sc = make_scenario("yang-mills-F", 5)
+    X = sample_points(5, 2500)
+    tracemalloc.start()
+    try:
+        ev = evaluate_scenario(sc, X, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ev["skipped"] == 0
+    assert peak <= 12 * 2**20, peak
 
 
 def test_phase_table_rejects_other_frequencies():

@@ -112,8 +112,8 @@ def test_hodge_batch_equals_single_shots(seed, nkf, m, rows, d_flag, s_flag):
     _assert_rows_match(out, verdicts, cor=True)
 
 
-# the form kernel's row blocks: one block for every call, the shipped size,
-# and blocks of 700-701 rows
+# the form kernel's row budget: one block for every call, the shipped size, and
+# blocks of 700-701 fiber-1 rows (budgets of 70,000 entries for wider rows)
 FORM_BLOCKS = [10**9, 1024, 700]
 
 
@@ -126,12 +126,13 @@ def _hodge_rows(rng, n, k, f, m):
     return v, _rows(rng, m, kit.dim_k * f)
 
 
-@pytest.mark.parametrize("n,k,f", [(4, 2, 1), (3, 1, 3)])
+@pytest.mark.parametrize("n,k,f", [(4, 2, 1), (3, 1, 3), (5, 2, 3)])
 @pytest.mark.parametrize("weights", ["scalar", "per-row"])
 @pytest.mark.parametrize("flags", ["none", "bool", "per-row"])
 def test_hodge_kernel_does_not_depend_on_the_row_block(monkeypatch, n, k, f,
                                                        weights, flags):
-    # 2101 rows: blocks of 1050/1051 and 700/700/701 rows, bit for bit; and
+    # 2101 rows: blocks of 1050/1051 and 700/700/701 rows (of 350/351 and 233/234
+    # rows at (5,2) fiber 3, whose rows are 300 reals wide), bit for bit; and
     # 300 blocks of 7 rows, where OpenBLAS's small-matrix path for the symbol
     # products sums in another order, so they agree to rounding only
     rng = np.random.default_rng(71)
@@ -167,8 +168,12 @@ def test_hodge_reports_do_not_depend_on_the_row_block(monkeypatch):
         monkeypatch.setattr(kato, "_FORM_BLOCK", size)
         reports.append([fuzz_hodge_inequality(4, 2, 1, 3000, 5).to_json_dict(),
                         fuzz_hodge_inequality(3, 1, 3, 2500, 6, chunk=1100).to_json_dict(),
+                        fuzz_hodge_inequality(5, 2, 3, 3000, 8, chunk=1500).to_json_dict(),
                         fields.run_scenario("closed-form", 4, 2, points=1500, seed=2),
-                        fields.run_scenario("yang-mills-F", 3, 2, points=1500, seed=3)])
+                        fields.run_scenario("yang-mills-F", 3, 2, points=1500, seed=3),
+                        # 300- and 144-real rows: 7 and 3 blocks at the shipped budget
+                        fields.run_scenario("yang-mills-F", 5, 2, points=2500, seed=4),
+                        fields.run_scenario("instanton-F", 4, 2, points=2500, seed=5)])
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
@@ -186,22 +191,33 @@ def test_nan_row_in_a_later_block_fails_as_unblocked(monkeypatch):
             assert math.isnan(out[key]), (size, key)
 
 
-def test_hodge_kernel_memory_is_one_block():
-    # traced peak beyond the outputs (the inputs exist before tracing starts),
-    # at 4 and 16 blocks of the shipped 1024 rows
-    def working_bytes(blocks):
-        m = blocks * 1024
-        v, phi = _hodge_rows(np.random.default_rng(73), 5, 2, 1, m)
-        tracemalloc.start()
-        try:
-            out = batch_hodge_margins(5, 2, 1, v, phi, 1.0, 1.0, diagnostics=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - sum(np.asarray(x).nbytes for x in out.values())
+def _hodge_working_bytes(f, m):
+    # traced peak of the (5,2) kernel on m rows beyond its outputs (the inputs
+    # exist before tracing starts)
+    v, phi = _hodge_rows(np.random.default_rng(73), 5, 2, f, m)
+    tracemalloc.start()
+    try:
+        out = batch_hodge_margins(5, 2, f, v, phi, 1.0, 1.0, diagnostics=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(np.asarray(x).nbytes for x in out.values())
 
-    four, sixteen = working_bytes(4), working_bytes(16)
+
+def test_hodge_kernel_memory_is_one_block():
+    # at 4 and 16 blocks of the shipped 1024 rows
+    four, sixteen = _hodge_working_bytes(1, 4 * 1024), _hodge_working_bytes(1, 16 * 1024)
     assert 0 < sixteen <= 1.1 * four, (four, sixteen)
+
+
+def test_wide_hodge_kernel_memory_stays_in_the_fiber_one_budget():
+    # fiber-3 rows are 300 reals, 3x the fiber-1 width: a budget of 1024 * 100
+    # entries holds 342 of them, and at 4 and 16 budgets' worth of rows the working
+    # memory is no more than that of fiber-1 blocks of 1024 rows
+    budget = _hodge_working_bytes(1, 4 * 1024)
+    for budgets in (4, 16):
+        wide = _hodge_working_bytes(3, budgets * 342)
+        assert 0 < wide <= budget, (budgets, wide, budget)
 
 
 def _lemma_geometries():

@@ -1,3 +1,5 @@
+import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from katolab import cli, projections
 from katolab.clifford import spinor_dim
 from katolab.errors import BadDegree, NotConformal, NotSurjective
-from katolab.linmap import LinearMap
+from katolab.linmap import LinearMap, stack_maps
 from katolab.projections import (
     ProjectionReport,
     clifford_projection,
@@ -21,7 +23,7 @@ from katolab.projections import (
     symmetrization_projection,
     twistor_projection,
 )
-from katolab.spaces import fiber_space, symmetric_power
+from katolab.spaces import direct_sum, exterior_power, fiber_space, symmetric_power
 
 # frozen factors: (constructor, n, k) -> rho^2
 FROZEN_FACTORS = {
@@ -165,7 +167,7 @@ def test_symmetrization_adjoint_is_scaled_inclusion(n, k):
     Ek1 = _sym_embedding(n, k + 1)
     inclusion = np.kron(np.eye(n), Ek).T @ Ek1
     S = symmetrization_projection(n, k)
-    assert np.allclose(S.adjoint().matrix.real, (k + 1) * inclusion, atol=1e-12)
+    assert np.allclose(S.matrix.conj().T.real, (k + 1) * inclusion, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (5, 3)])
@@ -229,14 +231,14 @@ def test_adjoint_is_conformal_immersion():
         rep = conformity_factor(P)
         for _ in range(5):
             w = rng.standard_normal(P.codomain.dim) + 1j * rng.standard_normal(P.codomain.dim)
-            lhs = np.linalg.norm(P.adjoint().apply(w)) ** 2
+            lhs = np.linalg.norm(P.matrix.conj().T @ w) ** 2
             assert abs(lhs - rep.rho_squared * np.linalg.norm(w) ** 2) <= 1e-10 * lhs
 
 
 def test_not_surjective_raises():
     P = exterior_projection(3, 1)
     with pytest.raises(NotSurjective) as exc:
-        conformity_factor(P.adjoint())
+        conformity_factor(LinearMap(P.codomain, P.domain, P.matrix.conj().T))
     assert exc.value.residual is not None
 
 
@@ -264,6 +266,38 @@ def test_non_finite_map_is_not_surjective_without_an_svd(monkeypatch, bad):
     assert np.isnan(rep.residual)
     with pytest.raises(NotSurjective):
         conformity_factor(P)
+
+
+def test_finite_map_whose_gram_overflows_is_measured_rescaled():
+    # 1e200 entries: m m* overflows, so the map is measured over its largest entry;
+    # the verdict and residual are the unscaled map's, warning-free
+    E = exterior_projection(3, 1)
+    ones = LinearMap(fiber_space(3, "u"), fiber_space(2, "w"), np.full((2, 3), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = conformity_report(E.scale(1e200))
+        flat = conformity_report(ones)
+    want = conformity_report(E)
+    assert (big.surjective, big.certified) == (want.surjective, want.certified) == (True, True)
+    assert big.residual <= 1e-15 and big.rho_squared == math.inf
+    assert not flat.surjective and not flat.certified and flat.residual == 1.0
+    with pytest.raises(NotSurjective):
+        conformity_factor(ones)
+
+
+def _off_balance_stack():
+    # the unnormalized (5,2) wedge/contraction stack: onto, not conformal
+    n, k = 5, 2
+    target = direct_sum((exterior_power(n, k + 1), exterior_power(n, k - 1)))
+    return stack_maps((exterior_projection(n, k), interior_projection(n, k)), target)
+
+
+def test_finite_map_whose_gram_underflows_is_measured_rescaled():
+    # 1e-200 entries: m m* is 0, which read as residual 0 certified any onto map
+    P = _off_balance_stack()
+    want, tiny = conformity_report(P), conformity_report(P.scale(1e-200))
+    assert tiny.surjective and not tiny.certified and tiny.rho_squared == 0.0
+    assert abs(tiny.residual - want.residual) <= 1e-14
 
 
 def _svd_rank_report(P, tol):
@@ -332,12 +366,7 @@ def test_projections_verify_runs_no_svd_in_conformity_report(monkeypatch, capsys
 
 
 def test_not_conformal_raises_with_residual():
-    # unnormalized wedge/contraction stack is not conformal off balance
-    from katolab.linmap import stack_maps
-    from katolab.spaces import direct_sum, exterior_power
-    n, k = 5, 2
-    target = direct_sum((exterior_power(n, k + 1), exterior_power(n, k - 1)))
-    P = stack_maps((exterior_projection(n, k), interior_projection(n, k)), target)
+    P = _off_balance_stack()
     rep = conformity_report(P)
     assert rep.surjective and not rep.certified
     with pytest.raises(NotConformal) as exc:
