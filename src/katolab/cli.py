@@ -40,20 +40,33 @@ from .symbols import (
 # output plumbing
 
 
-def _write_report(args, payload: dict, header, rows) -> None:
-    """The JSON payload, or the CSV header and rows, to --out or stdout."""
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow(["" if x is None else x for x in row])
+    return buf.getvalue()
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
+
+
+def _write_report(args, command: str, fields: dict, header, rows) -> None:
+    """The JSON report (command, version and fields), or the CSV header and
+    rows, to --out or stdout."""
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(["" if x is None else x for x in row])
-        text = buf.getvalue()
+        text = _csv_text(header, rows)
     else:
+        payload = {"command": command, "version": __version__, **fields}
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -64,22 +77,15 @@ def _write_report(args, payload: dict, header, rows) -> None:
 
 def _cmd_projections_verify(args) -> int:
     if args.max_n < 2 or not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        print("error: --max-n >= 2 and a finite --tolerance >= 0 are required",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("--max-n >= 2 and a finite --tolerance >= 0 are required")
     rows = conformity_table(args.max_n, args.tolerance)
     rows += twistor_symbol_rows(args.max_n, args.tolerance)
     passed = all(r["ok"] for r in rows)
-    payload = {
-        "command": "projections verify",
-        "version": __version__,
-        "max_n": args.max_n,
-        "tolerance": args.tolerance,
-        "rows": rows,
-        "passed": passed,
-    }
     header = ["family", "n", "k", "declared", "measured", "residual", "ok"]
-    _write_report(args, payload, header, [[r[h] for h in header] for r in rows])
+    _write_report(args, "projections verify",
+                  {"max_n": args.max_n, "tolerance": args.tolerance, "rows": rows,
+                   "passed": passed},
+                  header, [[r[h] for h in header] for r in rows])
     if not passed:
         first = next(r for r in rows if not r["ok"])
         print(f"first failing entry: {first['family']} n={first['n']} "
@@ -95,26 +101,19 @@ def _cmd_projections_verify(args) -> int:
 
 def _cmd_ellipticity(args) -> int:
     if args.coarse < 1 or args.refine < 0:
-        print("error: --coarse >= 1 and --refine >= 0 are required",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("--coarse >= 1 and --refine >= 0 are required")
     op = parse_op_string(args.op)
     result = ellipticity_constant(op, coarse_samples=args.coarse,
                                   refine_steps=args.refine)
-    payload = {
-        "command": "ellipticity",
-        "version": __version__,
-        "op": args.op,
-        **result.to_json_dict(),
-        "rho_squared": exact_to_json(op.rho_squared),
-    }
+    fields = {"op": args.op, **result.to_json_dict(),
+              "rho_squared": exact_to_json(op.rho_squared)}
     header = ["op", "epsilon", "declared", "matches", "method",
               "invariant", "samples", "refinement_steps"]
-    row = [payload[key] for key in ("op", "epsilon", "declared_epsilon",
-                                    "matches_declared", "method", "invariant",
-                                    "samples", "refinement_steps")]
-    _write_report(args, payload, header, [row])
-    return 0 if payload["matches_declared"] is not False else 1
+    row = [fields[key] for key in ("op", "epsilon", "declared_epsilon",
+                                   "matches_declared", "method", "invariant",
+                                   "samples", "refinement_steps")]
+    _write_report(args, "ellipticity", fields, header, [row])
+    return 0 if fields["matches_declared"] is not False else 1
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +122,18 @@ def _cmd_ellipticity(args) -> int:
 
 def _cmd_kato_fuzz(args) -> int:
     if args.samples < 1 or (args.dim_e is not None and args.dim_e < 1):
-        print("error: samples >= 1 and --dim-e >= 1 are required", file=sys.stderr)
-        return 2
+        raise ConfigError("samples >= 1 and --dim-e >= 1 are required")
     # flags the run would ignore: a foldo operator fixes all but --c,
     # a hodge --op the degrees
     unused = ("n", "k", "dim_e", "c_star") if args.theorem == "foldo" else (
         ("n", "k") if args.op else ())
     given = ["--" + key.replace("_", "-") for key in unused if getattr(args, key) is not None]
     if given:
-        print(f"error: --theorem {args.theorem} {'with --op ' if args.op else ''}"
-              f"ignores {', '.join(given)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--theorem {args.theorem} {'with --op ' if args.op else ''}"
+                          f"ignores {', '.join(given)}")
     if args.theorem == "foldo":
         if not args.op:
-            print("error: --theorem foldo needs --op", file=sys.stderr)
-            return 2
+            raise ConfigError("--theorem foldo needs --op")
         op = parse_op_string(args.op)
         report = fuzz_operator_inequality(op, args.samples, args.seed,
                                           c_fixed=args.c)
@@ -145,24 +141,17 @@ def _cmd_kato_fuzz(args) -> int:
         if args.op:
             parts = args.op.split(":")
             if parts[0] != "hodge" or len(parts) != 3:
-                print("error: --theorem hodge takes --op hodge:n:k or --n/--k",
-                      file=sys.stderr)
-                return 2
+                raise ConfigError("--theorem hodge takes --op hodge:n:k or --n/--k")
             args.n, args.k = int(parts[1]), int(parts[2])
         if args.n is None or args.k is None:
-            print("error: --theorem hodge needs --n and --k", file=sys.stderr)
-            return 2
+            raise ConfigError("--theorem hodge needs --n and --k")
         report = fuzz_hodge_inequality(args.n, args.k, args.dim_e or 1,
                                        args.samples, args.seed,
                                        c_fixed=args.c, cstar_fixed=args.c_star)
-    payload = {
-        "command": "kato fuzz",
-        "version": __version__,
-        **report.to_json_dict(),
-    }
+    fields = report.to_json_dict()
     header = ["theorem", "operator", "samples", "violations",
               "min_margin", "min_relative_margin", "seed", "passed"]
-    _write_report(args, payload, header, [[payload[h] for h in header]])
+    _write_report(args, "kato fuzz", fields, header, [[fields[h] for h in header]])
     return 0 if report.passed else 1
 
 
@@ -170,36 +159,24 @@ def _cmd_kato_fuzz(args) -> int:
 # field scenarios
 
 
-def _dump_points(path: str, n: int, ev: dict) -> None:
-    header = [f"x{i + 1}" for i in range(n)] + ["margin", "scale", "ok"]
-    rows = [list(p) + [m, s, bool(ok)]
-            for p, m, s, ok in zip(ev["points"], ev["margin"], ev["tol_scale"], ev["ok"])]
-    with open(path, "w", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _cmd_field_run(args) -> int:
     if args.grid < 1:
-        print("error: grid >= 1 is required", file=sys.stderr)
-        return 2
+        raise ConfigError("grid >= 1 is required")
     sc = make_scenario(args.scenario, args.n, k=args.k, seed=args.seed)
     X = sample_points(sc.n, args.grid)
     ev = evaluate_scenario(sc, X, args.c, args.c_star)
     if args.dump_points:
-        _dump_points(args.dump_points, sc.n, ev)
-    report = scenario_report(sc, X, ev, args.c, args.seed)
-    payload = {
-        "command": "field run",
-        "version": __version__,
-        **report.to_json_dict(),
-    }
+        # one row per kept point: coordinates, margin, tolerance scale, ok
+        _write_file(args.dump_points, _csv_text(
+            [f"x{i + 1}" for i in range(sc.n)] + ["margin", "scale", "ok"],
+            (list(p) + [m, s, bool(ok)] for p, m, s, ok
+             in zip(ev["points"], ev["margin"], ev["tol_scale"], ev["ok"]))))
+    fields = scenario_report(sc, X, ev, args.c, args.seed).to_json_dict()
     header = ["scenario", "theorem", "operator", "n", "k", "c", "c_star",
               "sample_points", "skipped_points", "violations",
               "min_margin", "branch", "passed"]
-    _write_report(args, payload, header, [[payload[h] for h in header]])
-    return 0 if report.passed else 1
+    _write_report(args, "field run", fields, header, [[fields[h] for h in header]])
+    return 0 if fields["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +215,9 @@ def _cmd_suite_all(args) -> int:
             min_relative_margin=rep.min_relative_margin,
             symbol_residual=rep.symbol_residual)
     passed = all(c["passed"] for c in components)
-    payload = {
-        "command": "suite all",
-        "version": __version__,
-        "seed": args.seed,
-        "components": components,
-        "passed": passed,
-    }
-    _write_report(args, payload, ["component", "name", "passed"],
+    _write_report(args, "suite all",
+                  {"seed": args.seed, "components": components, "passed": passed},
+                  ["component", "name", "passed"],
                   [[c["component"], c["name"], c["passed"]] for c in components])
     return 0 if passed else 1
 

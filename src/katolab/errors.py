@@ -63,4 +63,4 @@ class ZeroOperator(VerificationError):
 
 
 class ConfigError(VerificationError):
-    """Malformed config file or inconsistent CLI options."""
+    """Malformed config file, inconsistent CLI options or an unwritable output path."""

@@ -40,11 +40,7 @@ FIELD_MARGIN_TOL_FACTOR = 1e-8   # looser than the fuzzers: points accumulate
 SKIP_NORM_FACTOR = 1e-8          # |phi(x)| below this * sup|phi| is skipped
 CLOSEDNESS_TOL = 1e-13
 SYMBOL_CONSISTENCY_TOL = 1e-12
-# PhaseTable.values fills its output in m // _VALUES_BLOCK row blocks, whatever the
-# width, cut at multiples of 48 rows: single-threaded OpenBLAS sums a product of fewer
-# than about 420 rows of 300 reals, and the rows after a product's last full 12-row
-# tile, in another order, so only such cuts keep the bits of one whole product
-_VALUES_BLOCK = 1024
+_SECTION_BAND = (8, 3)   # random_field's mode_count and max_freq for every scenario
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +148,11 @@ class PhaseTable:
         A = np.ascontiguousarray(cos_coeffs).view(float)
         B = np.ascontiguousarray(sin_coeffs).view(float)
         out = np.empty((len(self.cos), A.shape[1]))
-        for r in _row_blocks(len(out), 0, rows=_VALUES_BLOCK, align=48):
+        # blocks sized by rows alone (width 0), cut at multiples of 48 rows:
+        # single-threaded OpenBLAS sums a product of fewer than about 420 rows of 300
+        # reals, and the rows after a product's last full 12-row tile, in another
+        # order, so only such cuts keep the bits of one whole product
+        for r in _row_blocks(len(out), 0, align=48):
             np.matmul(self.cos[r], A, out=out[r])
             out[r] += self.sin[r] @ B
         return out.view(np.complex128)
@@ -354,8 +354,7 @@ def _degree(name: str, n: int) -> int | None:
     return min(2, n - 1) if degree is None else degree
 
 
-def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0,
-                  mode_count: int = 8, max_freq: int = 3) -> Scenario:
+def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0) -> Scenario:
     """Build the section field and certificates for a named scenario."""
     if name not in _SCENARIOS:
         raise UnknownScenario(f"unknown scenario '{name}'; choose from "
@@ -376,10 +375,10 @@ def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0,
     rng = np.random.default_rng(seed)
     if theorem != "hodge":
         op = catalog(theorem, n)
-        f = random_field(n, op.domain_fiber.dim, mode_count, max_freq, rng)
+        f = random_field(n, op.domain_fiber.dim, *_SECTION_BAND, rng)
         return Scenario(name, "foldo", n, None, op.domain_fiber.dim, f,
                         operator=op, notes=notes)
-    f = random_field(n, math.comb(n, k + shift) * extra, mode_count, max_freq, rng)
+    f = random_field(n, math.comb(n, k + shift) * extra, *_SECTION_BAND, rng)
     if shift:
         f = (exterior_derivative if shift < 0 else coderivative)(f, k + shift, extra)
     d_vanishing, dstar_vanishing = shift < 0 or None, shift > 0 or None
@@ -540,10 +539,9 @@ def scenario_report(sc: Scenario, X: np.ndarray, ev: dict, c: float,
 
 
 def run_scenario(name: str, n: int, k: int | None = None, c: float = 1.0,
-                 c_star: float = 1.0, points: int = 10000, seed: int = 0,
-                 mode_count: int = 8, max_freq: int = 3) -> ScenarioReport:
+                 c_star: float = 1.0, points: int = 10000,
+                 seed: int = 0) -> ScenarioReport:
     """Sample a scenario on its grid and check every admissible point."""
-    sc = make_scenario(name, n, k=k, seed=seed, mode_count=mode_count,
-                       max_freq=max_freq)
+    sc = make_scenario(name, n, k=k, seed=seed)
     X = sample_points(sc.n, points)
     return scenario_report(sc, X, evaluate_scenario(sc, X, c, c_star), c, seed)

@@ -72,6 +72,8 @@ _LEMMA_BLOCK = 4096
 # temporaries in cache; no block is short, as OpenBLAS sums a product of few rows in
 # another order
 _FORM_BLOCK = 1024
+# the fuzzers draw free weights as _C_MAX * U^3, U uniform on [0, 1)
+_C_MAX = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -500,33 +502,27 @@ def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
 
     u has one gradient surrogate per row, phi one section value; c is a
     scalar or per-row array.  vanishing overrides branch detection when
-    the caller holds an exact certificate.  Returns the margin arrays
-    plus the pieces needed for reporting.
+    the caller holds an exact certificate.  Returns the per-row margin,
+    lhs, rhs, full_scale (lhs plus the finite rhs), vanishing mask and
+    gain.
     """
     n, dE = op.base_dim, op.domain_fiber.dim
     rho2, eps = operator_constants(op)
     m = u.shape[0]
-    Pu = u @ op.full_symbol.matrix.T
-    pu_sq = _sq(Pu)
+    pu_sq = _sq(u @ op.full_symbol.matrix.T)
     scale = _sq(u)
     vanishing = _branch(vanishing, pu_sq, scale)
     b = np.real(np.einsum("nie,ne->ni", u.reshape(m, n, dE), phi.conj()))
     dnorm_sq = np.sum(b ** 2, axis=1) / _sq(phi)
-    gains = batch_lemma_gain(c, rho2 - eps, vanishing, weight=eps)
+    gain = batch_lemma_gain(c, rho2 - eps, vanishing, weight=eps)
     lhs = scale + np.asarray(c, dtype=float) * pu_sq
-    gain_vanishing = float(batch_lemma_gain(0.0, rho2 - eps, True, weight=eps))
-    rhs = (1.0 + gains) * dnorm_sq
-    if math.isinf(gain_vanishing):
+    rhs = (1.0 + gain) * dnorm_sq
+    if math.isinf(batch_lemma_gain(0.0, rho2 - eps, True, weight=eps)):
         zero_pair = dnorm_sq <= _PAIRING_ZERO_FACTOR * np.maximum(scale, 1.0)
         rhs = np.where(vanishing & zero_pair, 0.0, rhs)
-    margin = lhs - rhs
-    full_scale = lhs + np.where(np.isinf(rhs), 0.0, rhs)
-    return {
-        "margin": margin, "lhs": lhs, "rhs": rhs, "scale": scale,
-        "full_scale": full_scale, "vanishing": vanishing, "pu_sq": pu_sq,
-        "dnorm_sq": dnorm_sq, "gain": gains, "gain_vanishing": gain_vanishing,
-        "rho_squared": rho2, "epsilon": eps,
-    }
+    return {"margin": lhs - rhs, "lhs": lhs, "rhs": rhs,
+            "full_scale": lhs + np.where(np.isinf(rhs), 0.0, rhs),
+            "vanishing": vanishing, "gain": gain}
 
 
 def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
@@ -541,14 +537,13 @@ def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     return _row_verdict("foldo", out, c, None, seed)
 
 
-def _row_blocks(m: int, width: int, rows: int | None = None, align: int = 1) -> list:
+def _row_blocks(m: int, width: int, align: int = 1) -> list:
     """Slices of m rows of `width` reals each into equal blocks: at least one, and
-    enough that a block has fewer than 2 `rows` rows (default _FORM_BLOCK) and, unless
-    it is one row, fewer than 2 `rows` * 100 entries (100 reals: the widest fiber-1
-    form row at n <= 5, whose blocks the row count alone sets).  With align, each cut
-    moves down to a multiple of align rows."""
-    rows = rows or _FORM_BLOCK
-    nb = max(1, m // rows, min(m, m * width // (rows * 100)))
+    enough that a block has fewer than 2 _FORM_BLOCK rows and, unless it is one row,
+    fewer than 2 _FORM_BLOCK * 100 entries (100 reals: the widest fiber-1 form row at
+    n <= 5, whose blocks the row count alone sets).  With align, each cut moves down
+    to a multiple of align rows."""
+    nb = max(1, m // _FORM_BLOCK, min(m, m * width // (_FORM_BLOCK * 100)))
     cuts = [i * m // nb // align * align for i in range(nb)] + [m]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
@@ -700,12 +695,12 @@ def report_json(report) -> dict:
     return {k: json_number(list(v) if isinstance(v, tuple) else v) for k, v in out.items()}
 
 
-def _weights(rng, count: int, c_max: float, fixed: float | None = None) -> np.ndarray:
+def _weights(rng, count: int, fixed: float | None = None) -> np.ndarray:
     if fixed is not None:
         return np.full(count, fixed, dtype=float)
     # cubic bias toward small weights plus a slice of exact zeros;
     # both regimes of the interpolation matter
-    c = c_max * rng.random(count) ** 3
+    c = _C_MAX * rng.random(count) ** 3
     c[: max(1, count // 64)] = 0.0
     return c
 
@@ -726,6 +721,15 @@ def _complex_row_blocks(rng, count: int, dim: int) -> list:
     for z in blocks:
         z.imag = rng.standard_normal(z.shape)
     return blocks
+
+
+def _redraw_in_kernels(rng, rows: np.ndarray, nulls, fraction: float) -> None:
+    """Redraw consecutive slices of int(fraction * len(rows)) rows, the i-th inside
+    the span of the columns of nulls[i]; a zero kernel keeps its slice."""
+    nk = int(fraction * len(rows))
+    for i, null in enumerate(nulls):
+        if nk and null.shape[1]:
+            rows[i * nk:(i + 1) * nk] = _complex_rows(rng, nk, null.shape[1]) @ null.T
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:
@@ -794,14 +798,13 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
 
 
 def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
-                             c_max: float = 1e3, c_fixed: float | None = None,
-                             kernel_fraction: float = 0.25,
+                             c_fixed: float | None = None,
                              chunk: int = 20000) -> FuzzReport:
     """Batch check of the operator inequality on random data.
 
-    A kernel_fraction slice of every chunk is resampled inside ker P so
-    the vanishing branch (and its exact gain) gets exercised whenever
-    the kernel is nonzero.
+    A quarter of every chunk is resampled inside ker P so the vanishing
+    branch (and its exact gain) gets exercised whenever the kernel is
+    nonzero.
     """
     n, dE = op.base_dim, op.domain_fiber.dim
     null = _null_space(op.full_symbol.matrix)
@@ -809,15 +812,13 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
     def sample(rng, m):
         u = _complex_rows(rng, m, n * dE)
         phi = _complex_rows(rng, m, dE)
-        c = _weights(rng, m, c_max, c_fixed)
-        nk = int(kernel_fraction * m) if null.shape[1] else 0
-        if nk:
-            u[:nk] = _complex_rows(rng, nk, null.shape[1]) @ null.T  # columns of null span ker P
+        c = _weights(rng, m, c_fixed)
+        _redraw_in_kernels(rng, u, [null], 0.25)
         return u, phi, c
 
     report = _fuzz(
         "foldo", op.name, samples, seed,
-        (0.0, c_max) if c_fixed is None else (c_fixed, c_fixed), chunk, sample,
+        (0.0, _C_MAX) if c_fixed is None else (c_fixed, c_fixed), chunk, sample,
         lambda u, phi, c: batch_operator_margins(op, u, phi, c))
     rho2, eps = operator_constants(op)
     report.extras.update({
@@ -830,16 +831,14 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
 
 
 def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
-                          seed: int, c_max: float = 1e3,
-                          c_fixed: float | None = None,
+                          seed: int, c_fixed: float | None = None,
                           cstar_fixed: float | None = None,
-                          kernel_fraction: float = 0.2,
                           chunk: int = 10000) -> FuzzReport:
     """Batch check of both forms of the two-sided inequality.
 
-    Every chunk contains slices resampled inside ker(wedge) and
-    ker(contraction) so both vanishing branches appear with their exact
-    gains 1/k and 1/(n-k).
+    Every chunk has a fifth of its rows resampled inside ker(wedge) and
+    the next fifth inside ker(contraction), so both vanishing branches
+    appear with their exact gains 1/k and 1/(n-k).
     """
     kit = _form_kit(n, k)
     dim = n * kit.dim_k * fiber_dim
@@ -848,17 +847,14 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
     def sample(rng, m):
         v = _complex_rows(rng, m, dim)
         phi = _complex_rows(rng, m, kit.dim_k * fiber_dim)
-        c = _weights(rng, m, c_max, c_fixed)
-        cs = _weights(rng, m, c_max, cstar_fixed)
-        nk = int(kernel_fraction * m)
-        for i, null in enumerate(nulls):
-            if nk and null.shape[1]:
-                v[i * nk:(i + 1) * nk] = _complex_rows(rng, nk, null.shape[1]) @ null.T
+        c = _weights(rng, m, c_fixed)
+        cs = _weights(rng, m, cstar_fixed)
+        _redraw_in_kernels(rng, v, nulls, 0.2)
         return v, phi, c, cs
 
     report = _fuzz(
         "hodge", f"hodge:{n}:{k}" + (f" fiber={fiber_dim}" if fiber_dim > 1 else ""),
-        samples, seed, (0.0, c_max) if c_fixed is None else (c_fixed, cstar_fixed),
+        samples, seed, (0.0, _C_MAX) if c_fixed is None else (c_fixed, cstar_fixed),
         chunk, sample,
         lambda v, phi, c, cs: batch_hodge_margins(n, k, fiber_dim, v, phi, c, cs,
                                                   diagnostics=True),
@@ -874,13 +870,12 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
 
 
 def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
-                   seed: int, c_max: float = 1e3, label: str = "restriction",
-                   forced_fraction: float = 0.25,
+                   seed: int, label: str = "restriction",
                    chunk: int = 20000) -> FuzzReport:
     """Batch check of the two-component lemma for one restricted map.
 
-    A forced_fraction slice gets u1 adjusted so C(u1 + u2) = 0 exactly
-    (up to least squares rounding), exercising the vanishing branch.
+    The first quarter of every chunk gets u1 adjusted so C(u1 + u2) = 0
+    exactly (up to least squares rounding), exercising the vanishing branch.
     sub_basis must hold orthonormal columns (ValueError otherwise).
     """
     Chat, _, a = _restricted_gram(C, sub_basis)
@@ -892,8 +887,8 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
     def sample(rng, m):
         u1 = _complex_row_blocks(rng, m, C.domain.dim)
         z = _complex_row_blocks(rng, m, sub_basis.shape[1])
-        c = _weights(rng, m, c_max)
-        nf = int(forced_fraction * m)
+        c = _weights(rng, m)
+        nf = int(0.25 * m)
         for x1, x2, start in zip(u1, z, starts):  # C(u1 + u2) = 0 on the first nf rows
             f = min(max(nf - start, 0), len(x1))
             x1[:f] -= (x1[:f] @ CT + x2[:f] @ ChatT) @ pinvT
@@ -905,7 +900,7 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
                 for x1, x2, start in zip(u1, z, starts)]
         return {key: np.concatenate([out[key] for out in outs]) for key in outs[0]}
 
-    report = _fuzz("key-lemma", label, samples, seed, (0.0, c_max), chunk,
+    report = _fuzz("key-lemma", label, samples, seed, (0.0, _C_MAX), chunk,
                    sample, kernel)
     report.extras["spectral_bound"] = a
     return report
@@ -915,7 +910,7 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
 # catalog-derived restricted maps for the key lemma
 
 
-def key_lemma_setups(n: int, k: int, fiber_dim: int = 1):
+def key_lemma_setups(n: int, k: int):
     """Restriction geometries taken from the form-block structure.
 
     With xi0 = e_1* the four blocks align with coordinate slices, so the
@@ -924,19 +919,13 @@ def key_lemma_setups(n: int, k: int, fiber_dim: int = 1):
     """
     kit = _form_kit(n, k)
     labels_k = exterior_power(n, k).labels
-    dim_k, dE = kit.dim_k, fiber_dim
     has1 = [j for j, lab in enumerate(labels_k) if 1 in lab]
     no1 = [j for j, lab in enumerate(labels_k) if 1 not in lab]
 
     def cols(i_range, form_idx):
-        out = []
-        for i in i_range:
-            for j in form_idx:
-                for e in range(dE):
-                    out.append((i * dim_k + j) * dE + e)
-        return out
+        return [i * kit.dim_k + j for i in i_range for j in form_idx]
 
-    eps_mat, iota_mat = kit.flat_maps(dE)
+    eps_mat, iota_mat = kit.flat_maps(1)
     setups = []
     for label, mat, first, second, bound in (
         ("wedge-on-mixed-blocks", eps_mat, cols([0], no1),

@@ -55,11 +55,11 @@ def stack_maps(maps, codomain: SpaceDescriptor) -> LinearMap:
     return LinearMap(dom, codomain, np.vstack([m.matrix for m in maps]))
 
 
-def gram_schmidt_columns(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def gram_schmidt_columns(M: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of M in order, skipping dependents.
 
     Deterministic modified Gram-Schmidt with one reorthogonalization
-    pass; the drop threshold is relative to the largest column norm.
+    pass; the drop threshold is 1e-10 times the largest column norm.
     Returns a matrix with orthonormal columns spanning the column space.
     """
     M = np.asarray(M, dtype=np.complex128)
@@ -75,7 +75,7 @@ def gram_schmidt_columns(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
             for b in basis:
                 w = w - b * np.vdot(b, w)
         nw = np.linalg.norm(w)
-        if nw > tol * scale:
+        if nw > 1e-10 * scale:
             basis.append(w / nw)
     if not basis:
         return np.zeros((M.shape[0], 0), dtype=np.complex128)

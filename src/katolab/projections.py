@@ -274,8 +274,7 @@ def conformity_table(max_n: int, tolerance: float) -> list:
             for family, fam in FAMILIES.items() for k in fam.degrees(n)]
 
 
-def line_image_basis(P: LinearMap, xi: np.ndarray, fiber_dim: int,
-                     tol: float = 1e-10) -> np.ndarray:
+def line_image_basis(P: LinearMap, xi: np.ndarray, fiber_dim: int) -> np.ndarray:
     """Orthonormal basis of P(span(xi) (x) E) inside the codomain.
 
     xi is a real covector of length n with n * fiber_dim the domain
@@ -292,5 +291,5 @@ def line_image_basis(P: LinearMap, xi: np.ndarray, fiber_dim: int,
         v = np.zeros(P.domain.dim, dtype=np.complex128)
         v[e::fiber_dim] = xi
         cols[:, e] = m @ v
-    return gram_schmidt_columns(cols, tol)
+    return gram_schmidt_columns(cols)
 

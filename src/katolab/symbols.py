@@ -114,17 +114,24 @@ def quasi_unit_covectors(n: int, count: int) -> np.ndarray:
     """
     if n < 1 or count < 1:
         raise ValueError("need n >= 1 and count >= 1")
+    return _sphere_points(n, 0, count)
+
+
+def _sphere_points(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of quasi_unit_covectors(n, count) for any count >= stop:
+    each row is computed from its own index alone, elementwise, so a slice has the
+    bits of the same rows of the whole sweep."""
+    j = np.arange(start + 1, stop + 1)[:, None]
     if n == 1:
-        return np.where(np.arange(count) % 2 == 0, 1.0, -1.0)[:, None]
+        return np.where(j % 2 == 1, 1.0, -1.0)
     d = 2 * ((n + 1) // 2)
     phi = _generalized_golden(d)
     alpha = np.array([phi ** -(i + 1) for i in range(d)])
-    j = np.arange(1, count + 1)[:, None]
     t = np.mod(0.5 + j * alpha[None, :], 1.0)
     t = np.clip(t, 1e-12, 1.0 - 1e-12)
     r = np.sqrt(-2.0 * np.log(t[:, 0::2]))
     th = 2.0 * np.pi * t[:, 1::2]
-    g = np.empty((count, d))
+    g = np.empty((len(j), d))
     g[:, 0::2] = r * np.cos(th)
     g[:, 1::2] = r * np.sin(th)
     g = g[:, :n]
@@ -184,26 +191,29 @@ def ellipticity_constant(op: OperatorSpec,
     xi); that branch is an upper bound and says so in its method field.
     """
     n = op.base_dim
+    if coarse_samples < 1:
+        raise ValueError(f"need coarse_samples >= 1, got {coarse_samples}")
 
     def lam_min(xis):
         return np.linalg.eigvalsh(principal_squares(op, xis))[:, 0]
 
     e1 = unit_covector(n)
     ref = np.linalg.eigvalsh(principal_squares(op, e1[None]))[0]
-    pts = quasi_unit_covectors(n, coarse_samples)
-    # blocks of about 2^18 symbol entries keep memory flat in coarse_samples
+    # blocks of about 2^18 symbol entries, each generating its own directions, keep
+    # memory flat in coarse_samples; xi and val follow the sweep's first argmin
     block = max(1, 2 ** 18 // (op.target.dim * op.domain_fiber.dim))
-    lows, worst = [], 0.0
+    worst = 0.0
     for i in range(0, coarse_samples, block):
-        spectra = np.linalg.eigvalsh(principal_squares(op, pts[i:i + block]))
-        lows.append(spectra[:, 0])
+        pts = _sphere_points(n, i, min(i + block, coarse_samples))
+        spectra = np.linalg.eigvalsh(principal_squares(op, pts))
         worst = max(worst, float(np.max(np.abs(spectra - ref))))
+        best = int(np.argmin(spectra[:, 0]))
+        if i == 0 or spectra[best, 0] < val:
+            xi, val = pts[best].copy(), float(spectra[best, 0])
+        del pts, spectra  # before the next block's are made
     if worst <= INVARIANCE_TOL:
         return EllipticityResult(float(ref[0]), tuple(e1), True, coarse_samples,
                                  0, "invariant-exact", op.epsilon)
-    lows = np.concatenate(lows)
-    best = int(np.argmin(lows))
-    xi, val = pts[best].copy(), float(lows[best])
     radius, rounds = 0.4, 0
     while rounds < refine_steps and 1.0 + radius != 1.0:
         rounds += 1

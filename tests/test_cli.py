@@ -195,7 +195,7 @@ def test_kato_fuzz_hodge_rejects_bad_fiber_dimension(capsys, value):
 def test_write_report_refuses_non_finite_floats():
     args = argparse.Namespace(format="json", out=None)
     with pytest.raises(ValueError):
-        _write_report(args, {"min_margin": float("nan")}, [], [])
+        _write_report(args, "kato fuzz", {"min_margin": float("nan")}, [], [])
 
 
 @pytest.mark.parametrize("argv", [
@@ -306,6 +306,39 @@ def test_out_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["op"] == "dirac:2"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-points"])
+def test_unwritable_path_is_config_error(tmp_path, capsys, flag):
+    # exit 1 is kept for failed checks: a path that cannot be written is a usage
+    # error, reported on one line without a traceback, and no report is printed
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, "field", "run", "--scenario", "dirac-spinor",
+                          "--n", "2", "--grid", "50", flag, str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+# the usage errors the handlers raise as ConfigError, with their whole stderr
+@pytest.mark.parametrize("argv,line", [
+    (["projections", "verify", "--max-n", "1"],
+     "--max-n >= 2 and a finite --tolerance >= 0 are required"),
+    (["ellipticity", "--op", "dirac:3", "--coarse", "0"],
+     "--coarse >= 1 and --refine >= 0 are required"),
+    (["kato", "fuzz", "--theorem", "foldo", "--op", "dirac:3", "--samples", "0"],
+     "samples >= 1 and --dim-e >= 1 are required"),
+    (["kato", "fuzz", "--theorem", "foldo", "--op", "dirac:3", "--n", "3",
+      "--c-star", "1"], "--theorem foldo with --op ignores --n, --c-star"),
+    (["kato", "fuzz", "--theorem", "foldo"], "--theorem foldo needs --op"),
+    (["kato", "fuzz", "--theorem", "hodge", "--op", "dirac:3"],
+     "--theorem hodge takes --op hodge:n:k or --n/--k"),
+    (["kato", "fuzz", "--theorem", "hodge", "--n", "3"],
+     "--theorem hodge needs --n and --k"),
+    (["field", "run", "--scenario", "generic-form", "--n", "3", "--grid", "0"],
+     "grid >= 1 is required"),
+])
+def test_usage_errors_exit_2_with_one_error_line(capsys, argv, line):
+    assert _run(capsys, *argv) == (2, "", f"error: {line}\n")
 
 
 def test_json_reports_byte_identical(capsys):

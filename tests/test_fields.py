@@ -372,7 +372,7 @@ def test_every_grid_entry_builds():
     # n = 1 admits only the Dirac spinor
     assert [name for name, n, _ in scenario_grid(range(1, 8)) if n == 1] == ["dirac-spinor"]
     for name, n, k in scenario_grid(range(1, 8)):
-        sc = make_scenario(name, n, k=k, seed=5, mode_count=3, max_freq=1)
+        sc = make_scenario(name, n, k=k, seed=5)
         assert (sc.name, sc.n, sc.k) == (name, n, k)
 
 

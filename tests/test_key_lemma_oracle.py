@@ -58,7 +58,7 @@ def _reference_margins(C, a, u1, u2, c):
             "vanishing": vanishing}
 
 
-def _reference_rows(C, sub, seed, c_max=1e3, forced_fraction=0.25):
+def _reference_rows(C, sub, seed, forced_fraction=0.25):
     Chat = C.matrix @ sub
     a = float(np.linalg.eigvalsh(Chat @ Chat.conj().T)[-1])
     pinv = np.linalg.pinv(C.matrix)
@@ -68,7 +68,7 @@ def _reference_rows(C, sub, seed, c_max=1e3, forced_fraction=0.25):
         m = min(CHUNK, SAMPLES - done)
         u1 = np.concatenate(_complex_row_blocks(rng, m, C.domain.dim))
         u2 = np.concatenate(_complex_row_blocks(rng, m, sub.shape[1])) @ sub.T
-        c = _weights(rng, m, c_max)
+        c = _weights(rng, m)
         nf = int(forced_fraction * m)
         u1[:nf] = u1[:nf] - ((u1[:nf] + u2[:nf]) @ C.matrix.T) @ pinv.T
         outs.append(_reference_margins(C.matrix, a, u1, u2, c))

@@ -109,16 +109,41 @@ def test_ellipticity_reports_the_directions_swept(coarse):
     assert (skewed.samples, skewed.refinement_steps) == (coarse, 3)
 
 
-def test_ellipticity_sweep_memory_is_flat_in_directions():
-    # the whole 3000-direction stack of hodge:6:3 squares would take 77 MB
+def _sweep_peak(op, count):
     tracemalloc.start()
     try:
-        res = ellipticity_constant(catalog("hodge", 6, 3), coarse_samples=3000)
+        res = ellipticity_constant(op, coarse_samples=count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.samples == 3000 and res.invariant
-    assert peak < 25e6
+    assert res.samples == count and res.invariant
+    return peak
+
+
+def test_ellipticity_sweep_memory_is_flat_in_directions():
+    # the whole 3000-direction stack of hodge:6:3 squares would take 77 MB
+    assert _sweep_peak(catalog("hodge", 6, 3), 3000) < 25e6
+    # the directions are made block by block too: 400k of them, six full blocks
+    # of dirac:3, take no more memory than 100k (when all were held, 57.6 MB vs 15.0)
+    dirac = catalog("dirac", 3)
+    assert _sweep_peak(dirac, 400_000) <= 1.1 * _sweep_peak(dirac, 100_000)
+
+
+def test_blocked_sweep_keeps_the_first_argmin_of_the_whole_sweep():
+    # a random symbol is not invariant; 2^18 // (40 * 8) = 819 directions per block
+    # make 3000 directions four blocks, and with no search rounds the result is the
+    # sweep's minimum at its first argmin
+    rng = np.random.default_rng(3)
+    E, F = fiber_space(8, "e"), fiber_space(40, "f")
+    m = rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))
+    op = OperatorSpec("random", 3, E, F, LinearMap(tensor_product((dual_space(3), E)), F, m))
+    res = ellipticity_constant(op, coarse_samples=3000, refine_steps=0)
+    xis = quasi_unit_covectors(3, 3000)
+    lows = np.linalg.eigvalsh(principal_squares(op, xis))[:, 0]
+    best = int(np.argmin(lows))
+    assert res.method == "sampled-upper-bound" and res.refinement_steps == 0
+    assert res.epsilon == pytest.approx(lows[best], rel=1e-12)
+    assert np.array_equal(res.argmin_xi, xis[best])
 
 
 def test_symbol_at_rejects_zero():
