@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -49,12 +50,20 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e.strerror}") from None
+
+
+def _check_writable(path: str) -> None:
+    """ConfigError now, before any run, if path cannot be written; creates no file."""
+    existed = os.path.lexists(path)
+    _write_file(path, "", mode="a")
+    if not existed:
+        os.remove(path)
 
 
 def _write_report(args, command: str, fields: dict, header, rows) -> None:
@@ -139,10 +148,11 @@ def _cmd_kato_fuzz(args) -> int:
                                           c_fixed=args.c)
     else:
         if args.op:
-            parts = args.op.split(":")
-            if parts[0] != "hodge" or len(parts) != 3:
+            op = parse_op_string(args.op)
+            if op.name != "hodge":
                 raise ConfigError("--theorem hodge takes --op hodge:n:k or --n/--k")
-            args.n, args.k = int(parts[1]), int(parts[2])
+            # the degree is that of the forms the operator acts on
+            args.n, args.k = op.base_dim, len(op.domain_fiber.labels[0])
         if args.n is None or args.k is None:
             raise ConfigError("--theorem hodge needs --n and --k")
         report = fuzz_hodge_inequality(args.n, args.k, args.dim_e or 1,
@@ -345,6 +355,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(_with_config(args, argv))
+        for path in (args.out, getattr(args, "dump_points", None)):
+            if path:
+                _check_writable(path)
         return args.handler(args)
     except SystemExit as e:
         code = e.code

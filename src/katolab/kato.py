@@ -27,13 +27,18 @@ one row and wraps that row in a KatoVerdict; the fuzzers run the same
 kernels over random row chunks through one driver.
 
 The form kernel is matrix multiplies on real views, where (fiber,
-re/im) acts as a real fiber of size 2 fiber: each symbol application is
-one matmul against a cached fiber-expanded matrix, and the four-block
-split along a unit covector xi uses the projector Q_xi = eps(xi) iota(xi)
-onto the forms containing xi, one batched matmul per row block.  With
-w = xi . V: v11 = xi (x) Q w, v12 = xi (x) (w - Q w), v21 = Q V - v11,
-v22 = V - v12 - Q V.  A row with a non-finite margin, side or scale
-fails; the kernels run under np.errstate, so overflow is a failure.
+re/im) acts as a real fiber of size 2 fiber.  One product against the
+cached [eps; iota] gives the images eta+ = eps V and eta- = iota V, and
+along the unit covector xi the corollary's three norms are closed forms
+in them: |eps(v12 + v21)|^2 = |iota_xi eta+|^2, |iota(v11 + v22)|^2 =
+|xi ^ eta-|^2 and |v11|^2 + |v12|^2 = |xi . V|^2, for the blocks of the
+explicit split four_block_decompose.  A map along xi is one product of
+the xi rows with a direction table, then one batched matmul.  The
+diagnostics check the identities behind the closed forms on both
+images: Pythagoras |iota_xi eta|^2 + |xi ^ eta|^2 = |eta|^2,
+annihilation iota_xi iota_xi = 0 and xi ^ xi ^ = 0, and dominance of the
+parts by the full images.  A row with a non-finite margin, side or
+scale fails; the kernels run under np.errstate, so overflow is a failure.
 
 Infinite gains are represented by math.inf (the extended reals): they
 occur exactly when rho^2 = epsilon on the vanishing branch, and force
@@ -216,25 +221,25 @@ class FourBlockSplit:
 class _FormKit:
     """Wedge/contraction symbol tables on degree-k forms, built once per (n, k).
 
-    maps: the two symbols on flattened V* (x) Lambda^k; iota_dir and
-    eps_km_dir: row i is the flattened contraction on Lambda^k and wedge
-    on Lambda^(k-1) by e_i*.
+    maps: the two symbols on flattened V* (x) Lambda^k.  wedge[j] and
+    contraction[j], for j = k-1, k, k+1 where the target degree is in
+    0..n, are direction tables T (n, dst, src): T[i] is the wedge with
+    e_i* or the contraction by it on Lambda^j.
     """
 
     def __init__(self, n: int, k: int):
         if k < 1 or k > n - 1:
             raise BadDegree(f"form split needs 1 <= k <= {n - 1}, got k={k}")
-        self.n, self.k = n, k
-        self.dim_k = math.comb(n, k)
-        self.dim_dn = math.comb(n, k - 1)
-        self.maps = (exterior_projection(n, k).matrix.real,
-                     interior_projection(n, k).matrix.real)
-        self.iota_dir = self._directions(self.maps[1])
-        self.eps_km_dir = self._directions(exterior_projection(n, k - 1).matrix.real)
+        self.n, self.dim_k = n, math.comb(n, k)
+        wedge = {j: exterior_projection(n, j).matrix.real for j in (k - 1, k, k + 1) if j < n}
+        contr = {j: interior_projection(n, j).matrix.real for j in (k - 1, k, k + 1) if j > 0}
+        self.maps = (wedge[k], contr[k])
+        self.wedge, self.contraction = ({j: self._directions(P) for j, P in d.items()}
+                                        for d in (wedge, contr))
 
     def _directions(self, P: np.ndarray) -> np.ndarray:
         # columns are direction-major: block i acts on the e_i* slot
-        return P.reshape(P.shape[0], self.n, -1).transpose(1, 0, 2).reshape(self.n, -1)
+        return np.ascontiguousarray(P.reshape(P.shape[0], self.n, -1).transpose(1, 0, 2))
 
     @functools.lru_cache(maxsize=None)
     def flat_maps(self, fiber_dim: int):
@@ -246,47 +251,42 @@ class _FormKit:
             M.flags.writeable = False
         return maps
 
+    @functools.lru_cache(maxsize=None)
+    def images(self, fiber_dim: int) -> np.ndarray:
+        """[wedge; contraction] transposed: rows times it give both images at once."""
+        return np.ascontiguousarray(np.vstack(self.flat_maps(fiber_dim)).T)
+
 
 _form_kit = functools.lru_cache(maxsize=None)(_FormKit)
 
 
-def _four_blocks(kit: _FormKit, V: np.ndarray, xi: np.ndarray):
-    """Four blocks of real-view rows V (m, n, C(n,k) * 2 fiber) along unit xi rows.
-
-    The covector slot splits into the xi line and its complement, the
-    form slot into the image of Q_xi (forms containing xi) and the rest.
-    Returns (v11, v12, v21, v22), each shaped like V.
-    """
-    m, n = xi.shape
-    iota_xi = (xi @ kit.iota_dir).reshape(m, kit.dim_dn, kit.dim_k)
-    eps_xi = (xi @ kit.eps_km_dir).reshape(m, kit.dim_k, kit.dim_dn)
-    QV = np.matmul((eps_xi @ iota_xi)[:, None],
-                   V.reshape(m, n, kit.dim_k, -1)).reshape(V.shape)
-    w = np.einsum("ni,nix->nx", xi, V)
-    Qw = np.einsum("ni,nix->nx", xi, QV)
-    v11 = np.einsum("ni,nx->nix", xi, Qw)
-    v12 = np.einsum("ni,nx->nix", xi, w - Qw)
-    v22 = V - v12
-    v22 -= QV
-    QV -= v11
-    return v11, v12, QV, v22
+def _along(T: np.ndarray, xi: np.ndarray, img: np.ndarray) -> np.ndarray:
+    """Image rows (m, src, fiber) mapped by sum_i xi_i T[i], T a direction table."""
+    n, dst, src = T.shape
+    return np.matmul((xi @ T.reshape(n, dst * src)).reshape(len(xi), dst, src), img)
 
 
 def four_block_decompose(v: np.ndarray, xi0, n: int, k: int,
                          fiber_dim: int = 1) -> FourBlockSplit:
     """Split v along the covector line and the xi0-content of the form slot.
 
-    The one-row view of the split batch_hodge_margins uses; the four
-    blocks are mutually orthogonal and their squared norms add up to
-    |v|^2.
+    The covector slot splits into the xi0 line and its complement, the
+    form slot into the image of the projector Q = eps(xi0) iota(xi0)
+    (forms containing xi0) and the rest.  The four blocks are mutually
+    orthogonal and their squared norms add up to |v|^2.  This is the
+    explicit split behind the closed forms of batch_hodge_margins.
     """
     xi0 = _check_unit(xi0)
     kit = _form_kit(n, k)
     v = np.ascontiguousarray(v, dtype=np.complex128)
     if v.shape != (n * kit.dim_k * fiber_dim,):
         raise ValueError("vector length does not match n * C(n,k) * fiber_dim")
-    blocks = _four_blocks(kit, v.view(float).reshape(1, n, -1), xi0[None, :])
-    return FourBlockSplit(*(b.reshape(-1).view(complex) for b in blocks), xi0)
+    V = v.reshape(n, kit.dim_k, fiber_dim)
+    Q = np.tensordot(xi0, kit.wedge[k - 1], 1) @ np.tensordot(xi0, kit.contraction[k], 1)
+    QV, w = np.matmul(Q, V), np.tensordot(xi0, V, 1)
+    v11 = np.multiply.outer(xi0, Q @ w)
+    v12 = np.multiply.outer(xi0, w) - v11
+    return FourBlockSplit(*(b.reshape(-1) for b in (v11, v12, QV - v11, V - QV - v12)), xi0)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +559,9 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
     (e_1* where the pairing b vanishes).  A certificate on the full
     symbol also certifies the block form, since the block restrictions
     are dominated by the full symbols.  With diagnostics=True also
-    returns the worst residuals of the split identities (Pythagoras, the
-    two annihilation laws, that dominance).  Runs in row blocks (_row_blocks).
+    returns the worst residuals of the identities behind the closed
+    forms (Pythagoras, the two annihilation laws, that dominance).  Runs
+    in row blocks (_row_blocks) into outputs allocated once.
     """
     m = len(v)
 
@@ -569,25 +570,30 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
         return [x[r] if np.ndim(x) and len(x) == m else x
                 for x in (v, phi, c, c_star, d_vanishing, dstar_vanishing)]
 
-    outs = [_hodge_block(n, k, fiber_dim, *block(r), diagnostics)
-            for r in _row_blocks(m, 2 * n * math.comb(n, k) * fiber_dim)]
-    out = {key: np.concatenate([o.pop(key) for o in outs]) for key in list(outs[0])}
-    # the worst residual over all rows: np.max, unlike max, keeps a NaN
-    return {key: float(np.max(x)) if key.endswith("_residual") else x
-            for key, x in out.items()}
+    out, worst = {}, {}
+    for r in _row_blocks(m, 2 * n * math.comb(n, k) * fiber_dim):
+        for key, x in _hodge_block(n, k, fiber_dim, *block(r), diagnostics).items():
+            if key.endswith("_residual"):
+                # the worst residual over all rows: np.maximum, unlike max, keeps a NaN
+                worst[key] = np.maximum(worst.get(key, -INF), np.max(x))
+            else:
+                out.setdefault(key, np.empty(m, x.dtype))[r] = x
+    return {**out, **{key: float(x) for key, x in worst.items()}}
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
                  c, c_star, d_vanishing, dstar_vanishing, diagnostics: bool) -> dict:
-    """batch_hodge_margins on one block of rows, with per-row residuals."""
+    """batch_hodge_margins on one block of rows, in closed form, with per-row residuals."""
     kit = _form_kit(n, k)
     m = v.shape[0]
     # real views: (fiber, re/im) is a real fiber of size 2 fiber_dim
     V = np.ascontiguousarray(v, dtype=np.complex128).view(float).reshape(m, n, -1)
     Phi = np.ascontiguousarray(phi, dtype=np.complex128).view(float).reshape(m, -1)
-    eps, iota = kit.flat_maps(2 * fiber_dim)
-    scale, eps_sq, iota_sq = _rsq(V), _rsq(V, eps), _rsq(V, iota)
+    img = V.reshape(m, -1) @ kit.images(2 * fiber_dim)
+    up, dn = (x.reshape(m, -1, 2 * fiber_dim)
+              for x in np.hsplit(img, [math.comb(n, k + 1) * 2 * fiber_dim]))
+    scale, eps_sq, iota_sq = _rsq(V), _rsq(up), _rsq(dn)
     dvan = _branch(d_vanishing, eps_sq, scale)
     svan = _branch(dstar_vanishing, iota_sq, scale)
     b = np.einsum("nix,nx->ni", V, Phi)
@@ -595,14 +601,9 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
     dnorm_sq = bnorm ** 2 / _rsq(Phi)
     xi = np.where((bnorm > 1e-14)[:, None],
                   b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
-    v11, v12, v21, v22 = _four_blocks(kit, V, xi)
-    n11, n12 = _rsq(v11), _rsq(v12)
-    if diagnostics:
-        pythagoras = n11 + n12 + _rsq(v21) + _rsq(v22) - scale
-    # the parts the wedge and the contraction see, summed in place: one block fewer
-    v21 += v12
-    v22 += v11
-    eps_part_sq, iota_part_sq = _rsq(v21, eps), _rsq(v22, iota)
+    line_sq = _rsq(np.einsum("ni,nix->nx", xi, V))
+    cut, fill = _along(kit.contraction[k + 1], xi, up), _along(kit.wedge[k - 1], xi, dn)
+    eps_part_sq, iota_part_sq = _rsq(cut), _rsq(fill)
     c, cs = np.asarray(c, dtype=float), np.asarray(c_star, dtype=float)
     gmin = np.minimum(batch_lemma_gain(c, k, dvan),
                       batch_lemma_gain(cs, n - k, svan))
@@ -612,20 +613,26 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
     dsc = _branch(None, iota_part_sq, scale) | svan
     lhs_cor = scale + c * eps_part_sq + cs * iota_part_sq
     rhs_cor = (1.0 + np.minimum(batch_lemma_gain(c, k, dvc),
-                                batch_lemma_gain(cs, n - k, dsc))) * (n11 + n12)
+                                batch_lemma_gain(cs, n - k, dsc))) * line_sq
     out = {
-        "margin": lhs - rhs, "lhs": lhs, "rhs": rhs, "scale": scale,
+        "margin": lhs - rhs, "lhs": lhs, "rhs": rhs,
         "full_scale": lhs + rhs, "margin_cor": lhs_cor - rhs_cor,
         "cor_scale": lhs_cor + rhs_cor, "d_vanishing": dvan,
-        "dstar_vanishing": svan, "vanishing": dvan & svan,
-        "dnorm_sq": dnorm_sq, "eps_sq": eps_sq, "iota_sq": iota_sq,
-        "gain": gmin,
+        "dstar_vanishing": svan, "vanishing": dvan & svan, "gain": gmin,
     }
     if diagnostics:
         safe = np.maximum(scale, 1e-300)
-        out["pythagoras_residual"] = np.abs(pythagoras) / safe
-        out["block_identity_residual"] = np.sqrt(
-            np.maximum(_rsq(v11, eps), _rsq(v12, iota)) / safe)
+
+        def sq_along(T, img):
+            # a map into a degree outside 0..n is zero
+            return 0.0 if T is None else _rsq(_along(T, xi, img))
+
+        # |iota_xi eta|^2 + |xi ^ eta|^2 = |eta|^2 for both images
+        out["pythagoras_residual"] = np.maximum(
+            np.abs(eps_part_sq + sq_along(kit.wedge.get(k + 1), up) - eps_sq),
+            np.abs(sq_along(kit.contraction.get(k - 1), dn) + iota_part_sq - iota_sq)) / safe
+        out["block_identity_residual"] = np.sqrt(np.maximum(
+            sq_along(kit.contraction[k], cut), sq_along(kit.wedge[k], fill)) / safe)
         out["dominance_residual"] = np.maximum(
             eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe
     return out

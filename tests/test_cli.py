@@ -319,6 +319,32 @@ def test_unwritable_path_is_config_error(tmp_path, capsys, flag):
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,run", [
+    (["kato", "fuzz", "--theorem", "hodge", "--n", "5", "--k", "2", "--samples", "300000",
+      "--out"], "fuzz_hodge_inequality"),
+    (["field", "run", "--scenario", "dirac-spinor", "--n", "2", "--dump-points"],
+     "evaluate_scenario"),
+])
+def test_unwritable_path_fails_before_the_run(monkeypatch, tmp_path, capsys, argv, run):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{run} was called")
+
+    monkeypatch.setattr(cli, run, never)
+    target = tmp_path / "missing" / "x"
+    assert _run(capsys, *argv, str(target)) == (
+        2, "", f"error: cannot write {target}: No such file or directory\n")
+
+
+def test_path_check_leaves_no_file_behind(tmp_path, capsys):
+    # the path is checked before the weights are: a run refused after the check
+    # must not leave an empty report
+    target = tmp_path / "x.json"
+    code, out, err = _run(capsys, "kato", "fuzz", "--theorem", "hodge", "--n", "3",
+                          "--k", "1", "--samples", "100", "--c", "nan", "--out", str(target))
+    assert (code, out) == (2, "") and "weight" in err
+    assert not target.exists()
+
+
 # the usage errors the handlers raise as ConfigError, with their whole stderr
 @pytest.mark.parametrize("argv,line", [
     (["projections", "verify", "--max-n", "1"],
@@ -336,6 +362,8 @@ def test_unwritable_path_is_config_error(tmp_path, capsys, flag):
      "--theorem hodge needs --n and --k"),
     (["field", "run", "--scenario", "generic-form", "--n", "3", "--grid", "0"],
      "grid >= 1 is required"),
+    (["kato", "fuzz", "--theorem", "hodge", "--op", "hodge:4:x"],
+     "non-integer field in operator reference 'hodge:4:x'"),
 ])
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, line):
     assert _run(capsys, *argv) == (2, "", f"error: {line}\n")

@@ -1,8 +1,30 @@
 import numpy as np
 import pytest
 
-from katolab.clifford import clifford_generators, clifford_relation_residual, spinor_dim
+from katolab.clifford import clifford_generators, spinor_dim
 from katolab.errors import BadDegree
+
+
+def clifford_relation_residual(gens) -> float:
+    """Worst deviation from the relations c_i c_j + c_j c_i = -2 delta_ij.
+
+    Also folds in skew-adjointness and unitarity of each generator, so a
+    zero residual certifies a genuine unitary Clifford module.
+    """
+    if not gens:
+        return 0.0
+    d = gens[0].domain.dim
+    eye = np.eye(d)
+    worst = 0.0
+    for i, gi in enumerate(gens):
+        a = gi.matrix
+        worst = max(worst, float(np.linalg.norm(a + a.conj().T, 2)))
+        worst = max(worst, float(np.linalg.norm(a.conj().T @ a - eye, 2)))
+        for j in range(i, len(gens)):
+            b = gens[j].matrix
+            target = -2.0 * eye if i == j else 0.0
+            worst = max(worst, float(np.linalg.norm(a @ b + b @ a - target, 2)))
+    return worst
 
 
 def test_minimal_dimensions():

@@ -1,22 +1,31 @@
-"""The matmul form kernel against the 3-operand einsum reference.
+"""The closed-form form kernel against the 3-operand einsum reference.
 
 The reference below is the einsum formulation of the two-sided form
 inequality kept as a test oracle: direction blocks of the wedge and
-contraction symbols, symbol application by einsum, and the four-block
-split by two chained 3-operand einsums per covector part.  The
-differential test runs both on random rows, rows sampled inside the
-kernels of the symbols, rows with forced branch flags, and rows whose
-pairing vanishes (xi falls back to e_1*), for every (n, k) with
-2 <= n <= 6 and fiber dimensions 1 and 3.
+contraction symbols, symbol application by einsum, and the explicit
+four-block split by two chained 3-operand einsums per covector part,
+from which the corollary is computed.  The kernel reads the corollary
+from closed forms in the symbol images instead, so the comparison
+cross-checks them.  The three residuals are the identities of those
+closed forms, recomputed here by einsum.  The differential test runs
+both on random rows, rows sampled inside the kernels of the symbols,
+rows with forced branch flags, and rows whose pairing vanishes (xi
+falls back to e_1*), for every (n, k) with 2 <= n <= 6 and fiber
+dimensions 1 and 3.
 """
 
+import functools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from katolab import kato
 from katolab.kato import (
+    _FormKit,
+    _along,
     _branch,
     _form_kit,
     _null_space,
@@ -24,6 +33,7 @@ from katolab.kato import (
     batch_hodge_margins,
     batch_lemma_gain,
     four_block_decompose,
+    fuzz_hodge_inequality,
 )
 from katolab.projections import exterior_projection, interior_projection
 from katolab.symbols import unit_covector
@@ -37,11 +47,40 @@ def _direction_blocks(P, width):
     return np.stack([P.matrix[:, i * width:(i + 1) * width].real for i in range(n)])
 
 
-def _reference_tables(n, k):
-    dk, dn = math.comb(n, k), math.comb(n, k - 1)
-    return (_direction_blocks(exterior_projection(n, k), dk),
-            _direction_blocks(exterior_projection(n, k - 1), dn),
-            _direction_blocks(interior_projection(n, k), dk))
+def _degree_tables(n, j):
+    # (wedge, contraction) direction blocks on Lambda^j; None for a map whose
+    # target degree is outside 0..n
+    width = math.comb(n, j)
+    return (_direction_blocks(exterior_projection(n, j), width) if j < n else None,
+            _direction_blocks(interior_projection(n, j), width) if j > 0 else None)
+
+
+def _along_sq(xi, table, eta):
+    # squared norm of sum_i xi_i table[i] applied to eta; 0 for a zero map
+    if table is None:
+        return 0.0
+    return _sq(np.einsum("ni,iab,nbf->naf", xi, table, eta))
+
+
+def _reference_residuals(n, k, V, xi, safe):
+    # the identities of the closed forms, per image eta+ = eps V, eta- = iota V
+    eps_k, iota_k = _degree_tables(n, k)
+    eps_up, iota_up = _degree_tables(n, k + 1)
+    eps_dn, iota_dn = _degree_tables(n, k - 1)
+    up = np.einsum("iab,nibf->naf", eps_k, V)
+    dn = np.einsum("iab,nibf->naf", iota_k, V)
+    cut = np.einsum("ni,iab,nbf->naf", xi, iota_up, up)
+    fill = np.einsum("ni,iab,nbf->naf", xi, eps_dn, dn)
+    cut_sq, fill_sq, up_sq, dn_sq = _sq(cut), _sq(fill), _sq(up), _sq(dn)
+    return {
+        "pythagoras_residual": float(np.max(np.maximum(
+            np.abs(cut_sq + _along_sq(xi, eps_up, up) - up_sq),
+            np.abs(_along_sq(xi, iota_dn, dn) + fill_sq - dn_sq)) / safe)),
+        "block_identity_residual": float(np.max(np.sqrt(np.maximum(
+            _along_sq(xi, iota_k, cut), _along_sq(xi, eps_k, fill)) / safe))),
+        "dominance_residual": float(np.max(
+            np.maximum(cut_sq - up_sq, fill_sq - dn_sq) / safe)),
+    }
 
 
 def _reference_split(eps_km, iota_k, V, xi):
@@ -56,9 +95,18 @@ def _reference_split(eps_km, iota_k, V, xi):
     return tuple(blocks)
 
 
+def _kernel_xi(n, v, phi):
+    # the kernel's covector, the normalized pairing b (e_1* where it vanishes), and |b|
+    b = np.real(np.einsum("nix,nx->ni", v.reshape(len(v), n, -1), phi.conj()))
+    bnorm = np.linalg.norm(b, axis=1)
+    return np.where((bnorm > 1e-14)[:, None],
+                    b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n)), bnorm
+
+
 def _reference_margins(n, k, fiber_dim, v, phi, c, c_star,
                        d_vanishing=None, dstar_vanishing=None):
-    eps_k, eps_km, iota_k = _reference_tables(n, k)
+    eps_k, iota_k = _degree_tables(n, k)
+    eps_km = _degree_tables(n, k - 1)[0]
     dim_k = math.comb(n, k)
     m = v.shape[0]
     V = v.reshape(m, n, dim_k, fiber_dim)
@@ -67,12 +115,8 @@ def _reference_margins(n, k, fiber_dim, v, phi, c, c_star,
     iota_sq = _sq(np.einsum("iab,nibf->naf", iota_k, V))
     dvan = _branch(d_vanishing, eps_sq, scale)
     svan = _branch(dstar_vanishing, iota_sq, scale)
-    Phi = phi.reshape(m, dim_k * fiber_dim)
-    b = np.real(np.einsum("nix,nx->ni", V.reshape(m, n, -1), Phi.conj()))
-    bnorm = np.linalg.norm(b, axis=1)
+    xi, bnorm = _kernel_xi(n, v, phi)
     dnorm_sq = bnorm ** 2 / _sq(phi)
-    xi = np.where((bnorm > 1e-14)[:, None],
-                  b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
     v11, v12, v21, v22 = _reference_split(eps_km, iota_k, V, xi)
     n11, n12 = _sq(v11), _sq(v12)
     eps_part_sq = _sq(np.einsum("iab,nibf->naf", eps_k, v12 + v21))
@@ -87,23 +131,12 @@ def _reference_margins(n, k, fiber_dim, v, phi, c, c_star,
     lhs_cor = scale + c * eps_part_sq + cs * iota_part_sq
     rhs_cor = (1.0 + np.minimum(batch_lemma_gain(c, k, dvc),
                                 batch_lemma_gain(cs, n - k, dsc))) * (n11 + n12)
-    safe = np.maximum(scale, 1e-300)
-    dead_eps = np.einsum("iab,nibf->naf", eps_k, v11)
-    dead_iota = np.einsum("iab,nibf->naf", iota_k, v12)
     return {
-        "margin": lhs - rhs, "lhs": lhs, "rhs": rhs, "scale": scale,
+        "margin": lhs - rhs, "lhs": lhs, "rhs": rhs,
         "full_scale": lhs + rhs, "margin_cor": lhs_cor - rhs_cor,
         "cor_scale": lhs_cor + rhs_cor, "d_vanishing": dvan,
-        "dstar_vanishing": svan, "vanishing": dvan & svan,
-        "dnorm_sq": dnorm_sq, "eps_sq": eps_sq, "iota_sq": iota_sq,
-        "gain": gmin,
-        "pythagoras_residual": float(np.max(
-            np.abs(n11 + n12 + _sq(v21) + _sq(v22) - scale) / safe)),
-        "block_identity_residual": max(
-            float(np.max(np.sqrt(_sq(dead_eps) / safe))),
-            float(np.max(np.sqrt(_sq(dead_iota) / safe)))),
-        "dominance_residual": float(np.max(
-            np.maximum(eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe)),
+        "dstar_vanishing": svan, "vanishing": dvan & svan, "gain": gmin,
+        **_reference_residuals(n, k, V, xi, np.maximum(scale, 1e-300)),
     }
 
 
@@ -138,16 +171,77 @@ def test_matmul_kernel_matches_einsum_reference(seed, nk, f, m, mode, d_flag, s_
     c[0] = 0.0
     got = batch_hodge_margins(n, k, f, v, phi, c, cs, d_flag, s_flag, diagnostics=True)
     want = _reference_margins(n, k, f, v, phi, c, cs, d_flag, s_flag)
+    assert _differing_keys(got, want) == []
+
+
+def _differing_keys(got, want):
     assert set(got) == set(want)
     row_scale = np.maximum(want["full_scale"], want["cor_scale"])
+    bad = []
     for key, ref in want.items():
         new = got[key]
         if isinstance(ref, float):          # scale-relative diagnostics
-            assert abs(new - ref) <= TOL, key
+            ok = abs(new - ref) <= TOL
         elif ref.dtype == bool:
-            assert np.array_equal(new, ref), key
+            ok = np.array_equal(new, ref)
         else:
-            assert np.all(np.abs(new - ref) <= TOL * (np.abs(ref) + row_scale)), key
+            ok = np.all(np.abs(new - ref) <= TOL * (np.abs(ref) + row_scale))
+        if not ok:
+            bad.append(key)
+    return bad
+
+
+@pytest.mark.parametrize("n,k", PAIRS)
+def test_closed_forms_equal_the_four_block_norms(n, k):
+    # |eps(v12 + v21)|^2 = |iota_xi eps V|^2, |iota(v11 + v22)|^2 = |xi ^ iota V|^2
+    # and |v11|^2 + |v12|^2 = |xi . V|^2, against the explicit split
+    rng = np.random.default_rng(100 * n + k)
+    kit = _form_kit(n, k)
+    for f in (1, 3):
+        eps, iota = kit.flat_maps(f)
+        for mode in ("random", "ker-wedge", "ker-contraction", "pairing-zero"):
+            v, phi = _sample(rng, n, k, f, 6, mode)
+            m = len(v)
+            xi = _kernel_xi(n, v, phi)[0]
+            up, dn = (v @ eps.T).reshape(m, -1, f), (v @ iota.T).reshape(m, -1, f)
+            closed = (_sq(_along(kit.contraction[k + 1], xi, up)),
+                      _sq(_along(kit.wedge[k - 1], xi, dn)),
+                      _sq(np.einsum("ni,nix->nx", xi, v.reshape(m, n, -1))))
+            for i in range(m):
+                s = four_block_decompose(v[i], xi[i], n, k, f)
+                split = (np.linalg.norm(eps @ (s.v12 + s.v21)) ** 2,
+                         np.linalg.norm(iota @ (s.v11 + s.v22)) ** 2,
+                         np.linalg.norm(s.v11) ** 2 + np.linalg.norm(s.v12) ** 2)
+                tol = TOL * np.linalg.norm(v[i]) ** 2
+                for name, a, b in zip(("wedge", "contraction", "line"), closed, split):
+                    assert abs(a[i] - b) <= tol, (f, mode, i, name)
+
+
+def _corrupted_kit(n, k):
+    # the shipped tables, but direction block 1 of the contraction on Lambda^(k+1)
+    # with its sign flipped
+    kit = _FormKit(n, k)
+    table = kit.contraction[k + 1].copy()
+    table[1] *= -1.0
+    kit.contraction = {**kit.contraction, k + 1: table}
+    return kit
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_a_flipped_contraction_block_is_caught(monkeypatch, corrupt):
+    if corrupt:
+        monkeypatch.setattr(kato, "_form_kit", functools.lru_cache(None)(_corrupted_kit))
+    rng = np.random.default_rng(5)
+    v, phi = _sample(rng, 4, 2, 1, 6, "random")
+    c, cs = 50.0 * rng.random(6), 50.0 * rng.random(6)
+    got = batch_hodge_margins(4, 2, 1, v, phi, c, cs, diagnostics=True)
+    bad = _differing_keys(got, _reference_margins(4, 2, 1, v, phi, c, cs))
+    worst = fuzz_hodge_inequality(4, 2, 1, 1000, 9).extras["pythagoras_residual"]
+    if corrupt:
+        assert "margin_cor" in bad and "pythagoras_residual" in bad
+        assert worst > 1e-12
+    else:
+        assert bad == [] and worst <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,7 +253,7 @@ def test_four_block_decompose_matches_einsum_split(seed, nk, f):
     v = _rows(rng, 1, n * dim_k * f)[0]
     xi = rng.standard_normal(n)
     xi /= np.linalg.norm(xi)
-    _, eps_km, iota_k = _reference_tables(n, k)
+    eps_km, iota_k = _degree_tables(n, k - 1)[0], _degree_tables(n, k)[1]
     want = _reference_split(eps_km, iota_k, v.reshape(1, n, dim_k, f), xi[None, :])
     got = four_block_decompose(v, xi, n, k, f).parts()
     scale = np.linalg.norm(v)
