@@ -69,10 +69,8 @@ INF = math.inf
 BRANCH_NORM_FACTOR = 1e-10    # ||P(u)|| <= this * scale picks the vanishing branch
 MARGIN_TOL_FACTOR = 1e-9      # margins below -this * scale count as violations
 _PAIRING_ZERO_FACTOR = 1e-20  # |d|phi||^2 at or below this * scale is treated as 0
-# key-lemma chunks are drawn and checked in blocks of this many rows: with whole-chunk
-# arrays the allocator keeps a layout-dependent amount of freed memory, so peak RSS
-# would vary from run to run by about two chunk-sized arrays
-_LEMMA_BLOCK = 4096
+# rows per block of the key-lemma kernel: a block's draws, images and norms stay in cache
+_LEMMA_BLOCK = 2048
 # the form kernel and the field lab run m rows as equal blocks (_row_blocks) to keep their
 # temporaries in cache; no block is short, as OpenBLAS sums a product of few rows in
 # another order
@@ -405,14 +403,9 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim)))
 
 
-def _rsq(x: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
-    """Squared norm of each row of a real array, of M applied to it when given;
-    of a complex array without M, over its real view."""
-    x = x.reshape(x.shape[0], -1)
-    if np.iscomplexobj(x):
-        x = np.ascontiguousarray(x).view(float)
-    if M is not None:
-        x = x @ M.T
+def _rsq(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a real array, over all trailing axes."""
+    x = x.reshape(len(x), math.prod(x.shape[1:]))
     return np.einsum("ij,ij->i", x, x)
 
 
@@ -432,19 +425,49 @@ def _restricted_gram(C: LinearMap, sub_basis: np.ndarray):
     return Chat, G, float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0
 
 
+def _real_form(M: np.ndarray) -> np.ndarray:
+    """M for _apply: its real part when M is real, else its 2x real block form."""
+    return M.real.copy() if not np.any(M.imag) else np.block([[M.real, M.imag], [-M.imag, M.real]])
+
+
+def _apply(h: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Complex rows x times a complex matrix, on real halves: h (2, m, d) holds Re x
+    and Im x, M is the matrix's _real_form, and the product comes back as halves."""
+    if len(M) == h.shape[2]:
+        return h @ M
+    w = np.matmul(h, M.reshape(2, h.shape[2], -1)).sum(axis=0)  # the rows [Re | Im]
+    return w.reshape(len(w), 2, -1).transpose(1, 0, 2)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _key_lemma_margins(a: float, Cu1: np.ndarray, Cu2: np.ndarray,
-                       u1_sq: np.ndarray, u2_sq: np.ndarray, c) -> dict:
-    """Row margins of |u2|^2 + c |C u1 + C u2|^2 >= gain * |C u1|^2, from the
-    images C u1, C u2 and the squared norms of u1, u2."""
-    tot_sq, first_sq, scale = _rsq(Cu1 + Cu2), _rsq(Cu1), u1_sq + u2_sq
+def _key_lemma_margins(a: float, maps: tuple, u1: np.ndarray, u2: np.ndarray, c,
+                       forced: int = 0) -> dict:
+    """Row margins of |u2|^2 + c |C u1 + C2 u2|^2 >= gain * |C u1|^2 on real halves (2, m, d)
+    of complex rows.  maps holds the _real_form of C^T, C2^T (C2 u2 = C u2, and C2 keeps
+    |u2|) and pinv(C)^T, which fixes u1 in place on the first forced rows so that
+    C u1 + C2 u2 = 0.  Fix, images and four squared norms run in _LEMMA_BLOCK-row blocks."""
+    CT, C2T, pinvT = maps
+    norms = np.empty((4, u1.shape[1]))  # |C u1|^2, |C u1 + C2 u2|^2, |u1|^2, |u2|^2
+    for lo in range(0, u1.shape[1], _LEMMA_BLOCK):
+        r = slice(lo, lo + _LEMMA_BLOCK)
+        x1, x2 = u1[:, r], u2[:, r]
+        Cu1, Cu2 = _apply(x1, CT), _apply(x2, C2T)
+        if forced > lo:
+            f = slice(forced - lo)  # the forced rows of this block
+            x1[:, f] -= _apply(Cu1[:, f] + Cu2[:, f], pinvT)
+            Cu1[:, f] = _apply(x1[:, f], CT)
+        Cu2 += Cu1
+        for x, sq in zip((Cu1, Cu2, x1, x2), norms[:, r]):
+            x = x.transpose(1, 0, 2)  # rows outermost: the faster einsum loop
+            np.einsum("ihj,ihj->i", x, x, out=sq)
+    first_sq, tot_sq, u1_sq, u2_sq = norms
+    scale = u1_sq + u2_sq
     vanishing = _branch(None, tot_sq, scale)
     gain = batch_lemma_gain(c, a, vanishing)
     lhs = u2_sq + c * tot_sq
     rhs = gain * first_sq
     if a == 0:
-        rhs = np.where(vanishing & (first_sq <= _PAIRING_ZERO_FACTOR * scale),
-                       0.0, rhs)
+        rhs = np.where(vanishing & (first_sq <= _PAIRING_ZERO_FACTOR * scale), 0.0, rhs)
     return {"margin": lhs - rhs, "lhs": lhs, "rhs": rhs, "full_scale": scale,
             "vanishing": vanishing, "gain": gain}
 
@@ -461,8 +484,8 @@ def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
     u1, u2 = _row(u1), _row(u2)
     if np.linalg.norm(u2 - u2 @ sub_basis.conj() @ sub_basis.T) > 1e-10 * np.linalg.norm(u2):
         raise ValueError("u2 must lie in the span of sub_basis within 1e-10 |u2|")
-    out = _key_lemma_margins(a, u1 @ C.matrix.T, u2 @ C.matrix.T,
-                             _rsq(u1), _rsq(u2), c)
+    CT, (x1, x2) = _real_form(C.matrix.T), (np.stack([x.real, x.imag]) for x in (u1, u2))
+    out = _key_lemma_margins(a, (CT, CT, None), x1, x2, c)
     return _row_verdict("key-lemma", out, c, None, seed)
 
 
@@ -480,8 +503,7 @@ def equality_witness(C: LinearMap, sub_basis: np.ndarray):
     y = np.linalg.eigh(G)[1][:, -1]
     u2 = sub_basis @ (Chat.conj().T @ y)
     u2 = u2 / np.linalg.norm(u2)
-    ratio = float(np.linalg.norm(C.apply(u2)) ** 2)
-    return u2, ratio
+    return u2, float(np.linalg.norm(C.apply(u2)) ** 2)
 
 
 def matching_first_component(C: LinearMap, u2: np.ndarray) -> np.ndarray:
@@ -548,9 +570,8 @@ def _row_blocks(m: int, width: int, align: int = 1) -> list:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
-                        phi: np.ndarray, c, c_star,
-                        d_vanishing=None, dstar_vanishing=None,
+def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
+                        c, c_star, d_vanishing=None, dstar_vanishing=None,
                         diagnostics: bool = False) -> dict:
     """Vectorized two-sided form-inequality margins for row batches.
 
@@ -575,7 +596,7 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray,
         for key, x in _hodge_block(n, k, fiber_dim, *block(r), diagnostics).items():
             if key.endswith("_residual"):
                 # the worst residual over all rows: np.maximum, unlike max, keeps a NaN
-                worst[key] = np.maximum(worst.get(key, -INF), np.max(x))
+                worst[key] = np.maximum(worst.get(key, -INF), np.max(x) if m else 0.0)
             else:
                 out.setdefault(key, np.empty(m, x.dtype))[r] = x
     return {**out, **{key: float(x) for key, x in worst.items()}}
@@ -588,11 +609,12 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
     kit = _form_kit(n, k)
     m = v.shape[0]
     # real views: (fiber, re/im) is a real fiber of size 2 fiber_dim
-    V = np.ascontiguousarray(v, dtype=np.complex128).view(float).reshape(m, n, -1)
-    Phi = np.ascontiguousarray(phi, dtype=np.complex128).view(float).reshape(m, -1)
-    img = V.reshape(m, -1) @ kit.images(2 * fiber_dim)
-    up, dn = (x.reshape(m, -1, 2 * fiber_dim)
-              for x in np.hsplit(img, [math.comb(n, k + 1) * 2 * fiber_dim]))
+    f2 = 2 * fiber_dim  # widths are spelled out: a -1 cannot be resolved for 0 rows
+    V = np.ascontiguousarray(v, dtype=np.complex128).view(float).reshape(m, n, kit.dim_k * f2)
+    Phi = np.ascontiguousarray(phi, dtype=np.complex128).view(float).reshape(m, kit.dim_k * f2)
+    img = V.reshape(m, n * kit.dim_k * f2) @ kit.images(f2)
+    up, dn = (x.reshape(m, x.shape[1] // f2, f2)
+              for x in np.hsplit(img, [math.comb(n, k + 1) * f2]))
     scale, eps_sq, iota_sq = _rsq(V), _rsq(up), _rsq(dn)
     dvan = _branch(d_vanishing, eps_sq, scale)
     svan = _branch(dstar_vanishing, iota_sq, scale)
@@ -717,17 +739,6 @@ def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
     z.real = rng.standard_normal(z.shape)
     z.imag = rng.standard_normal(z.shape)
     return z
-
-
-def _complex_row_blocks(rng, count: int, dim: int) -> list:
-    """_complex_rows(rng, count, dim) in blocks of _LEMMA_BLOCK rows, from the same draws."""
-    blocks = [np.empty((min(_LEMMA_BLOCK, count - i), dim), dtype=complex)
-              for i in range(0, count, _LEMMA_BLOCK)]
-    for z in blocks:
-        z.real = rng.standard_normal(z.shape)
-    for z in blocks:
-        z.imag = rng.standard_normal(z.shape)
-    return blocks
 
 
 def _redraw_in_kernels(rng, rows: np.ndarray, nulls, fraction: float) -> None:
@@ -887,28 +898,17 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
     """
     Chat, _, a = _restricted_gram(C, sub_basis)
     # u2 = sub_basis z is kept as z: C u2 = Chat z and |u2| = |z|
-    CT, ChatT = np.ascontiguousarray(C.matrix.T), np.ascontiguousarray(Chat.T)
-    pinvT = np.ascontiguousarray(np.linalg.pinv(C.matrix).T)
-    starts = range(0, chunk, _LEMMA_BLOCK)
+    maps = tuple(_real_form(M.T) for M in (C.matrix, Chat, np.linalg.pinv(C.matrix)))
+    rows = max(min(chunk, samples), 0)
+    bufs = [(np.empty(2 * rows * d), d) for d in (C.domain.dim, sub_basis.shape[1])]
 
     def sample(rng, m):
-        u1 = _complex_row_blocks(rng, m, C.domain.dim)
-        z = _complex_row_blocks(rng, m, sub_basis.shape[1])
-        c = _weights(rng, m)
-        nf = int(0.25 * m)
-        for x1, x2, start in zip(u1, z, starts):  # C(u1 + u2) = 0 on the first nf rows
-            f = min(max(nf - start, 0), len(x1))
-            x1[:f] -= (x1[:f] @ CT + x2[:f] @ ChatT) @ pinvT
-        return u1, z, c
+        # real halves (2, m, d) filled in place, real parts first: the stream of _complex_rows
+        u1, z = (rng.standard_normal(out=b[:2 * m * d]).reshape(2, m, d) for b, d in bufs)
+        return u1, z, _weights(rng, m)
 
-    def kernel(u1, z, c):
-        outs = [_key_lemma_margins(a, x1 @ CT, x2 @ ChatT, _rsq(x1), _rsq(x2),
-                                   c[start:start + len(x1)])
-                for x1, x2, start in zip(u1, z, starts)]
-        return {key: np.concatenate([out[key] for out in outs]) for key in outs[0]}
-
-    report = _fuzz("key-lemma", label, samples, seed, (0.0, _C_MAX), chunk,
-                   sample, kernel)
+    report = _fuzz("key-lemma", label, samples, seed, (0.0, _C_MAX), chunk, sample,
+                   lambda x1, x2, c: _key_lemma_margins(a, maps, x1, x2, c, len(c) // 4))
     report.extras["spectral_bound"] = a
     return report
 

@@ -8,6 +8,7 @@ implementation uses.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -611,19 +612,84 @@ def test_fuzz_key_lemma_batches():
         assert report.extras["spectral_bound"] == pytest.approx(bound, abs=1e-9)
 
 
+def _key_lemma_rows(monkeypatch, C, sub, label):
+    # the fuzzer's report and every row its kernel returned
+    rows, kernel = [], kato._key_lemma_margins
+    monkeypatch.setattr(kato, "_key_lemma_margins",
+                        lambda *args: rows.append(kernel(*args)) or rows[-1])
+    report = fuzz_key_lemma(C, sub, 5000, seed=107, label=label, chunk=2300)
+    monkeypatch.setattr(kato, "_key_lemma_margins", kernel)
+    return report.to_json_dict(), {key: np.concatenate([out[key] for out in rows])
+                                   for key in rows[0]}
+
+
 def test_fuzz_key_lemma_row_blocks_do_not_change_the_report(monkeypatch):
-    # whole chunks in one block against blocks that split every chunk
-    # unevenly, with a short last chunk and forced rows across blocks
+    # each chunk in one block against blocks of 333 rows, which split every chunk
+    # unevenly, with a short last chunk (400 rows) and forced rows (575, then 100)
+    # across blocks; on a real restriction and on a complex one (2x real block form)
+    for label, C, sub in (key_lemma_setups(5, 2)[1][:3],
+                          line_component_setup(catalog("dirac", 3))[:3]):
+        monkeypatch.setattr(kato, "_LEMMA_BLOCK", 10**6)
+        whole = _key_lemma_rows(monkeypatch, C, sub, label)
+        monkeypatch.setattr(kato, "_LEMMA_BLOCK", 333)
+        blocked = _key_lemma_rows(monkeypatch, C, sub, label)
+        assert blocked[0] == whole[0], label
+        for key, x in whole[1].items():
+            assert np.array_equal(blocked[1][key], x), (label, key)
+
+
+# criterion 4's eleven restrictions, fuzzed at 1e5 samples: (violations, vanishing
+# rows, min_relative_margin), recorded with the complex-row kernel on the same draws
+KEY_LEMMA_STREAM = {
+    5: [(0, 25000, -1.1252124416194566e-15), (0, 25000, 0.010520269840702255),
+        (0, 25000, -6.893159196994748e-16), (0, 25000, 0.05991286632725579),
+        (0, 25000, 0.02824701764919055), (0, 25000, 0.040462214599675535),
+        (0, 25000, 0.05912696775984334), (0, 25000, 0.15356577963235107),
+        (0, 25000, 0.000546496655905248), (0, 25000, 0.0006344922451426629),
+        (0, 25000, 0.06483770863809576)],
+    6: [(0, 25000, -1.078127901613423e-15), (0, 25000, 0.009769750920965072),
+        (0, 25000, -8.166958136811944e-16), (0, 25000, 0.09191015134288526),
+        (0, 25000, 0.04257839434543666), (0, 25000, 0.03541694975276723),
+        (0, 25000, 0.06073274564495744), (0, 25000, 0.14435005221069033),
+        (0, 25000, 0.0007253083859307013), (0, 25000, 0.0006007787312249637),
+        (0, 25000, 0.08122455185989101)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(KEY_LEMMA_STREAM))
+def test_fuzz_key_lemma_keeps_the_criterion_4_stream(seed):
+    setups = [(C, sub) for n, k in ((3, 1), (4, 1), (4, 2), (5, 2))
+              for _, C, sub, _ in key_lemma_setups(n, k)]
+    setups += [line_component_setup(catalog(*ref))[1:3]
+               for ref in (("dirac", 3), ("twistor", 3), ("hodge", 4, 2))]
+    for (C, sub), (violations, vanishing, min_rel) in zip(setups, KEY_LEMMA_STREAM[seed]):
+        report = fuzz_key_lemma(C, sub, 100_000, seed)
+        assert report.samples == 100_000
+        assert report.violations == violations
+        assert report.branch_counts == {"vanishing": vanishing,
+                                        "nonvanishing": 100_000 - vanishing}
+        assert abs(report.min_relative_margin - min_rel) <= 1e-12
+
+
+def _key_lemma_peak(samples):
     label, C, sub, _ = key_lemma_setups(5, 2)[1]
-    monkeypatch.setattr(kato, "_LEMMA_BLOCK", 10**6)
-    whole = fuzz_key_lemma(C, sub, 5000, seed=107, label=label, chunk=2300)
-    monkeypatch.setattr(kato, "_LEMMA_BLOCK", 333)
-    blocked = fuzz_key_lemma(C, sub, 5000, seed=107, label=label, chunk=2300)
-    assert blocked.to_json_dict() == whole.to_json_dict()
-    rows = kato._complex_row_blocks(np.random.default_rng(3), 1000, 7)
-    assert [len(b) for b in rows] == [333, 333, 333, 1]
-    want = kato._complex_rows(np.random.default_rng(3), 1000, 7)
-    assert np.array_equal(np.concatenate(rows), want)
+    tracemalloc.start()
+    try:
+        fuzz_key_lemma(C, sub, samples, seed=108, label=label)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fuzz_key_lemma_memory_is_one_chunk_of_draws():
+    # (5,2) contraction: u1 has 28 and z 24 complex coordinates, so one default chunk
+    # of draws as real halves is 2 * 20000 * 52 * 8 B (15.9 MiB); the allowance covers
+    # the chunk's weights and one-row-per-entry arrays (outputs, norms and the fuzz
+    # loop's masks, about 2.5 MiB at 20,000 rows) and one block's temporaries
+    draws, allowance = 2 * 20_000 * 52 * 8, 5 * 2**20
+    peaks = [_key_lemma_peak(samples) for samples in (100_000, 500_000)]
+    assert max(peaks) <= 1.1 * min(peaks), peaks
+    assert max(peaks) <= draws + allowance, peaks
 
 
 def test_fuzz_reports_deterministic():

@@ -5,9 +5,10 @@ lemma kept as a test oracle: the second component is embedded as
 u2 = z @ sub_basis.T, C is applied to u1 + u2 and to u1, forced rows
 solve C(u1 + u2) = 0 on the embedded rows, and squared norms are
 np.abs(x)**2 sums.  The differential test replays the draws of
-fuzz_key_lemma (the same generator stream, chunks and forced slice) and
-compares every kernel row of the fuzzer with the reference rows for the
-eleven restrictions of acceptance criterion 4 at two seeds.
+fuzz_key_lemma with _complex_rows (the same generator stream, chunks and
+forced slice as its in-place real halves) and compares every kernel row
+of the fuzzer with the reference rows for the eleven restrictions of
+acceptance criterion 4 at two seeds.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from katolab import kato
 from katolab.kato import (
     MARGIN_TOL_FACTOR,
     _branch,
-    _complex_row_blocks,
+    _complex_rows,
     _weights,
     batch_lemma_gain,
     fuzz_key_lemma,
@@ -27,7 +28,7 @@ from katolab.kato import (
 from katolab.symbols import catalog
 
 TOL = 1e-12
-SAMPLES, CHUNK = 10_000, 6000   # two chunks; the first splits into two row blocks
+SAMPLES, CHUNK = 10_000, 6000   # two chunks, each over several kernel row blocks
 
 
 def _setups():
@@ -66,8 +67,8 @@ def _reference_rows(C, sub, seed, forced_fraction=0.25):
     outs, done = [], 0
     while done < SAMPLES:
         m = min(CHUNK, SAMPLES - done)
-        u1 = np.concatenate(_complex_row_blocks(rng, m, C.domain.dim))
-        u2 = np.concatenate(_complex_row_blocks(rng, m, sub.shape[1])) @ sub.T
+        u1 = _complex_rows(rng, m, C.domain.dim)
+        u2 = _complex_rows(rng, m, sub.shape[1]) @ sub.T
         c = _weights(rng, m)
         nf = int(forced_fraction * m)
         u1[:nf] = u1[:nf] - ((u1[:nf] + u2[:nf]) @ C.matrix.T) @ pinv.T

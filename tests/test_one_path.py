@@ -24,7 +24,7 @@ from katolab.kato import (
     _key_lemma_margins,
     _null_space,
     _restricted_gram,
-    _rsq,
+    _real_form,
     _form_kit,
     batch_hodge_margins,
     batch_lemma_gain,
@@ -110,6 +110,26 @@ def test_hodge_batch_equals_single_shots(seed, nkf, m, rows, d_flag, s_flag):
                                        d_vanishing=d_flag, dstar_vanishing=s_flag)
                 for i in range(m)]
     _assert_rows_match(out, verdicts, cor=True)
+
+
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_kernels_on_zero_rows_return_empty_rows(diagnostics):
+    # the keys of a one-row batch, every per-row array empty, every residual 0.0
+    rng = np.random.default_rng(5)
+    empty = batch_hodge_margins(3, 1, 1, np.zeros((0, 9)), np.zeros((0, 3)), 1.0, 1.0,
+                                diagnostics=diagnostics)
+    one = batch_hodge_margins(3, 1, 1, _rows(rng, 1, 9), _rows(rng, 1, 3), 1.0, 1.0,
+                              diagnostics=diagnostics)
+    assert sorted(empty) == sorted(one)
+    for key, x in empty.items():
+        if key.endswith("_residual"):
+            assert x == 0.0 and isinstance(x, float), key
+        else:
+            assert x.shape == (0,) and x.dtype == one[key].dtype, key
+    # as the operator kernel does
+    op = parse_op_string("dirac:3")
+    out = batch_operator_margins(op, np.zeros((0, 6)), np.zeros((0, 2)), 1.0)
+    assert all(np.shape(x) == (0,) for x in out.values())
 
 
 # the form kernel's row budget: one block for every call, the shipped size, and
@@ -242,9 +262,9 @@ def test_key_lemma_batch_equals_single_shots(seed, which, m, matched):
     if matched:
         u1 = np.array([matching_first_component(C, row) for row in u2])
     c = _weights(rng, m)
-    CT = C.matrix.T
-    out = _key_lemma_margins(_restricted_gram(C, sub)[2], u1 @ CT, u2 @ CT,
-                             _rsq(u1), _rsq(u2), c)
+    CT = _real_form(C.matrix.T)
+    out = _key_lemma_margins(_restricted_gram(C, sub)[2], (CT, CT, None),
+                             *(np.stack([x.real, x.imag]) for x in (u1, u2)), c)
     verdicts = [check_key_lemma(C, sub, u1[i], u2[i], c[i]) for i in range(m)]
     _assert_rows_match(out, verdicts)
 
