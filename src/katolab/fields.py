@@ -22,7 +22,6 @@ from .errors import FiberMismatch, UnknownScenario, ZeroSection
 from .kato import (
     INF,
     _form_kit,
-    _row_blocks,
     batch_hodge_margins,
     batch_lemma_gain,
     batch_operator_margins,
@@ -32,6 +31,7 @@ from .kato import (
     nonfinite_rows,
     report_json,
 )
+from .linmap import _row_blocks
 from .spaces import exterior_power, wedge_delete, wedge_insert
 from .symbols import OperatorSpec, catalog
 
@@ -508,7 +508,7 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
         side_gains = {}
     nonfinite = nonfinite_rows(out)
     return {
-        "points": X[keep], "kept": keep, "margin": margin,
+        "points": X[keep], "margin": margin,
         "tol_scale": tol_scale, "nonfinite": nonfinite,
         # the pass rule per point; a NaN margin compares False and fails
         "ok": ~nonfinite & (margin >= -FIELD_MARGIN_TOL_FACTOR * tol_scale),

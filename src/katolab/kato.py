@@ -54,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadConstants, BadDegree, NotUnit, ZeroOperator, ZeroSection
-from .linmap import LinearMap
+from .linmap import LinearMap, _row_blocks
 from .projections import (
     conformity_factor,
     exterior_projection,
@@ -66,17 +66,13 @@ from .symbols import OperatorSpec, ellipticity_constant, unit_covector
 
 INF = math.inf
 
-BRANCH_NORM_FACTOR = 1e-10    # ||P(u)|| <= this * scale picks the vanishing branch
+BRANCH_NORM_FACTOR = 1e-10    # ||P(u)|| <= this * ||u|| picks the vanishing branch
 MARGIN_TOL_FACTOR = 1e-9      # margins below -this * scale count as violations
 _PAIRING_ZERO_FACTOR = 1e-20  # |d|phi||^2 at or below this * scale is treated as 0
-# rows per block of the key-lemma kernel: a block's draws, images and norms stay in cache
-_LEMMA_BLOCK = 2048
-# the form kernel and the field lab run m rows as equal blocks (_row_blocks) to keep their
-# temporaries in cache; no block is short, as OpenBLAS sums a product of few rows in
-# another order
-_FORM_BLOCK = 1024
 # the fuzzers draw free weights as _C_MAX * U^3, U uniform on [0, 1)
 _C_MAX = 1e3
+# rows each fuzzer draws and checks at a time, per theorem
+_DRAW_CHUNK = {"foldo": 20000, "hodge": 10000, "key-lemma": 20000}
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +342,6 @@ class KatoVerdict:
     margin: float
     gain: float
     scale: float
-    seed: int | None = None
     corollary_margin: float | None = None
 
     @property
@@ -380,21 +375,22 @@ def _section_row(phi) -> np.ndarray:
     return phi
 
 
-def _row_verdict(theorem: str, out: dict, c, c_star, seed) -> KatoVerdict:
+def _row_verdict(theorem: str, out: dict, c, c_star) -> KatoVerdict:
     """Row 0 of a kernel output as a KatoVerdict."""
     cor = out.get("margin_cor")
     return KatoVerdict(
         theorem, "vanishing" if out["vanishing"][0] else "nonvanishing",
         float(c), None if c_star is None else float(c_star),
         float(out["lhs"][0]), float(out["rhs"][0]), float(out["margin"][0]),
-        float(out["gain"][0]), float(out["full_scale"][0]), seed,
+        float(out["gain"][0]), float(out["full_scale"][0]),
         corollary_margin=None if cor is None else float(cor[0]))
 
 
 def _branch(forced, norm_sq: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Forced branch flags broadcast to the rows, or detected from a norm."""
+    """Forced branch flags broadcast to the rows, or detected from a squared norm
+    against the rows' squared norms, scale: |P u| <= BRANCH_NORM_FACTOR |u|."""
     if forced is None:
-        return np.sqrt(norm_sq) <= BRANCH_NORM_FACTOR * scale
+        return norm_sq <= BRANCH_NORM_FACTOR ** 2 * scale
     return np.broadcast_to(np.asarray(forced, dtype=bool), scale.shape)
 
 
@@ -445,15 +441,14 @@ def _key_lemma_margins(a: float, maps: tuple, u1: np.ndarray, u2: np.ndarray, c,
     """Row margins of |u2|^2 + c |C u1 + C2 u2|^2 >= gain * |C u1|^2 on real halves (2, m, d)
     of complex rows.  maps holds the _real_form of C^T, C2^T (C2 u2 = C u2, and C2 keeps
     |u2|) and pinv(C)^T, which fixes u1 in place on the first forced rows so that
-    C u1 + C2 u2 = 0.  Fix, images and four squared norms run in _LEMMA_BLOCK-row blocks."""
+    C u1 + C2 u2 = 0.  Fix, images and four squared norms run in row blocks (_row_blocks)."""
     CT, C2T, pinvT = maps
     norms = np.empty((4, u1.shape[1]))  # |C u1|^2, |C u1 + C2 u2|^2, |u1|^2, |u2|^2
-    for lo in range(0, u1.shape[1], _LEMMA_BLOCK):
-        r = slice(lo, lo + _LEMMA_BLOCK)
+    for r in _row_blocks(u1.shape[1], 2 * (u1.shape[2] + u2.shape[2])):
         x1, x2 = u1[:, r], u2[:, r]
         Cu1, Cu2 = _apply(x1, CT), _apply(x2, C2T)
-        if forced > lo:
-            f = slice(forced - lo)  # the forced rows of this block
+        if forced > r.start:
+            f = slice(forced - r.start)  # the forced rows of this block
             x1[:, f] -= _apply(Cu1[:, f] + Cu2[:, f], pinvT)
             Cu1[:, f] = _apply(x1[:, f], CT)
         Cu2 += Cu1
@@ -473,7 +468,7 @@ def _key_lemma_margins(a: float, maps: tuple, u1: np.ndarray, u2: np.ndarray, c,
 
 
 def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
-                    u2: np.ndarray, c: float, seed: int | None = None) -> KatoVerdict:
+                    u2: np.ndarray, c: float) -> KatoVerdict:
     """|u2|^2 + c |C(u1+u2)|^2 >= gain * |C(u1)|^2 with the branch gain.
 
     sub_basis holds orthonormal columns spanning the component that u2
@@ -486,7 +481,7 @@ def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
         raise ValueError("u2 must lie in the span of sub_basis within 1e-10 |u2|")
     CT, (x1, x2) = _real_form(C.matrix.T), (np.stack([x.real, x.imag]) for x in (u1, u2))
     out = _key_lemma_margins(a, (CT, CT, None), x1, x2, c)
-    return _row_verdict("key-lemma", out, c, None, seed)
+    return _row_verdict("key-lemma", out, c, None)
 
 
 def equality_witness(C: LinearMap, sub_basis: np.ndarray):
@@ -540,15 +535,14 @@ def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     lhs = scale + np.asarray(c, dtype=float) * pu_sq
     rhs = (1.0 + gain) * dnorm_sq
     if math.isinf(batch_lemma_gain(0.0, rho2 - eps, True, weight=eps)):
-        zero_pair = dnorm_sq <= _PAIRING_ZERO_FACTOR * np.maximum(scale, 1.0)
-        rhs = np.where(vanishing & zero_pair, 0.0, rhs)
+        rhs = np.where(vanishing & (dnorm_sq <= _PAIRING_ZERO_FACTOR * scale), 0.0, rhs)
     return {"margin": lhs - rhs, "lhs": lhs, "rhs": rhs,
             "full_scale": lhs + np.where(np.isinf(rhs), 0.0, rhs),
             "vanishing": vanishing, "gain": gain}
 
 
 def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
-                              c: float, seed: int | None = None) -> KatoVerdict:
+                              c: float) -> KatoVerdict:
     """Pointwise refined Kato inequality of a first-order operator.
 
     u plays the full gradient of phi at one point, P(u) the operator
@@ -556,18 +550,7 @@ def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     the pairing of u against phi.  One row of batch_operator_margins.
     """
     out = batch_operator_margins(op, _row(u), _section_row(phi), c)
-    return _row_verdict("foldo", out, c, None, seed)
-
-
-def _row_blocks(m: int, width: int, align: int = 1) -> list:
-    """Slices of m rows of `width` reals each into equal blocks: at least one, and
-    enough that a block has fewer than 2 _FORM_BLOCK rows and, unless it is one row,
-    fewer than 2 _FORM_BLOCK * 100 entries (100 reals: the widest fiber-1 form row at
-    n <= 5, whose blocks the row count alone sets).  With align, each cut moves down
-    to a multiple of align rows."""
-    nb = max(1, m // _FORM_BLOCK, min(m, m * width // (_FORM_BLOCK * 100)))
-    cuts = [i * m // nb // align * align for i in range(nb)] + [m]
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    return _row_verdict("foldo", out, c, None)
 
 
 def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
@@ -664,8 +647,7 @@ def check_hodge_inequality(v: np.ndarray, phi: np.ndarray, n: int, k: int,
                            fiber_dim: int = 1, c: float = 1.0,
                            c_star: float = 1.0,
                            d_vanishing: bool | None = None,
-                           dstar_vanishing: bool | None = None,
-                           seed: int | None = None) -> KatoVerdict:
+                           dstar_vanishing: bool | None = None) -> KatoVerdict:
     """Two-sided refined Kato inequality for degree-k form coefficients.
 
     Checks the final inequality (gradient + weighted wedge/contraction
@@ -678,7 +660,7 @@ def check_hodge_inequality(v: np.ndarray, phi: np.ndarray, n: int, k: int,
     """
     out = batch_hodge_margins(n, k, fiber_dim, _row(v), _section_row(phi),
                               c, c_star, d_vanishing, dstar_vanishing)
-    return _row_verdict("hodge", out, c, c_star, seed)
+    return _row_verdict("hodge", out, c, c_star)
 
 
 # ---------------------------------------------------------------------------
@@ -775,25 +757,24 @@ def finite_minima(margin: np.ndarray, scale: np.ndarray, ok: np.ndarray):
 
 
 def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
-          chunk: int, sample, kernel, worst=None):
+          sample, kernel, worst=None):
     """The fuzz loop shared by every fuzzer.
 
-    Each chunk draws up to chunk rows with sample(rng, m) and checks
-    them with kernel(*rows).  The kernel output carries "margin" and
-    "full_scale" (plus "margin_cor"/"cor_scale" for a second inequality
-    on the same rows) and a "vanishing" branch mask.  worst maps extra
+    Each chunk draws up to _DRAW_CHUNK[theorem] rows with sample(rng, m)
+    and checks them with kernel(*rows).  The kernel output carries
+    "margin" and "full_scale" (plus "margin_cor"/"cor_scale" for a second
+    inequality on the same rows) and a "vanishing" branch mask.  worst maps extra
     report keys to (kernel key, np.min or np.max), folded over chunks.
     """
-    if samples < 1 or chunk < 1:
-        raise ValueError(f"fuzzing needs samples >= 1 and chunk >= 1, "
-                         f"got samples={samples}, chunk={chunk}")
+    if samples < 1:
+        raise ValueError(f"fuzzing needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     done = violations = nonfinite = 0
     min_margin = min_rel = INF
     branches = {"vanishing": 0, "nonvanishing": 0}
     folded = {}
     while done < samples:
-        m = min(chunk, samples - done)
+        m = min(_DRAW_CHUNK[theorem], samples - done)
         out = kernel(*sample(rng, m))
         odd = nonfinite_rows(out)
         # written so that a NaN margin fails too
@@ -816,8 +797,7 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
 
 
 def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
-                             c_fixed: float | None = None,
-                             chunk: int = 20000) -> FuzzReport:
+                             c_fixed: float | None = None) -> FuzzReport:
     """Batch check of the operator inequality on random data.
 
     A quarter of every chunk is resampled inside ker P so the vanishing
@@ -836,7 +816,7 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
 
     report = _fuzz(
         "foldo", op.name, samples, seed,
-        (0.0, _C_MAX) if c_fixed is None else (c_fixed, c_fixed), chunk, sample,
+        (0.0, _C_MAX) if c_fixed is None else (c_fixed, c_fixed), sample,
         lambda u, phi, c: batch_operator_margins(op, u, phi, c))
     rho2, eps = operator_constants(op)
     report.extras.update({
@@ -850,8 +830,7 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
 
 def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
                           seed: int, c_fixed: float | None = None,
-                          cstar_fixed: float | None = None,
-                          chunk: int = 10000) -> FuzzReport:
+                          cstar_fixed: float | None = None) -> FuzzReport:
     """Batch check of both forms of the two-sided inequality.
 
     Every chunk has a fifth of its rows resampled inside ker(wedge) and
@@ -872,8 +851,7 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
 
     report = _fuzz(
         "hodge", f"hodge:{n}:{k}" + (f" fiber={fiber_dim}" if fiber_dim > 1 else ""),
-        samples, seed, (0.0, _C_MAX) if c_fixed is None else (c_fixed, cstar_fixed),
-        chunk, sample,
+        samples, seed, (0.0, _C_MAX) if c_fixed is None else (c_fixed, cstar_fixed), sample,
         lambda v, phi, c, cs: batch_hodge_margins(n, k, fiber_dim, v, phi, c, cs,
                                                   diagnostics=True),
         worst={"min_margin_corollary": ("margin_cor", np.min),
@@ -888,8 +866,7 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
 
 
 def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
-                   seed: int, label: str = "restriction",
-                   chunk: int = 20000) -> FuzzReport:
+                   seed: int, label: str = "restriction") -> FuzzReport:
     """Batch check of the two-component lemma for one restricted map.
 
     The first quarter of every chunk gets u1 adjusted so C(u1 + u2) = 0
@@ -899,7 +876,7 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
     Chat, _, a = _restricted_gram(C, sub_basis)
     # u2 = sub_basis z is kept as z: C u2 = Chat z and |u2| = |z|
     maps = tuple(_real_form(M.T) for M in (C.matrix, Chat, np.linalg.pinv(C.matrix)))
-    rows = max(min(chunk, samples), 0)
+    rows = max(min(_DRAW_CHUNK["key-lemma"], samples), 0)
     bufs = [(np.empty(2 * rows * d), d) for d in (C.domain.dim, sub_basis.shape[1])]
 
     def sample(rng, m):
@@ -907,7 +884,7 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
         u1, z = (rng.standard_normal(out=b[:2 * m * d]).reshape(2, m, d) for b, d in bufs)
         return u1, z, _weights(rng, m)
 
-    report = _fuzz("key-lemma", label, samples, seed, (0.0, _C_MAX), chunk, sample,
+    report = _fuzz("key-lemma", label, samples, seed, (0.0, _C_MAX), sample,
                    lambda x1, x2, c: _key_lemma_margins(a, maps, x1, x2, c, len(c) // 4))
     report.extras["spectral_bound"] = a
     return report

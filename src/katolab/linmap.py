@@ -11,6 +11,11 @@ import numpy as np
 
 from .spaces import SpaceDescriptor
 
+# every batched loop runs its m rows as equal blocks (_row_blocks) to keep its
+# temporaries in cache; no block is short, as OpenBLAS sums a product of few rows in
+# another order
+_FORM_BLOCK = 1024
+
 
 @dataclass(eq=False)
 class LinearMap:
@@ -81,3 +86,18 @@ def gram_schmidt_columns(M: np.ndarray) -> np.ndarray:
         return np.zeros((M.shape[0], 0), dtype=np.complex128)
     return np.column_stack(basis)
 
+
+def _row_blocks(m: int, width: int, align: int = 1):
+    """Slices of m rows of `width` reals each into equal blocks, made lazily: at least
+    one, and enough that a block has fewer than 2 _FORM_BLOCK rows and, unless it is
+    one row, fewer than 2 _FORM_BLOCK * 100 entries (100 reals: the widest fiber-1 form
+    row at n <= 5, whose blocks the row count alone sets).  With align, every cut is a
+    multiple of align rows and block sizes stay within align of each other: the first
+    blocks take one more align rows, the last the rows past the last multiple."""
+    nb = max(1, m // _FORM_BLOCK, min(m, m * width // (_FORM_BLOCK * 100)))
+    size, longer = divmod(m // align, nb)
+    lo = 0
+    for i in range(nb):
+        hi = m if i == nb - 1 else lo + align * (size + (i < longer))
+        yield slice(lo, hi)
+        lo = hi

@@ -21,7 +21,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import BadDegree, UnknownName, ZeroCovector
-from .linmap import LinearMap, identity_map, stack_maps
+from .linmap import LinearMap, _row_blocks, identity_map, stack_maps
 from .projections import (
     FAMILIES,
     exact_to_json,
@@ -199,16 +199,16 @@ def ellipticity_constant(op: OperatorSpec,
 
     e1 = unit_covector(n)
     ref = np.linalg.eigvalsh(principal_squares(op, e1[None]))[0]
-    # blocks of about 2^18 symbol entries, each generating its own directions, keep
-    # memory flat in coarse_samples; xi and val follow the sweep's first argmin
-    block = max(1, 2 ** 18 // (op.target.dim * op.domain_fiber.dim))
+    # row blocks of directions (a direction's row: its complex symbol), each generating
+    # its own directions, keep memory flat in coarse_samples; xi and val follow the
+    # sweep's first argmin
     worst = 0.0
-    for i in range(0, coarse_samples, block):
-        pts = _sphere_points(n, i, min(i + block, coarse_samples))
+    for r in _row_blocks(coarse_samples, 2 * op.target.dim * op.domain_fiber.dim):
+        pts = _sphere_points(n, r.start, r.stop)
         spectra = np.linalg.eigvalsh(principal_squares(op, pts))
         worst = max(worst, float(np.max(np.abs(spectra - ref))))
         best = int(np.argmin(spectra[:, 0]))
-        if i == 0 or spectra[best, 0] < val:
+        if r.start == 0 or spectra[best, 0] < val:
             xi, val = pts[best].copy(), float(spectra[best, 0])
         del pts, spectra  # before the next block's are made
     if worst <= INVARIANCE_TOL:

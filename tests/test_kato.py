@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab import kato
+from katolab import kato, linmap
 from katolab.errors import BadConstants, BadDegree, NotUnit, ZeroOperator, ZeroSection
 from katolab.kato import (
     INF,
@@ -487,6 +487,42 @@ def test_operator_inequality_scale_free():
     assert v2.rhs == pytest.approx(100 * v1.rhs, rel=1e-12)
 
 
+def _crow(rng, dim):
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def _scale_free_checks(rng, m):
+    # (name, check(scale, row), rows) per single-shot check: random rows, then as many
+    # rows on the vanishing branch (inside ker P, inside ker(wedge) and ker(contraction),
+    # and with C(u1 + u2) = 0); the scale multiplies the gradient part of a row
+    op = catalog("twistor", 4)
+    dim, dE = op.full_symbol.domain.dim, op.domain_fiber.dim
+    foldo = [(_crow(rng, dim), _crow(rng, dE)) for _ in range(m)]
+    foldo += [(_kernel_vector(op, rng), _crow(rng, dE)) for _ in range(m)]
+    null = kato._null_space(np.vstack(_form_kit(4, 2).flat_maps(1)))
+    hodge = [(_crow(rng, 24), _crow(rng, 6)) for _ in range(m)]
+    hodge += [(null @ _crow(rng, null.shape[1]), _crow(rng, 6)) for _ in range(m)]
+    _, C, sub, _ = key_lemma_setups(4, 2)[0]
+    u2s = [sub @ _crow(rng, sub.shape[1]) for _ in range(2 * m)]
+    lemma = [(_crow(rng, C.domain.dim), u2) for u2 in u2s[:m]]
+    lemma += [(matching_first_component(C, u2), u2) for u2 in u2s[m:]]
+    return [
+        ("foldo", lambda s, r: check_operator_inequality(op, s * r[0], r[1], 2.0), foldo),
+        ("hodge", lambda s, r: check_hodge_inequality(s * r[0], r[1], 4, 2), hodge),
+        ("key-lemma", lambda s, r: check_key_lemma(C, sub, s * r[0], s * r[1], 2.0), lemma),
+    ]
+
+
+def test_single_shot_branches_and_verdicts_do_not_depend_on_the_scale():
+    # |P u| <= 1e-10 |u| picks the vanishing branch, degree 1 on both sides: random
+    # rows stay nonvanishing at 1e10 and vanishing rows stay vanishing at 1e-8
+    for name, check, rows in _scale_free_checks(np.random.default_rng(25), 20):
+        at = {s: [(v.branch, v.passed) for v in (check(s, r) for r in rows)]
+              for s in (1e-8, 1.0, 1e10)}
+        assert at[1.0] == [("nonvanishing", True)] * 20 + [("vanishing", True)] * 20, name
+        assert at[1e-8] == at[1.0] and at[1e10] == at[1.0], name
+
+
 # ---------------------------------------------------------------------------
 # hodge inequality, scalar paths
 
@@ -613,25 +649,27 @@ def test_fuzz_key_lemma_batches():
 
 
 def _key_lemma_rows(monkeypatch, C, sub, label):
-    # the fuzzer's report and every row its kernel returned
+    # the fuzzer's report and every row its kernel returned, in draw chunks of 2300 rows
     rows, kernel = [], kato._key_lemma_margins
     monkeypatch.setattr(kato, "_key_lemma_margins",
                         lambda *args: rows.append(kernel(*args)) or rows[-1])
-    report = fuzz_key_lemma(C, sub, 5000, seed=107, label=label, chunk=2300)
+    monkeypatch.setitem(kato._DRAW_CHUNK, "key-lemma", 2300)
+    report = fuzz_key_lemma(C, sub, 5000, seed=107, label=label)
     monkeypatch.setattr(kato, "_key_lemma_margins", kernel)
     return report.to_json_dict(), {key: np.concatenate([out[key] for out in rows])
                                    for key in rows[0]}
 
 
 def test_fuzz_key_lemma_row_blocks_do_not_change_the_report(monkeypatch):
-    # each chunk in one block against blocks of 333 rows, which split every chunk
-    # unevenly, with a short last chunk (400 rows) and forced rows (575, then 100)
-    # across blocks; on a real restriction and on a complex one (2x real block form)
+    # each chunk in one block against blocks of a 333-row budget, which split the
+    # 2300-row chunks into 6 or 7 blocks of 328-384 rows with the 575 forced rows
+    # across a block edge, then a short last chunk (400 rows, 100 forced); on a real
+    # restriction and on a complex one (2x real block form)
     for label, C, sub in (key_lemma_setups(5, 2)[1][:3],
                           line_component_setup(catalog("dirac", 3))[:3]):
-        monkeypatch.setattr(kato, "_LEMMA_BLOCK", 10**6)
+        monkeypatch.setattr(linmap, "_FORM_BLOCK", 10**6)
         whole = _key_lemma_rows(monkeypatch, C, sub, label)
-        monkeypatch.setattr(kato, "_LEMMA_BLOCK", 333)
+        monkeypatch.setattr(linmap, "_FORM_BLOCK", 333)
         blocked = _key_lemma_rows(monkeypatch, C, sub, label)
         assert blocked[0] == whole[0], label
         for key, x in whole[1].items():
@@ -707,8 +745,7 @@ def test_fuzz_reports_deterministic():
 
 def _sample_verdicts():
     return [
-        KatoVerdict("foldo", "nonvanishing", 1.5, None, 4.0, 3.0, 1.0, 0.5,
-                    7.0, seed=9),
+        KatoVerdict("foldo", "nonvanishing", 1.5, None, 4.0, 3.0, 1.0, 0.5, 7.0),
         KatoVerdict("hodge", "vanishing", 0.0, 2.0, 5.0, 0.0, 5.0, INF, 5.0,
                     corollary_margin=4.5),
     ]

@@ -90,7 +90,8 @@ def test_image_kernel_matches_full_space_reference(monkeypatch, seed, which):
         return out
 
     monkeypatch.setattr(kato, "_key_lemma_margins", recording)
-    report = fuzz_key_lemma(C, sub, SAMPLES, seed, label=label, chunk=CHUNK)
+    monkeypatch.setitem(kato._DRAW_CHUNK, "key-lemma", CHUNK)
+    report = fuzz_key_lemma(C, sub, SAMPLES, seed, label=label)
     got = {key: np.concatenate([out[key] for out in rows]) for key in rows[0]}
     want = _reference_rows(C, sub, seed)
     assert np.array_equal(got["vanishing"], want["vanishing"]), label

@@ -1,9 +1,13 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from katolab.linmap import (
+    _FORM_BLOCK,
     LinearMap,
+    _row_blocks,
     gram_schmidt_columns,
     identity_map,
     stack_maps,
@@ -62,3 +66,51 @@ def test_stack_maps():
     u = rng.standard_normal(3)
     assert np.allclose(S.apply(u)[:2], A.apply(u))
     assert np.allclose(S.apply(u)[2:], B.apply(u))
+
+
+# ---------------------------------------------------------------------------
+# the row-block rule shared by every batched loop
+
+
+def _sizes(blocks):
+    return [r.stop - r.start for r in blocks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60_000), st.integers(0, 5000), st.sampled_from([1, 2, 12, 48]))
+def test_row_blocks_cover_every_row_once_in_even_aligned_blocks(m, width, align):
+    blocks = list(_row_blocks(m, width, align))
+    assert [i for r in blocks for i in range(r.start, r.stop)] == list(range(m))
+    assert all(r.step is None for r in blocks)
+    sizes = _sizes(blocks)
+    assert max(sizes) - min(sizes) <= align
+    assert all(r.stop % align == 0 for r in blocks[:-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60_000), st.integers(0, 5000))
+def test_row_blocks_stay_within_the_row_and_entry_budgets(m, width):
+    for rows in _sizes(_row_blocks(m, width)):
+        assert 1 <= rows < 2 * _FORM_BLOCK
+        assert rows == 1 or rows * width < 2 * _FORM_BLOCK * 100
+
+
+def test_row_blocks_edge_cases():
+    # the sizes the kernels meet: one block up to 2 _FORM_BLOCK - 1 rows, then equal
+    # blocks; a row wider than the entry budget goes alone
+    assert _sizes(_row_blocks(2 * _FORM_BLOCK - 1, 100)) == [2 * _FORM_BLOCK - 1]
+    assert _sizes(_row_blocks(2 * _FORM_BLOCK, 100)) == [_FORM_BLOCK, _FORM_BLOCK]
+    assert _sizes(_row_blocks(3, 10**6)) == [1, 1, 1]
+    assert _sizes(_row_blocks(2500, 0, align=48)) == [1248, 1252]
+
+
+def test_row_blocks_of_no_rows_are_one_empty_block():
+    # a kernel on 0 rows still runs one block, for outputs of the right keys
+    assert list(_row_blocks(0, 100)) == [slice(0, 0)]
+    assert list(_row_blocks(0, 0, align=48)) == [slice(0, 0)]
+
+
+def test_row_blocks_are_made_lazily():
+    # a list of 10^12 / _FORM_BLOCK slices could not be made
+    assert inspect.isgenerator(_row_blocks(10**12, 8))
+    assert next(_row_blocks(10**12, 8)) == slice(0, _FORM_BLOCK)

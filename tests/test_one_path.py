@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab import fields, kato
+from katolab import fields, kato, linmap
 from katolab.errors import BadConstants
 from katolab.kato import (
     INF,
@@ -163,7 +163,7 @@ def test_hodge_kernel_does_not_depend_on_the_row_block(monkeypatch, n, k, f,
                       "per-row": (rng.random(m) < 0.5, rng.random(m) < 0.5)}[flags]
     outs = {}
     for size in FORM_BLOCKS + [7]:
-        monkeypatch.setattr(kato, "_FORM_BLOCK", size)
+        monkeypatch.setattr(linmap, "_FORM_BLOCK", size)
         outs[size] = batch_hodge_margins(n, k, f, v, phi, c, cs, d_flag, s_flag,
                                          diagnostics=True)
     whole = outs[10**9]
@@ -182,13 +182,18 @@ def test_hodge_kernel_does_not_depend_on_the_row_block(monkeypatch, n, k, f,
             assert np.all(np.abs(got - want) <= 1e-13 * scale), key
 
 
+def _hodge_report(monkeypatch, chunk, *args):
+    monkeypatch.setitem(kato._DRAW_CHUNK, "hodge", chunk)
+    return fuzz_hodge_inequality(*args).to_json_dict()
+
+
 def test_hodge_reports_do_not_depend_on_the_row_block(monkeypatch):
     reports = []
     for size in FORM_BLOCKS:
-        monkeypatch.setattr(kato, "_FORM_BLOCK", size)
-        reports.append([fuzz_hodge_inequality(4, 2, 1, 3000, 5).to_json_dict(),
-                        fuzz_hodge_inequality(3, 1, 3, 2500, 6, chunk=1100).to_json_dict(),
-                        fuzz_hodge_inequality(5, 2, 3, 3000, 8, chunk=1500).to_json_dict(),
+        monkeypatch.setattr(linmap, "_FORM_BLOCK", size)
+        reports.append([_hodge_report(monkeypatch, 10000, 4, 2, 1, 3000, 5),
+                        _hodge_report(monkeypatch, 1100, 3, 1, 3, 2500, 6),
+                        _hodge_report(monkeypatch, 1500, 5, 2, 3, 3000, 8),
                         fields.run_scenario("closed-form", 4, 2, points=1500, seed=2),
                         fields.run_scenario("yang-mills-F", 3, 2, points=1500, seed=3),
                         # 300- and 144-real rows: 7 and 3 blocks at the shipped budget
@@ -203,7 +208,7 @@ def test_nan_row_in_a_later_block_fails_as_unblocked(monkeypatch):
     v, phi = _hodge_rows(rng, 4, 2, 1, 2101)
     v[1500, 3] = math.nan
     for size in FORM_BLOCKS + [7]:
-        monkeypatch.setattr(kato, "_FORM_BLOCK", size)
+        monkeypatch.setattr(linmap, "_FORM_BLOCK", size)
         out = batch_hodge_margins(4, 2, 1, v, phi, 1.0, 1.0, diagnostics=True)
         assert np.flatnonzero(nonfinite_rows(out)).tolist() == [1500]
         for key in ("pythagoras_residual", "block_identity_residual",
@@ -355,7 +360,7 @@ def test_kernels_reject_bad_weights(bad):
         check_operator_inequality(op, _rows(rng, 1, 6)[0], _rows(rng, 1, 2)[0], bad)
 
 
-def test_nan_margin_never_passes():
+def test_nan_margin_never_passes(monkeypatch):
     verdict = KatoVerdict("foldo", "nonvanishing", 1.0, None, math.nan, 1.0,
                           math.nan, 0.5, 1.0)
     assert not verdict.passed
@@ -369,36 +374,38 @@ def test_nan_margin_never_passes():
         return {"margin": margin, "full_scale": np.ones(m),
                 "vanishing": np.zeros(m, dtype=bool)}
 
-    report = _fuzz("foldo", "stub", 10, 0, (0.0, 0.0), 4, sample, kernel)
+    monkeypatch.setitem(kato._DRAW_CHUNK, "foldo", 4)
+    report = _fuzz("foldo", "stub", 10, 0, (0.0, 0.0), sample, kernel)
     # one finite row per chunk of 4, 4, 2 rows
     assert report.violations == 7
     assert not report.passed
 
 
 
-def _fuzz_at(theorem, samples, chunk, fiber_dim=1):
+def _fuzz_at(theorem, samples, fiber_dim=1):
     if theorem == "foldo":
-        return fuzz_operator_inequality(parse_op_string("dirac:3"), samples, 0,
-                                        chunk=chunk)
+        return fuzz_operator_inequality(parse_op_string("dirac:3"), samples, 0)
     if theorem == "hodge":
-        return fuzz_hodge_inequality(3, 1, fiber_dim, samples, 0, chunk=chunk)
+        return fuzz_hodge_inequality(3, 1, fiber_dim, samples, 0)
     _, C, sub, _ = key_lemma_setups(3, 1)[0]
-    return fuzz_key_lemma(C, sub, samples, 0, chunk=chunk)
+    return fuzz_key_lemma(C, sub, samples, 0)
 
 
 @pytest.mark.parametrize("theorem", ["foldo", "hodge", "key-lemma"])
-@pytest.mark.parametrize("samples, chunk", [(0, 100), (-3, 100), (10, 0), (10, -4)])
-def test_fuzzers_refuse_sizes_below_one(theorem, samples, chunk):
-    # no report on zero samples, no endless loop or crash on an empty chunk
-    with pytest.raises(ValueError, match="samples >= 1 and chunk >= 1"):
-        _fuzz_at(theorem, samples, chunk)
-    assert _fuzz_at(theorem, 10, 4).samples == 10
+@pytest.mark.parametrize("samples, chunk", [(0, 100), (-3, 100)])
+def test_fuzzers_refuse_sizes_below_one(monkeypatch, theorem, samples, chunk):
+    # no report on zero samples, at any draw chunk; chunks of 4 rows end in a short one
+    monkeypatch.setitem(kato._DRAW_CHUNK, theorem, chunk)
+    with pytest.raises(ValueError, match="samples >= 1"):
+        _fuzz_at(theorem, samples)
+    monkeypatch.setitem(kato._DRAW_CHUNK, theorem, 4)
+    assert _fuzz_at(theorem, 10).samples == 10
 
 
 @pytest.mark.parametrize("fiber_dim", [0, -1])
 def test_hodge_fuzz_refuses_empty_fiber(fiber_dim):
     with pytest.raises(ValueError, match="fiber dimension must be >= 1"):
-        _fuzz_at("hodge", 10, 100, fiber_dim)
+        _fuzz_at("hodge", 10, fiber_dim)
 
 def test_overflowing_rows_fail_and_are_counted():
     op = parse_op_string("dirac:3")

@@ -130,9 +130,9 @@ def test_ellipticity_sweep_memory_is_flat_in_directions():
 
 
 def test_blocked_sweep_keeps_the_first_argmin_of_the_whole_sweep():
-    # a random symbol is not invariant; 2^18 // (40 * 8) = 819 directions per block
-    # make 3000 directions four blocks, and with no search rounds the result is the
-    # sweep's minimum at its first argmin
+    # a random symbol is not invariant; its rows of 2 * 40 * 8 reals make 3000
+    # directions 18 row blocks, and with no search rounds the result is the sweep's
+    # minimum at its first argmin
     rng = np.random.default_rng(3)
     E, F = fiber_space(8, "e"), fiber_space(40, "f")
     m = rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))
