@@ -27,7 +27,7 @@ import numpy as np
 
 from .clifford import clifford_generators, spinor_dim, spinor_space
 from .errors import BadDegree, NotConformal, NotSurjective
-from .linmap import LinearMap, gram_schmidt_columns
+from .linmap import LinearMap, _row_blocks, gram_schmidt_columns
 from .spaces import (
     SpaceDescriptor,
     dual_space,
@@ -200,8 +200,12 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
     if not np.all(np.isfinite(m)):
         # a non-finite entry: no rho^2 or residual, and the SVD would not converge
         return ProjectionReport(nan, nan, False, False, tol, P.domain.dim, dw)
+    G = np.empty((dw, dw), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        G = m @ m.conj().T
+        # G[:, r] = m m[r]* over the shared row blocks r: one block of the conjugate is
+        # alive at a time, not a copy of all of m; on the catalog, the one product's bits
+        for r in _row_blocks(dw, 2 * m.shape[1]):
+            G[:, r] = m @ m[r].conj().T
     scale = 1.0
     if not np.all(np.isfinite(G)) or (np.real(np.trace(G)) < 1e-250 * dw and np.any(m)):
         # finite entries whose Gram overflows or underflows: measure m over its largest
@@ -210,7 +214,8 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
         m = m / scale
         G = m @ m.conj().T
     rho2 = float(np.real(np.trace(G))) / dw
-    residual = float(np.linalg.norm(G - rho2 * np.eye(dw), 2)) / max(rho2, 1e-300)
+    G.flat[::dw + 1] -= rho2   # G - rho^2 I in place
+    residual = float(np.linalg.norm(G, 2)) / max(rho2, 1e-300)
     # every eigenvalue of G in rho^2 (1 +- 1/2) makes m onto, with a
     # singular-value ratio of at least 1/sqrt(3); otherwise test the rank
     surjective = rho2 > 1e-300 and residual < 0.5

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 from itertools import permutations
 
@@ -7,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import katolab
 from katolab import cli, projections
 from katolab.clifford import spinor_dim
 from katolab.errors import BadDegree, NotConformal, NotSurjective
-from katolab.linmap import LinearMap, stack_maps
+from katolab.linmap import LinearMap, _row_blocks, stack_maps
 from katolab.projections import (
     ProjectionReport,
     clifford_projection,
@@ -363,6 +368,71 @@ def test_projections_verify_runs_no_svd_in_conformity_report(monkeypatch, capsys
     assert cli.main(["projections", "verify", "--max-n", "6"]) == 0
     assert '"passed": true' in capsys.readouterr().out
     assert len(reports) > 40 and calls == []
+
+
+_ONE_GRAM_CHECK = """
+import numpy as np
+from katolab.projections import FAMILIES, conformity_report
+grams, trace = [], np.trace
+
+
+def recording_trace(a, *rest):
+    # conformity_report's first trace is of the whole Gram, before its diagonal shift
+    grams.append(a.copy())
+    return trace(a, *rest)
+
+
+np.trace = recording_trace
+for n in range(2, 7):
+    for name, fam in FAMILIES.items():
+        for k in fam.degrees(n):
+            P = fam.build(n, k)
+            grams.clear()
+            assert conformity_report(P).certified, (name, n, k)
+            assert np.array_equal(grams[0], P.matrix @ P.matrix.conj().T), (name, n, k)
+"""
+
+
+def test_blocked_gram_is_the_one_product_bit_for_bit_on_the_catalog():
+    # conformity_report forms G in the shared row blocks; G must be m m* to the bit for
+    # every catalog map, 2 <= n <= 6, among them symmetrization(6, 5), whose 462 rows
+    # of 3,024 reals run in several blocks.
+    # The claim is the catalog's, whose entries are sparse: on dense random complex
+    # maps (462 x 1512, say) the last bits differ, because the complex GEMM kernel
+    # handles a narrower product differently.  In a single-threaded child, as the
+    # benchmark runs, since threaded OpenBLAS splits one product among its threads.
+    assert len(list(_row_blocks(462, 2 * 1512))) > 1
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(katolab.__file__)))
+    subprocess.run([sys.executable, "-c", _ONE_GRAM_CHECK], env=env, check=True)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conformity_report_holds_a_block_of_the_map_not_a_copy():
+    # the 462 x 1512 complex symmetrization map S^5 -> S^6 at n = 6 is 10.7 MiB; the
+    # Gram (3.3 MiB) and one block's conjugate peak at 4.3 MiB over it, where the whole
+    # conjugate and G - rho^2 I beside G took 13.9 MiB
+    P = symmetrization_projection(6, 5)
+    rep, peak = _traced_peak(lambda: conformity_report(P))
+    assert rep.certified
+    assert peak <= P.matrix.nbytes / 2, peak
+
+
+def test_projections_verify_max_n_6_memory(capsys):
+    # the build of that map (float entries, then its complex copy) now sets the peak:
+    # 16.4 MiB traced for the whole command, where conformity_report took it to 24.8
+    code, peak = _traced_peak(lambda: cli.main(["projections", "verify", "--max-n", "6"]))
+    assert code == 0 and '"passed": true' in capsys.readouterr().out
+    assert peak <= 18 * 2**20, peak
 
 
 def test_not_conformal_raises_with_residual():

@@ -123,8 +123,9 @@ def _sweep_peak(op, count):
 def test_ellipticity_sweep_memory_is_flat_in_directions():
     # the whole 3000-direction stack of hodge:6:3 squares would take 77 MB
     assert _sweep_peak(catalog("hodge", 6, 3), 3000) < 25e6
-    # the directions are made block by block too: 400k of them, six full blocks
-    # of dirac:3, take no more memory than 100k (when all were held, 57.6 MB vs 15.0)
+    # the directions are made block by block too: 400k of them, 390 blocks of about
+    # 1,026 rows on dirac:3, take no more memory than 100k (0.23 MB traced at both;
+    # when all were held, 57.6 MB vs 15.0)
     dirac = catalog("dirac", 3)
     assert _sweep_peak(dirac, 400_000) <= 1.1 * _sweep_peak(dirac, 100_000)
 
