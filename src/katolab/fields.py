@@ -21,7 +21,9 @@ import numpy as np
 from .errors import FiberMismatch, UnknownScenario, ZeroSection
 from .kato import (
     INF,
+    _direction_table,
     _form_kit,
+    _rsq,
     batch_hodge_margins,
     batch_lemma_gain,
     batch_operator_margins,
@@ -32,7 +34,7 @@ from .kato import (
     report_json,
 )
 from .linmap import _row_blocks
-from .spaces import exterior_power, wedge_delete, wedge_insert
+from .spaces import exterior_power
 from .symbols import OperatorSpec, catalog
 
 FIELD_MARGIN_TOL_FACTOR = 1e-8   # looser than the fuzzers: points accumulate
@@ -117,15 +119,11 @@ class TrigField:
 
     def gradient(self) -> "TrigField":
         """Full derivative, fiber V* (x) old fiber, direction-major layout."""
-        n, dF = self.n, self.fiber_dim
-        K = len(self.freqs)
-        cos_g = np.zeros((K, n * dF), dtype=np.complex128)
-        sin_g = np.zeros((K, n * dF), dtype=np.complex128)
-        for i in range(n):
-            mi = self.freqs[:, i].astype(float)[:, None]
-            cos_g[:, i * dF:(i + 1) * dF] = mi * self.sin_coeffs
-            sin_g[:, i * dF:(i + 1) * dF] = -mi * self.cos_coeffs
-        return TrigField(n, n * dF, self.freqs, cos_g, sin_g)
+        n, dF, K = self.n, self.fiber_dim, len(self.freqs)
+        m = self.freqs.astype(float)[:, :, None]   # block i scales by m_i
+        return TrigField(n, n * dF, self.freqs,
+                         (m * self.sin_coeffs[:, None]).reshape(K, n * dF),
+                         (-m * self.cos_coeffs[:, None]).reshape(K, n * dF))
 
     def sup_norm_estimate(self) -> float:
         # coefficient-sum bound; exact enough for scale decisions
@@ -139,6 +137,8 @@ class PhaseTable:
 
     def __init__(self, f: TrigField, points):
         X = np.asarray(points, dtype=float).reshape(-1, f.n)
+        if not len(X):
+            raise ValueError("field evaluation needs points >= 1, got 0")
         phases = X @ f.freqs.T.astype(float)
         self.freqs, self.cos, self.sin = f.freqs, np.cos(phases), np.sin(phases)
 
@@ -191,30 +191,20 @@ def _form_derivative(f: TrigField, k: int, extra_dim: int, up: bool) -> TrigFiel
 
     The partial derivative swaps cos and sin rows with the frequency
     factor; the wedge (up) or the contraction reshuffles label slots with
-    its signs, negated for the codifferential.
+    its signs, negated for the codifferential: per frequency m, one label
+    map sum_i m_i T[i] of the direction table T on real and imaginary parts.
     """
     n = f.n
     if f.fiber_dim != math.comb(n, k) * extra_dim:
         raise FiberMismatch(f"fiber dim {f.fiber_dim} is not C({n},{k}) * {extra_dim}")
-    degree = k + 1 if up else k - 1
-    labels_out = exterior_power(n, degree).labels if 0 <= degree <= n else []
-    pos = {lab: j for j, lab in enumerate(labels_out)}
-    K, width = len(f.freqs), len(labels_out) * extra_dim
-    cos_d = np.zeros((K, width), dtype=np.complex128)
-    sin_d = np.zeros((K, width), dtype=np.complex128)
-    A = f.cos_coeffs.reshape(K, -1, extra_dim)
-    B = f.sin_coeffs.reshape(K, -1, extra_dim)
-    for j, lab in enumerate(exterior_power(n, k).labels):
-        for i in range(1, n + 1):
-            hit = wedge_insert(i, lab) if up else wedge_delete(i, lab)
-            if hit is None:
-                continue
-            sign, out = hit[0] if up else -hit[0], hit[1]
-            t = pos[out]
-            mi = f.freqs[:, i - 1].astype(float)[:, None]
-            cos_d[:, t * extra_dim:(t + 1) * extra_dim] += sign * mi * B[:, j]
-            sin_d[:, t * extra_dim:(t + 1) * extra_dim] -= sign * mi * A[:, j]
-    return TrigField(n, width, f.freqs, cos_d, sin_d)
+    T = _direction_table(n, k, up)
+    _, dst, src = T.shape
+    K, w = len(f.freqs), dst * extra_dim
+    S = ((1 if up else -1) * f.freqs @ T.reshape(n, dst * src)).reshape(K, dst, src)
+    A, B = (np.ascontiguousarray(c).view(float).reshape(K, src, 2 * extra_dim)
+            for c in (f.cos_coeffs, f.sin_coeffs))
+    return TrigField(n, w, f.freqs, (S @ B).reshape(K, 2 * w).view(np.complex128),
+                     (-(S @ A)).reshape(K, 2 * w).view(np.complex128))
 
 
 def exterior_derivative(f: TrigField, k: int, extra_dim: int = 1) -> TrigField:
@@ -256,6 +246,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def sample_points(n: int, count: int) -> np.ndarray:
     """Deterministic near-uniform grid on the torus, irrational offsets."""
+    if count < 1:
+        raise ValueError(f"sampling needs points >= 1, got {count}")
     q = max(2, math.ceil(count ** (1.0 / n)))
     while q ** n < count:
         q += 1
@@ -399,11 +391,14 @@ def scenario_grid(dims) -> list:
 # consistency residuals
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Row norms of a complex array, summed on its real view with no conjugate copy."""
+    return np.sqrt(_rsq(np.ascontiguousarray(a).view(float)))
+
+
 def _max_row_norm(a: np.ndarray) -> float:
-    """Largest row norm of a complex array, one row block at a time; np.max keeps a
-    NaN, and each row's norm has the same bits as over the whole array."""
-    return float(np.max([np.max(np.linalg.norm(a[r], axis=1))
-                         for r in _row_blocks(len(a), 2 * a.shape[1])]))
+    """Largest row norm of a complex array; np.max keeps a NaN."""
+    return float(np.max(_row_norms(a)))
 
 
 def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
@@ -474,7 +469,7 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
     table = PhaseTable(sc.section, X)
     phi = sc.section.evaluate(table)
     grads = sc.section.gradient().evaluate(table)
-    norms = np.linalg.norm(phi, axis=1)
+    norms = _row_norms(phi)
     keep = norms > SKIP_NORM_FACTOR * float(np.max(norms))
     if not np.any(keep):
         raise ZeroSection(f"scenario {sc.name} produced a vanishing section")

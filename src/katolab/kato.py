@@ -212,28 +212,35 @@ class FourBlockSplit:
         return (self.v11, self.v12, self.v21, self.v22)
 
 
+@functools.lru_cache(maxsize=None)
+def _direction_table(n: int, j: int, up: bool) -> np.ndarray:
+    """Read-only table T (n, dst, src) on Lambda^j: T[i] is the wedge with e_i* (up) or
+    the contraction by it, from the projection's direction-major columns; no dst rows
+    where the target degree leaves 0..n."""
+    if not 0 <= (j + 1 if up else j - 1) <= n:
+        return np.zeros((n, 0, math.comb(n, j)))
+    P = (exterior_projection if up else interior_projection)(n, j).matrix.real
+    T = np.ascontiguousarray(P.reshape(len(P), n, -1).transpose(1, 0, 2))
+    T.flags.writeable = False
+    return T
+
+
 class _FormKit:
     """Wedge/contraction symbol tables on degree-k forms, built once per (n, k).
 
     maps: the two symbols on flattened V* (x) Lambda^k.  wedge[j] and
     contraction[j], for j = k-1, k, k+1 where the target degree is in
-    0..n, are direction tables T (n, dst, src): T[i] is the wedge with
-    e_i* or the contraction by it on Lambda^j.
+    0..n, are the shared _direction_table(n, j, up) of Lambda^j.
     """
 
     def __init__(self, n: int, k: int):
         if k < 1 or k > n - 1:
             raise BadDegree(f"form split needs 1 <= k <= {n - 1}, got k={k}")
         self.n, self.dim_k = n, math.comb(n, k)
-        wedge = {j: exterior_projection(n, j).matrix.real for j in (k - 1, k, k + 1) if j < n}
-        contr = {j: interior_projection(n, j).matrix.real for j in (k - 1, k, k + 1) if j > 0}
-        self.maps = (wedge[k], contr[k])
-        self.wedge, self.contraction = ({j: self._directions(P) for j, P in d.items()}
-                                        for d in (wedge, contr))
-
-    def _directions(self, P: np.ndarray) -> np.ndarray:
-        # columns are direction-major: block i acts on the e_i* slot
-        return np.ascontiguousarray(P.reshape(P.shape[0], self.n, -1).transpose(1, 0, 2))
+        self.wedge, self.contraction = ({j: _direction_table(n, j, up) for j in (k - 1, k, k + 1)
+                                         if (j < n if up else j > 0)} for up in (True, False))
+        self.maps = tuple(T.transpose(1, 0, 2).reshape(len(T[0]), -1)
+                          for T in (self.wedge[k], self.contraction[k]))
 
     @functools.lru_cache(maxsize=None)
     def flat_maps(self, fiber_dim: int):

@@ -17,7 +17,7 @@ from .spaces import SpaceDescriptor
 _FORM_BLOCK = 1024
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class LinearMap:
     """Matrix of a linear map in the orthonormal bases of its spaces.
 

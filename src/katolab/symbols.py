@@ -14,6 +14,7 @@ sphere sweep decides that; when it fails, the sweep seeds a local
 refinement whose result is reported as an upper bound.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -43,7 +44,7 @@ DEFAULT_DIRECTIONS = 32
 TWISTOR_SYMBOL_SAMPLES = 64
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class OperatorSpec:
     """A first-order operator reduced to its constant-coefficient symbol.
 
@@ -316,7 +317,13 @@ def catalog(name: str, n: int, k: int | None = None, weights=None,
 
     The family operators take rho^2 and their degree window from their
     row of projections.FAMILIES; a k outside that window raises BadDegree.
+    Each spec is built once per process and shared, frozen and read-only.
     """
+    return _catalog(name, n, k, None if weights is None else tuple(weights), fiber_dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog(name, n, k, weights, fiber_dim):
     if name == "connection":
         d = 2 if fiber_dim is None else fiber_dim
         if d < 1:

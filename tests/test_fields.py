@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import katolab
+from katolab import fields
 from katolab.errors import FiberMismatch, UnknownScenario
 from katolab.fields import (
     CLOSEDNESS_TOL,
@@ -37,6 +38,7 @@ from katolab.fields import (
     scenario_grid,
     symbol_consistency_residual,
 )
+from katolab.spaces import exterior_power, wedge_delete, wedge_insert
 from katolab.symbols import catalog
 
 
@@ -149,6 +151,74 @@ def test_d_adjoint_to_codifferential_by_quadrature(n, k):
     assert abs(lhs - rhs) < 1e-12 * ref
 
 
+def _per_label_derivative(f, k, extra_dim, up):
+    """The (cos, sin) tables of d (up) or the codifferential, label by label and
+    direction by direction from wedge_insert and wedge_delete: the reference for
+    the direction tables behind exterior_derivative and coderivative."""
+    n = f.n
+    degree = k + 1 if up else k - 1
+    labels_out = exterior_power(n, degree).labels if 0 <= degree <= n else []
+    pos = {lab: j for j, lab in enumerate(labels_out)}
+    K, width = len(f.freqs), len(labels_out) * extra_dim
+    cos_d = np.zeros((K, width), dtype=np.complex128)
+    sin_d = np.zeros((K, width), dtype=np.complex128)
+    A = f.cos_coeffs.reshape(K, -1, extra_dim)
+    B = f.sin_coeffs.reshape(K, -1, extra_dim)
+    for j, lab in enumerate(exterior_power(n, k).labels):
+        for i in range(1, n + 1):
+            hit = wedge_insert(i, lab) if up else wedge_delete(i, lab)
+            if hit is None:
+                continue
+            sign, out = hit[0] if up else -hit[0], hit[1]
+            t = pos[out]
+            mi = f.freqs[:, i - 1].astype(float)[:, None]
+            cos_d[:, t * extra_dim:(t + 1) * extra_dim] += sign * mi * B[:, j]
+            sin_d[:, t * extra_dim:(t + 1) * extra_dim] -= sign * mi * A[:, j]
+    return cos_d, sin_d
+
+
+# every (n, k, extra fiber, up) of 2 <= n <= 6, with the degrees whose d or
+# codifferential leaves 0..n (k = n up, k = 0 down)
+_DERIVATIVE_CASES = [(n, k, extra, up) for n in range(2, 7) for k in range(n + 1)
+                     for extra in (1, 3) for up in (True, False)]
+
+
+def _worst_derivative_gap(cases):
+    """Largest gap between exterior_derivative / coderivative and the per-label
+    reference over the cases, relative to the reference's largest entry."""
+    worst = 0.0
+    for n, k, extra, up in cases:
+        rng = np.random.default_rng(100 * n + 10 * k + extra)
+        f = random_field(n, math.comb(n, k) * extra, 8, 3, rng)
+        got = (exterior_derivative if up else coderivative)(f, k, extra)
+        ref = _per_label_derivative(f, k, extra, up)
+        assert got.fiber_dim == ref[0].shape[1] and np.array_equal(got.freqs, f.freqs)
+        for g, r in zip((got.cos_coeffs, got.sin_coeffs), ref):
+            assert g.shape == r.shape
+            if r.size:
+                worst = max(worst, float(np.max(np.abs(g - r)) / np.max(np.abs(r))))
+    return worst
+
+
+def test_derivative_tables_match_the_per_label_loop():
+    assert _worst_derivative_gap(_DERIVATIVE_CASES) <= 1e-15
+
+
+def test_derivative_oracle_sees_one_flipped_sign(monkeypatch):
+    # one entry of one cached table negated: the oracle above must notice
+    table = fields._direction_table
+
+    def flipped(n, k, up):
+        T = table(n, k, up).copy()
+        if (n, k, up) == (4, 2, True):
+            T[np.unravel_index(np.flatnonzero(T)[3], T.shape)] *= -1
+        return T
+
+    monkeypatch.setattr(fields, "_direction_table", flipped)
+    assert _worst_derivative_gap([(4, 2, 1, True)]) > 0.1
+    assert _worst_derivative_gap([(4, 2, 1, False), (4, 1, 1, True)]) <= 1e-15
+
+
 def test_form_calculus_matches_symbol_action():
     # statement-level consistency: d = wedge of the gradient, the
     # codifferential = minus contraction of the gradient
@@ -212,6 +282,44 @@ def test_sample_points_are_the_leading_mesh_rows(n, count):
             for j in range(n)]
     mesh = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     assert np.array_equal(sample_points(n, count), mesh[:count])
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_points_needs_a_point(count):
+    # 0 gave an empty grid, a negative count a TypeError from a complex root
+    with pytest.raises(ValueError, match="needs points >= 1"):
+        sample_points(2, count)
+    with pytest.raises(ValueError, match="needs points >= 1"):
+        run_scenario("generic-form", 2, points=count)
+
+
+@pytest.mark.parametrize("check", [
+    lambda sc, X: evaluate_scenario(sc, X, 1.0, 1.0),
+    closedness_residual,
+    symbol_consistency_residual,
+])
+def test_empty_point_sets_are_refused(check):
+    # each used to end in numpy's reduction over a zero-size array
+    sc = make_scenario("closed-form", 3)
+    with pytest.raises(ValueError, match="needs points >= 1"):
+        check(sc, np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("fiber", [1, 3])
+def test_max_row_norm_on_real_views(fiber):
+    rng = np.random.default_rng(fiber)
+    scale = np.logspace(-150, 150, 400)[:, None]
+    a = (rng.standard_normal((400, fiber)) + 1j * rng.standard_normal((400, fiber))) * scale
+    np.testing.assert_allclose(fields._row_norms(a), np.linalg.norm(a, axis=1),
+                               rtol=1e-15, atol=0)
+    ref = float(np.max(np.linalg.norm(a, axis=1)))
+    assert abs(fields._max_row_norm(a) - ref) <= 1e-15 * ref
+    # a NaN in any row, real or imaginary part, is the result
+    for row, value in ((0, complex(np.nan, 1.0)), (399, complex(1.0, np.nan)),
+                       (200, complex(np.nan, np.nan))):
+        b = a.copy()
+        b[row, fiber - 1] = value
+        assert math.isnan(fields._max_row_norm(b))
 
 
 def test_sample_points_memory_is_linear_in_count():

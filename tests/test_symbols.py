@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -267,6 +268,23 @@ def test_catalog_errors():
         parse_op_string("dirac")
     with pytest.raises(UnknownName):
         parse_op_string("dirac:x")
+
+
+def test_catalog_specs_are_built_once_and_read_only():
+    op = catalog("dirac", 3)
+    assert catalog("dirac", 3) is op
+    for attr in ("epsilon", "full_symbol", "name"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, attr, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.full_symbol.matrix = np.zeros_like(op.full_symbol.matrix)
+    with pytest.raises(ValueError, match="read-only"):
+        op.full_symbol.matrix[0, 0] = 1.0
+    # weights given as a list are a cache key too, the same as the tuple
+    listed = catalog("hodge", 5, k=2, weights=[1.0, 1.0])
+    assert listed is catalog("hodge", 5, k=2, weights=(1.0, 1.0))
+    assert listed.epsilon == 1.0 and listed.rho_squared is None
+    assert listed is not catalog("hodge", 5, k=2)
 
 
 def test_parse_op_string():
