@@ -16,7 +16,6 @@ from .errors import (
     UnknownName,
     UnknownScenario,
     VerificationError,
-    ZeroCovector,
     ZeroOperator,
     ZeroSection,
 )
@@ -67,7 +66,6 @@ from .symbols import (
     catalog,
     ellipticity_constant,
     parse_op_string,
-    symbol_at,
     twist,
 )
 
@@ -78,15 +76,14 @@ __all__ = [
     # errors
     "VerificationError", "BadConstants", "BadDegree", "ConfigError",
     "FiberMismatch", "NotConformal", "NotSurjective", "NotUnit",
-    "UnknownName", "UnknownScenario", "ZeroCovector", "ZeroOperator",
-    "ZeroSection",
+    "UnknownName", "UnknownScenario", "ZeroOperator", "ZeroSection",
     # projections
     "ProjectionReport", "conformity_report", "exterior_projection",
     "interior_projection", "symmetrization_projection",
     "contraction_projection", "clifford_projection", "twistor_projection",
     # symbols
     "OperatorSpec", "EllipticityResult", "catalog", "parse_op_string",
-    "symbol_at", "ellipticity_constant", "twist",
+    "ellipticity_constant", "twist",
     # inequality engine
     "KatoVerdict", "FuzzReport", "SpectralBounds", "kato_gain_lemma",
     "kato_gain_operator", "hodge_gain_pair",

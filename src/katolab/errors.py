@@ -30,10 +30,6 @@ class NotConformal(VerificationError):
         self.residual = residual
 
 
-class ZeroCovector(VerificationError):
-    """Symbol requested at xi = 0."""
-
-
 class NotUnit(VerificationError):
     """Direction vector expected to have norm 1."""
 

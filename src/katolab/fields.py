@@ -22,7 +22,7 @@ from .errors import FiberMismatch, UnknownScenario, ZeroSection
 from .kato import (
     INF,
     _direction_table,
-    _form_kit,
+    _form_maps,
     _rsq,
     batch_hodge_margins,
     batch_lemma_gain,
@@ -414,7 +414,7 @@ def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
     grad_vals = f.gradient().evaluate(points)
     ref = max(_max_row_norm(grad_vals), 1e-300)
     if sc.theorem == "hodge":
-        eps_mat, iota_mat = _form_kit(sc.n, sc.k).flat_maps(sc.fiber_dim)
+        eps_mat, iota_mat = _form_maps(sc.n, sc.k, sc.fiber_dim)
         d_vals = exterior_derivative(f, sc.k, sc.fiber_dim).evaluate(points)
         d_vals -= grad_vals @ eps_mat.T
         cod_vals = coderivative(f, sc.k, sc.fiber_dim).evaluate(points)

@@ -225,45 +225,37 @@ def _direction_table(n: int, j: int, up: bool) -> np.ndarray:
     return T
 
 
-class _FormKit:
-    """Wedge/contraction symbol tables on degree-k forms, built once per (n, k).
-
-    maps: the two symbols on flattened V* (x) Lambda^k.  wedge[j] and
-    contraction[j], for j = k-1, k, k+1 where the target degree is in
-    0..n, are the shared _direction_table(n, j, up) of Lambda^j.
-    """
-
-    def __init__(self, n: int, k: int):
-        if k < 1 or k > n - 1:
-            raise BadDegree(f"form split needs 1 <= k <= {n - 1}, got k={k}")
-        self.n, self.dim_k = n, math.comb(n, k)
-        self.wedge, self.contraction = ({j: _direction_table(n, j, up) for j in (k - 1, k, k + 1)
-                                         if (j < n if up else j > 0)} for up in (True, False))
-        self.maps = tuple(T.transpose(1, 0, 2).reshape(len(T[0]), -1)
-                          for T in (self.wedge[k], self.contraction[k]))
-
-    @functools.lru_cache(maxsize=None)
-    def flat_maps(self, fiber_dim: int):
-        """(wedge, contraction) on flattened V* (x) Lambda^k (x) E, cached per fiber."""
-        if fiber_dim < 1:
-            raise ValueError(f"fiber dimension must be >= 1, got {fiber_dim}")
-        maps = tuple(np.kron(M, np.eye(fiber_dim)) for M in self.maps)
-        for M in maps:
-            M.flags.writeable = False
-        return maps
-
-    @functools.lru_cache(maxsize=None)
-    def images(self, fiber_dim: int) -> np.ndarray:
-        """[wedge; contraction] transposed: rows times it give both images at once."""
-        return np.ascontiguousarray(np.vstack(self.flat_maps(fiber_dim)).T)
+def _form_degree(n: int, k: int) -> int:
+    """C(n, k) for a degree of the two-sided inequality, 1 <= k <= n-1; else BadDegree."""
+    if k < 1 or k > n - 1:
+        raise BadDegree(f"form split needs 1 <= k <= {n - 1}, got k={k}")
+    return math.comb(n, k)
 
 
-_form_kit = functools.lru_cache(maxsize=None)(_FormKit)
+@functools.lru_cache(maxsize=None)
+def _form_maps(n: int, k: int, fiber_dim: int):
+    """(wedge, contraction) on flattened V* (x) Lambda^k (x) E from the direction tables."""
+    _form_degree(n, k)
+    if fiber_dim < 1:
+        raise ValueError(f"fiber dimension must be >= 1, got {fiber_dim}")
+    maps = tuple(np.kron(T.transpose(1, 0, 2).reshape(len(T[0]), -1), np.eye(fiber_dim))
+                 for T in (_direction_table(n, k, True), _direction_table(n, k, False)))
+    for M in maps:
+        M.flags.writeable = False
+    return maps
 
 
-def _along(T: np.ndarray, xi: np.ndarray, img: np.ndarray) -> np.ndarray:
-    """Image rows (m, src, fiber) mapped by sum_i xi_i T[i], T a direction table."""
-    n, dst, src = T.shape
+@functools.lru_cache(maxsize=None)
+def _form_images(n: int, k: int, fiber_dim: int) -> np.ndarray:
+    """[wedge; contraction] transposed: rows times it give both images at once."""
+    return np.ascontiguousarray(np.vstack(_form_maps(n, k, fiber_dim)).T)
+
+
+def _along(n: int, j: int, up: bool, xi: np.ndarray, img: np.ndarray) -> np.ndarray:
+    """Image rows (m, src, fiber) mapped by sum_i xi_i T[i], T = _direction_table(n, j, up):
+    no dst rows, so zero, where the target degree leaves 0..n."""
+    T = _direction_table(n, j, up)
+    _, dst, src = T.shape
     return np.matmul((xi @ T.reshape(n, dst * src)).reshape(len(xi), dst, src), img)
 
 
@@ -278,12 +270,13 @@ def four_block_decompose(v: np.ndarray, xi0, n: int, k: int,
     explicit split behind the closed forms of batch_hodge_margins.
     """
     xi0 = _check_unit(xi0)
-    kit = _form_kit(n, k)
+    dim_k = _form_degree(n, k)
     v = np.ascontiguousarray(v, dtype=np.complex128)
-    if v.shape != (n * kit.dim_k * fiber_dim,):
+    if v.shape != (n * dim_k * fiber_dim,):
         raise ValueError("vector length does not match n * C(n,k) * fiber_dim")
-    V = v.reshape(n, kit.dim_k, fiber_dim)
-    Q = np.tensordot(xi0, kit.wedge[k - 1], 1) @ np.tensordot(xi0, kit.contraction[k], 1)
+    V = v.reshape(n, dim_k, fiber_dim)
+    Q = (np.tensordot(xi0, _direction_table(n, k - 1, True), 1)
+         @ np.tensordot(xi0, _direction_table(n, k, False), 1))
     QV, w = np.matmul(Q, V), np.tensordot(xi0, V, 1)
     v11 = np.multiply.outer(xi0, Q @ w)
     v12 = np.multiply.outer(xi0, w) - v11
@@ -520,22 +513,19 @@ def matching_first_component(C: LinearMap, u2: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
-                           c, vanishing=None) -> dict:
+def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray, c) -> dict:
     """Vectorized operator-inequality margins for row batches.
 
     u has one gradient surrogate per row, phi one section value; c is a
-    scalar or per-row array.  vanishing overrides branch detection when
-    the caller holds an exact certificate.  Returns the per-row margin,
-    lhs, rhs, full_scale (lhs plus the finite rhs), vanishing mask and
-    gain.
+    scalar or per-row array.  Returns the per-row margin, lhs, rhs,
+    full_scale (lhs plus the finite rhs), vanishing mask and gain.
     """
     n, dE = op.base_dim, op.domain_fiber.dim
     rho2, eps = operator_constants(op)
     m = u.shape[0]
     pu_sq = _sq(u @ op.full_symbol.matrix.T)
     scale = _sq(u)
-    vanishing = _branch(vanishing, pu_sq, scale)
+    vanishing = _branch(None, pu_sq, scale)
     b = np.real(np.einsum("nie,ne->ni", u.reshape(m, n, dE), phi.conj()))
     dnorm_sq = np.sum(b ** 2, axis=1) / _sq(phi)
     gain = batch_lemma_gain(c, rho2 - eps, vanishing, weight=eps)
@@ -582,7 +572,7 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.n
                 for x in (v, phi, c, c_star, d_vanishing, dstar_vanishing)]
 
     out, worst = {}, {}
-    for r in _row_blocks(m, 2 * n * math.comb(n, k) * fiber_dim):
+    for r in _row_blocks(m, 2 * n * _form_degree(n, k) * fiber_dim):
         for key, x in _hodge_block(n, k, fiber_dim, *block(r), diagnostics).items():
             if key.endswith("_residual"):
                 # the worst residual over all rows: np.maximum, unlike max, keeps a NaN
@@ -596,13 +586,12 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.n
 def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
                  c, c_star, d_vanishing, dstar_vanishing, diagnostics: bool) -> dict:
     """batch_hodge_margins on one block of rows, in closed form, with per-row residuals."""
-    kit = _form_kit(n, k)
-    m = v.shape[0]
+    m, dim_k = v.shape[0], math.comb(n, k)
     # real views: (fiber, re/im) is a real fiber of size 2 fiber_dim
     f2 = 2 * fiber_dim  # widths are spelled out: a -1 cannot be resolved for 0 rows
-    V = np.ascontiguousarray(v, dtype=np.complex128).view(float).reshape(m, n, kit.dim_k * f2)
-    Phi = np.ascontiguousarray(phi, dtype=np.complex128).view(float).reshape(m, kit.dim_k * f2)
-    img = V.reshape(m, n * kit.dim_k * f2) @ kit.images(f2)
+    V = np.ascontiguousarray(v, dtype=np.complex128).view(float).reshape(m, n, dim_k * f2)
+    Phi = np.ascontiguousarray(phi, dtype=np.complex128).view(float).reshape(m, dim_k * f2)
+    img = V.reshape(m, n * dim_k * f2) @ _form_images(n, k, f2)
     up, dn = (x.reshape(m, x.shape[1] // f2, f2)
               for x in np.hsplit(img, [math.comb(n, k + 1) * f2]))
     scale, eps_sq, iota_sq = _rsq(V), _rsq(up), _rsq(dn)
@@ -614,7 +603,7 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
     xi = np.where((bnorm > 1e-14)[:, None],
                   b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
     line_sq = _rsq(np.einsum("ni,nix->nx", xi, V))
-    cut, fill = _along(kit.contraction[k + 1], xi, up), _along(kit.wedge[k - 1], xi, dn)
+    cut, fill = _along(n, k + 1, False, xi, up), _along(n, k - 1, True, xi, dn)
     eps_part_sq, iota_part_sq = _rsq(cut), _rsq(fill)
     c, cs = np.asarray(c, dtype=float), np.asarray(c_star, dtype=float)
     gmin = np.minimum(batch_lemma_gain(c, k, dvan),
@@ -634,17 +623,12 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
     }
     if diagnostics:
         safe = np.maximum(scale, 1e-300)
-
-        def sq_along(T, img):
-            # a map into a degree outside 0..n is zero
-            return 0.0 if T is None else _rsq(_along(T, xi, img))
-
         # |iota_xi eta|^2 + |xi ^ eta|^2 = |eta|^2 for both images
         out["pythagoras_residual"] = np.maximum(
-            np.abs(eps_part_sq + sq_along(kit.wedge.get(k + 1), up) - eps_sq),
-            np.abs(sq_along(kit.contraction.get(k - 1), dn) + iota_part_sq - iota_sq)) / safe
+            np.abs(eps_part_sq + _rsq(_along(n, k + 1, True, xi, up)) - eps_sq),
+            np.abs(_rsq(_along(n, k - 1, False, xi, dn)) + iota_part_sq - iota_sq)) / safe
         out["block_identity_residual"] = np.sqrt(np.maximum(
-            sq_along(kit.contraction[k], cut), sq_along(kit.wedge[k], fill)) / safe)
+            _rsq(_along(n, k, False, xi, cut)), _rsq(_along(n, k, True, xi, fill))) / safe)
         out["dominance_residual"] = np.maximum(
             eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe
     return out
@@ -723,6 +707,11 @@ def _weights(rng, count: int, fixed: float | None = None) -> np.ndarray:
     return c
 
 
+def _weight_range(fixed: float | None) -> tuple:
+    """The range of a fuzzed weight: the drawn [0, _C_MAX], or the fixed value."""
+    return (0.0, _C_MAX) if fixed is None else (fixed, fixed)
+
+
 def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
     z = np.empty((count, dim), dtype=complex)
     z.real = rng.standard_normal(z.shape)
@@ -764,14 +753,15 @@ def finite_minima(margin: np.ndarray, scale: np.ndarray, ok: np.ndarray):
 
 
 def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
-          sample, kernel, worst=None):
+          sample, kernel):
     """The fuzz loop shared by every fuzzer.
 
     Each chunk draws up to _DRAW_CHUNK[theorem] rows with sample(rng, m)
     and checks them with kernel(*rows).  The kernel output carries
     "margin" and "full_scale" (plus "margin_cor"/"cor_scale" for a second
-    inequality on the same rows) and a "vanishing" branch mask.  worst maps extra
-    report keys to (kernel key, np.min or np.max), folded over chunks.
+    inequality on the same rows) and a "vanishing" branch mask.  The extras
+    get min_margin_corollary, the least margin_cor, and each scalar
+    "*_residual" of the output at its worst over the chunks.
     """
     if samples < 1:
         raise ValueError(f"fuzzing needs samples >= 1, got {samples}")
@@ -779,7 +769,7 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
     done = violations = nonfinite = 0
     min_margin = min_rel = INF
     branches = {"vanishing": 0, "nonvanishing": 0}
-    folded = {}
+    worst = {}
     while done < samples:
         m = min(_DRAW_CHUNK[theorem], samples - done)
         out = kernel(*sample(rng, m))
@@ -788,6 +778,9 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
         bad = odd | ~(out["margin"] >= -MARGIN_TOL_FACTOR * out["full_scale"])
         if "margin_cor" in out:
             bad |= ~(out["margin_cor"] >= -MARGIN_TOL_FACTOR * out["cor_scale"])
+            # np.minimum and np.maximum, unlike min and max, keep a NaN
+            worst["min_margin_corollary"] = np.minimum(
+                worst.get("min_margin_corollary", INF), np.min(out["margin_cor"]))
         nonfinite += int(np.sum(odd))
         violations += int(np.sum(bad))
         low, low_rel = finite_minima(out["margin"], out["full_scale"], ~odd)
@@ -795,12 +788,13 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
         vanishing = int(np.sum(out["vanishing"]))
         branches["vanishing"] += vanishing
         branches["nonvanishing"] += m - vanishing
-        for name, (key, pick) in (worst or {}).items():
-            val = pick(out[key])
-            folded[name] = float(val if name not in folded else pick((folded[name], val)))
+        for key, x in out.items():
+            if key.endswith("_residual"):
+                worst[key] = np.maximum(worst.get(key, -INF), x)
         done += m
     return FuzzReport(theorem, label, samples, violations, min_margin, min_rel,
-                      MARGIN_TOL_FACTOR, seed, c_range, branches, folded, nonfinite)
+                      MARGIN_TOL_FACTOR, seed, c_range, branches,
+                      {key: float(x) for key, x in worst.items()}, nonfinite)
 
 
 def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
@@ -822,8 +816,7 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
         return u, phi, c
 
     report = _fuzz(
-        "foldo", op.name, samples, seed,
-        (0.0, _C_MAX) if c_fixed is None else (c_fixed, c_fixed), sample,
+        "foldo", op.name, samples, seed, _weight_range(c_fixed), sample,
         lambda u, phi, c: batch_operator_margins(op, u, phi, c))
     rho2, eps = operator_constants(op)
     report.extras.update({
@@ -844,13 +837,12 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
     the next fifth inside ker(contraction), so both vanishing branches
     appear with their exact gains 1/k and 1/(n-k).
     """
-    kit = _form_kit(n, k)
-    dim = n * kit.dim_k * fiber_dim
-    nulls = [_null_space(mat) for mat in kit.flat_maps(fiber_dim)]
+    nulls = [_null_space(mat) for mat in _form_maps(n, k, fiber_dim)]
+    dim_phi = math.comb(n, k) * fiber_dim
 
     def sample(rng, m):
-        v = _complex_rows(rng, m, dim)
-        phi = _complex_rows(rng, m, kit.dim_k * fiber_dim)
+        v = _complex_rows(rng, m, n * dim_phi)
+        phi = _complex_rows(rng, m, dim_phi)
         c = _weights(rng, m, c_fixed)
         cs = _weights(rng, m, cstar_fixed)
         _redraw_in_kernels(rng, v, nulls, 0.2)
@@ -858,14 +850,11 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
 
     report = _fuzz(
         "hodge", f"hodge:{n}:{k}" + (f" fiber={fiber_dim}" if fiber_dim > 1 else ""),
-        samples, seed, (0.0, _C_MAX) if c_fixed is None else (c_fixed, cstar_fixed), sample,
+        samples, seed, _weight_range(c_fixed), sample,
         lambda v, phi, c, cs: batch_hodge_margins(n, k, fiber_dim, v, phi, c, cs,
-                                                  diagnostics=True),
-        worst={"min_margin_corollary": ("margin_cor", np.min),
-               "dominance_residual": ("dominance_residual", np.max),
-               "block_identity_residual": ("block_identity_residual", np.max),
-               "pythagoras_residual": ("pythagoras_residual", np.max)})
+                                                  diagnostics=True))
     report.extras.update({
+        "c_star_range": _weight_range(cstar_fixed),
         "gain_d_vanishing": float(batch_lemma_gain(0.0, k, True)),
         "gain_dstar_vanishing": float(batch_lemma_gain(0.0, n - k, True)),
     })
@@ -908,15 +897,14 @@ def key_lemma_setups(n: int, k: int):
     restricted maps are column selections of the wedge/contraction
     symbols.  Returns a list of (label, C, sub_basis, exact_bound).
     """
-    kit = _form_kit(n, k)
+    eps_mat, iota_mat = _form_maps(n, k, 1)
     labels_k = exterior_power(n, k).labels
     has1 = [j for j, lab in enumerate(labels_k) if 1 in lab]
     no1 = [j for j, lab in enumerate(labels_k) if 1 not in lab]
 
     def cols(i_range, form_idx):
-        return [i * kit.dim_k + j for i in i_range for j in form_idx]
+        return [i * len(labels_k) + j for i in i_range for j in form_idx]
 
-    eps_mat, iota_mat = kit.flat_maps(1)
     setups = []
     for label, mat, first, second, bound in (
         ("wedge-on-mixed-blocks", eps_mat, cols([0], no1),

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .clifford import clifford_generators, spinor_dim, spinor_space
+from .clifford import clifford_generators, spinor_space
 from .errors import BadDegree, NotConformal, NotSurjective
 from .linmap import LinearMap, _row_blocks, gram_schmidt_columns
 from .spaces import (
@@ -117,30 +117,24 @@ def clifford_projection(n: int) -> LinearMap:
 def twistor_projection(n: int) -> LinearMap:
     """Orthogonal projection of V* (x) S onto the kernel of Clifford action.
 
-    The projector is Pi(v (x) s) = v (x) s + (1/n) sum_i e_i* (x) c_i c_v s;
-    its range is expressed in an orthonormal basis obtained by a
+    The projector is Pi = I - C* C / n, with exact entries, for the
+    Clifford action C: Pi(v (x) s) = v (x) s + (1/n) sum_i e_i* (x) c_i c_v s.
+    Its range is expressed in an orthonormal basis obtained by a
     deterministic Gram-Schmidt sweep over the projector columns, so the
     returned map is B* Pi = B* with codomain dimension (n-1) * dim S.
     Needs n >= 2 (for n = 1 the kernel is zero).
     """
     if n < 2:
         raise BadDegree(f"twistor projection needs n >= 2, got {n}")
-    gens = clifford_generators(n)
-    dS = spinor_dim(n)
-    S = spinor_space(n)
-    dom = tensor_product((dual_space(n), S))
-    K = np.zeros((dom.dim, dom.dim), dtype=np.complex128)
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            K[i * dS:(i + 1) * dS, j * dS:(j + 1) * dS] = gi.matrix @ gj.matrix
-    Pi = np.eye(dom.dim) + K / n
-    B = gram_schmidt_columns(Pi)
+    C = clifford_projection(n)
+    dS = C.codomain.dim
+    B = gram_schmidt_columns(np.eye(C.domain.dim) - C.matrix.conj().T @ C.matrix / n)
     if B.shape[1] != (n - 1) * dS:
         raise NotSurjective(
             f"twistor kernel basis came out rank {B.shape[1]}, expected {(n - 1) * dS}"
         )
     cod = fiber_space((n - 1) * dS, "twistor")
-    return LinearMap(dom, cod, B.conj().T)
+    return LinearMap(C.domain, cod, B.conj().T)
 
 
 class Family(NamedTuple):

@@ -2,9 +2,10 @@
 
 Everything downstream works with explicit orthonormal bases, so a space
 is just a descriptor: what kind of space it is, its dimension, and an
-ordered tuple of basis labels.  The label order is part of the on-disk
-format of every report, so constructors here are deterministic and the
-orderings are lexicographic throughout.
+ordered tuple of basis labels, deterministic and lexicographic
+throughout.  No report writes a label: labels are read only to build the
+exterior and symmetric maps, the Hodge star, the key-lemma setups and the
+CLI's hodge degree (the length of a label).
 
 Conventions
 -----------

@@ -21,7 +21,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import BadDegree, UnknownName, ZeroCovector
+from .errors import BadDegree, UnknownName
 from .linmap import LinearMap, _row_blocks, identity_map, stack_maps
 from .projections import (
     FAMILIES,
@@ -66,17 +66,6 @@ class OperatorSpec:
         return self.full_symbol.matrix.reshape(
             self.target.dim, self.base_dim, self.domain_fiber.dim
         )
-
-
-def symbol_at(op: OperatorSpec, xi) -> LinearMap:
-    """Directional symbol P_xi : E -> F for a nonzero real covector xi."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (op.base_dim,):
-        raise ZeroCovector(f"covector must have length {op.base_dim}")
-    if float(np.linalg.norm(xi)) == 0.0:
-        raise ZeroCovector("symbol requested at the zero covector")
-    m = np.tensordot(xi, op.symbol_tensor(), axes=([0], [1]))
-    return LinearMap(op.domain_fiber, op.target, m)
 
 
 def principal_squares(op: OperatorSpec, xis) -> np.ndarray:
@@ -294,36 +283,37 @@ _FAMILY_OPERATORS = {
 }
 
 
-def catalog(name: str, n: int, k: int | None = None, weights=None,
+def catalog(name: str, n: int, k: int | None = None,
             fiber_dim: int | None = None) -> OperatorSpec:
     """Named operator symbols with their declared exact constants.
 
-    connection      identity symbol on an auxiliary fiber (dim fiber_dim,
-                    default 2); rho^2 = 1, epsilon = 1.
+    connection      identity symbol on an auxiliary fiber of dimension
+                    fiber_dim (default 2); rho^2 = 1, epsilon = 1.  The
+                    only entry that reads fiber_dim, and it ignores k.
     dirac           Clifford action on spinors (clifford family);
                     epsilon = 1.
     twistor         kernel-of-Clifford projection (twistor family);
                     epsilon = (n-1)/n.  Needs n >= 2.
-    hodge           weighted stack of wedge and contraction on degree-k
-                    forms, 1 <= k <= n-1; default weights 1/sqrt of the
-                    exterior and interior rho^2 make it conformal with
-                    rho^2 = 1 and epsilon the smaller inverse of the two.
-                    Custom weights are allowed and generally break
-                    conformity; they are reported, not declared.
+    hodge           stack of wedge and contraction on degree-k forms,
+                    1 <= k <= n-1, weighted by 1/sqrt of the exterior and
+                    interior rho^2, which makes it conformal with rho^2 = 1
+                    and epsilon the smaller inverse of the two.
     exterior-only   plain wedge symbol (exterior family); injectively
                     elliptic only in degree 0.
     interior-only   plain contraction symbol (interior family);
                     injectively elliptic only in degree n.
 
     The family operators take rho^2 and their degree window from their
-    row of projections.FAMILIES; a k outside that window raises BadDegree.
-    Each spec is built once per process and shared, frozen and read-only.
+    row of projections.FAMILIES; a k outside that window raises BadDegree,
+    and so does a hodge k outside 1..n-1.  An unknown name raises
+    UnknownName.  Each spec is built once per process, whether the
+    arguments come by position or keyword, and shared, frozen and read-only.
     """
-    return _catalog(name, n, k, None if weights is None else tuple(weights), fiber_dim)
+    return _catalog(name, n, k, fiber_dim)
 
 
 @functools.lru_cache(maxsize=None)
-def _catalog(name, n, k, weights, fiber_dim):
+def _catalog(name, n, k, fiber_dim):
     if name == "connection":
         d = 2 if fiber_dim is None else fiber_dim
         if d < 1:
@@ -338,19 +328,12 @@ def _catalog(name, n, k, weights, fiber_dim):
         if k < 1 or k > n - 1:
             raise BadDegree(f"hodge symbol needs 1 <= k <= {n - 1}, got k={k}")
         up, down = (FAMILIES[f].rho_squared(n, k) for f in ("exterior", "interior"))
-        a, b = (1.0 / sqrt(up), 1.0 / sqrt(down)) if weights is None else weights
-        wedge = exterior_projection(n, k).scale(a)
-        contr = interior_projection(n, k).scale(b)
+        wedge = exterior_projection(n, k).scale(1.0 / sqrt(up))
+        contr = interior_projection(n, k).scale(1.0 / sqrt(down))
         target = direct_sum((exterior_power(n, k + 1), exterior_power(n, k - 1)))
         sym = stack_maps((wedge, contr), target)
-        if weights is None:
-            rho2, eps = Fraction(1), min(1 / up, 1 / down)
-        else:
-            up, down = a * a * up, b * b * down
-            rho2 = up if abs(up - down) <= 1e-12 * max(up, down) else None
-            eps = min(a * a, b * b)
         return OperatorSpec("hodge", n, exterior_power(n, k), target, sym,
-                            rho2, eps)
+                            Fraction(1), min(1 / up, 1 / down))
     if name not in _FAMILY_OPERATORS:
         raise UnknownName(f"no catalog operator named {name!r}")
     family, fiber, eps = _FAMILY_OPERATORS[name]

@@ -115,6 +115,19 @@ def test_kato_fuzz_hodge_with_op_string(capsys):
     assert payload["operator"].startswith("hodge:3:1")
 
 
+@pytest.mark.parametrize("c", [None, "2"])
+@pytest.mark.parametrize("c_star", [None, "3"])
+def test_kato_fuzz_hodge_reports_both_weight_ranges(capsys, c, c_star):
+    # a fixed weight shows as [w, w], a drawn one as [0, 1000]
+    flags = (["--c", c] if c else []) + (["--c-star", c_star] if c_star else [])
+    code, out, _ = _run(capsys, "kato", "fuzz", "--theorem", "hodge", "--n", "3",
+                        "--k", "1", "--samples", "200", *flags)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["c_range"] == ([2.0, 2.0] if c else [0.0, 1000.0])
+    assert payload["c_star_range"] == ([3.0, 3.0] if c_star else [0.0, 1000.0])
+
+
 def test_kato_fuzz_rejects_zero_samples(capsys):
     code, _, err = _run(capsys, "kato", "fuzz", "--theorem", "foldo",
                         "--op", "dirac:2", "--samples", "0")

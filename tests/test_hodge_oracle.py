@@ -14,7 +14,6 @@ falls back to e_1*), for every (n, k) with 2 <= n <= 6 and fiber
 dimensions 1 and 3.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -24,10 +23,9 @@ from hypothesis import strategies as st
 
 from katolab import kato
 from katolab.kato import (
-    _FormKit,
     _along,
     _branch,
-    _form_kit,
+    _form_maps,
     _null_space,
     _sq,
     batch_hodge_margins,
@@ -145,15 +143,15 @@ def _rows(rng, m, dim):
 
 
 def _sample(rng, n, k, f, m, mode):
-    kit = _form_kit(n, k)
-    dim, dim_phi = n * kit.dim_k * f, kit.dim_k * f
+    dim_phi = math.comb(n, k) * f
+    dim = n * dim_phi
     phi = _rows(rng, m, dim_phi)
     if mode == "pairing-zero":
         # real rows against imaginary sections: b = 0 exactly, xi = e_1*
         return rng.standard_normal((m, dim)) + 0j, 1j * rng.standard_normal((m, dim_phi))
     if mode == "random":
         return _rows(rng, m, dim), phi
-    null = _null_space(kit.flat_maps(f)[0 if mode == "ker-wedge" else 1])
+    null = _null_space(_form_maps(n, k, f)[0 if mode == "ker-wedge" else 1])
     return _rows(rng, m, null.shape[1]) @ null.T, phi
 
 
@@ -196,16 +194,15 @@ def test_closed_forms_equal_the_four_block_norms(n, k):
     # |eps(v12 + v21)|^2 = |iota_xi eps V|^2, |iota(v11 + v22)|^2 = |xi ^ iota V|^2
     # and |v11|^2 + |v12|^2 = |xi . V|^2, against the explicit split
     rng = np.random.default_rng(100 * n + k)
-    kit = _form_kit(n, k)
     for f in (1, 3):
-        eps, iota = kit.flat_maps(f)
+        eps, iota = _form_maps(n, k, f)
         for mode in ("random", "ker-wedge", "ker-contraction", "pairing-zero"):
             v, phi = _sample(rng, n, k, f, 6, mode)
             m = len(v)
             xi = _kernel_xi(n, v, phi)[0]
             up, dn = (v @ eps.T).reshape(m, -1, f), (v @ iota.T).reshape(m, -1, f)
-            closed = (_sq(_along(kit.contraction[k + 1], xi, up)),
-                      _sq(_along(kit.wedge[k - 1], xi, dn)),
+            closed = (_sq(_along(n, k + 1, False, xi, up)),
+                      _sq(_along(n, k - 1, True, xi, dn)),
                       _sq(np.einsum("ni,nix->nx", xi, v.reshape(m, n, -1))))
             for i in range(m):
                 s = four_block_decompose(v[i], xi[i], n, k, f)
@@ -217,20 +214,22 @@ def test_closed_forms_equal_the_four_block_norms(n, k):
                     assert abs(a[i] - b) <= tol, (f, mode, i, name)
 
 
-def _corrupted_kit(n, k):
-    # the shipped tables, but direction block 1 of the contraction on Lambda^(k+1)
-    # with its sign flipped
-    kit = _FormKit(n, k)
-    table = kit.contraction[k + 1].copy()
-    table[1] *= -1.0
-    kit.contraction = {**kit.contraction, k + 1: table}
-    return kit
+def _corrupted_tables(shipped):
+    # the shipped tables, but direction block 1 of the contraction on Lambda^3 at
+    # n = 4 with its sign flipped
+    def table(n, j, up):
+        T = shipped(n, j, up)
+        if (n, j, up) == (4, 3, False):
+            T = T.copy()
+            T[1] *= -1.0
+        return T
+    return table
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_a_flipped_contraction_block_is_caught(monkeypatch, corrupt):
     if corrupt:
-        monkeypatch.setattr(kato, "_form_kit", functools.lru_cache(None)(_corrupted_kit))
+        monkeypatch.setattr(kato, "_direction_table", _corrupted_tables(kato._direction_table))
     rng = np.random.default_rng(5)
     v, phi = _sample(rng, 4, 2, 1, 6, "random")
     c, cs = 50.0 * rng.random(6), 50.0 * rng.random(6)

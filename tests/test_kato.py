@@ -39,7 +39,7 @@ from katolab.kato import (
     matching_first_component,
     operator_constants,
     verify_spectral_bounds,
-    _form_kit,
+    _form_maps,
     _restricted_gram,
 )
 from katolab.projections import line_image_basis
@@ -160,11 +160,11 @@ def _contains_projector_oracle(xi: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def _wedge(v, n, k, dE):
-    return _form_kit(n, k).flat_maps(dE)[0] @ v
+    return _form_maps(n, k, dE)[0] @ v
 
 
 def _contract(v, n, k, dE):
-    return _form_kit(n, k).flat_maps(dE)[1] @ v
+    return _form_maps(n, k, dE)[1] @ v
 
 
 @pytest.mark.parametrize("n,k,dE", [(2, 1, 1), (3, 1, 1), (3, 2, 2), (4, 2, 1)])
@@ -499,7 +499,7 @@ def _scale_free_checks(rng, m):
     dim, dE = op.full_symbol.domain.dim, op.domain_fiber.dim
     foldo = [(_crow(rng, dim), _crow(rng, dE)) for _ in range(m)]
     foldo += [(_kernel_vector(op, rng), _crow(rng, dE)) for _ in range(m)]
-    null = kato._null_space(np.vstack(_form_kit(4, 2).flat_maps(1)))
+    null = kato._null_space(np.vstack(_form_maps(4, 2, 1)))
     hodge = [(_crow(rng, 24), _crow(rng, 6)) for _ in range(m)]
     hodge += [(null @ _crow(rng, null.shape[1]), _crow(rng, 6)) for _ in range(m)]
     _, C, sub, _ = key_lemma_setups(4, 2)[0]
@@ -558,10 +558,7 @@ def test_hodge_inequality_forced_branch_flags():
     # explicitly lands on the stronger gain
     rng = np.random.default_rng(32)
     n, k = 4, 2
-    from katolab.kato import _form_kit, _null_space
-    kit = _form_kit(n, k)
-    eps_mat = kit.flat_maps(1)[0]
-    null = _null_space(eps_mat)
+    null = kato._null_space(_form_maps(n, k, 1)[0])
     v = null @ (rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1]))
     phi = rng.standard_normal(math.comb(n, k)) + 1j * rng.standard_normal(math.comb(n, k))
     verdict = check_hodge_inequality(v, phi, n, k, c=1.0, c_star=1.0,
@@ -623,6 +620,17 @@ def test_fuzz_operator_fixed_weight():
     report = fuzz_operator_inequality(op, 1000, seed=103, c_fixed=2.5)
     assert report.passed
     assert report.c_range == (2.5, 2.5)
+
+
+@pytest.mark.parametrize("c_fixed", [None, 2.0])
+@pytest.mark.parametrize("cstar_fixed", [None, 3.0])
+def test_fuzz_hodge_reports_the_range_of_each_weight(c_fixed, cstar_fixed):
+    # c_range is the range of c, as for the operator fuzzer; c_star_range that of c*
+    report = fuzz_hodge_inequality(3, 1, 1, 100, seed=106, c_fixed=c_fixed,
+                                   cstar_fixed=cstar_fixed)
+    assert report.c_range == ((0.0, 1e3) if c_fixed is None else (2.0, 2.0))
+    assert report.extras["c_star_range"] == ((0.0, 1e3) if cstar_fixed is None
+                                             else (3.0, 3.0))
 
 
 def test_fuzz_hodge_small_batches():

@@ -25,7 +25,7 @@ from katolab.kato import (
     _null_space,
     _restricted_gram,
     _real_form,
-    _form_kit,
+    _form_maps,
     batch_hodge_margins,
     batch_lemma_gain,
     batch_operator_margins,
@@ -96,14 +96,13 @@ def test_operator_batch_equals_single_shots(seed, ref, m, in_kernel):
        st.sampled_from([None, True, False]), st.sampled_from([None, True, False]))
 def test_hodge_batch_equals_single_shots(seed, nkf, m, rows, d_flag, s_flag):
     n, k, f = nkf
-    kit = _form_kit(n, k)
+    dim_phi = math.comb(n, k) * f
     rng = np.random.default_rng(seed)
-    v = _rows(rng, m, n * kit.dim_k * f)
+    v = _rows(rng, m, n * dim_phi)
     if rows != "random":
-        mat = kit.flat_maps(f)[0 if rows == "ker-wedge" else 1]
-        null = _null_space(mat)
+        null = _null_space(_form_maps(n, k, f)[0 if rows == "ker-wedge" else 1])
         v = _rows(rng, m, null.shape[1]) @ null.T
-    phi = _rows(rng, m, kit.dim_k * f)
+    phi = _rows(rng, m, dim_phi)
     c, cs = _weights(rng, m), _weights(rng, m)
     out = batch_hodge_margins(n, k, f, v, phi, c, cs, d_flag, s_flag)
     verdicts = [check_hodge_inequality(v[i], phi[i], n, k, f, c[i], cs[i],
@@ -139,11 +138,11 @@ FORM_BLOCKS = [10**9, 1024, 700]
 
 def _hodge_rows(rng, n, k, f, m):
     # random rows with a third inside ker(wedge), so both branches occur
-    kit = _form_kit(n, k)
-    v = _rows(rng, m, n * kit.dim_k * f)
-    null = _null_space(kit.flat_maps(f)[0])
+    dim_phi = math.comb(n, k) * f
+    v = _rows(rng, m, n * dim_phi)
+    null = _null_space(_form_maps(n, k, f)[0])
     v[: m // 3] = _rows(rng, m // 3, null.shape[1]) @ null.T
-    return v, _rows(rng, m, kit.dim_k * f)
+    return v, _rows(rng, m, dim_phi)
 
 
 @pytest.mark.parametrize("n,k,f", [(4, 2, 1), (3, 1, 3), (5, 2, 3)])

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import katolab
 from katolab import cli, projections
-from katolab.clifford import spinor_dim
+from katolab.clifford import clifford_generators, spinor_dim
 from katolab.errors import BadDegree, NotConformal, NotSurjective
-from katolab.linmap import LinearMap, _row_blocks, stack_maps
+from katolab.linmap import LinearMap, _row_blocks, gram_schmidt_columns, stack_maps
 from katolab.projections import (
     ProjectionReport,
     clifford_projection,
@@ -202,6 +202,25 @@ def test_twistor_projection_conformity_and_rank(n):
     assert P.codomain.dim == (n - 1) * spinor_dim(n)
     rep = conformity_factor(P, tol=1e-12)
     assert rep.certified and abs(rep.rho_squared - 1.0) <= 1e-12
+
+
+def _twistor_projector_by_pairs(n):
+    # the reference: Pi = I + K / n, with block (i, j) of K the product c_i c_j
+    gens = [g.matrix for g in clifford_generators(n)]
+    dS = spinor_dim(n)
+    K = np.zeros((n * dS, n * dS), dtype=np.complex128)
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            K[i * dS:(i + 1) * dS, j * dS:(j + 1) * dS] = gi @ gj
+    return np.eye(n * dS) + K / n
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_twistor_projection_equals_the_pairwise_clifford_oracle(n):
+    # I - C* C / n has exact entries, so the shipped projector and the loop of
+    # c_i c_j products give one matrix, and one Gram-Schmidt basis, bit for bit
+    B = gram_schmidt_columns(_twistor_projector_by_pairs(n))
+    assert np.array_equal(twistor_projection(n).matrix, B.conj().T)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
