@@ -572,7 +572,8 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.n
                 for x in (v, phi, c, c_star, d_vanishing, dstar_vanishing)]
 
     out, worst = {}, {}
-    for r in _row_blocks(m, 2 * n * _form_degree(n, k) * fiber_dim):
+    # the cached maps check n, k and the fiber before any reshape of v or phi
+    for r in _row_blocks(m, 2 * _form_maps(n, k, fiber_dim)[0].shape[1]):
         for key, x in _hodge_block(n, k, fiber_dim, *block(r), diagnostics).items():
             if key.endswith("_residual"):
                 # the worst residual over all rows: np.maximum, unlike max, keeps a NaN

@@ -180,6 +180,21 @@ class ProjectionReport:
     codomain_dim: int
 
 
+def _gram(m: np.ndarray, diagonal: bool):
+    """(G, trace G) for G = m m*, or its diagonal alone, over the shared row blocks r:
+    G[:, r] = m m[r]* or G[r] = diag(m[r] m[r]*), with one block's conjugate alive at a
+    time, and on the catalog the one product's bits.  The trace is the complex sum of
+    the diagonal, as np.trace takes it: the sum of its real part can round otherwise."""
+    G = np.empty(len(m) if diagonal else (len(m), len(m)), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in _row_blocks(len(m), 2 * m.shape[1]):
+            if diagonal:
+                G[r] = np.diagonal(m[r] @ m[r].conj().T)
+            else:
+                G[:, r] = m @ m[r].conj().T
+        return G, (G.sum() if diagonal else np.trace(G))
+
+
 def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> ProjectionReport:
     """Measure rho^2 = trace(P P*) / dim W and its relative residual.
 
@@ -194,22 +209,22 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
     if not np.all(np.isfinite(m)):
         # a non-finite entry: no rho^2 or residual, and the SVD would not converge
         return ProjectionReport(nan, nan, False, False, tol, P.domain.dim, dw)
-    G = np.empty((dw, dw), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # G[:, r] = m m[r]* over the shared row blocks r: one block of the conjugate is
-        # alive at a time, not a copy of all of m; on the catalog, the one product's bits
-        for r in _row_blocks(dw, 2 * m.shape[1]):
-            G[:, r] = m @ m[r].conj().T
+    # columns with at most one nonzero entry each make m m* diagonal: only its
+    # diagonal is formed, and the spectral norm of the shift is its largest modulus
+    diagonal = np.count_nonzero(m, axis=0).max(initial=0) <= 1
+    G, trace = _gram(m, diagonal)
     scale = 1.0
-    if not np.all(np.isfinite(G)) or (np.real(np.trace(G)) < 1e-250 * dw and np.any(m)):
-        # finite entries whose Gram overflows or underflows: measure m over its largest
-        # real or imaginary part, and report rho^2 at full scale (inf or 0 out of range)
-        scale = float(np.max(np.abs(m.view(float))))
+    finite = np.isfinite(trace) and np.all(np.isfinite(G))
+    if not finite or (np.real(trace) < 1e-250 * dw and np.any(m)):
+        # finite entries whose Gram or its trace overflows, or which underflows: measure
+        # m over its largest real or imaginary part, and report rho^2 at full scale (inf
+        # or 0 out of range)
+        scale = float(np.max(np.abs(np.ascontiguousarray(m).view(float))))
         m = m / scale
-        G = m @ m.conj().T
-    rho2 = float(np.real(np.trace(G))) / dw
-    G.flat[::dw + 1] -= rho2   # G - rho^2 I in place
-    residual = float(np.linalg.norm(G, 2)) / max(rho2, 1e-300)
+        G, trace = _gram(m, diagonal)
+    rho2 = float(np.real(trace)) / dw
+    G.flat[::1 if diagonal else dw + 1] -= rho2   # G - rho^2 I in place
+    residual = float(np.linalg.norm(G, np.inf if diagonal else 2)) / max(rho2, 1e-300)
     # every eigenvalue of G in rho^2 (1 +- 1/2) makes m onto, with a
     # singular-value ratio of at least 1/sqrt(3); otherwise test the rank
     surjective = rho2 > 1e-300 and residual < 0.5

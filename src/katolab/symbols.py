@@ -307,9 +307,12 @@ def catalog(name: str, n: int, k: int | None = None,
     row of projections.FAMILIES; a k outside that window raises BadDegree,
     and so does a hodge k outside 1..n-1.  An unknown name raises
     UnknownName.  Each spec is built once per process, whether the
-    arguments come by position or keyword, and shared, frozen and read-only.
+    arguments come by position or keyword, with or without the argument the
+    entry ignores, and shared, frozen and read-only.
     """
-    return _catalog(name, n, k, fiber_dim)
+    if name == "connection":
+        return _catalog(name, n, None, fiber_dim)
+    return _catalog(name, n, k, None)
 
 
 @functools.lru_cache(maxsize=None)

@@ -307,6 +307,19 @@ def test_finite_map_whose_gram_overflows_is_measured_rescaled():
     assert not flat.surjective and not flat.certified and flat.residual == 1.0
     with pytest.raises(NotSurjective):
         conformity_factor(ones)
+    # a Gram whose entries are finite but whose trace overflows: rho^2 = 1.5e308 on each
+    # of the three diagonal entries, or of the four (dense) twistor ones
+    for P in (E, twistor_projection(3)):
+        huge = P.scale(math.sqrt(1.5e308 / conformity_report(P).rho_squared))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = conformity_report(huge)
+        assert rep.certified and rep.residual <= 1e-15
+        assert abs(rep.rho_squared - 1.5e308) <= 1e-15 * 1.5e308
+    # the twistor matrix B* is stored column-major: its largest part is read all the same
+    twistor = conformity_report(twistor_projection(3).scale(1e200))
+    assert not twistor_projection(3).matrix.flags.c_contiguous
+    assert twistor.certified and twistor.rho_squared == math.inf
 
 
 def _off_balance_stack():
@@ -325,8 +338,9 @@ def test_finite_map_whose_gram_underflows_is_measured_rescaled():
 
 
 def _svd_rank_report(P, tol):
-    # the rank test run on every map: surjective when the singular values
-    # above the relative cutoff number dim W
+    # the dense reference: the one product m m*, its np.trace, the LAPACK 2-norm of
+    # its shift, and the rank test run on every map: surjective when the singular
+    # values above the relative cutoff number dim W
     m, dw = P.matrix, P.codomain.dim
     G = m @ m.conj().T
     rho2 = float(np.real(np.trace(G))) / dw
@@ -365,14 +379,50 @@ def test_conformity_report_matches_svd_rank_reference(seed, kind, dw, extra, spr
     assert conformity_report(P, tol) == _svd_rank_report(P, tol)
 
 
+def _random_monomial_map(rng, kind, dw, d):
+    # column j holds one complex entry, in row rows[j]; "gaps" leaves rows empty, so
+    # the map is not onto, and "conformal" scales every row to norm 1
+    rows = rng.integers(0, dw, d)
+    if kind == "gaps":
+        rows = np.where(rng.random(d) < 0.5, rows, dw)
+    a = np.zeros((dw + 1, d), dtype=np.complex128)
+    a[rows, np.arange(d)] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    a = a[:dw]
+    if kind == "conformal":
+        norms = np.linalg.norm(a, axis=1)
+        a = a / np.where(norms > 0, norms, 1.0)[:, None]
+    return LinearMap(fiber_space(d, "u"), fiber_space(dw, "w"), a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["full", "gaps", "conformal"]),
+       st.integers(1, 12), st.integers(1, 40), st.sampled_from([1e-10, 0.45, 0.6]))
+def test_monomial_conformity_report_matches_svd_rank_reference(seed, kind, dw, d, tol):
+    # the diagonal Gram against the dense one: the same flags, rho^2 within 1e-13
+    # relative, and the residual, already relative to rho^2, within 1e-13 of it
+    P = _random_monomial_map(np.random.default_rng(seed), kind, dw, d)
+    assert np.count_nonzero(P.matrix, axis=0).max() <= 1
+    got, want = conformity_report(P, tol), _svd_rank_report(P, tol)
+    assert (got.surjective, got.certified) == (want.surjective, want.certified)
+    assert abs(got.rho_squared - want.rho_squared) <= 1e-13 * want.rho_squared
+    assert abs(got.residual - want.residual) <= 1e-13 * max(want.residual, 1.0)
+
+
 def test_projections_verify_runs_no_svd_in_conformity_report(monkeypatch, capsys):
-    inside, calls, reports = [False], [], []
-    svd, report = np.linalg.svd, projections.conformity_report
+    # nor a spectral norm, but for the four twistor maps at 3 <= n <= 6: every other
+    # catalog map has at most one nonzero entry per column, so its Gram is diagonal
+    inside, calls, normed, reports = [False], [], [], []
+    svd, norm, report = np.linalg.svd, np.linalg.norm, projections.conformity_report
 
     def counting_svd(*args, **kwargs):
         if inside[0]:
             calls.append(args[0].shape)
         return svd(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if inside[0] and ord == 2:
+            normed.append(reports[-1])
+        return norm(x, ord, *args, **kwargs)
 
     def marked_report(*args, **kwargs):
         reports.append(args[0].matrix.shape)
@@ -383,48 +433,44 @@ def test_projections_verify_runs_no_svd_in_conformity_report(monkeypatch, capsys
             inside[0] = False
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
     monkeypatch.setattr(projections, "conformity_report", marked_report)
     assert cli.main(["projections", "verify", "--max-n", "6"]) == 0
     assert '"passed": true' in capsys.readouterr().out
-    assert len(reports) > 40 and calls == []
+    assert len(reports) == 80 and calls == []
+    assert normed == [twistor_projection(n).matrix.shape for n in range(3, 7)]
 
 
-_ONE_GRAM_CHECK = """
-import numpy as np
+_DENSE_REFERENCE_CHECK = """
 from katolab.projections import FAMILIES, conformity_report
-grams, trace = [], np.trace
+from test_projections import _svd_rank_report
 
-
-def recording_trace(a, *rest):
-    # conformity_report's first trace is of the whole Gram, before its diagonal shift
-    grams.append(a.copy())
-    return trace(a, *rest)
-
-
-np.trace = recording_trace
 for n in range(2, 7):
     for name, fam in FAMILIES.items():
         for k in fam.degrees(n):
             P = fam.build(n, k)
-            grams.clear()
-            assert conformity_report(P).certified, (name, n, k)
-            assert np.array_equal(grams[0], P.matrix @ P.matrix.conj().T), (name, n, k)
+            rep = conformity_report(P)
+            assert rep.certified and rep == _svd_rank_report(P, rep.tolerance), (name, n, k)
 """
 
 
-def test_blocked_gram_is_the_one_product_bit_for_bit_on_the_catalog():
-    # conformity_report forms G in the shared row blocks; G must be m m* to the bit for
-    # every catalog map, 2 <= n <= 6, among them symmetrization(6, 5), whose 462 rows
-    # of 3,024 reals run in several blocks.
+def test_conformity_report_is_the_dense_reference_bit_for_bit_on_the_catalog():
+    # conformity_report forms only the diagonal of a monomial map's Gram, block by
+    # block, and the Gram of any other map in column blocks; on every catalog map,
+    # 2 <= n <= 6, every field of its report must be the dense reference's (the one
+    # product, np.trace, the LAPACK 2-norm of the shift and the SVD rank), among them
+    # symmetrization(6, 5), whose 462 rows of 3,024 reals run in several blocks.
     # The claim is the catalog's, whose entries are sparse: on dense random complex
-    # maps (462 x 1512, say) the last bits differ, because the complex GEMM kernel
-    # handles a narrower product differently.  In a single-threaded child, as the
-    # benchmark runs, since threaded OpenBLAS splits one product among its threads.
+    # maps (462 x 1512, say) the last bits of a blocked Gram differ, because the
+    # complex GEMM kernel handles a narrower product differently.  In a
+    # single-threaded child, as the benchmark runs, since threaded OpenBLAS splits
+    # one product among its threads.
     assert len(list(_row_blocks(462, 2 * 1512))) > 1
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(katolab.__file__)))
-    subprocess.run([sys.executable, "-c", _ONE_GRAM_CHECK], env=env, check=True)
+               PYTHONPATH=os.pathsep.join((os.path.dirname(os.path.dirname(katolab.__file__)),
+                                           os.path.dirname(__file__))))
+    subprocess.run([sys.executable, "-c", _DENSE_REFERENCE_CHECK], env=env, check=True)
 
 
 def _traced_peak(call):
@@ -437,13 +483,14 @@ def _traced_peak(call):
 
 
 def test_conformity_report_holds_a_block_of_the_map_not_a_copy():
-    # the 462 x 1512 complex symmetrization map S^5 -> S^6 at n = 6 is 10.7 MiB; the
-    # Gram (3.3 MiB) and one block's conjugate peak at 4.3 MiB over it, where the whole
-    # conjugate and G - rho^2 I beside G took 13.9 MiB
+    # the 462 x 1512 complex symmetrization map S^5 -> S^6 at n = 6 is 10.7 MiB; one
+    # 36-row block's conjugate (0.83 MiB) and the diagonal of its product peak at
+    # 0.86 MiB over it, where the dense Gram (3.3 MiB) beside that block took 4.3 MiB
+    # and the whole conjugate and G - rho^2 I beside G 13.9 MiB
     P = symmetrization_projection(6, 5)
     rep, peak = _traced_peak(lambda: conformity_report(P))
     assert rep.certified
-    assert peak <= P.matrix.nbytes / 2, peak
+    assert peak <= 2**20, peak
 
 
 def test_projections_verify_max_n_6_memory(capsys):

@@ -276,6 +276,9 @@ def test_catalog_specs_are_built_once_and_read_only():
     hodge = catalog("hodge", 5, k=2)
     assert hodge is catalog("hodge", 5, 2)
     assert catalog("connection", 3, fiber_dim=4) is catalog("connection", 3, None, 4)
+    # an argument the entry ignores builds no second spec
+    assert catalog("dirac", 3, fiber_dim=5) is op
+    assert catalog("connection", 3, k=7) is catalog("connection", 3)
     assert hodge is not catalog("hodge", 5, 3)
 
 
