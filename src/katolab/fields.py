@@ -22,7 +22,7 @@ from .errors import FiberMismatch, UnknownScenario, ZeroSection
 from .kato import (
     INF,
     _direction_table,
-    _form_maps,
+    _form_images,
     _rsq,
     batch_hodge_margins,
     batch_lemma_gain,
@@ -102,8 +102,9 @@ class TrigField:
         return cls(n, fiber_dim, freqs, cos_c, sin_c)
 
     def evaluate(self, points) -> np.ndarray:
-        """Values at an (N, n) array of points, or at a PhaseTable of this
-        field's frequencies, shape (N, fiber_dim)."""
+        """Values at an (N, n) array of points, one point of n coordinates, or a
+        PhaseTable of this field's frequencies, shape (N, fiber_dim); FiberMismatch
+        for points of any other shape."""
         table = points if isinstance(points, PhaseTable) else PhaseTable(self, points)
         if not np.array_equal(table.freqs, self.freqs):
             raise FiberMismatch("phase table was built for other frequencies")
@@ -132,30 +133,28 @@ class TrigField:
 
 
 class PhaseTable:
-    """cos(m.x) and sin(m.x) for the frequencies of a field at fixed points;
-    its gradient, d, d* and operator image keep them, so share one table."""
+    """[cos(m.x) | sin(m.x)] for the frequencies of a field at fixed points, one real
+    (N, 2K) table; its gradient, d, d* and operator image keep them, so share one table."""
 
     def __init__(self, f: TrigField, points):
-        X = np.asarray(points, dtype=float).reshape(-1, f.n)
+        X = np.asarray(points, dtype=float)
+        X = X[None] if X.shape == (f.n,) else X
+        if X.ndim != 2 or X.shape[1] != f.n:
+            raise FiberMismatch(f"points must be an (N, {f.n}) array or one point of "
+                                f"{f.n} coordinates, got shape {X.shape}")
         if not len(X):
             raise ValueError("field evaluation needs points >= 1, got 0")
         phases = X @ f.freqs.T.astype(float)
-        self.freqs, self.cos, self.sin = f.freqs, np.cos(phases), np.sin(phases)
+        K = phases.shape[1]
+        self.freqs, self.trig = f.freqs, np.empty((len(X), 2 * K))
+        np.cos(phases, out=self.trig[:, :K])
+        np.sin(phases, out=self.trig[:, K:])
 
     def values(self, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
-        """sum_m cos(m.x) a_m + sin(m.x) b_m per point, as real matmuls filled in
-        row blocks, so the only temporary is one block's sine product."""
-        A = np.ascontiguousarray(cos_coeffs).view(float)
-        B = np.ascontiguousarray(sin_coeffs).view(float)
-        out = np.empty((len(self.cos), A.shape[1]))
-        # blocks sized by rows alone (width 0), cut at multiples of 48 rows:
-        # single-threaded OpenBLAS sums a product of fewer than about 420 rows of 300
-        # reals, and the rows after a product's last full 12-row tile, in another
-        # order, so only such cuts keep the bits of one whole product
-        for r in _row_blocks(len(out), 0, align=48):
-            np.matmul(self.cos[r], A, out=out[r])
-            out[r] += self.sin[r] @ B
-        return out.view(np.complex128)
+        """sum_m cos(m.x) a_m + sin(m.x) b_m per point: one real product of the table
+        with the stacked coefficients [A; B], which is the only N-row allocation."""
+        AB = np.vstack((cos_coeffs, sin_coeffs)).view(float)
+        return (self.trig @ AB).view(np.complex128)
 
 
 def random_field(n: int, fiber_dim: int, mode_count: int, max_freq: int,
@@ -392,12 +391,12 @@ def scenario_grid(dims) -> list:
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Row norms of a complex array, summed on its real view with no conjugate copy."""
+    """Row norms of a complex array or its real view, summed with no conjugate copy."""
     return np.sqrt(_rsq(np.ascontiguousarray(a).view(float)))
 
 
 def _max_row_norm(a: np.ndarray) -> float:
-    """Largest row norm of a complex array; np.max keeps a NaN."""
+    """Largest row norm of a complex array or its real view; np.max keeps a NaN."""
     return float(np.max(_row_norms(a)))
 
 
@@ -414,11 +413,15 @@ def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
     grad_vals = f.gradient().evaluate(points)
     ref = max(_max_row_norm(grad_vals), 1e-300)
     if sc.theorem == "hodge":
-        eps_mat, iota_mat = _form_maps(sc.n, sc.k, sc.fiber_dim)
-        d_vals = exterior_derivative(f, sc.k, sc.fiber_dim).evaluate(points)
-        d_vals -= grad_vals @ eps_mat.T
-        cod_vals = coderivative(f, sc.k, sc.fiber_dim).evaluate(points)
-        cod_vals += grad_vals @ iota_mat.T
+        d_vals = exterior_derivative(f, sc.k, sc.fiber_dim).evaluate(points).view(float)
+        cod_vals = coderivative(f, sc.k, sc.fiber_dim).evaluate(points).view(float)
+        # both symbol images in one real product per row block, where (fiber, re/im)
+        # is a real fiber: a whole product's threaded BLAS buffers outgrow its output
+        G, E = grad_vals.view(float), _form_images(sc.n, sc.k, 2 * sc.fiber_dim)
+        for r in _row_blocks(len(G), G.shape[1]):
+            img = G[r] @ E
+            d_vals[r] -= img[:, :d_vals.shape[1]]
+            cod_vals[r] += img[:, d_vals.shape[1]:]
         return max(_max_row_norm(d_vals), _max_row_norm(cod_vals)) / ref
     # first order with constant coefficients: the operator is its full
     # symbol applied to the coefficients of the gradient

@@ -391,7 +391,7 @@ def _branch(forced, norm_sq: np.ndarray, scale: np.ndarray) -> np.ndarray:
     against the rows' squared norms, scale: |P u| <= BRANCH_NORM_FACTOR |u|."""
     if forced is None:
         return norm_sq <= BRANCH_NORM_FACTOR ** 2 * scale
-    return np.broadcast_to(np.asarray(forced, dtype=bool), scale.shape)
+    return np.full(scale.shape, forced, dtype=bool)
 
 
 def _sq(x: np.ndarray) -> np.ndarray:
@@ -550,6 +550,7 @@ def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
     return _row_verdict("foldo", out, c, None)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
                         c, c_star, d_vanishing=None, dstar_vanishing=None,
                         diagnostics: bool = False) -> dict:
@@ -561,51 +562,22 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.n
     symbol also certifies the block form, since the block restrictions
     are dominated by the full symbols.  With diagnostics=True also
     returns the worst residuals of the identities behind the closed
-    forms (Pythagoras, the two annihilation laws, that dominance).  Runs
-    in row blocks (_row_blocks) into outputs allocated once.
+    forms (Pythagoras, the two annihilation laws, that dominance).  Squared
+    norms run in row blocks (_row_blocks); margins once over the batch.
     """
     m = len(v)
-
-    def block(r):
-        # per-row arguments are sliced; scalars, None and broadcast arrays pass
-        return [x[r] if np.ndim(x) and len(x) == m else x
-                for x in (v, phi, c, c_star, d_vanishing, dstar_vanishing)]
-
-    out, worst = {}, {}
+    if len(phi) != m:
+        raise ValueError(f"{m} gradient rows but {len(phi)} section rows")
+    norms, worst = np.empty((7, m)), {}
     # the cached maps check n, k and the fiber before any reshape of v or phi
     for r in _row_blocks(m, 2 * _form_maps(n, k, fiber_dim)[0].shape[1]):
-        for key, x in _hodge_block(n, k, fiber_dim, *block(r), diagnostics).items():
-            if key.endswith("_residual"):
-                # the worst residual over all rows: np.maximum, unlike max, keeps a NaN
-                worst[key] = np.maximum(worst.get(key, -INF), np.max(x) if m else 0.0)
-            else:
-                out.setdefault(key, np.empty(m, x.dtype))[r] = x
-    return {**out, **{key: float(x) for key, x in worst.items()}}
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
-                 c, c_star, d_vanishing, dstar_vanishing, diagnostics: bool) -> dict:
-    """batch_hodge_margins on one block of rows, in closed form, with per-row residuals."""
-    m, dim_k = v.shape[0], math.comb(n, k)
-    # real views: (fiber, re/im) is a real fiber of size 2 fiber_dim
-    f2 = 2 * fiber_dim  # widths are spelled out: a -1 cannot be resolved for 0 rows
-    V = np.ascontiguousarray(v, dtype=np.complex128).view(float).reshape(m, n, dim_k * f2)
-    Phi = np.ascontiguousarray(phi, dtype=np.complex128).view(float).reshape(m, dim_k * f2)
-    img = V.reshape(m, n * dim_k * f2) @ _form_images(n, k, f2)
-    up, dn = (x.reshape(m, x.shape[1] // f2, f2)
-              for x in np.hsplit(img, [math.comb(n, k + 1) * f2]))
-    scale, eps_sq, iota_sq = _rsq(V), _rsq(up), _rsq(dn)
+        norms[:, r], residuals = _hodge_block(n, k, fiber_dim, v[r], phi[r], diagnostics)
+        for key, x in residuals.items():
+            # the worst residual over all rows: np.maximum, unlike max, keeps a NaN
+            worst[key] = np.maximum(worst.get(key, -INF), np.max(x) if m else 0.0)
+    scale, eps_sq, iota_sq, dnorm_sq, line_sq, eps_part_sq, iota_part_sq = norms
     dvan = _branch(d_vanishing, eps_sq, scale)
     svan = _branch(dstar_vanishing, iota_sq, scale)
-    b = np.einsum("nix,nx->ni", V, Phi)
-    bnorm = np.linalg.norm(b, axis=1)
-    dnorm_sq = bnorm ** 2 / _rsq(Phi)
-    xi = np.where((bnorm > 1e-14)[:, None],
-                  b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
-    line_sq = _rsq(np.einsum("ni,nix->nx", xi, V))
-    cut, fill = _along(n, k + 1, False, xi, up), _along(n, k - 1, True, xi, dn)
-    eps_part_sq, iota_part_sq = _rsq(cut), _rsq(fill)
     c, cs = np.asarray(c, dtype=float), np.asarray(c_star, dtype=float)
     gmin = np.minimum(batch_lemma_gain(c, k, dvan),
                       batch_lemma_gain(cs, n - k, svan))
@@ -616,23 +588,49 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
     lhs_cor = scale + c * eps_part_sq + cs * iota_part_sq
     rhs_cor = (1.0 + np.minimum(batch_lemma_gain(c, k, dvc),
                                 batch_lemma_gain(cs, n - k, dsc))) * line_sq
-    out = {
+    return {
         "margin": lhs - rhs, "lhs": lhs, "rhs": rhs,
         "full_scale": lhs + rhs, "margin_cor": lhs_cor - rhs_cor,
         "cor_scale": lhs_cor + rhs_cor, "d_vanishing": dvan,
         "dstar_vanishing": svan, "vanishing": dvan & svan, "gain": gmin,
+        **{key: float(x) for key, x in worst.items()},
     }
+
+
+def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
+                 diagnostics: bool) -> tuple:
+    """The per-row squared norms batch_hodge_margins reads, on one block of rows, in
+    closed form: |V|^2, |eta+|^2, |eta-|^2, |d|phi||^2, |xi . V|^2, |iota_xi eta+|^2 and
+    |xi ^ eta-|^2; and a dict of per-row residuals, empty without diagnostics."""
+    m, dim_k = v.shape[0], math.comb(n, k)
+    # real views: (fiber, re/im) is a real fiber of size 2 fiber_dim
+    f2 = 2 * fiber_dim  # widths are spelled out: a -1 cannot be resolved for 0 rows
+    V = np.ascontiguousarray(v, dtype=np.complex128).view(float).reshape(m, n, dim_k * f2)
+    Phi = np.ascontiguousarray(phi, dtype=np.complex128).view(float).reshape(m, dim_k * f2)
+    img = V.reshape(m, n * dim_k * f2) @ _form_images(n, k, f2)
+    up, dn = (x.reshape(m, x.shape[1] // f2, f2)
+              for x in np.hsplit(img, [math.comb(n, k + 1) * f2]))
+    scale, eps_sq, iota_sq = _rsq(V), _rsq(up), _rsq(dn)
+    b = np.einsum("nix,nx->ni", V, Phi)
+    bnorm = np.linalg.norm(b, axis=1)
+    dnorm_sq = bnorm ** 2 / _rsq(Phi)
+    xi = np.where((bnorm > 1e-14)[:, None],
+                  b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
+    line_sq = _rsq(np.einsum("ni,nix->nx", xi, V))
+    cut, fill = _along(n, k + 1, False, xi, up), _along(n, k - 1, True, xi, dn)
+    eps_part_sq, iota_part_sq = _rsq(cut), _rsq(fill)
+    residuals = {}
     if diagnostics:
         safe = np.maximum(scale, 1e-300)
         # |iota_xi eta|^2 + |xi ^ eta|^2 = |eta|^2 for both images
-        out["pythagoras_residual"] = np.maximum(
+        residuals["pythagoras_residual"] = np.maximum(
             np.abs(eps_part_sq + _rsq(_along(n, k + 1, True, xi, up)) - eps_sq),
             np.abs(_rsq(_along(n, k - 1, False, xi, dn)) + iota_part_sq - iota_sq)) / safe
-        out["block_identity_residual"] = np.sqrt(np.maximum(
+        residuals["block_identity_residual"] = np.sqrt(np.maximum(
             _rsq(_along(n, k, False, xi, cut)), _rsq(_along(n, k, True, xi, fill))) / safe)
-        out["dominance_residual"] = np.maximum(
+        residuals["dominance_residual"] = np.maximum(
             eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe
-    return out
+    return (scale, eps_sq, iota_sq, dnorm_sq, line_sq, eps_part_sq, iota_part_sq), residuals
 
 
 def check_hodge_inequality(v: np.ndarray, phi: np.ndarray, n: int, k: int,

@@ -87,17 +87,14 @@ def gram_schmidt_columns(M: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def _row_blocks(m: int, width: int, align: int = 1):
+def _row_blocks(m: int, width: int):
     """Slices of m rows of `width` reals each into equal blocks, made lazily: at least
     one, and enough that a block has fewer than 2 _FORM_BLOCK rows and, unless it is
     one row, fewer than 2 _FORM_BLOCK * 100 entries (100 reals: the widest fiber-1 form
-    row at n <= 5, whose blocks the row count alone sets).  With align, every cut is a
-    multiple of align rows and block sizes stay within align of each other: the first
-    blocks take one more align rows, the last the rows past the last multiple."""
+    row at n <= 5, whose blocks the row count alone sets).  Block sizes differ by at
+    most one row: the first blocks take one row more."""
     nb = max(1, m // _FORM_BLOCK, min(m, m * width // (_FORM_BLOCK * 100)))
-    size, longer = divmod(m // align, nb)
-    lo = 0
+    size, longer = divmod(m, nb)
     for i in range(nb):
-        hi = m if i == nb - 1 else lo + align * (size + (i < longer))
-        yield slice(lo, hi)
-        lo = hi
+        lo = i * size + min(i, longer)
+        yield slice(lo, lo + size + (i < longer))

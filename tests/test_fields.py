@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import katolab
-from katolab import fields
+from katolab import fields, kato
 from katolab.errors import FiberMismatch, UnknownScenario
 from katolab.fields import (
     CLOSEDNESS_TOL,
@@ -503,7 +503,7 @@ def test_phase_table_serves_every_derived_field():
         assert np.allclose(g.evaluate(table), g.evaluate(X), rtol=0, atol=1e-12)
 
 
-# values in blocks of 1024-2047 rows cut at multiples of 48, against the one product
+# one product of [cos | sin] with [A; B], against the cosine and sine products summed
 _ONE_PRODUCT_CHECK = """
 import numpy as np
 from katolab.fields import PhaseTable, make_scenario, sample_points
@@ -511,21 +511,60 @@ for name, n, points in (("yang-mills-F", 5, 2500), ("yang-mills-F", 5, 5000),
                         ("instanton-F", 4, 5000), ("generic-form", 5, 3001)):
     f = make_scenario(name, n).section
     table = PhaseTable(f, sample_points(n, points))
+    K = len(f.freqs)
     for g in (f, f.gradient()):
-        whole = (table.cos @ np.ascontiguousarray(g.cos_coeffs).view(float)
-                 + table.sin @ np.ascontiguousarray(g.sin_coeffs).view(float))
-        assert np.array_equal(g.evaluate(table).view(float), whole), (name, n, points)
+        two = (table.trig[:, :K] @ np.ascontiguousarray(g.cos_coeffs).view(float)
+               + table.trig[:, K:] @ np.ascontiguousarray(g.sin_coeffs).view(float))
+        gap = np.max(np.abs(g.evaluate(table).view(float) - two))
+        assert gap <= 1e-15 * np.max(np.abs(two)), (name, n, points, gap)
 """
 
 
-def test_blocked_phase_values_are_the_one_product_bit_for_bit():
+def test_phase_values_are_the_two_products_to_rounding():
     # in a single-threaded child, as the benchmark runs: threaded OpenBLAS splits a
-    # product's rows among its threads, each with its own last tile, so the one
-    # product's bits at 300-real rows depend on the thread count
+    # product's rows among its threads, so the last bits depend on the thread count
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(katolab.__file__)))
     subprocess.run([sys.executable, "-c", _ONE_PRODUCT_CHECK], env=env, check=True)
+
+
+@pytest.mark.parametrize("shape", [(10, 4), (6,), (3, 2, 2), (5, 1), ()])
+def test_points_of_another_shape_are_refused(shape):
+    # (10, 4) gave 20 values and a flat length-6 array 3, read as rows of n = 2
+    f = random_field(2, 1, 5, 2, np.random.default_rng(43))
+    X = np.zeros(shape)
+    with pytest.raises(FiberMismatch, match=r"\(N, 2\) array"):
+        f.evaluate(X)
+    with pytest.raises(FiberMismatch, match=r"\(N, 2\) array"):
+        PhaseTable(f, X)
+
+
+def test_one_point_is_one_row():
+    f = random_field(3, 2, 5, 2, np.random.default_rng(44))
+    X = sample_points(3, 4)
+    assert f.evaluate(X[1]).shape == (1, 2)
+    assert np.array_equal(f.evaluate(X[1]), f.evaluate(X[1:2]))
+
+
+def _complex_product_residual(sc, points):
+    # the residual as two complex products of the gradient values with eps and iota
+    eps_mat, iota_mat = kato._form_maps(sc.n, sc.k, sc.fiber_dim)
+    f = sc.section
+    grad_vals = f.gradient().evaluate(points)
+    d_vals = exterior_derivative(f, sc.k, sc.fiber_dim).evaluate(points) - grad_vals @ eps_mat.T
+    cod_vals = coderivative(f, sc.k, sc.fiber_dim).evaluate(points) + grad_vals @ iota_mat.T
+    ref = np.max(np.linalg.norm(grad_vals, axis=1))
+    return max(np.max(np.linalg.norm(x, axis=1)) for x in (d_vals, cod_vals)) / ref
+
+
+@pytest.mark.parametrize("name, n, k", [c for c in scenario_grid(range(2, 6))
+                                        if fields._SCENARIOS[c[0]][0] == "hodge"])
+def test_symbol_residual_is_the_complex_products_to_rounding(name, n, k):
+    sc = make_scenario(name, n, k=k, seed=6)
+    table = PhaseTable(sc.section, sample_points(n, 500))
+    want = _complex_product_residual(sc, table)
+    assert abs(symbol_consistency_residual(sc, table) - want) <= 1e-15, (want,)
 
 
 def test_evaluate_scenario_holds_its_inputs_and_one_kernel_block():

@@ -215,6 +215,36 @@ def test_nan_row_in_a_later_block_fails_as_unblocked(monkeypatch):
             assert math.isnan(out[key]), (size, key)
 
 
+@pytest.mark.parametrize("key", ["c", "c_star"])
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_bad_weight_in_the_last_row_of_a_later_block_is_refused(key, bad):
+    # 2,101 rows run in two blocks; the weights are checked once over the batch
+    rng = np.random.default_rng(74)
+    v, phi = _hodge_rows(rng, 4, 2, 1, 2101)
+    weights = {"c": np.ones(2101), "c_star": np.ones(2101)}
+    weights[key][-1] = bad
+    with pytest.raises(BadConstants):
+        batch_hodge_margins(4, 2, 1, v, phi, **weights)
+
+
+def test_hodge_kernel_refuses_rows_of_phi_that_do_not_match_v():
+    # blocks slice v and phi alike, so a longer phi would be cut short unseen
+    v, phi = _hodge_rows(np.random.default_rng(75), 4, 2, 1, 2101)
+    for short_or_long in (phi[:-1], np.vstack((phi, phi[:1]))):
+        with pytest.raises(ValueError, match="2101 gradient rows but"):
+            batch_hodge_margins(4, 2, 1, v, short_or_long, 1.0, 1.0)
+
+
+def test_forced_flags_come_back_as_fresh_arrays():
+    # margins run once over the batch; a forced flag is copied, never handed back
+    v, phi = _hodge_rows(np.random.default_rng(76), 3, 1, 1, 50)
+    flags = np.arange(50) % 2 == 0
+    out = batch_hodge_margins(3, 1, 1, v, phi, 1.0, 1.0, flags, True)
+    assert np.array_equal(out["d_vanishing"], flags) and out["dstar_vanishing"].all()
+    for key in ("d_vanishing", "dstar_vanishing"):
+        assert out[key].flags.writeable and not np.shares_memory(out[key], flags)
+
+
 def _hodge_working_bytes(f, m):
     # traced peak of the (5,2) kernel on m rows beyond its outputs (the inputs
     # exist before tracing starts)
