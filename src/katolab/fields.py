@@ -170,8 +170,7 @@ def random_field(n: int, fiber_dim: int, mode_count: int, max_freq: int,
               np.zeros(fiber_dim))]
     seen = set()
     while len(modes) < mode_count:
-        m = tuple(int(x) for x in rng.integers(-max_freq, max_freq + 1, size=n))
-        key, _ = _canonical_mode(m)
+        key, _ = _canonical_mode(rng.integers(-max_freq, max_freq + 1, size=n))
         if all(x == 0 for x in key) or key in seen:
             continue
         seen.add(key)
@@ -223,16 +222,11 @@ def hodge_star_matrix(n: int, k: int) -> np.ndarray:
     labels_c = exterior_power(n, n - k).labels
     pos = {lab: j for j, lab in enumerate(labels_c)}
     S = np.zeros((len(labels_c), len(labels_k)))
-    full = list(range(1, n + 1))
     for j, lab in enumerate(labels_k):
-        comp = tuple(i for i in full if i not in lab)
-        perm = list(lab) + list(comp)
-        sign = 1
-        for a in range(len(perm)):          # parity by counting inversions
-            for b in range(a + 1, len(perm)):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        S[pos[comp], j] = sign
+        comp = tuple(i for i in range(1, n + 1) if i not in lab)
+        # lab + comp has sum(lab) - k(k+1)/2 inversions: lab's i-th entry a (from 0)
+        # comes before the a - 1 - i smaller entries of comp
+        S[pos[comp], j] = (-1) ** (sum(lab) - k * (k + 1) // 2)
     return S
 
 

@@ -518,16 +518,22 @@ def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray, c) 
 
     u has one gradient surrogate per row, phi one section value; c is a
     scalar or per-row array.  Returns the per-row margin, lhs, rhs,
-    full_scale (lhs plus the finite rhs), vanishing mask and gain.
+    full_scale (lhs plus the finite rhs), vanishing mask and gain.  Squared
+    norms run in row blocks (_row_blocks); margins once over the batch.
     """
     n, dE = op.base_dim, op.domain_fiber.dim
     rho2, eps = operator_constants(op)
-    m = u.shape[0]
-    pu_sq = _sq(u @ op.full_symbol.matrix.T)
-    scale = _sq(u)
+    m = len(u)
+    if len(phi) != m:
+        raise ValueError(f"{m} gradient rows but {len(phi)} section rows")
+    norms = np.empty((3, m))  # |P u|^2, |u|^2, |d|phi||^2
+    for r in _row_blocks(m, 2 * u.shape[1]):
+        x, y = u[r], phi[r]
+        b = np.real(np.einsum("nie,ne->ni", x.reshape(len(x), n, dE), y.conj()))
+        norms[:, r] = (_sq(x @ op.full_symbol.matrix.T), _sq(x),
+                       np.sum(b ** 2, axis=1) / _sq(y))
+    pu_sq, scale, dnorm_sq = norms
     vanishing = _branch(None, pu_sq, scale)
-    b = np.real(np.einsum("nie,ne->ni", u.reshape(m, n, dE), phi.conj()))
-    dnorm_sq = np.sum(b ** 2, axis=1) / _sq(phi)
     gain = batch_lemma_gain(c, rho2 - eps, vanishing, weight=eps)
     lhs = scale + np.asarray(c, dtype=float) * pu_sq
     rhs = (1.0 + gain) * dnorm_sq
@@ -712,19 +718,25 @@ def _weight_range(fixed: float | None) -> tuple:
 
 
 def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
+    """count standard complex normal rows: all real parts row-major, then all imaginary
+    parts, drawn a row block (_row_blocks) at a time into one block-sized buffer."""
     z = np.empty((count, dim), dtype=complex)
-    z.real = rng.standard_normal(z.shape)
-    z.imag = rng.standard_normal(z.shape)
+    # the first block is the longest
+    buf = np.empty((next(_row_blocks(count, 2 * dim)).stop, dim))
+    for half in (z.real, z.imag):
+        for r in _row_blocks(count, 2 * dim):
+            half[r] = rng.standard_normal(out=buf[:r.stop - r.start])
     return z
 
 
 def _redraw_in_kernels(rng, rows: np.ndarray, nulls, fraction: float) -> None:
     """Redraw consecutive slices of int(fraction * len(rows)) rows, the i-th inside
-    the span of the columns of nulls[i]; a zero kernel keeps its slice."""
+    the span of the columns of nulls[i], in place; a zero kernel keeps its slice."""
     nk = int(fraction * len(rows))
     for i, null in enumerate(nulls):
         if nk and null.shape[1]:
-            rows[i * nk:(i + 1) * nk] = _complex_rows(rng, nk, null.shape[1]) @ null.T
+            np.matmul(_complex_rows(rng, nk, null.shape[1]), null.T,
+                      out=rows[i * nk:(i + 1) * nk])
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:

@@ -261,11 +261,7 @@ def exact_to_json(x):
     """Fractions go out as 'p/q' strings so exactness survives JSON."""
     if x is None:
         return None
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return float(x)
+    return str(x) if isinstance(x, Fraction) else float(x)
 
 
 def _conformity_row(family: str, n: int, k, P, declared, tolerance: float) -> dict:

@@ -27,7 +27,7 @@ fiber           an abstract auxiliary fiber with numbered basis.
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 
 from .errors import BadDegree
 
@@ -83,11 +83,8 @@ def tensor_product(factors) -> SpaceDescriptor:
     factors = tuple(factors)
     if not factors:
         raise ValueError("tensor product needs at least one factor")
-    dim = 1
-    for f in factors:
-        dim *= f.dim
     labels = tuple(product(*(f.labels for f in factors)))
-    return SpaceDescriptor("tensor", dim, labels)
+    return SpaceDescriptor("tensor", prod(f.dim for f in factors), labels)
 
 
 def direct_sum(summands) -> SpaceDescriptor:
@@ -114,12 +111,9 @@ def wedge_insert(i: int, J: tuple):
     Returns (sign, K) with e_i* ^ e_J* = sign * e_K*, or None when
     i already occurs in J (the wedge vanishes).
     """
-    pos = 0
-    for j in J:
-        if j == i:
-            return None
-        if j < i:
-            pos += 1
+    if i in J:
+        return None
+    pos = sum(j < i for j in J)
     K = J[:pos] + (i,) + J[pos:]
     return (-1) ** pos, K
 

@@ -738,6 +738,54 @@ def test_fuzz_key_lemma_memory_is_one_chunk_of_draws():
     assert max(peaks) <= draws + allowance, peaks
 
 
+@pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2049, 20000])
+@pytest.mark.parametrize("dim", [1, 6, 50])
+def test_complex_rows_keep_the_two_call_stream(count, dim):
+    # drawn in row blocks, the rows equal a whole real half and then a whole imaginary
+    # half drawn by two calls, bit for bit, and the generator ends in the same state
+    rng = np.random.default_rng(count * dim)
+    want = np.empty((count, dim), dtype=complex)
+    want.real = rng.standard_normal((count, dim))
+    want.imag = rng.standard_normal((count, dim))
+    blocked = np.random.default_rng(count * dim)
+    assert np.array_equal(kato._complex_rows(blocked, count, dim), want)
+    assert blocked.random() == rng.random()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _half_block_bytes(count, dim):
+    # one real half of the longest row block of count complex rows of dim coordinates
+    return max(r.stop - r.start for r in linmap._row_blocks(count, 2 * dim)) * dim * 8
+
+
+def test_complex_rows_hold_one_block_beyond_their_output():
+    # 20,000 rows of 24 coordinates are 7.3 MiB; a real half drawn whole would add 3.7 MiB
+    rng = np.random.default_rng(109)
+    peak = _traced_peak(lambda: kato._complex_rows(rng, 20000, 24))
+    assert peak <= 20000 * 24 * 16 + _half_block_bytes(20000, 24) + 2**16, peak
+
+
+def test_kernel_redraws_hold_their_coefficients_and_one_block():
+    # a quarter of 20,000 rows redrawn inside the 16-dimensional kernel of hodge:4:2:
+    # the 5,000 drawn coefficient rows (1.2 MiB) and one block, and no 1.8 MiB product
+    # of the slice's size
+    null = kato._null_space(catalog("hodge", 4, 2).full_symbol.matrix)
+    rows = np.zeros((20000, len(null)), dtype=complex)
+    nk, dim, rng = 5000, null.shape[1], np.random.default_rng(110)
+    peak = _traced_peak(lambda: kato._redraw_in_kernels(rng, rows, [null], 0.25))
+    assert peak <= nk * dim * 16 + _half_block_bytes(nk, dim) + 2**16, peak
+    want = kato._complex_rows(np.random.default_rng(110), nk, dim) @ null.T
+    assert np.array_equal(rows[:nk], want) and not np.any(rows[nk:])
+
+
 def test_fuzz_reports_deterministic():
     op = catalog("dirac", 3)
     r1 = fuzz_operator_inequality(op, 2000, seed=42)

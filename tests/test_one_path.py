@@ -153,32 +153,36 @@ def test_hodge_kernel_does_not_depend_on_the_row_block(monkeypatch, n, k, f,
     # 2101 rows: blocks of 1050/1051 and 700/700/701 rows (of 350/351 and 233/234
     # rows at (5,2) fiber 3, whose rows are 300 reals wide), bit for bit; and
     # 300 blocks of 7 rows, where OpenBLAS's small-matrix path for the symbol
-    # products sums in another order, so they agree to rounding only
+    # products sums in another order, so they agree to rounding only.  The operator
+    # kernel runs on the same rows, as hodge:n:k at fiber 1 and as the connection on
+    # the C(n,k) f-dimensional fiber otherwise; it has no branch flags.
     rng = np.random.default_rng(71)
     m = 2101
     v, phi = _hodge_rows(rng, n, k, f, m)
     c, cs = (1.5, 0.25) if weights == "scalar" else (_weights(rng, m), _weights(rng, m))
     d_flag, s_flag = {"none": (None, None), "bool": (True, False),
                       "per-row": (rng.random(m) < 0.5, rng.random(m) < 0.5)}[flags]
+    op = parse_op_string(f"hodge:{n}:{k}" if f == 1 else f"connection:{n}:{len(phi[0])}")
     outs = {}
     for size in FORM_BLOCKS + [7]:
         monkeypatch.setattr(linmap, "_FORM_BLOCK", size)
-        outs[size] = batch_hodge_margins(n, k, f, v, phi, c, cs, d_flag, s_flag,
-                                         diagnostics=True)
-    whole = outs[10**9]
-    for size in FORM_BLOCKS[1:]:
-        assert outs[size].keys() == whole.keys()
+        outs[size] = (batch_hodge_margins(n, k, f, v, phi, c, cs, d_flag, s_flag,
+                                          diagnostics=True),
+                      batch_operator_margins(op, v, phi, c))
+    for kernel, whole in enumerate(outs[10**9]):
+        for size in FORM_BLOCKS[1:]:
+            assert outs[size][kernel].keys() == whole.keys()
+            for key, want in whole.items():
+                assert np.array_equal(outs[size][kernel][key], want), (size, kernel, key)
+        scale = np.maximum(whole["full_scale"], whole.get("cor_scale", 0.0))
         for key, want in whole.items():
-            assert np.array_equal(outs[size][key], want), (size, key)
-    scale = np.maximum(whole["full_scale"], whole["cor_scale"])
-    for key, want in whole.items():
-        got = outs[7][key]
-        if np.ndim(want) == 0:
-            assert abs(got - want) <= 1e-13, key
-        elif want.dtype == bool:
-            assert np.array_equal(got, want), key
-        else:
-            assert np.all(np.abs(got - want) <= 1e-13 * scale), key
+            got = outs[7][kernel][key]
+            if np.ndim(want) == 0:
+                assert abs(got - want) <= 1e-13, (kernel, key)
+            elif want.dtype == bool:
+                assert np.array_equal(got, want), (kernel, key)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-13 * scale), (kernel, key)
 
 
 def _hodge_report(monkeypatch, chunk, *args):
@@ -233,6 +237,15 @@ def test_hodge_kernel_refuses_rows_of_phi_that_do_not_match_v():
     for short_or_long in (phi[:-1], np.vstack((phi, phi[:1]))):
         with pytest.raises(ValueError, match="2101 gradient rows but"):
             batch_hodge_margins(4, 2, 1, v, short_or_long, 1.0, 1.0)
+
+
+def test_operator_kernel_refuses_rows_of_phi_that_do_not_match_u():
+    # a one-row phi was broadcast over every row of u; blocks would cut a longer one short
+    rng = np.random.default_rng(77)
+    u = _rows(rng, 4, 6)
+    for short_or_long in (_rows(rng, 1, 2), _rows(rng, 5, 2)):
+        with pytest.raises(ValueError, match="4 gradient rows but"):
+            batch_operator_margins(parse_op_string("dirac:3"), u, short_or_long, 1.0)
 
 
 def test_forced_flags_come_back_as_fresh_arrays():
