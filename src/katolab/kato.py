@@ -233,16 +233,25 @@ def _form_degree(n: int, k: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def _form_map(n: int, j: int, fiber_dim: int, up: bool) -> np.ndarray:
+    """Read-only wedge (up) or contraction on flattened V* (x) Lambda^j (x) E, columns
+    direction-major as in a gradient, from _direction_table: no rows where the target
+    degree leaves 0..n."""
+    T = _direction_table(n, j, up)
+    _, dst, src = T.shape
+    # widths are spelled out: a -1 cannot be resolved for an empty table
+    M = np.kron(T.transpose(1, 0, 2).reshape(dst, n * src), np.eye(fiber_dim))
+    M.flags.writeable = False
+    return M
+
+
 def _form_maps(n: int, k: int, fiber_dim: int):
-    """(wedge, contraction) on flattened V* (x) Lambda^k (x) E from the direction tables."""
+    """(wedge, contraction) of a degree of the two-sided inequality; BadDegree or
+    ValueError before a map is built."""
     _form_degree(n, k)
     if fiber_dim < 1:
         raise ValueError(f"fiber dimension must be >= 1, got {fiber_dim}")
-    maps = tuple(np.kron(T.transpose(1, 0, 2).reshape(len(T[0]), -1), np.eye(fiber_dim))
-                 for T in (_direction_table(n, k, True), _direction_table(n, k, False)))
-    for M in maps:
-        M.flags.writeable = False
-    return maps
+    return _form_map(n, k, fiber_dim, True), _form_map(n, k, fiber_dim, False)
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,17 +351,21 @@ class KatoVerdict:
     margin: float
     gain: float
     scale: float
-    corollary_margin: float | None = None
+    corollary_margin: float | None   # the form corollary's margin and scale, or None
+    corollary_scale: float | None
 
     @property
     def passed(self) -> bool:
-        finite = all(map(math.isfinite, (self.lhs, self.rhs, self.margin, self.scale)))
-        return finite and self.margin >= -MARGIN_TOL_FACTOR * self.scale
+        """The fuzzers' pass rule, failing_rows, on this one row."""
+        row = {"margin": self.margin, "lhs": self.lhs, "rhs": self.rhs, "full_scale": self.scale,
+               "margin_cor": self.corollary_margin, "cor_scale": self.corollary_scale}
+        return not failing_rows({key: np.array([float(x)]) for key, x in row.items()
+                                 if x is not None}, MARGIN_TOL_FACTOR)[0]
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         if self.corollary_margin is None:
-            del out["corollary_margin"]
+            del out["corollary_margin"], out["corollary_scale"]
         out["passed"] = self.passed
         return {k: json_number(v) for k, v in out.items()}
 
@@ -377,13 +390,11 @@ def _section_row(phi) -> np.ndarray:
 
 def _row_verdict(theorem: str, out: dict, c, c_star) -> KatoVerdict:
     """Row 0 of a kernel output as a KatoVerdict."""
-    cor = out.get("margin_cor")
     return KatoVerdict(
         theorem, "vanishing" if out["vanishing"][0] else "nonvanishing",
         float(c), None if c_star is None else float(c_star),
-        float(out["lhs"][0]), float(out["rhs"][0]), float(out["margin"][0]),
-        float(out["gain"][0]), float(out["full_scale"][0]),
-        corollary_margin=None if cor is None else float(cor[0]))
+        *(float(out[key][0]) for key in ("lhs", "rhs", "margin", "gain", "full_scale")),
+        *(float(out[key][0]) if key in out else None for key in ("margin_cor", "cor_scale")))
 
 
 def _branch(forced, norm_sq: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -755,6 +766,17 @@ def nonfinite_rows(out: dict) -> np.ndarray:
     return bad
 
 
+def failing_rows(out: dict, tol_factor: float) -> np.ndarray:
+    """The one pass rule, per row of a kernel output: a row fails when a margin, side
+    or scale is not finite, when its margin drops below -tol_factor * full_scale, or its
+    corollary margin, where there is one, below -tol_factor * cor_scale."""
+    # written so that a NaN margin fails too
+    bad = nonfinite_rows(out) | ~(out["margin"] >= -tol_factor * out["full_scale"])
+    if "margin_cor" in out:
+        bad |= ~(out["margin_cor"] >= -tol_factor * out["cor_scale"])
+    return bad
+
+
 def finite_minima(margin: np.ndarray, scale: np.ndarray, ok: np.ndarray):
     """(min margin, min margin/scale) over the rows in ok; inf when there are none."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -784,11 +806,8 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
     while done < samples:
         m = min(_DRAW_CHUNK[theorem], samples - done)
         out = kernel(*sample(rng, m))
-        odd = nonfinite_rows(out)
-        # written so that a NaN margin fails too
-        bad = odd | ~(out["margin"] >= -MARGIN_TOL_FACTOR * out["full_scale"])
+        odd, bad = nonfinite_rows(out), failing_rows(out, MARGIN_TOL_FACTOR)
         if "margin_cor" in out:
-            bad |= ~(out["margin_cor"] >= -MARGIN_TOL_FACTOR * out["cor_scale"])
             # np.minimum and np.maximum, unlike min and max, keep a NaN
             worst["min_margin_corollary"] = np.minimum(
                 worst.get("min_margin_corollary", INF), np.min(out["margin_cor"]))

@@ -7,6 +7,7 @@ polynomials are exact integrals, so the L2 adjointness of d and the
 codifferential is testable to rounding.
 """
 
+import hashlib
 import math
 import os
 import subprocess
@@ -25,7 +26,6 @@ from katolab.fields import (
     SYMBOL_CONSISTENCY_TOL,
     PhaseTable,
     Scenario,
-    TrigField,
     closedness_residual,
     coderivative,
     evaluate_scenario,
@@ -52,22 +52,36 @@ def _dense_grid(n, q):
 # core field mechanics
 
 
-def test_canonicalization_merges_mirror_modes():
-    # cos is even and sin is odd: a mode and its negation must agree
-    a = np.array([1.0 + 2.0j])
-    b = np.array([0.5 - 1.0j])
-    direct = TrigField.from_modes(2, 1, [((1, -2), a, b)])
-    flipped = TrigField.from_modes(2, 1, [((-1, 2), a, -b)])
-    X = np.random.default_rng(0).uniform(0, 2 * np.pi, size=(50, 2))
-    assert np.allclose(direct.evaluate(X), flipped.evaluate(X), atol=1e-14)
-
-
 def test_zero_mode_sine_dropped():
-    f = TrigField.from_modes(2, 1, [((0, 0), np.array([2.0]), np.array([5.0]))])
-    X = np.zeros((3, 2))
-    X[1] = [1.0, 2.0]
-    vals = f.evaluate(X)
-    assert np.allclose(vals, 2.0)
+    # random_field's frequencies are distinct, canonical (zero, or first nonzero
+    # entry positive) and sorted, the zero one among them with a sine row of +0.0
+    for n, fiber, seed in [(1, 1, 0), (2, 3, 4), (4, 2, 9)]:
+        f = random_field(n, fiber, 8, 3, np.random.default_rng(seed))
+        keys = [tuple(m) for m in f.freqs.tolist()]
+        assert keys == sorted(set(keys)) and keys[0] == (0,) * n
+        assert all(next(x for x in m if x) > 0 for m in keys[1:])
+        assert np.all(f.cos_coeffs[0] != 0)
+        sin0 = f.sin_coeffs[0].view(float)
+        assert np.all(sin0 == 0) and not np.any(np.signbit(sin0))
+
+
+# sha256 of freqs, cos and sin bytes of random_field(n, fiber, 8, 3, default_rng(seed)),
+# recorded when the field was assembled by merging a list of modes
+_RANDOM_FIELD_SHA256 = {
+    (1, 1, 0): "467bda94d71c3286f65aec062ba5ee5e6ef33b899c0883556a92e189ca65bc25",
+    (2, 3, 5): "c25184a39ce3fa39b60dbca09f03476501dd3769c7ccf936282d5d02e9180846",
+    (3, 1, 17): "21a9e61c5e1fda5a1eedced7e8162317775222175f225ae844cb6501c5571b3f",
+    (4, 6, 29): "2b4866a8e3a2ae651a9203b833c93abc0b1933eb353bdc52d7c01191e3e3a161",
+    (5, 3, 2): "acdaa83c2e04dd55ddd0e342ffc0647d5afef07c603dd3b6ce2b767194ce0abb",
+}
+
+
+@pytest.mark.parametrize("n, fiber, seed", list(_RANDOM_FIELD_SHA256))
+def test_random_field_bytes_are_pinned(n, fiber, seed):
+    f = random_field(n, fiber, 8, 3, np.random.default_rng(seed))
+    digest = hashlib.sha256(f.freqs.tobytes() + f.cos_coeffs.tobytes()
+                            + f.sin_coeffs.tobytes()).hexdigest()
+    assert digest == _RANDOM_FIELD_SHA256[(n, fiber, seed)]
 
 
 def test_gradient_matches_finite_differences():
@@ -205,16 +219,16 @@ def test_derivative_tables_match_the_per_label_loop():
 
 
 def test_derivative_oracle_sees_one_flipped_sign(monkeypatch):
-    # one entry of one cached table negated: the oracle above must notice
-    table = fields._direction_table
+    # one entry of one cached symbol map negated: the oracle above must notice
+    table = fields._form_map
 
-    def flipped(n, k, up):
-        T = table(n, k, up).copy()
+    def flipped(n, k, fiber, up):
+        M = table(n, k, fiber, up).copy()
         if (n, k, up) == (4, 2, True):
-            T[np.unravel_index(np.flatnonzero(T)[3], T.shape)] *= -1
-        return T
+            M[np.unravel_index(np.flatnonzero(M)[3], M.shape)] *= -1
+        return M
 
-    monkeypatch.setattr(fields, "_direction_table", flipped)
+    monkeypatch.setattr(fields, "_form_map", flipped)
     assert _worst_derivative_gap([(4, 2, 1, True)]) > 0.1
     assert _worst_derivative_gap([(4, 2, 1, False), (4, 1, 1, True)]) <= 1e-15
 
@@ -303,6 +317,15 @@ def test_empty_point_sets_are_refused(check):
     sc = make_scenario("closed-form", 3)
     with pytest.raises(ValueError, match="needs points >= 1"):
         check(sc, np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("name", ["closed-form", "coclosed-form"])
+@pytest.mark.parametrize("check", [closedness_residual, symbol_consistency_residual])
+def test_a_nan_point_gives_a_nan_residual(name, check):
+    # the closedness residual took Python's max(0.0, nan), which is 0.0
+    X = sample_points(3, 4)
+    X[2, 1] = np.nan
+    assert math.isnan(check(make_scenario(name, 3), X))
 
 
 @pytest.mark.parametrize("fiber", [1, 3])

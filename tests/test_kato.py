@@ -801,9 +801,10 @@ def test_fuzz_reports_deterministic():
 
 def _sample_verdicts():
     return [
-        KatoVerdict("foldo", "nonvanishing", 1.5, None, 4.0, 3.0, 1.0, 0.5, 7.0),
+        KatoVerdict("foldo", "nonvanishing", 1.5, None, 4.0, 3.0, 1.0, 0.5, 7.0,
+                    None, None),
         KatoVerdict("hodge", "vanishing", 0.0, 2.0, 5.0, 0.0, 5.0, INF, 5.0,
-                    corollary_margin=4.5),
+                    corollary_margin=4.5, corollary_scale=5.5),
     ]
 
 

@@ -404,7 +404,7 @@ def test_kernels_reject_bad_weights(bad):
 
 def test_nan_margin_never_passes(monkeypatch):
     verdict = KatoVerdict("foldo", "nonvanishing", 1.0, None, math.nan, 1.0,
-                          math.nan, 0.5, 1.0)
+                          math.nan, 0.5, 1.0, None, None)
     assert not verdict.passed
 
     def sample(rng, m):
@@ -421,6 +421,54 @@ def test_nan_margin_never_passes(monkeypatch):
     # one finite row per chunk of 4, 4, 2 rows
     assert report.violations == 7
     assert not report.passed
+
+
+def _corollary_miss(*args, **kwargs):
+    """Form kernel rows, as many as the gradient rows in args[3], whose margin passes by
+    far and whose corollary margin misses its own scale by 5x: -5e-8 against a scale
+    of 1, beside a full scale of 1e3."""
+    one = np.ones(len(args[3]))
+    no = np.zeros(len(one), dtype=bool)
+    return {"margin": one, "lhs": 2 * one, "rhs": one, "full_scale": 1e3 * one,
+            "margin_cor": -5e-8 * one, "cor_scale": one, "gain": one,
+            "d_vanishing": no, "dstar_vanishing": no, "vanishing": no}
+
+
+@pytest.mark.parametrize("consumer", ["fuzz", "single-shot", "field lab"])
+def test_one_pass_rule_fails_a_corollary_miss(monkeypatch, consumer):
+    # the fuzzer, the single-shot verdict and the field lab read one failing-row mask,
+    # so a row whose corollary misses its own scale fails in all three
+    if consumer == "fuzz":
+        report = _fuzz("hodge", "stub", 10, 0, (0.0, 0.0),
+                       lambda rng, m: (None, None, None, np.empty(m)), _corollary_miss)
+        assert report.violations == 10
+    elif consumer == "single-shot":
+        monkeypatch.setattr(kato, "batch_hodge_margins", _corollary_miss)
+        verdict = check_hodge_inequality(np.ones(9), np.ones(3), 3, 1)
+        assert verdict.corollary_margin == -5e-8 and verdict.corollary_scale == 1.0
+        assert not verdict.passed and not verdict.to_json_dict()["passed"]
+    else:
+        monkeypatch.setattr(fields, "batch_hodge_margins", _corollary_miss)
+        sc = fields.make_scenario("generic-form", 3, seed=0)
+        ev = fields.evaluate_scenario(sc, fields.sample_points(3, 20), 1.0, 1.0)
+        assert not np.any(ev["ok"])
+
+
+def test_single_shot_verdicts_fail_where_the_corollary_does(monkeypatch):
+    # with every gain inflated tenfold, some rows pass the final inequality and miss
+    # the corollary; their single-shot verdicts fail, as the fuzzer counts them
+    gain = kato.batch_lemma_gain
+    monkeypatch.setattr(kato, "batch_lemma_gain", lambda *a, **kw: 10 * gain(*a, **kw))
+    rng = np.random.default_rng(3)
+    v, phi = _rows(rng, 300, 24), _rows(rng, 300, 6)
+    c, cs = _weights(rng, 300), _weights(rng, 300)
+    out = batch_hodge_margins(4, 2, 1, v, phi, c, cs)
+    full_ok = out["margin"] >= -kato.MARGIN_TOL_FACTOR * out["full_scale"]
+    cor_ok = out["margin_cor"] >= -kato.MARGIN_TOL_FACTOR * out["cor_scale"]
+    assert np.any(full_ok & ~cor_ok)
+    passed = [check_hodge_inequality(v[i], phi[i], 4, 2, 1, c[i], cs[i]).passed
+              for i in range(300)]
+    assert np.array_equal(passed, full_ok & cor_ok)
 
 
 

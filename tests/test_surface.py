@@ -1,8 +1,11 @@
 """The public surface has callers: every name in katolab.__all__ is used by the
 package itself, documented in README "Library" or "CLI", or called by the
-acceptance tests or the benchmark, not only by the unit tests."""
+acceptance tests or the benchmark, not only by the unit tests; and every layer
+the benchmark traces resolves to a function of the package."""
 
+import importlib
 import re
+import runpy
 from pathlib import Path
 
 import katolab
@@ -29,3 +32,19 @@ def test_every_public_name_is_referenced_beyond_its_definition():
         return any(re.search(word, line) and not re.match(own, line) for line in lines)
 
     assert [name for name in katolab.__all__ if not referenced(name)] == []
+
+
+def test_every_traced_layer_resolves_in_katolab():
+    # perfbench/tracing.LAYERS names each traced function by its defining module and
+    # attribute path: a refactor that renames or drops one fails here, not only in the
+    # benchmark; run_path compiles the file in memory and writes nothing beside it
+    layers = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["LAYERS"]
+    unresolved = []
+    for layer, (module, path, _) in layers.items():
+        obj = importlib.import_module(module)
+        for part in path.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            unresolved.append(layer)
+    assert layers
+    assert unresolved == []
