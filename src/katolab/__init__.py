@@ -8,6 +8,7 @@ all behind one CLI (`katolab`).
 from .errors import (
     BadConstants,
     BadDegree,
+    BrokenIdentity,
     ConfigError,
     FiberMismatch,
     NotConformal,
@@ -74,7 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "VerificationError", "BadConstants", "BadDegree", "ConfigError",
+    "VerificationError", "BadConstants", "BadDegree", "BrokenIdentity", "ConfigError",
     "FiberMismatch", "NotConformal", "NotSurjective", "NotUnit",
     "UnknownName", "UnknownScenario", "ZeroOperator", "ZeroSection",
     # projections

@@ -7,7 +7,7 @@ batch-checks an inequality, `field run` samples a scenario field, and
 (default) or CSV, written to stdout or --out, and is byte-identical for
 identical configuration: no timestamps, sorted keys, fixed column
 orders.  Exit codes: 0 all checks passed, 1 a verification failed,
-2 usage or configuration errors.
+2 usage or configuration errors, or a run out of memory.
 """
 
 import argparse
@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConfigError, NotConformal, NotSurjective, VerificationError
+from .errors import BrokenIdentity, ConfigError, NotConformal, NotSurjective, VerificationError
 from .fields import (
     evaluate_scenario,
     make_scenario,
@@ -362,11 +362,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         code = e.code
         return 0 if code is None else int(code) if str(code).isdigit() else 2
-    except (NotSurjective, NotConformal) as e:
+    except (NotSurjective, NotConformal, BrokenIdentity) as e:
         print(f"verification error: {e}", file=sys.stderr)
         return 1
-    except (VerificationError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (VerificationError, ValueError, MemoryError) as e:
+        # a run that does not fit in memory is not a failed check
+        print(f"error: {str(e) or repr(e)}", file=sys.stderr)
         return 2
 
 

@@ -60,3 +60,7 @@ class ZeroOperator(VerificationError):
 
 class ConfigError(VerificationError):
     """Malformed config file, inconsistent CLI options or an unwritable output path."""
+
+
+class BrokenIdentity(VerificationError):
+    """A table of the catalog fails an identity that it must satisfy exactly."""

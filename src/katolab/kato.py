@@ -33,12 +33,11 @@ along the unit covector xi the corollary's three norms are closed forms
 in them: |eps(v12 + v21)|^2 = |iota_xi eta+|^2, |iota(v11 + v22)|^2 =
 |xi ^ eta-|^2 and |v11|^2 + |v12|^2 = |xi . V|^2, for the blocks of the
 explicit split four_block_decompose.  A map along xi is one product of
-the xi rows with a direction table, then one batched matmul.  The
-diagnostics check the identities behind the closed forms on both
-images: Pythagoras |iota_xi eta|^2 + |xi ^ eta|^2 = |eta|^2,
-annihilation iota_xi iota_xi = 0 and xi ^ xi ^ = 0, and dominance of the
-parts by the full images.  A row with a non-finite margin, side or
-scale fails; the kernels run under np.errstate, so overflow is a failure.
+the xi rows with a direction table, then one batched matmul.  The closed
+forms rest on identities of the wedge and contraction tables, which
+_certify_form_algebra checks once per (n, k), exactly, not per row.  A
+row with a non-finite margin, side or scale fails; the kernels run
+under np.errstate, so overflow is a failure.
 
 Infinite gains are represented by math.inf (the extended reals): they
 occur exactly when rho^2 = epsilon on the vanishing branch, and force
@@ -53,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadConstants, BadDegree, NotUnit, ZeroOperator, ZeroSection
+from .errors import BadConstants, BadDegree, BrokenIdentity, NotUnit, ZeroOperator, ZeroSection
 from .linmap import LinearMap, _row_blocks
 from .projections import (
     conformity_factor,
@@ -172,13 +171,9 @@ def batch_lemma_gain(c, bound, vanishing, weight=1.0):
 
 def operator_constants(op: OperatorSpec):
     """(rho^2, epsilon) as floats, measured when not declared."""
-    rho = op.rho_squared
-    eps = op.epsilon
-    if rho is None:
-        rho = conformity_factor(op.full_symbol).rho_squared
-    if eps is None:
-        eps = ellipticity_constant(op).epsilon
-    return float(rho), float(eps)
+    rho, eps = op.rho_squared, op.epsilon
+    rho = conformity_factor(op.full_symbol).rho_squared if rho is None else rho
+    return float(rho), float(ellipticity_constant(op).epsilon if eps is None else eps)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +240,38 @@ def _form_map(n: int, j: int, fiber_dim: int, up: bool) -> np.ndarray:
     return M
 
 
+@functools.lru_cache(maxsize=None)
+def _certify_form_algebra(n: int, k: int) -> None:
+    """BrokenIdentity, naming n, the degree and the identity, unless the direction tables
+    of the degrees k-1, k, k+1 in 0..n, which the form kernel of degree k reads, hold only
+    0 and +-1 and obey iota_i = eps_i^T, eps_i eps_l + eps_l eps_i = 0 and iota_i eps_l +
+    eps_l iota_i = delta_il, exactly: each product entry is an integer far below 2^53."""
+
+    def check(holds, j, identity):
+        if not holds:
+            raise BrokenIdentity(f"form algebra at n={n}, degree {j}: {identity} fails")
+
+    # these degrees alone, as C(n, j) peaks at j = n/2: eps_i and iota_i on Lambda^j and
+    # eps_i on Lambda^(j-1), with no columns for j = 0
+    for j in range(max(k - 1, 0), min(k + 1, n) + 1):
+        E, iota = _direction_table(n, j, True), _direction_table(n, j, False)
+        below = _direction_table(n, j - 1, True) if j else np.zeros((n, 1, 0))
+        check(all(((T == 0) | (abs(T) == 1)).all() for T in (E, iota)), j, "entries 0 and +-1")
+        check(np.array_equal(iota, below.transpose(0, 2, 1)), j, "iota_i = eps_i^T")
+        for i in range(n):  # 2-D products, every l at once
+            check(not (E[i] @ below + E @ below[i]).any(), j - 1, "eps_i eps_l + eps_l eps_i = 0")
+            car = E[i].T @ E + below @ below[i].T
+            car[i] -= np.eye(len(car[i]))
+            check(not car.any(), j, "iota_i eps_l + eps_l iota_i = delta_il")
+
+
 def _form_maps(n: int, k: int, fiber_dim: int):
-    """(wedge, contraction) of a degree of the two-sided inequality; BadDegree or
-    ValueError before a map is built."""
+    """(wedge, contraction) of a degree of the two-sided inequality, its tables
+    certified; BadDegree or ValueError before a map is built."""
     _form_degree(n, k)
     if fiber_dim < 1:
         raise ValueError(f"fiber dimension must be >= 1, got {fiber_dim}")
+    _certify_form_algebra(n, k)
     return _form_map(n, k, fiber_dim, True), _form_map(n, k, fiber_dim, False)
 
 
@@ -569,29 +590,23 @@ def check_operator_inequality(op: OperatorSpec, u: np.ndarray, phi: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")
 def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
-                        c, c_star, d_vanishing=None, dstar_vanishing=None,
-                        diagnostics: bool = False) -> dict:
+                        c, c_star, d_vanishing=None, dstar_vanishing=None) -> dict:
     """Vectorized two-sided form-inequality margins for row batches.
 
     Checks the final inequality and the intermediate block form, whose
     right side is |v11|^2 + |v12|^2 for the blocks along xi0 = b/|b|
     (e_1* where the pairing b vanishes).  A certificate on the full
     symbol also certifies the block form, since the block restrictions
-    are dominated by the full symbols.  With diagnostics=True also
-    returns the worst residuals of the identities behind the closed
-    forms (Pythagoras, the two annihilation laws, that dominance).  Squared
-    norms run in row blocks (_row_blocks); margins once over the batch.
+    are dominated by the full symbols.  Squared norms run in row blocks
+    (_row_blocks); margins once over the batch.
     """
     m = len(v)
     if len(phi) != m:
         raise ValueError(f"{m} gradient rows but {len(phi)} section rows")
-    norms, worst = np.empty((7, m)), {}
+    norms = np.empty((7, m))
     # the cached maps check n, k and the fiber before any reshape of v or phi
     for r in _row_blocks(m, 2 * _form_maps(n, k, fiber_dim)[0].shape[1]):
-        norms[:, r], residuals = _hodge_block(n, k, fiber_dim, v[r], phi[r], diagnostics)
-        for key, x in residuals.items():
-            # the worst residual over all rows: np.maximum, unlike max, keeps a NaN
-            worst[key] = np.maximum(worst.get(key, -INF), np.max(x) if m else 0.0)
+        norms[:, r] = _hodge_block(n, k, fiber_dim, v[r], phi[r])
     scale, eps_sq, iota_sq, dnorm_sq, line_sq, eps_part_sq, iota_part_sq = norms
     dvan = _branch(d_vanishing, eps_sq, scale)
     svan = _branch(dstar_vanishing, iota_sq, scale)
@@ -610,15 +625,13 @@ def batch_hodge_margins(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.n
         "full_scale": lhs + rhs, "margin_cor": lhs_cor - rhs_cor,
         "cor_scale": lhs_cor + rhs_cor, "d_vanishing": dvan,
         "dstar_vanishing": svan, "vanishing": dvan & svan, "gain": gmin,
-        **{key: float(x) for key, x in worst.items()},
     }
 
 
-def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
-                 diagnostics: bool) -> tuple:
+def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray) -> tuple:
     """The per-row squared norms batch_hodge_margins reads, on one block of rows, in
     closed form: |V|^2, |eta+|^2, |eta-|^2, |d|phi||^2, |xi . V|^2, |iota_xi eta+|^2 and
-    |xi ^ eta-|^2; and a dict of per-row residuals, empty without diagnostics."""
+    |xi ^ eta-|^2."""
     m, dim_k = v.shape[0], math.comb(n, k)
     # real views: (fiber, re/im) is a real fiber of size 2 fiber_dim
     f2 = 2 * fiber_dim  # widths are spelled out: a -1 cannot be resolved for 0 rows
@@ -634,20 +647,9 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray,
     xi = np.where((bnorm > 1e-14)[:, None],
                   b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
     line_sq = _rsq(np.einsum("ni,nix->nx", xi, V))
-    cut, fill = _along(n, k + 1, False, xi, up), _along(n, k - 1, True, xi, dn)
-    eps_part_sq, iota_part_sq = _rsq(cut), _rsq(fill)
-    residuals = {}
-    if diagnostics:
-        safe = np.maximum(scale, 1e-300)
-        # |iota_xi eta|^2 + |xi ^ eta|^2 = |eta|^2 for both images
-        residuals["pythagoras_residual"] = np.maximum(
-            np.abs(eps_part_sq + _rsq(_along(n, k + 1, True, xi, up)) - eps_sq),
-            np.abs(_rsq(_along(n, k - 1, False, xi, dn)) + iota_part_sq - iota_sq)) / safe
-        residuals["block_identity_residual"] = np.sqrt(np.maximum(
-            _rsq(_along(n, k, False, xi, cut)), _rsq(_along(n, k, True, xi, fill))) / safe)
-        residuals["dominance_residual"] = np.maximum(
-            eps_part_sq - eps_sq, iota_part_sq - iota_sq) / safe
-    return (scale, eps_sq, iota_sq, dnorm_sq, line_sq, eps_part_sq, iota_part_sq), residuals
+    eps_part_sq = _rsq(_along(n, k + 1, False, xi, up))
+    iota_part_sq = _rsq(_along(n, k - 1, True, xi, dn))
+    return scale, eps_sq, iota_sq, dnorm_sq, line_sq, eps_part_sq, iota_part_sq
 
 
 def check_hodge_inequality(v: np.ndarray, phi: np.ndarray, n: int, k: int,
@@ -793,8 +795,7 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
     and checks them with kernel(*rows).  The kernel output carries
     "margin" and "full_scale" (plus "margin_cor"/"cor_scale" for a second
     inequality on the same rows) and a "vanishing" branch mask.  The extras
-    get min_margin_corollary, the least margin_cor, and each scalar
-    "*_residual" of the output at its worst over the chunks.
+    get min_margin_corollary, the least margin_cor over the chunks.
     """
     if samples < 1:
         raise ValueError(f"fuzzing needs samples >= 1, got {samples}")
@@ -808,7 +809,7 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
         out = kernel(*sample(rng, m))
         odd, bad = nonfinite_rows(out), failing_rows(out, MARGIN_TOL_FACTOR)
         if "margin_cor" in out:
-            # np.minimum and np.maximum, unlike min and max, keep a NaN
+            # np.minimum, unlike min, keeps a NaN
             worst["min_margin_corollary"] = np.minimum(
                 worst.get("min_margin_corollary", INF), np.min(out["margin_cor"]))
         nonfinite += int(np.sum(odd))
@@ -818,9 +819,6 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
         vanishing = int(np.sum(out["vanishing"]))
         branches["vanishing"] += vanishing
         branches["nonvanishing"] += m - vanishing
-        for key, x in out.items():
-            if key.endswith("_residual"):
-                worst[key] = np.maximum(worst.get(key, -INF), x)
         done += m
     return FuzzReport(theorem, label, samples, violations, min_margin, min_rel,
                       MARGIN_TOL_FACTOR, seed, c_range, branches,
@@ -881,9 +879,9 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
     report = _fuzz(
         "hodge", f"hodge:{n}:{k}" + (f" fiber={fiber_dim}" if fiber_dim > 1 else ""),
         samples, seed, _weight_range(c_fixed), sample,
-        lambda v, phi, c, cs: batch_hodge_margins(n, k, fiber_dim, v, phi, c, cs,
-                                                  diagnostics=True))
+        lambda v, phi, c, cs: batch_hodge_margins(n, k, fiber_dim, v, phi, c, cs))
     report.extras.update({
+        "form_algebra": "exact",  # _form_maps certified it before the first row
         "c_star_range": _weight_range(cstar_fixed),
         "gain_d_vanishing": float(batch_lemma_gain(0.0, k, True)),
         "gain_dstar_vanishing": float(batch_lemma_gain(0.0, n - k, True)),

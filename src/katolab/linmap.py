@@ -53,11 +53,9 @@ def identity_map(space: SpaceDescriptor) -> LinearMap:
 def stack_maps(maps, codomain: SpaceDescriptor) -> LinearMap:
     """Vertical stack of maps sharing one domain, into a direct sum."""
     maps = list(maps)
-    dom = maps[0].domain
-    for m in maps[1:]:
-        if m.domain != dom:
-            raise ValueError("stacked maps must share their domain")
-    return LinearMap(dom, codomain, np.vstack([m.matrix for m in maps]))
+    if any(m.domain != maps[0].domain for m in maps):
+        raise ValueError("stacked maps must share their domain")
+    return LinearMap(maps[0].domain, codomain, np.vstack([m.matrix for m in maps]))
 
 
 def gram_schmidt_columns(M: np.ndarray) -> np.ndarray:
@@ -68,11 +66,8 @@ def gram_schmidt_columns(M: np.ndarray) -> np.ndarray:
     Returns a matrix with orthonormal columns spanning the column space.
     """
     M = np.asarray(M, dtype=np.complex128)
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0), dtype=np.complex128)
-    scale = float(np.max(np.linalg.norm(M, axis=0)))
-    if scale == 0.0:
-        return np.zeros((M.shape[0], 0), dtype=np.complex128)
+    # no column of an empty or zero M clears the threshold
+    scale = float(np.max(np.linalg.norm(M, axis=0), initial=0.0))
     basis = []
     for col in M.T:
         w = col.astype(np.complex128, copy=True)

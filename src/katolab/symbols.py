@@ -326,10 +326,8 @@ def _catalog(name, n, k, fiber_dim):
         return OperatorSpec("connection", n, E, dom, identity_map(dom),
                             Fraction(1), Fraction(1))
     if name == "hodge":
-        if k is None:
-            raise BadDegree("hodge symbol needs a degree k")
-        if k < 1 or k > n - 1:
-            raise BadDegree(f"hodge symbol needs 1 <= k <= {n - 1}, got k={k}")
+        if k is None or not 1 <= k <= n - 1:
+            raise BadDegree(f"hodge symbol needs a degree 1 <= k <= {n - 1}, got k={k}")
         up, down = (FAMILIES[f].rho_squared(n, k) for f in ("exterior", "interior"))
         wedge = exterior_projection(n, k).scale(1.0 / sqrt(up))
         contr = interior_projection(n, k).scale(1.0 / sqrt(down))

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from katolab import cli, fields
+from katolab import cli, fields, kato
 from katolab.cli import _write_report, main
 from katolab.fields import evaluate_scenario
 
@@ -380,6 +380,36 @@ def test_path_check_leaves_no_file_behind(tmp_path, capsys):
 ])
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, line):
     assert _run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kato", "fuzz", "--theorem", "hodge", "--n", "4", "--k", "2", "--samples", "100"],
+    ["field", "run", "--scenario", "generic-form", "--n", "4", "--k", "2", "--grid", "200"],
+])
+def test_a_broken_form_table_is_a_failed_check(flip_table, capsys, argv):
+    # a table that fails the form algebra's certificate is a verification failure
+    # (exit 1), as a non-conformal map is, and not a usage error
+    flip_table(4, 2, True, 5)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("verification error: form algebra at n=4, degree ")
+    assert err.count("\n") == 1
+
+
+_NO_SVD = "Unable to allocate 7.25 GiB for an array with shape (31200, 31200) and data type float64"
+
+
+@pytest.mark.parametrize("error,line", [(MemoryError(_NO_SVD), f"error: {_NO_SVD}\n"),
+                                        (MemoryError(), "error: MemoryError()\n")])
+def test_running_out_of_memory_is_not_a_failed_check(monkeypatch, capsys, error, line):
+    # exit 2 and one error line, as exit 1 means a check ran and failed.  A big hodge
+    # fuzz runs out in the full SVD of its symbol: raised here, never allocated
+    def null_space(M):
+        raise error
+
+    monkeypatch.setattr(kato, "_null_space", null_space)
+    assert _run(capsys, "kato", "fuzz", "--theorem", "hodge", "--n", "4", "--k", "2",
+                "--samples", "5") == (2, "", line)
 
 
 def test_json_reports_byte_identical(capsys):

@@ -19,7 +19,7 @@ import pytest
 
 import katolab
 from katolab import fields, kato
-from katolab.errors import FiberMismatch, UnknownScenario
+from katolab.errors import BrokenIdentity, FiberMismatch, UnknownScenario
 from katolab.fields import (
     CLOSEDNESS_TOL,
     SCENARIO_NAMES,
@@ -231,6 +231,15 @@ def test_derivative_oracle_sees_one_flipped_sign(monkeypatch):
     monkeypatch.setattr(fields, "_form_map", flipped)
     assert _worst_derivative_gap([(4, 2, 1, True)]) > 0.1
     assert _worst_derivative_gap([(4, 2, 1, False), (4, 1, 1, True)]) <= 1e-15
+
+
+def test_a_flipped_form_table_fails_the_field_lab(flip_table):
+    # one sign of the wedge on 2-forms at n = 4: the symbol residual cannot see it, as
+    # d and the symbol images come from the same table, but the kernel call certifies
+    # the form algebra first and refuses the table
+    flip_table(4, 2, True, 3)
+    with pytest.raises(BrokenIdentity, match="form algebra at n=4, degree "):
+        run_scenario("generic-form", 4, 2, points=500)
 
 
 def test_form_calculus_matches_symbol_action():

@@ -6,12 +6,12 @@ contraction symbols, symbol application by einsum, and the explicit
 four-block split by two chained 3-operand einsums per covector part,
 from which the corollary is computed.  The kernel reads the corollary
 from closed forms in the symbol images instead, so the comparison
-cross-checks them.  The three residuals are the identities of those
-closed forms, recomputed here by einsum.  The differential test runs
-both on random rows, rows sampled inside the kernels of the symbols,
-rows with forced branch flags, and rows whose pairing vanishes (xi
-falls back to e_1*), for every (n, k) with 2 <= n <= 6 and fiber
-dimensions 1 and 3.
+cross-checks them.  The differential test runs both on random rows,
+rows sampled inside the kernels of the symbols, rows with forced branch
+flags, and rows whose pairing vanishes (xi falls back to e_1*), for
+every (n, k) with 2 <= n <= 6 and fiber dimensions 1 and 3.  The
+identities of the tables behind the closed forms are certified once by
+kato._certify_form_algebra; its tests close the file.
 """
 
 import math
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from katolab import kato
+from katolab.errors import BrokenIdentity
 from katolab.kato import (
     _along,
     _branch,
@@ -51,34 +52,6 @@ def _degree_tables(n, j):
     width = math.comb(n, j)
     return (_direction_blocks(exterior_projection(n, j), width) if j < n else None,
             _direction_blocks(interior_projection(n, j), width) if j > 0 else None)
-
-
-def _along_sq(xi, table, eta):
-    # squared norm of sum_i xi_i table[i] applied to eta; 0 for a zero map
-    if table is None:
-        return 0.0
-    return _sq(np.einsum("ni,iab,nbf->naf", xi, table, eta))
-
-
-def _reference_residuals(n, k, V, xi, safe):
-    # the identities of the closed forms, per image eta+ = eps V, eta- = iota V
-    eps_k, iota_k = _degree_tables(n, k)
-    eps_up, iota_up = _degree_tables(n, k + 1)
-    eps_dn, iota_dn = _degree_tables(n, k - 1)
-    up = np.einsum("iab,nibf->naf", eps_k, V)
-    dn = np.einsum("iab,nibf->naf", iota_k, V)
-    cut = np.einsum("ni,iab,nbf->naf", xi, iota_up, up)
-    fill = np.einsum("ni,iab,nbf->naf", xi, eps_dn, dn)
-    cut_sq, fill_sq, up_sq, dn_sq = _sq(cut), _sq(fill), _sq(up), _sq(dn)
-    return {
-        "pythagoras_residual": float(np.max(np.maximum(
-            np.abs(cut_sq + _along_sq(xi, eps_up, up) - up_sq),
-            np.abs(_along_sq(xi, iota_dn, dn) + fill_sq - dn_sq)) / safe)),
-        "block_identity_residual": float(np.max(np.sqrt(np.maximum(
-            _along_sq(xi, iota_k, cut), _along_sq(xi, eps_k, fill)) / safe))),
-        "dominance_residual": float(np.max(
-            np.maximum(cut_sq - up_sq, fill_sq - dn_sq) / safe)),
-    }
 
 
 def _reference_split(eps_km, iota_k, V, xi):
@@ -134,7 +107,6 @@ def _reference_margins(n, k, fiber_dim, v, phi, c, c_star,
         "full_scale": lhs + rhs, "margin_cor": lhs_cor - rhs_cor,
         "cor_scale": lhs_cor + rhs_cor, "d_vanishing": dvan,
         "dstar_vanishing": svan, "vanishing": dvan & svan, "gain": gmin,
-        **_reference_residuals(n, k, V, xi, np.maximum(scale, 1e-300)),
     }
 
 
@@ -167,7 +139,7 @@ def test_matmul_kernel_matches_einsum_reference(seed, nk, f, m, mode, d_flag, s_
     c = 50.0 * rng.random(m) ** 2
     cs = 50.0 * rng.random(m) ** 2
     c[0] = 0.0
-    got = batch_hodge_margins(n, k, f, v, phi, c, cs, d_flag, s_flag, diagnostics=True)
+    got = batch_hodge_margins(n, k, f, v, phi, c, cs, d_flag, s_flag)
     want = _reference_margins(n, k, f, v, phi, c, cs, d_flag, s_flag)
     assert _differing_keys(got, want) == []
 
@@ -178,9 +150,7 @@ def _differing_keys(got, want):
     bad = []
     for key, ref in want.items():
         new = got[key]
-        if isinstance(ref, float):          # scale-relative diagnostics
-            ok = abs(new - ref) <= TOL
-        elif ref.dtype == bool:
+        if ref.dtype == bool:
             ok = np.array_equal(new, ref)
         else:
             ok = np.all(np.abs(new - ref) <= TOL * (np.abs(ref) + row_scale))
@@ -228,19 +198,23 @@ def _corrupted_tables(shipped):
 
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_a_flipped_contraction_block_is_caught(monkeypatch, corrupt):
+    # the kernel, certified on the shipped tables, then reads the flipped block through
+    # the cut along xi and leaves the reference; certified again, the table is refused
+    kato._certify_form_algebra(4, 2)
     if corrupt:
         monkeypatch.setattr(kato, "_direction_table", _corrupted_tables(kato._direction_table))
     rng = np.random.default_rng(5)
     v, phi = _sample(rng, 4, 2, 1, 6, "random")
     c, cs = 50.0 * rng.random(6), 50.0 * rng.random(6)
-    got = batch_hodge_margins(4, 2, 1, v, phi, c, cs, diagnostics=True)
+    got = batch_hodge_margins(4, 2, 1, v, phi, c, cs)
     bad = _differing_keys(got, _reference_margins(4, 2, 1, v, phi, c, cs))
-    worst = fuzz_hodge_inequality(4, 2, 1, 1000, 9).extras["pythagoras_residual"]
+    kato._certify_form_algebra.cache_clear()
     if corrupt:
-        assert "margin_cor" in bad and "pythagoras_residual" in bad
-        assert worst > 1e-12
+        assert "margin_cor" in bad
+        with pytest.raises(BrokenIdentity, match="n=4, degree 3: iota_i = eps_i"):
+            fuzz_hodge_inequality(4, 2, 1, 1000, 9)
     else:
-        assert bad == [] and worst <= 1e-12
+        assert bad == [] and fuzz_hodge_inequality(4, 2, 1, 1000, 9).passed
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,3 +232,53 @@ def test_four_block_decompose_matches_einsum_split(seed, nk, f):
     scale = np.linalg.norm(v)
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w.reshape(-1))) <= TOL * scale
+
+
+def _identities_hold(n, j):
+    # the three identities on degree j by 4-D einsum in integers, independent of the
+    # certificate's block rows: iota_i = eps_i^T, eps_i eps_l + eps_l eps_i = 0 from
+    # degree j - 1 and iota_i eps_l + eps_l iota_i = delta_il on degree j
+    def wedge(d):
+        return (kato._direction_table(n, d, True).astype(np.int64) if d >= 0
+                else np.zeros((n, 1, 0), dtype=np.int64))
+    E, below = wedge(j), wedge(j - 1)
+    iota = kato._direction_table(n, j, False)
+    anti = np.einsum("iab,lbc->ilac", E, below)
+    car = np.einsum("iba,lbc->ilac", E, E) + np.einsum("lab,icb->ilac", below, below)
+    unit = np.einsum("il,ac->ilac", np.eye(n, dtype=np.int64), np.eye(E.shape[2], dtype=np.int64))
+    return (np.array_equal(iota, below.transpose(0, 2, 1)) and np.isin(iota, (-1, 0, 1)).all()
+            and not (anti + anti.transpose(1, 0, 2, 3)).any() and np.array_equal(car, unit))
+
+
+def test_the_form_algebra_is_certified_exactly_on_every_degree():
+    # every (n, k) with 0 <= k <= n, so every degree 0..n of n = 1..8, from a cold cache
+    kato._certify_form_algebra.cache_clear()
+    for n in range(1, 9):
+        for k in range(n + 1):
+            assert kato._certify_form_algebra(n, k) is None
+    assert all(_identities_hold(n, j) for n in range(1, 7) for j in range(n + 1))
+
+
+def _window_tables(n, k):
+    # the tables the certificate of degree k reads: wedge on degrees k-2..k+1 and
+    # contraction on k-1..k+1, those with an entry
+    return [(j, up) for up, degrees in ((True, range(k - 2, k + 2)), (False, range(k - 1, k + 2)))
+            for j in degrees if 0 <= j <= n and kato._direction_table(n, j, up).any()]
+
+
+def test_a_flipped_sign_in_any_table_is_refused(flip_table):
+    # one entry of one table of the window, negated: the certificate, run again from a
+    # cleared cache, raises and names n; the kernel and the fuzzer refuse too
+    rng = np.random.default_rng(41)
+    for n in range(2, 7):
+        for k in range(1, n):
+            for j, up in _window_tables(n, k):
+                nonzero = np.count_nonzero(kato._direction_table(n, j, up))
+                flip_table(n, j, up, int(rng.integers(nonzero)))
+                with pytest.raises(BrokenIdentity, match=f"form algebra at n={n}, degree "):
+                    kato._certify_form_algebra(n, k)
+    flip_table(4, 2, True, 5)
+    with pytest.raises(BrokenIdentity):
+        batch_hodge_margins(4, 2, 1, np.ones((3, 24)), np.ones((3, 6)), 1.0, 1.0)
+    with pytest.raises(BrokenIdentity):
+        fuzz_hodge_inequality(4, 2, 1, 100, 0)
