@@ -241,28 +241,68 @@ def _form_map(n: int, j: int, fiber_dim: int, up: bool) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _signed_permutation(n: int, j: int, up: bool):
+    """The slices of _direction_table(n, j, up) (n, dst, src), no columns for j = -1, as
+    signed partial permutations: ((targets, signs) of each column, (targets, signs) of
+    each row), each padded with a last slot of sign 0 that empty columns and rows point
+    to; None unless every entry is 0 or +-1 with at most one per row and column."""
+    T = _direction_table(n, j, up) if j >= 0 else np.zeros((n, 1, 0))
+    n, dst, src = T.shape
+    i, row, col = np.nonzero(T)
+    sign = T[i, row, col]
+    if not ((abs(sign) == 1).all() and np.bincount(i * src + col).max(initial=0) <= 1
+            and np.bincount(i * dst + row).max(initial=0) <= 1):
+        return None
+    cols, rows = np.full((n, src + 1), dst), np.full((n, dst + 1), src)
+    col_sign, row_sign = np.zeros((n, src + 1)), np.zeros((n, dst + 1))
+    cols[i, col], col_sign[i, col], rows[i, row], row_sign[i, row] = row, sign, col, sign
+    for x in (cols, col_sign, rows, row_sign):
+        x.flags.writeable = False
+    return (cols, col_sign), (rows, row_sign)
+
+
+def _compose(A, B, swap=False):
+    """The products A_i B_l of the slices of two signed partial permutations, as
+    (targets, signs) of shape (i, l, column), or (l, i, column) with swap."""
+    out = A[0][:, B[0]], A[1][:, B[0]] * B[1]
+    return tuple(x.transpose(1, 0, 2) for x in out) if swap else out
+
+
+def _cancels(*terms) -> bool:
+    """Whether signed unit columns (targets, signs), sign 0 for none, add up to zero:
+    at the target of each nonzero entry, the signs of all entries there sum to 0.  The
+    signs are floats +-1 and 0, so every sum is exact."""
+    t, s = (np.stack(np.broadcast_arrays(*x)) for x in zip(*terms))
+    return not (s * np.where(t[:, None] == t, s, 0.0).sum(axis=1)).any()
+
+
+@functools.lru_cache(maxsize=None)
 def _certify_form_algebra(n: int, k: int) -> None:
     """BrokenIdentity, naming n, the degree and the identity, unless the direction tables
-    of the degrees k-1, k, k+1 in 0..n, which the form kernel of degree k reads, hold only
-    0 and +-1 and obey iota_i = eps_i^T, eps_i eps_l + eps_l eps_i = 0 and iota_i eps_l +
-    eps_l iota_i = delta_il, exactly: each product entry is an integer far below 2^53."""
+    of the degrees k-1, k, k+1 in 0..n, which the form kernel of degree k reads, are
+    signed partial permutations that obey iota_i = eps_i^T, eps_i eps_l + eps_l eps_i = 0
+    and iota_i eps_l + eps_l iota_i = delta_il, exactly: the products are compositions of
+    index and sign arrays, linear in the size of the tables."""
 
     def check(holds, j, identity):
         if not holds:
             raise BrokenIdentity(f"form algebra at n={n}, degree {j}: {identity} fails")
 
     # these degrees alone, as C(n, j) peaks at j = n/2: eps_i and iota_i on Lambda^j and
-    # eps_i on Lambda^(j-1), with no columns for j = 0
+    # eps_i on Lambda^(j-1)
     for j in range(max(k - 1, 0), min(k + 1, n) + 1):
-        E, iota = _direction_table(n, j, True), _direction_table(n, j, False)
-        below = _direction_table(n, j - 1, True) if j else np.zeros((n, 1, 0))
-        check(all(((T == 0) | (abs(T) == 1)).all() for T in (E, iota)), j, "entries 0 and +-1")
-        check(np.array_equal(iota, below.transpose(0, 2, 1)), j, "iota_i = eps_i^T")
-        for i in range(n):  # 2-D products, every l at once
-            check(not (E[i] @ below + E @ below[i]).any(), j - 1, "eps_i eps_l + eps_l eps_i = 0")
-            car = E[i].T @ E + below @ below[i].T
-            car[i] -= np.eye(len(car[i]))
-            check(not car.any(), j, "iota_i eps_l + eps_l iota_i = delta_il")
+        perms = [_signed_permutation(n, j, True), _signed_permutation(n, j, False),
+                 _signed_permutation(n, j - 1, True)]
+        check(None not in perms, j, "a signed partial permutation per direction")
+        (E, Et), (iota, _), (below, below_t) = perms
+        # the padding of iota's columns and of below's rows is C(n, j-1) in both
+        check(all(map(np.array_equal, iota, below_t)), j, "iota_i = eps_i^T")
+        check(_cancels(_compose(E, below), _compose(E, below, swap=True)), j - 1,
+              "eps_i eps_l + eps_l eps_i = 0")
+        cols = np.arange(len(E[0][0]))  # C(n, j) columns and the padding slot
+        unit = cols, np.where(cols < cols[-1], -np.eye(n)[:, :, None], 0.0)
+        check(_cancels(_compose(Et, E), _compose(below, below_t, swap=True), unit), j,
+              "iota_i eps_l + eps_l iota_i = delta_il")
 
 
 def _form_maps(n: int, k: int, fiber_dim: int):
@@ -459,35 +499,31 @@ def _real_form(M: np.ndarray) -> np.ndarray:
 
 
 def _apply(h: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Complex rows x times a complex matrix, on real halves: h (2, m, d) holds Re x
-    and Im x, M is the matrix's _real_form, and the product comes back as halves."""
-    if len(M) == h.shape[2]:
+    """Complex rows x times a complex matrix, on real halves: h (m, 2, d) holds Re x
+    and Im x of each row, M is the matrix's _real_form, and the product comes back as
+    halves."""
+    m, _, d = h.shape
+    if len(M) == d:
         return h @ M
-    w = np.matmul(h, M.reshape(2, h.shape[2], -1)).sum(axis=0)  # the rows [Re | Im]
-    return w.reshape(len(w), 2, -1).transpose(1, 0, 2)
+    # the rows [Re | Im], widths spelled out: a -1 cannot be resolved for 0 rows
+    return (h.reshape(m, 2 * d) @ M).reshape(m, 2, M.shape[1] // 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _key_lemma_margins(a: float, maps: tuple, u1: np.ndarray, u2: np.ndarray, c,
-                       forced: int = 0) -> dict:
-    """Row margins of |u2|^2 + c |C u1 + C2 u2|^2 >= gain * |C u1|^2 on real halves (2, m, d)
-    of complex rows.  maps holds the _real_form of C^T, C2^T (C2 u2 = C u2, and C2 keeps
-    |u2|) and pinv(C)^T, which fixes u1 in place on the first forced rows so that
-    C u1 + C2 u2 = 0.  Fix, images and four squared norms run in row blocks (_row_blocks)."""
-    CT, C2T, pinvT = maps
-    norms = np.empty((4, u1.shape[1]))  # |C u1|^2, |C u1 + C2 u2|^2, |u1|^2, |u2|^2
-    for r in _row_blocks(u1.shape[1], 2 * (u1.shape[2] + u2.shape[2])):
-        x1, x2 = u1[:, r], u2[:, r]
-        Cu1, Cu2 = _apply(x1, CT), _apply(x2, C2T)
-        if forced > r.start:
-            f = slice(forced - r.start)  # the forced rows of this block
-            x1[:, f] -= _apply(Cu1[:, f] + Cu2[:, f], pinvT)
-            Cu1[:, f] = _apply(x1[:, f], CT)
-        Cu2 += Cu1
-        for x, sq in zip((Cu1, Cu2, x1, x2), norms[:, r]):
-            x = x.transpose(1, 0, 2)  # rows outermost: the faster einsum loop
-            np.einsum("ihj,ihj->i", x, x, out=sq)
-    first_sq, tot_sq, u1_sq, u2_sq = norms
+def _key_lemma_margins(a: float, maps: tuple, Cu1: np.ndarray, Cu2: np.ndarray,
+                       u1_sq: np.ndarray, u2_sq: np.ndarray, u1: np.ndarray, c) -> dict:
+    """Row margins of |u2|^2 + c |C u1 + C u2|^2 >= gain * |C u1|^2 from the images C u1
+    and C u2 as real halves (m, 2, F) and the squared norms |u1|^2 and |u2|^2.  u1 holds
+    the real halves (f, 2, d) of the first f rows' u1, which maps, the _real_form of C^T
+    and pinv(C)^T, fix so that C u1 + C u2 = 0, image and norm included.  The arrays are
+    overwritten in place."""
+    for r in _row_blocks(len(u1), 2 * u1.shape[2]) if len(u1) else ():
+        x, (CT, pinvT) = u1[r], maps
+        x -= _apply(Cu1[r] + Cu2[r], pinvT)
+        Cu1[r], u1_sq[r] = _apply(x, CT), _rsq(x)
+    first_sq = _rsq(Cu1)
+    Cu2 += Cu1
+    tot_sq = _rsq(Cu2)
     scale = u1_sq + u2_sq
     vanishing = _branch(None, tot_sq, scale)
     gain = batch_lemma_gain(c, a, vanishing)
@@ -511,8 +547,9 @@ def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
     u1, u2 = _row(u1), _row(u2)
     if np.linalg.norm(u2 - u2 @ sub_basis.conj() @ sub_basis.T) > 1e-10 * np.linalg.norm(u2):
         raise ValueError("u2 must lie in the span of sub_basis within 1e-10 |u2|")
-    CT, (x1, x2) = _real_form(C.matrix.T), (np.stack([x.real, x.imag]) for x in (u1, u2))
-    out = _key_lemma_margins(a, (CT, CT, None), x1, x2, c)
+    CT, (x1, x2) = _real_form(C.matrix.T), (np.stack([x.real, x.imag], 1) for x in (u1, u2))
+    out = _key_lemma_margins(a, None, _apply(x1, CT), _apply(x2, CT), _rsq(x1), _rsq(x2),
+                             x1[:0], c)
     return _row_verdict("key-lemma", out, c, None)
 
 
@@ -730,16 +767,46 @@ def _weight_range(fixed: float | None) -> tuple:
     return (0.0, _C_MAX) if fixed is None else (fixed, fixed)
 
 
-def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
-    """count standard complex normal rows: all real parts row-major, then all imaginary
-    parts, drawn a row block (_row_blocks) at a time into one block-sized buffer."""
-    z = np.empty((count, dim), dtype=complex)
+def _drawn_halves(rng, count: int, dim: int):
+    """(half, row block, rows) of count standard complex normal rows: all real parts
+    row-major, then all imaginary parts, drawn a row block (_row_blocks) at a time into
+    one block-sized buffer."""
     # the first block is the longest
     buf = np.empty((next(_row_blocks(count, 2 * dim)).stop, dim))
-    for half in (z.real, z.imag):
+    for h in (0, 1):
         for r in _row_blocks(count, 2 * dim):
-            half[r] = rng.standard_normal(out=buf[:r.stop - r.start])
+            yield h, r, rng.standard_normal(out=buf[:r.stop - r.start])
+
+
+def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
+    """count standard complex normal rows, from _drawn_halves."""
+    z = np.empty((count, dim), dtype=complex)
+    for h, r, x in _drawn_halves(rng, count, dim):
+        (z.real, z.imag)[h][r] = x
     return z
+
+
+def _folded_rows(rng, count: int, dim: int, M: np.ndarray, keep: int) -> tuple:
+    """The draws of _complex_rows(rng, count, dim), each block folded as it is drawn into
+    the rows' images under the matrix with _real_form M, as real halves (count, 2, F),
+    and their squared norms.  Returns (images, norms, the first keep rows as real halves
+    (keep, 2, dim)); no other rows are held."""
+    real = len(M) == dim
+    width = M.shape[1] if real else M.shape[1] // 2
+    # np.empty, not np.zeros: calloc can hand out fresh pages, which fault on every call
+    img, sq, kept = np.empty((count, 2, width)), np.empty(count), np.empty((keep, 2, dim))
+    for h, r, x in _drawn_halves(rng, count, dim):
+        if r.start < keep:
+            kept[r, h] = x[:len(kept[r])]
+        if real:
+            img[r, h] = x @ M
+        elif h:  # the half's rows of the real form give [Re | Im] of its image part
+            img[r] += (x @ M[dim:]).reshape(len(x), 2, width)
+        else:
+            img[r] = (x @ M[:dim]).reshape(len(x), 2, width)
+        x_sq = np.einsum("ij,ij->i", x, x)
+        sq[r] = sq[r] + x_sq if h else x_sq
+    return img, sq, kept
 
 
 def _redraw_in_kernels(rng, rows: np.ndarray, nulls, fraction: float) -> None:
@@ -898,18 +965,18 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
     sub_basis must hold orthonormal columns (ValueError otherwise).
     """
     Chat, _, a = _restricted_gram(C, sub_basis)
-    # u2 = sub_basis z is kept as z: C u2 = Chat z and |u2| = |z|
-    maps = tuple(_real_form(M.T) for M in (C.matrix, Chat, np.linalg.pinv(C.matrix)))
-    rows = max(min(_DRAW_CHUNK["key-lemma"], samples), 0)
-    bufs = [(np.empty(2 * rows * d), d) for d in (C.domain.dim, sub_basis.shape[1])]
+    CT, ChatT = _real_form(C.matrix.T), _real_form(Chat.T)
+    maps = (CT, _real_form(np.linalg.pinv(C.matrix).T))
 
     def sample(rng, m):
-        # real halves (2, m, d) filled in place, real parts first: the stream of _complex_rows
-        u1, z = (rng.standard_normal(out=b[:2 * m * d]).reshape(2, m, d) for b, d in bufs)
-        return u1, z, _weights(rng, m)
+        # the margin reads u1 only through C u1 and |u1|, and u2 = sub_basis z only
+        # through C u2 = Chat z and |u2| = |z|: the draws are folded into those as drawn
+        Cu1, u1_sq, u1 = _folded_rows(rng, m, C.domain.dim, CT, m // 4)
+        Cz, z_sq, _ = _folded_rows(rng, m, sub_basis.shape[1], ChatT, 0)
+        return Cu1, Cz, u1_sq, z_sq, u1, _weights(rng, m)
 
     report = _fuzz("key-lemma", label, samples, seed, (0.0, _C_MAX), sample,
-                   lambda x1, x2, c: _key_lemma_margins(a, maps, x1, x2, c, len(c) // 4))
+                   lambda *rows: _key_lemma_margins(a, maps, *rows))
     report.extras["spectral_bound"] = a
     return report
 

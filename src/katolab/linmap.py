@@ -2,7 +2,9 @@
 
 All bases are orthonormal, so the adjoint is the conjugate transpose of
 the coefficient matrix and no Gram matrices ever appear.  Matrices are
-complex (np.complex128) and frozen after construction.
+complex (np.complex128) and frozen after construction.  A LinearMap copies
+its matrix, except an owning, read-only complex128 array, which it takes
+as it is: a builder that hands such an array over gives up writing to it.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +31,10 @@ class LinearMap:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128, copy=True)
+        m = self.matrix
+        if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
+                and m.flags.owndata and not m.flags.writeable):
+            m = np.array(m, dtype=np.complex128, copy=True)
         if m.shape != (self.codomain.dim, self.domain.dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not fit map "

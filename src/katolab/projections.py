@@ -49,13 +49,14 @@ def _insertion_map(n: int, src: SpaceDescriptor, dst: SpaceDescriptor,
                    entry) -> LinearMap:
     """V* (x) src -> dst whose column e_i* (x) label holds the single entry
     entry(i, label) = (value, target label), or nothing when it is None."""
-    M = np.zeros((dst.dim, n * src.dim))
+    M = np.zeros((dst.dim, n * src.dim), dtype=np.complex128)
     pos = {lab: p for p, lab in enumerate(dst.labels)}
     for j, lab in enumerate(src.labels):
         for i in range(1, n + 1):
             hit = entry(i, lab)
             if hit is not None:
                 M[pos[hit[1]], (i - 1) * src.dim + j] = hit[0]
+    M.flags.writeable = False  # handed over to the LinearMap, not copied
     return LinearMap(tensor_product((dual_space(n), src)), dst, M)
 
 

@@ -208,11 +208,15 @@ def test_a_flipped_contraction_block_is_caught(monkeypatch, corrupt):
     c, cs = 50.0 * rng.random(6), 50.0 * rng.random(6)
     got = batch_hodge_margins(4, 2, 1, v, phi, c, cs)
     bad = _differing_keys(got, _reference_margins(4, 2, 1, v, phi, c, cs))
+    kato._signed_permutation.cache_clear()
     kato._certify_form_algebra.cache_clear()
     if corrupt:
         assert "margin_cor" in bad
-        with pytest.raises(BrokenIdentity, match="n=4, degree 3: iota_i = eps_i"):
-            fuzz_hodge_inequality(4, 2, 1, 1000, 9)
+        try:
+            with pytest.raises(BrokenIdentity, match="n=4, degree 3: iota_i = eps_i"):
+                fuzz_hodge_inequality(4, 2, 1, 1000, 9)
+        finally:  # no signed permutation of the flipped table outlives the test
+            kato._signed_permutation.cache_clear()
     else:
         assert bad == [] and fuzz_hodge_inequality(4, 2, 1, 1000, 9).passed
 
@@ -251,7 +255,8 @@ def _identities_hold(n, j):
 
 
 def test_the_form_algebra_is_certified_exactly_on_every_degree():
-    # every (n, k) with 0 <= k <= n, so every degree 0..n of n = 1..8, from a cold cache
+    # every (n, k) with 0 <= k <= n, so every degree 0..n of n = 1..8, from cold caches
+    kato._signed_permutation.cache_clear()
     kato._certify_form_algebra.cache_clear()
     for n in range(1, 9):
         for k in range(n + 1):

@@ -646,7 +646,9 @@ def test_fuzz_key_lemma_batches():
 
 
 def _key_lemma_rows(monkeypatch, C, sub, label):
-    # the fuzzer's report and every row its kernel returned, in draw chunks of 2300 rows
+    # the fuzzer's report and every row its kernel returned, in draw chunks of 2300 rows;
+    # the kernel takes images, squared norms, forced rows and weights, and the recorder
+    # passes them on as they come
     rows, kernel = [], kato._key_lemma_margins
     monkeypatch.setattr(kato, "_key_lemma_margins",
                         lambda *args: rows.append(kernel(*args)) or rows[-1])
@@ -659,9 +661,9 @@ def _key_lemma_rows(monkeypatch, C, sub, label):
 
 def test_fuzz_key_lemma_row_blocks_do_not_change_the_report(monkeypatch):
     # each chunk in one block against blocks of a 333-row budget, which split the
-    # 2300-row chunks into 6 or 7 blocks of 328-384 rows with the 575 forced rows
-    # across a block edge, then a short last chunk (400 rows, 100 forced); on a real
-    # restriction and on a complex one (2x real block form)
+    # draws of the 2300-row chunks into 6 blocks of 383-384 rows, folded one at a time,
+    # with the 575 kept rows across a block edge, then a short last chunk (400 rows,
+    # 100 forced); on a real restriction and on a complex one (2x real block form)
     for label, C, sub in (key_lemma_setups(5, 2)[1][:3],
                           line_component_setup(catalog("dirac", 3))[:3]):
         monkeypatch.setattr(linmap, "_FORM_BLOCK", 10**6)
@@ -716,15 +718,65 @@ def _key_lemma_peak(samples):
         tracemalloc.stop()
 
 
-def test_fuzz_key_lemma_memory_is_one_chunk_of_draws():
-    # (5,2) contraction: u1 has 28 and z 24 complex coordinates, so one default chunk
-    # of draws as real halves is 2 * 20000 * 52 * 8 B (15.9 MiB); the allowance covers
-    # the chunk's weights and one-row-per-entry arrays (outputs, norms and the fuzz
-    # loop's masks, about 2.5 MiB at 20,000 rows) and one block's temporaries
-    draws, allowance = 2 * 20_000 * 52 * 8, 5 * 2**20
+def test_fuzz_key_lemma_memory_is_images_forced_rows_and_one_block():
+    # (5,2) contraction: u1 has 28 and z 24 complex coordinates and C 5 image ones.  A
+    # default chunk keeps the images C u1 and Chat z as real halves (2 * 2 * 20000 * 5
+    # * 8 B), the 5000 forced rows of u1 (2 * 5000 * 28 * 8 B) and one draw block
+    # (1053 rows of 28 reals); the allowance covers the chunk's one-row-per-entry
+    # arrays (weights, norms, outputs and the fuzz loop's masks, about 2.5 MiB at
+    # 20,000 rows) and the forced rows' temporaries, one block at a time.  The whole
+    # chunk of draws alone (15.9 MiB) is over the bound
+    images, forced, block = 2 * 2 * 20_000 * 5 * 8, 2 * 5000 * 28 * 8, 1053 * 28 * 8
+    bound = images + forced + block + 3 * 2**20
     peaks = [_key_lemma_peak(samples) for samples in (100_000, 500_000)]
     assert max(peaks) <= 1.1 * min(peaks), peaks
-    assert max(peaks) <= draws + allowance, peaks
+    assert max(peaks) <= bound < 2 * 20_000 * 52 * 8, (peaks, bound)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 1025, 5000, 20000])
+@pytest.mark.parametrize("which", ["real", "complex"])
+def test_folded_draws_keep_the_complex_rows_stream(m, which):
+    # the folded draws of a chunk leave the generator where _complex_rows(d1),
+    # _complex_rows(d2) and _weights leave it, keep the first quarter of u1 bit for bit
+    # and fold the rest into images and squared norms within rounding
+    _, C, sub = (key_lemma_setups(5, 2)[1] if which == "real"
+                 else line_component_setup(catalog("dirac", 3)))[:3]
+    Chat = C.matrix @ sub
+    folded, plain = np.random.default_rng(m), np.random.default_rng(m)
+    Cu1, u1_sq, kept = kato._folded_rows(folded, m, C.domain.dim,
+                                         kato._real_form(C.matrix.T), m // 4)
+    Cz, z_sq, none = kato._folded_rows(folded, m, sub.shape[1], kato._real_form(Chat.T), 0)
+    c = kato._weights(folded, m)
+    u1, z = (kato._complex_rows(plain, m, d) for d in (C.domain.dim, sub.shape[1]))
+    assert np.array_equal(c, kato._weights(plain, m))
+    assert folded.bit_generator.state == plain.bit_generator.state
+    assert np.array_equal(kept, np.stack([u1.real, u1.imag], 1)[:m // 4])
+    assert none.shape == (0, 2, sub.shape[1])
+    for img, sq, x, M in ((Cu1, u1_sq, u1, C.matrix), (Cz, z_sq, z, Chat)):
+        want = x @ M.T
+        assert np.allclose(img[:, 0] + 1j * img[:, 1], want,
+                           rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        assert np.allclose(sq, np.sum(np.abs(x) ** 2, axis=1), rtol=1e-14, atol=0)
+
+
+def test_fuzz_key_lemma_on_an_empty_second_component():
+    # z has no coordinates (reshape widths are spelled out): u2 = 0, and the 12 forced
+    # rows of a 50-row chunk make C u1 vanish
+    _, C, _, _ = key_lemma_setups(3, 1)[0]
+    report = fuzz_key_lemma(C, np.zeros((C.domain.dim, 0)), 50, 1)
+    assert report.passed and report.samples == 50
+    assert report.branch_counts == {"vanishing": 12, "nonvanishing": 38}
+    assert report.extras["spectral_bound"] == 0.0
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+@pytest.mark.parametrize("which", ["real", "complex"])
+def test_fuzz_key_lemma_below_four_samples_forces_no_row(samples, which):
+    _, C, sub = (key_lemma_setups(3, 1)[0] if which == "real"
+                 else line_component_setup(catalog("dirac", 3)))[:3]
+    report = fuzz_key_lemma(C, sub, samples, 5)
+    assert report.passed
+    assert report.branch_counts == {"vanishing": 0, "nonvanishing": samples}
 
 
 @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2049, 20000])

@@ -6,7 +6,7 @@ u2 = z @ sub_basis.T, C is applied to u1 + u2 and to u1, forced rows
 solve C(u1 + u2) = 0 on the embedded rows, and squared norms are
 np.abs(x)**2 sums.  The differential test replays the draws of
 fuzz_key_lemma with _complex_rows (the same generator stream, chunks and
-forced slice as its in-place real halves) and compares every kernel row
+forced slice as its draws folded into images) and compares every kernel row
 of the fuzzer with the reference rows for the eleven restrictions of
 acceptance criterion 4 at two seeds.
 """

@@ -112,3 +112,29 @@ def test_row_blocks_are_made_lazily():
     # a list of 10^12 / _FORM_BLOCK slices could not be made
     assert inspect.isgenerator(_row_blocks(10**12, 8))
     assert next(_row_blocks(10**12, 8)) == slice(0, _FORM_BLOCK)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.arange(6.0).reshape(2, 3),                        # float
+    lambda: np.arange(6.0).reshape(2, 3).astype(complex),        # writable complex
+    lambda: np.arange(12.0).astype(complex).reshape(2, 6)[:, ::2],  # a view
+])
+def test_linear_map_copies_a_writable_or_borrowed_matrix(make):
+    # only an owning, read-only complex128 array is taken as it is; any other input is
+    # copied, so writing to the caller's array or its base leaves the map unchanged
+    m = make()
+    P = LinearMap(fiber_space(3, "in"), fiber_space(2, "out"), m)
+    want = P.matrix.copy()
+    base = m if m.base is None else m.base
+    base.flags.writeable = True
+    base[...] = 7
+    assert np.array_equal(P.matrix, want) and not P.matrix.flags.writeable
+
+
+def test_linear_map_keeps_an_owning_read_only_complex_matrix():
+    m = np.ones((2, 3), dtype=np.complex128)
+    m.flags.writeable = False
+    assert LinearMap(fiber_space(3, "in"), fiber_space(2, "out"), m).matrix is m
+    view = np.ones((2, 6), dtype=np.complex128)[:, ::2]
+    view.flags.writeable = False
+    assert LinearMap(fiber_space(3, "in"), fiber_space(2, "out"), view).matrix is not view

@@ -17,6 +17,7 @@ from katolab.clifford import clifford_generators, spinor_dim
 from katolab.errors import BadDegree, NotConformal, NotSurjective
 from katolab.linmap import LinearMap, _row_blocks, gram_schmidt_columns, stack_maps
 from katolab.projections import (
+    FAMILIES,
     ProjectionReport,
     clifford_projection,
     conformity_factor,
@@ -493,9 +494,19 @@ def test_conformity_report_holds_a_block_of_the_map_not_a_copy():
     assert peak <= 2**20, peak
 
 
+def test_symmetrization_map_is_built_once_in_complex():
+    # the 462 x 1512 map S^5 -> S^6 at n = 6 is written straight into its complex
+    # matrix, which the LinearMap keeps without a copy: the build peaks at that matrix
+    # (10.7 MiB) plus the labels, where float entries and their complex copy took 16.0
+    P, peak = _traced_peak(lambda: FAMILIES["symmetrization"].build(6, 5))
+    assert P.matrix.dtype == np.complex128 and not P.matrix.flags.writeable
+    assert peak <= P.matrix.nbytes + 2**19, (peak, P.matrix.nbytes)
+
+
 def test_projections_verify_max_n_6_memory(capsys):
-    # the build of that map (float entries, then its complex copy) now sets the peak:
-    # 16.4 MiB traced for the whole command, where conformity_report took it to 24.8
+    # the build of the symmetrization map S^5 -> S^6 sets the peak: 16.4 MiB traced
+    # for the whole command while the build made float entries and then their complex
+    # copy, where conformity_report took it to 24.8
     code, peak = _traced_peak(lambda: cli.main(["projections", "verify", "--max-n", "6"]))
     assert code == 0 and '"passed": true' in capsys.readouterr().out
     assert peak <= 18 * 2**20, peak
