@@ -12,6 +12,7 @@ orders.  Exit codes: 0 all checks passed, 1 a verification failed,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -283,7 +284,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The process's one parser; handlers are bound here, so patch their callees."""
     parser = argparse.ArgumentParser(
         prog="katolab",
         description="verification laboratory for refined Kato inequalities")
@@ -355,6 +358,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(_with_config(args, argv))
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError("--seed >= 0 is required")
         for path in (args.out, getattr(args, "dump_points", None)):
             if path:
                 _check_writable(path)

@@ -377,6 +377,11 @@ def test_path_check_leaves_no_file_behind(tmp_path, capsys):
      "grid >= 1 is required"),
     (["kato", "fuzz", "--theorem", "hodge", "--op", "hodge:4:x"],
      "non-integer field in operator reference 'hodge:4:x'"),
+    (["kato", "fuzz", "--theorem", "foldo", "--op", "dirac:3", "--seed", "-1"],
+     "--seed >= 0 is required"),
+    (["field", "run", "--scenario", "generic-form", "--n", "3", "--seed", "-1"],
+     "--seed >= 0 is required"),
+    (["suite", "all", "--seed", "-1"], "--seed >= 0 is required"),
 ])
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, line):
     assert _run(capsys, *argv) == (2, "", f"error: {line}\n")
@@ -421,15 +426,80 @@ def test_json_reports_byte_identical(capsys):
 
 
 def test_version_flag(capsys):
-    code, out, _ = _run(capsys, "--version")
-    assert code == 0
+    # twice: the second call reuses the parser the first one built
     from katolab import __version__
-    assert out.strip() == __version__
+    for _ in range(2):
+        code, out, _ = _run(capsys, "--version")
+        assert (code, out.strip()) == (0, __version__)
 
 
 def test_bad_subcommand_is_usage_error(capsys):
     code, _, _ = _run(capsys, "projections", "explode")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _fresh(capsys, *argv):
+    cli.build_parser.cache_clear()
+    return _run(capsys, *argv)
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for argv in (["--version"], ["projections", "explode"],
+                 ["projections", "verify", "--max-n", "2"],
+                 ["ellipticity", "--op", "dirac:2", "--coarse", "1"]):
+        _run(capsys, *argv)
+    assert built.count("katolab") == 1
+
+
+def test_a_reused_parser_forgets_a_config_file(tmp_path, capsys):
+    argv = ("kato", "fuzz", "--theorem", "foldo", "--op", "dirac:2", "--samples", "200")
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text("format = csv\nseed = 11\nc = 2\n")
+    code, out, _ = _run(capsys, *argv, "--config", str(cfg))
+    assert code == 0 and out.startswith("theorem,")
+    reused = _run(capsys, *argv)
+    assert reused == _fresh(capsys, *argv)
+    payload = json.loads(reused[1])
+    assert (payload["seed"], payload["c_range"]) == (0, [0.0, 1000.0])
+
+
+def test_a_reused_parser_recovers_from_a_usage_error(capsys):
+    argv = ("ellipticity", "--op", "dirac:3", "--coarse", "4")
+    code, out, err = _run(capsys, "ellipticity", "--coarse", "x")
+    assert (code, out) == (2, "") and "argument --coarse" in err
+    reused = _run(capsys, *argv)
+    assert reused[0] == 0 and reused == _fresh(capsys, *argv)
+
+
+# the benchmark's operator suite: verify, then ellipticity and foldo fuzz of
+# criterion 5's seven operators, at its warm-up sizes
+_OPERATORS = ("dirac:2", "dirac:3", "dirac:4", "twistor:3", "twistor:4",
+              "connection:3", "hodge:4:2")
+_SUITE_ARGVS = ([["projections", "verify", "--max-n", "2"]]
+                + [["ellipticity", "--op", op, "--coarse", "1", "--refine", "0"]
+                   for op in _OPERATORS]
+                + [["kato", "fuzz", "--theorem", "foldo", "--op", op, "--seed", str(i),
+                    "--samples", "16"] for i, op in enumerate(_OPERATORS)])
+
+
+def test_operator_suite_reports_do_not_depend_on_parser_reuse(capsys):
+    reused = [_run(capsys, *argv) for argv in _SUITE_ARGVS]
+    fresh = [_fresh(capsys, *argv) for argv in _SUITE_ARGVS]
+    assert [code for code, _, _ in reused] == [0] * 15
+    assert reused == fresh
 
 
 # ---------------------------------------------------------------------------
