@@ -39,7 +39,6 @@ from .kato import (
     check_key_lemma,
     check_operator_inequality,
     equality_witness,
-    four_block_decompose,
     fuzz_hodge_inequality,
     fuzz_key_lemma,
     fuzz_operator_inequality,
@@ -87,8 +86,7 @@ __all__ = [
     "ellipticity_constant", "twist",
     # inequality engine
     "KatoVerdict", "FuzzReport", "SpectralBounds", "kato_gain_lemma",
-    "kato_gain_operator", "hodge_gain_pair",
-    "four_block_decompose", "verify_spectral_bounds", "check_key_lemma",
+    "kato_gain_operator", "hodge_gain_pair", "verify_spectral_bounds", "check_key_lemma",
     "check_operator_inequality", "check_hodge_inequality",
     "equality_witness", "matching_first_component", "fuzz_key_lemma",
     "fuzz_operator_inequality", "fuzz_hodge_inequality",

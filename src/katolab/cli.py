@@ -174,8 +174,10 @@ def _cmd_field_run(args) -> int:
     if args.grid < 1:
         raise ConfigError("grid >= 1 is required")
     sc = make_scenario(args.scenario, args.n, k=args.k, seed=args.seed)
+    if sc.theorem != "hodge" and args.c_star is not None:
+        raise ConfigError(f"{args.scenario} ignores --c-star")
     X = sample_points(sc.n, args.grid)
-    ev = evaluate_scenario(sc, X, args.c, args.c_star)
+    ev = evaluate_scenario(sc, X, args.c, 1.0 if args.c_star is None else args.c_star)
     if args.dump_points:
         # one row per kept point: coordinates, margin, tolerance scale, ok
         _write_file(args.dump_points, _csv_text(
@@ -333,7 +335,7 @@ def build_parser():
     fr.add_argument("--n", type=int, required=True)
     fr.add_argument("--k", type=int)
     fr.add_argument("--c", type=float, default=1.0)
-    fr.add_argument("--c-star", type=float, default=1.0)
+    fr.add_argument("--c-star", type=float, help="second weight (form scenarios, default 1.0)")
     fr.add_argument("--grid", type=int, default=10000,
                     help="number of sample points")
     fr.add_argument("--seed", type=int, default=0)

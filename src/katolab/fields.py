@@ -197,6 +197,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def sample_points(n: int, count: int) -> np.ndarray:
     """Deterministic near-uniform grid on the torus, irrational offsets."""
+    if n < 1:
+        raise ValueError(f"sampling needs n >= 1, got n={n}")
     if count < 1:
         raise ValueError(f"sampling needs points >= 1, got {count}")
     q = max(2, math.ceil(count ** (1.0 / n)))

@@ -31,9 +31,10 @@ re/im) acts as a real fiber of size 2 fiber.  One product against the
 cached [eps; iota] gives the images eta+ = eps V and eta- = iota V, and
 along the unit covector xi the corollary's three norms are closed forms
 in them: |eps(v12 + v21)|^2 = |iota_xi eta+|^2, |iota(v11 + v22)|^2 =
-|xi ^ eta-|^2 and |v11|^2 + |v12|^2 = |xi . V|^2, for the blocks of the
-explicit split four_block_decompose.  A map along xi is one product of
-the xi rows with a direction table, then one batched matmul.  The closed
+|xi ^ eta-|^2 and |v11|^2 + |v12|^2 = |xi . V|^2, for the blocks v_ab of
+V: a = 1 on the xi line of the covector slot, b = 1 on the forms that
+contain xi, the image of eps(xi) iota(xi).  A map along xi is one product
+of the xi rows with a direction table, then one batched matmul.  The closed
 forms rest on identities of the wedge and contraction tables, which
 _certify_form_algebra checks once per (n, k), exactly, not per row.  A
 row with a non-finite margin, side or scale fails; the kernels run
@@ -177,34 +178,7 @@ def operator_constants(op: OperatorSpec):
 
 
 # ---------------------------------------------------------------------------
-# decompositions along a covector
-
-
-def _check_unit(xi0: np.ndarray) -> np.ndarray:
-    xi0 = np.asarray(xi0, dtype=float)
-    if abs(float(np.linalg.norm(xi0)) - 1.0) > 1e-12:
-        raise NotUnit("direction covector must be unit length")
-    return xi0
-
-
-@dataclass(frozen=True)
-class FourBlockSplit:
-    """Blocks of v in V* (x) Lambda^k (x) E along line/perp and form split.
-
-    v11: line covector slot, form containing xi0
-    v12: line covector slot, form inside the perp hyperplane
-    v21: perp covector slot, form containing xi0
-    v22: perp covector slot, form inside the perp hyperplane
-    """
-
-    v11: np.ndarray
-    v12: np.ndarray
-    v21: np.ndarray
-    v22: np.ndarray
-    xi0: np.ndarray
-
-    def parts(self):
-        return (self.v11, self.v12, self.v21, self.v22)
+# the form tables, their certificate and maps along a covector
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,13 +192,6 @@ def _direction_table(n: int, j: int, up: bool) -> np.ndarray:
     T = np.ascontiguousarray(P.reshape(len(P), n, -1).transpose(1, 0, 2))
     T.flags.writeable = False
     return T
-
-
-def _form_degree(n: int, k: int) -> int:
-    """C(n, k) for a degree of the two-sided inequality, 1 <= k <= n-1; else BadDegree."""
-    if k < 1 or k > n - 1:
-        raise BadDegree(f"form split needs 1 <= k <= {n - 1}, got k={k}")
-    return math.comb(n, k)
 
 
 @functools.lru_cache(maxsize=None)
@@ -308,7 +275,8 @@ def _certify_form_algebra(n: int, k: int) -> None:
 def _form_maps(n: int, k: int, fiber_dim: int):
     """(wedge, contraction) of a degree of the two-sided inequality, its tables
     certified; BadDegree or ValueError before a map is built."""
-    _form_degree(n, k)
+    if k < 1 or k > n - 1:
+        raise BadDegree(f"form split needs 1 <= k <= {n - 1}, got k={k}")
     if fiber_dim < 1:
         raise ValueError(f"fiber dimension must be >= 1, got {fiber_dim}")
     _certify_form_algebra(n, k)
@@ -327,30 +295,6 @@ def _along(n: int, j: int, up: bool, xi: np.ndarray, img: np.ndarray) -> np.ndar
     T = _direction_table(n, j, up)
     _, dst, src = T.shape
     return np.matmul((xi @ T.reshape(n, dst * src)).reshape(len(xi), dst, src), img)
-
-
-def four_block_decompose(v: np.ndarray, xi0, n: int, k: int,
-                         fiber_dim: int = 1) -> FourBlockSplit:
-    """Split v along the covector line and the xi0-content of the form slot.
-
-    The covector slot splits into the xi0 line and its complement, the
-    form slot into the image of the projector Q = eps(xi0) iota(xi0)
-    (forms containing xi0) and the rest.  The four blocks are mutually
-    orthogonal and their squared norms add up to |v|^2.  This is the
-    explicit split behind the closed forms of batch_hodge_margins.
-    """
-    xi0 = _check_unit(xi0)
-    dim_k = _form_degree(n, k)
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    if v.shape != (n * dim_k * fiber_dim,):
-        raise ValueError("vector length does not match n * C(n,k) * fiber_dim")
-    V = v.reshape(n, dim_k, fiber_dim)
-    Q = (np.tensordot(xi0, _direction_table(n, k - 1, True), 1)
-         @ np.tensordot(xi0, _direction_table(n, k, False), 1))
-    QV, w = np.matmul(Q, V), np.tensordot(xi0, V, 1)
-    v11 = np.multiply.outer(xi0, Q @ w)
-    v12 = np.multiply.outer(xi0, w) - v11
-    return FourBlockSplit(*(b.reshape(-1) for b in (v11, v12, QV - v11, V - QV - v12)), xi0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +324,9 @@ def verify_spectral_bounds(op: OperatorSpec, xi0,
     restriction of P1 to the line part has spectrum >= epsilon and the
     restriction to the perpendicular part has spectrum <= rho^2 - epsilon.
     """
-    xi0 = _check_unit(xi0)
+    xi0 = np.asarray(xi0, dtype=float)
+    if abs(float(np.linalg.norm(xi0)) - 1.0) > 1e-12:
+        raise NotUnit("direction covector must be unit length")
     n, dE = op.base_dim, op.domain_fiber.dim
     rho2, eps = operator_constants(op)
     F1 = line_image_basis(op.full_symbol, xi0, dE)

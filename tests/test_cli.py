@@ -382,6 +382,12 @@ def test_path_check_leaves_no_file_behind(tmp_path, capsys):
     (["field", "run", "--scenario", "generic-form", "--n", "3", "--seed", "-1"],
      "--seed >= 0 is required"),
     (["suite", "all", "--seed", "-1"], "--seed >= 0 is required"),
+    (["field", "run", "--scenario", "dirac-spinor", "--n", "3", "--c-star", "2"],
+     "dirac-spinor ignores --c-star"),
+    (["field", "run", "--scenario", "twistor-spinor", "--n", "3", "--c-star", "1"],
+     "twistor-spinor ignores --c-star"),
+    (["kato", "fuzz", "--theorem", "hodge", "--n", "4", "--k", "0"],
+     "form split needs 1 <= k <= 3, got k=0"),
 ])
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, line):
     assert _run(capsys, *argv) == (2, "", f"error: {line}\n")
@@ -565,6 +571,14 @@ def test_config_dash_keys_normalize(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["c_star"] == 7.5
     assert payload["sample_points"] == 300
+
+
+def test_config_c_star_on_a_spinor_is_refused(tmp_path, capsys):
+    # a spinor scenario has one weight: a second one from the file is refused as the flag is
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c-star = 2\n")
+    assert _run(capsys, "field", "run", "--scenario", "dirac-spinor", "--n", "3",
+                "--config", str(cfg)) == (2, "", "error: dirac-spinor ignores --c-star\n")
 
 
 def test_config_missing_file(capsys):

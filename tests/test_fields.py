@@ -316,6 +316,13 @@ def test_sample_points_needs_a_point(count):
         run_scenario("generic-form", 2, points=count)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_sample_points_needs_a_dimension(n):
+    # n = 0 divided by zero, and a negative n never left the search for the mesh width
+    with pytest.raises(ValueError, match=f"needs n >= 1, got n={n}"):
+        sample_points(n, 5)
+
+
 @pytest.mark.parametrize("check", [
     lambda sc, X: evaluate_scenario(sc, X, 1.0, 1.0),
     closedness_residual,

@@ -3,8 +3,8 @@
 The reference below is the einsum formulation of the two-sided form
 inequality kept as a test oracle: direction blocks of the wedge and
 contraction symbols, symbol application by einsum, and the explicit
-four-block split by two chained 3-operand einsums per covector part,
-from which the corollary is computed.  The kernel reads the corollary
+four-block split by two chained 3-operand einsums per covector part
+(conftest.reference_split), from which the corollary is computed.  The kernel reads the corollary
 from closed forms in the symbol images instead, so the comparison
 cross-checks them.  The differential test runs both on random rows,
 rows sampled inside the kernels of the symbols, rows with forced branch
@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import degree_tables, reference_split
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,39 +32,12 @@ from katolab.kato import (
     _sq,
     batch_hodge_margins,
     batch_lemma_gain,
-    four_block_decompose,
     fuzz_hodge_inequality,
 )
-from katolab.projections import exterior_projection, interior_projection
 from katolab.symbols import unit_covector
 
 PAIRS = [(n, k) for n in range(2, 7) for k in range(1, n)]
 TOL = 1e-12
-
-
-def _direction_blocks(P, width):
-    n = P.domain.dim // width
-    return np.stack([P.matrix[:, i * width:(i + 1) * width].real for i in range(n)])
-
-
-def _degree_tables(n, j):
-    # (wedge, contraction) direction blocks on Lambda^j; None for a map whose
-    # target degree is outside 0..n
-    width = math.comb(n, j)
-    return (_direction_blocks(exterior_projection(n, j), width) if j < n else None,
-            _direction_blocks(interior_projection(n, j), width) if j > 0 else None)
-
-
-def _reference_split(eps_km, iota_k, V, xi):
-    w = np.einsum("ni,nixf->nxf", xi, V)
-    line = np.einsum("ni,nxf->nixf", xi, w)
-    perp = V - line
-    blocks = []
-    for cov in (line, perp):
-        z = np.einsum("nj,jcb,nibf->nicf", xi, iota_k, cov)
-        has = np.einsum("nj,jac,nicf->niaf", xi, eps_km, z)
-        blocks += [has, cov - has]
-    return tuple(blocks)
 
 
 def _kernel_xi(n, v, phi):
@@ -76,8 +50,8 @@ def _kernel_xi(n, v, phi):
 
 def _reference_margins(n, k, fiber_dim, v, phi, c, c_star,
                        d_vanishing=None, dstar_vanishing=None):
-    eps_k, iota_k = _degree_tables(n, k)
-    eps_km = _degree_tables(n, k - 1)[0]
+    eps_k, iota_k = degree_tables(n, k)
+    eps_km = degree_tables(n, k - 1)[0]
     dim_k = math.comb(n, k)
     m = v.shape[0]
     V = v.reshape(m, n, dim_k, fiber_dim)
@@ -88,7 +62,7 @@ def _reference_margins(n, k, fiber_dim, v, phi, c, c_star,
     svan = _branch(dstar_vanishing, iota_sq, scale)
     xi, bnorm = _kernel_xi(n, v, phi)
     dnorm_sq = bnorm ** 2 / _sq(phi)
-    v11, v12, v21, v22 = _reference_split(eps_km, iota_k, V, xi)
+    v11, v12, v21, v22 = reference_split(eps_km, iota_k, V, xi)
     n11, n12 = _sq(v11), _sq(v12)
     eps_part_sq = _sq(np.einsum("iab,nibf->naf", eps_k, v12 + v21))
     iota_part_sq = _sq(np.einsum("iab,nibf->naf", iota_k, v11 + v22))
@@ -164,6 +138,7 @@ def test_closed_forms_equal_the_four_block_norms(n, k):
     # |eps(v12 + v21)|^2 = |iota_xi eps V|^2, |iota(v11 + v22)|^2 = |xi ^ iota V|^2
     # and |v11|^2 + |v12|^2 = |xi . V|^2, against the explicit split
     rng = np.random.default_rng(100 * n + k)
+    eps_km, iota_k = degree_tables(n, k - 1)[0], degree_tables(n, k)[1]
     for f in (1, 3):
         eps, iota = _form_maps(n, k, f)
         for mode in ("random", "ker-wedge", "ker-contraction", "pairing-zero"):
@@ -174,14 +149,11 @@ def test_closed_forms_equal_the_four_block_norms(n, k):
             closed = (_sq(_along(n, k + 1, False, xi, up)),
                       _sq(_along(n, k - 1, True, xi, dn)),
                       _sq(np.einsum("ni,nix->nx", xi, v.reshape(m, n, -1))))
-            for i in range(m):
-                s = four_block_decompose(v[i], xi[i], n, k, f)
-                split = (np.linalg.norm(eps @ (s.v12 + s.v21)) ** 2,
-                         np.linalg.norm(iota @ (s.v11 + s.v22)) ** 2,
-                         np.linalg.norm(s.v11) ** 2 + np.linalg.norm(s.v12) ** 2)
-                tol = TOL * np.linalg.norm(v[i]) ** 2
-                for name, a, b in zip(("wedge", "contraction", "line"), closed, split):
-                    assert abs(a[i] - b) <= tol, (f, mode, i, name)
+            v11, v12, v21, v22 = (b.reshape(m, -1) for b in
+                                  reference_split(eps_km, iota_k, v.reshape(m, n, -1, f), xi))
+            split = (_sq((v12 + v21) @ eps.T), _sq((v11 + v22) @ iota.T), _sq(v11) + _sq(v12))
+            for name, a, b in zip(("wedge", "contraction", "line"), closed, split):
+                assert np.all(np.abs(a - b) <= TOL * _sq(v)), (f, mode, name)
 
 
 def _corrupted_tables(shipped):
@@ -219,23 +191,6 @@ def test_a_flipped_contraction_block_is_caught(monkeypatch, corrupt):
             kato._signed_permutation.cache_clear()
     else:
         assert bad == [] and fuzz_hodge_inequality(4, 2, 1, 1000, 9).passed
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(PAIRS), st.sampled_from([1, 3]))
-def test_four_block_decompose_matches_einsum_split(seed, nk, f):
-    n, k = nk
-    rng = np.random.default_rng(seed)
-    dim_k = math.comb(n, k)
-    v = _rows(rng, 1, n * dim_k * f)[0]
-    xi = rng.standard_normal(n)
-    xi /= np.linalg.norm(xi)
-    eps_km, iota_k = _degree_tables(n, k - 1)[0], _degree_tables(n, k)[1]
-    want = _reference_split(eps_km, iota_k, v.reshape(1, n, dim_k, f), xi[None, :])
-    got = four_block_decompose(v, xi, n, k, f).parts()
-    scale = np.linalg.norm(v)
-    for g, w in zip(got, want):
-        assert np.max(np.abs(g - w.reshape(-1))) <= TOL * scale
 
 
 def _identities_hold(n, j):

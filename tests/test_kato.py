@@ -1,9 +1,10 @@
 """Engine tests: gain formulas, splits, spectral bounds, inequality checks.
 
-The four-block split is checked against an independent oracle that
-builds the "form contains the covector" projector from minor matrices
-of an orthogonal change of frame, not from the symbol composition the
-implementation uses.
+The explicit four-block split the form kernel is checked against
+(conftest.reference_split) is checked here against an independent oracle
+that builds the "form contains the covector" projector from minor
+matrices of an orthogonal change of frame, not from the symbol
+composition the split uses.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import four_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +25,11 @@ from katolab.kato import (
     FuzzReport,
     HodgeGains,
     KatoVerdict,
+    batch_hodge_margins,
     check_hodge_inequality,
     check_key_lemma,
     check_operator_inequality,
     equality_witness,
-    four_block_decompose,
     fuzz_hodge_inequality,
     fuzz_key_lemma,
     fuzz_operator_inequality,
@@ -173,28 +175,26 @@ def test_four_block_matches_minor_oracle(n, k, dE):
     xi = _unit(rng, n)
     dimk = math.comb(n, k)
     v = rng.standard_normal(n * dimk * dE) + 1j * rng.standard_normal(n * dimk * dE)
-    split = four_block_decompose(v, xi, n, k, dE)
-    with pytest.raises(NotUnit):
-        four_block_decompose(v, 2.0 * xi, n, k, dE)
+    v11, v12, v21, v22 = four_blocks(v, xi, n, k, dE)
     Q = _contains_projector_oracle(xi, n, k)
     P_line = np.kron(np.outer(xi, xi), np.kron(Q, np.eye(dE)))
     P_line_out = np.kron(np.outer(xi, xi), np.kron(np.eye(dimk) - Q, np.eye(dE)))
     P_perp = np.kron(np.eye(n) - np.outer(xi, xi), np.kron(Q, np.eye(dE)))
     P_perp_out = np.kron(np.eye(n) - np.outer(xi, xi),
                          np.kron(np.eye(dimk) - Q, np.eye(dE)))
-    assert np.allclose(split.v11, P_line @ v, atol=1e-10)
-    assert np.allclose(split.v12, P_line_out @ v, atol=1e-10)
-    assert np.allclose(split.v21, P_perp @ v, atol=1e-10)
-    assert np.allclose(split.v22, P_perp_out @ v, atol=1e-10)
+    assert np.allclose(v11, P_line @ v, atol=1e-10)
+    assert np.allclose(v12, P_line_out @ v, atol=1e-10)
+    assert np.allclose(v21, P_perp @ v, atol=1e-10)
+    assert np.allclose(v22, P_perp_out @ v, atol=1e-10)
 
 
 def test_four_block_hand_values_axis_direction():
     v = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    s = four_block_decompose(v, np.array([1.0, 0.0]), 2, 1, 1)
-    assert np.allclose(s.v11, [1, 0, 0, 0])
-    assert np.allclose(s.v12, [0, 2, 0, 0])
-    assert np.allclose(s.v21, [0, 0, 3, 0])
-    assert np.allclose(s.v22, [0, 0, 0, 4])
+    v11, v12, v21, v22 = four_blocks(v, np.array([1.0, 0.0]), 2, 1)
+    assert np.allclose(v11, [1, 0, 0, 0])
+    assert np.allclose(v12, [0, 2, 0, 0])
+    assert np.allclose(v21, [0, 0, 3, 0])
+    assert np.allclose(v22, [0, 0, 0, 4])
 
 
 def test_four_block_orthogonal_decomposition():
@@ -203,8 +203,7 @@ def test_four_block_orthogonal_decomposition():
         xi = _unit(rng, n)
         dim = n * math.comb(n, k) * dE
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        s = four_block_decompose(v, xi, n, k, dE)
-        parts = s.parts()
+        parts = four_blocks(v, xi, n, k, dE)
         assert np.allclose(sum(parts), v)
         for x, y in itertools.combinations(parts, 2):
             assert abs(np.vdot(x, y)) < 1e-10
@@ -220,9 +219,9 @@ def test_four_block_symbol_annihilation():
         xi = _unit(rng, n)
         dim = n * math.comb(n, k) * dE
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        s = four_block_decompose(v, xi, n, k, dE)
-        assert np.linalg.norm(_wedge(s.v11, n, k, dE)) < 1e-10
-        assert np.linalg.norm(_contract(s.v12, n, k, dE)) < 1e-10
+        v11, v12, _, _ = four_blocks(v, xi, n, k, dE)
+        assert np.linalg.norm(_wedge(v11, n, k, dE)) < 1e-10
+        assert np.linalg.norm(_contract(v12, n, k, dE)) < 1e-10
 
 
 def test_four_block_spectral_caps():
@@ -235,13 +234,13 @@ def test_four_block_spectral_caps():
         dim = n * math.comb(n, k)
         for _ in range(10):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            s = four_block_decompose(v, xi, n, k, 1)
-            w = _wedge(s.v21, n, k, 1)
+            _, _, v21, v22 = four_blocks(v, xi, n, k)
+            w = _wedge(v21, n, k, 1)
             assert (np.linalg.norm(w) ** 2
-                    <= k * np.linalg.norm(s.v21) ** 2 + 1e-10)
-            q = _contract(s.v22, n, k, 1)
+                    <= k * np.linalg.norm(v21) ** 2 + 1e-10)
+            q = _contract(v22, n, k, 1)
             assert (np.linalg.norm(q) ** 2
-                    <= (n - k) * np.linalg.norm(s.v22) ** 2 + 1e-10)
+                    <= (n - k) * np.linalg.norm(v22) ** 2 + 1e-10)
 
 
 def test_four_block_border_degrees_conformal():
@@ -251,21 +250,30 @@ def test_four_block_border_degrees_conformal():
     for n in [2, 3, 5]:
         xi = _unit(rng, n)
         v = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
-        s = four_block_decompose(v, xi, n, 1, 1)
-        w = _wedge(s.v21, n, 1, 1)
+        v21 = four_blocks(v, xi, n, 1)[2]
+        w = _wedge(v21, n, 1, 1)
         assert np.linalg.norm(w) ** 2 == pytest.approx(
-            np.linalg.norm(s.v21) ** 2, rel=1e-10)
+            np.linalg.norm(v21) ** 2, rel=1e-10)
         dim = n * math.comb(n, n - 1)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        s = four_block_decompose(v, xi, n, n - 1, 1)
-        q = _contract(s.v22, n, n - 1, 1)
+        v22 = four_blocks(v, xi, n, n - 1)[3]
+        q = _contract(v22, n, n - 1, 1)
         assert np.linalg.norm(q) ** 2 == pytest.approx(
-            np.linalg.norm(s.v22) ** 2, rel=1e-10)
+            np.linalg.norm(v22) ** 2, rel=1e-10)
 
 
-def test_four_block_rejects_bad_degree():
-    with pytest.raises(BadDegree):
-        four_block_decompose(np.zeros(4, dtype=complex), np.array([1.0, 0.0]), 2, 2, 1)
+def test_the_form_kernel_rejects_degrees_0_and_n():
+    # the kernel's own degree check, before any row is read, through the kernel, the
+    # one-row check and the fuzzer; test_cli has the CLI's exit 2
+    n = 4
+    for k in (0, n):
+        dim = math.comb(n, k)
+        with pytest.raises(BadDegree, match=f"form split needs 1 <= k <= 3, got k={k}"):
+            batch_hodge_margins(n, k, 1, np.ones((2, n * dim)), np.ones((2, dim)), 1.0, 1.0)
+        with pytest.raises(BadDegree, match="form split needs"):
+            check_hodge_inequality(np.ones(n * dim), np.ones(dim), n, k)
+        with pytest.raises(BadDegree, match="form split needs"):
+            fuzz_hodge_inequality(n, k, 1, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +321,11 @@ def test_spectral_bounds_tight_for_dirac():
     b = verify_spectral_bounds(op, np.array([1.0, 0.0, 0.0]))
     assert b.max_perp_eigenvalue == pytest.approx(2.0, abs=1e-9)
     assert b.min_line_eigenvalue == pytest.approx(1.0, abs=1e-9)
+
+
+def test_spectral_bounds_need_a_unit_covector():
+    with pytest.raises(NotUnit, match="direction covector must be unit length"):
+        verify_spectral_bounds(catalog("dirac", 3), 2.0 * np.array([1.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +589,9 @@ def test_hodge_surrogate_bounded_by_line_blocks():
         if bn < 1e-12:
             continue
         xi0 = b / bn
-        s = four_block_decompose(v, xi0, n, k, 1)
+        v11, v12, _, _ = four_blocks(v, xi0, n, k)
         dnorm_sq = bn ** 2 / np.linalg.norm(phi) ** 2
-        line_sq = np.linalg.norm(s.v11) ** 2 + np.linalg.norm(s.v12) ** 2
+        line_sq = np.linalg.norm(v11) ** 2 + np.linalg.norm(v12) ** 2
         assert dnorm_sq <= line_sq + 1e-10 * np.linalg.norm(v) ** 2
 
 
