@@ -204,8 +204,11 @@ def sample_points(n: int, count: int) -> np.ndarray:
     q = max(2, math.ceil(count ** (1.0 / n)))
     while q ** n < count:
         q += 1
-    # the first count rows of the row-major q^n mesh, without building it
-    index = np.unravel_index(np.arange(count), (q,) * n)
+    # the first count rows of the row-major q^n mesh, digit by digit from the last axis:
+    # q^n itself may not fit an index
+    rest, index = np.arange(count), [None] * n
+    for j in reversed(range(n)):
+        rest, index[j] = np.divmod(rest, q)
     offsets = [math.modf(_GOLDEN * (j + 1))[0] for j in range(n)]
     return np.stack([(index[j] + offsets[j]) * (2.0 * math.pi / q) for j in range(n)],
                     axis=1)

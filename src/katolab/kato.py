@@ -54,13 +54,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadConstants, BadDegree, BrokenIdentity, NotUnit, ZeroOperator, ZeroSection
-from .linmap import LinearMap, _row_blocks
-from .projections import (
-    conformity_factor,
-    exterior_projection,
-    interior_projection,
-    line_image_basis,
-)
+from .linmap import LinearMap, _row_blocks, gram_schmidt_columns
+from .projections import conformity_factor, exterior_projection, interior_projection
 from .spaces import exterior_power, fiber_space
 from .symbols import OperatorSpec, ellipticity_constant, unit_covector
 
@@ -316,6 +311,15 @@ class SpectralBounds:
                 + self.tolerance)
 
 
+def _line_split(op: OperatorSpec, xi: np.ndarray):
+    """The structural lemma's split along the covector xi: (P1, T) with P1 = F1* P the
+    component of the symbol P on F1 = P(xi (x) E) and T = F1* P_xi its part on the xi
+    line.  F1 is Gram-Schmidt over the columns P_xi e_j in basis order."""
+    P_xi = np.tensordot(xi, op.symbol_tensor(), axes=([0], [1]))
+    F1_adj = gram_schmidt_columns(P_xi).conj().T
+    return F1_adj @ op.full_symbol.matrix, F1_adj @ P_xi
+
+
 def verify_spectral_bounds(op: OperatorSpec, xi0,
                            tol: float = MARGIN_TOL_FACTOR) -> SpectralBounds:
     """Eigenvalue bounds of the component of P along the image of the line.
@@ -325,15 +329,15 @@ def verify_spectral_bounds(op: OperatorSpec, xi0,
     restriction to the perpendicular part has spectrum <= rho^2 - epsilon.
     """
     xi0 = np.asarray(xi0, dtype=float)
-    if abs(float(np.linalg.norm(xi0)) - 1.0) > 1e-12:
+    # written so that a NaN length fails too
+    if not abs(float(np.linalg.norm(xi0)) - 1.0) <= 1e-12:
         raise NotUnit("direction covector must be unit length")
-    n, dE = op.base_dim, op.domain_fiber.dim
+    if xi0.shape != (op.base_dim,):
+        raise ValueError("covector length does not match the domain split")
     rho2, eps = operator_constants(op)
-    F1 = line_image_basis(op.full_symbol, xi0, dE)
-    P1 = F1.conj().T @ op.full_symbol.matrix
-    # T is P1 on the line part; the perp Gram is P1 P1* - T T*, since any
-    # orthonormal frame of covectors completes xi0
-    T = np.tensordot(P1.reshape(-1, n, dE), xi0, axes=([1], [0]))
+    # the perp Gram is P1 P1* - T T*, since any orthonormal frame of covectors
+    # completes xi0
+    P1, T = _line_split(op, xi0)
     tt = T @ T.conj().T
     hh = P1 @ P1.conj().T - tt
     min_line = float(np.linalg.eigvalsh(tt)[0]) if tt.size else 0.0
@@ -456,17 +460,11 @@ def _apply(h: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _key_lemma_margins(a: float, maps: tuple, Cu1: np.ndarray, Cu2: np.ndarray,
-                       u1_sq: np.ndarray, u2_sq: np.ndarray, u1: np.ndarray, c) -> dict:
+def _key_lemma_margins(a: float, Cu1: np.ndarray, Cu2: np.ndarray,
+                       u1_sq: np.ndarray, u2_sq: np.ndarray, c) -> dict:
     """Row margins of |u2|^2 + c |C u1 + C u2|^2 >= gain * |C u1|^2 from the images C u1
-    and C u2 as real halves (m, 2, F) and the squared norms |u1|^2 and |u2|^2.  u1 holds
-    the real halves (f, 2, d) of the first f rows' u1, which maps, the _real_form of C^T
-    and pinv(C)^T, fix so that C u1 + C u2 = 0, image and norm included.  The arrays are
+    and C u2 as real halves (m, 2, F) and the squared norms |u1|^2 and |u2|^2.  Cu2 is
     overwritten in place."""
-    for r in _row_blocks(len(u1), 2 * u1.shape[2]) if len(u1) else ():
-        x, (CT, pinvT) = u1[r], maps
-        x -= _apply(Cu1[r] + Cu2[r], pinvT)
-        Cu1[r], u1_sq[r] = _apply(x, CT), _rsq(x)
     first_sq = _rsq(Cu1)
     Cu2 += Cu1
     tot_sq = _rsq(Cu2)
@@ -494,8 +492,7 @@ def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
     if np.linalg.norm(u2 - u2 @ sub_basis.conj() @ sub_basis.T) > 1e-10 * np.linalg.norm(u2):
         raise ValueError("u2 must lie in the span of sub_basis within 1e-10 |u2|")
     CT, (x1, x2) = _real_form(C.matrix.T), (np.stack([x.real, x.imag], 1) for x in (u1, u2))
-    out = _key_lemma_margins(a, None, _apply(x1, CT), _apply(x2, CT), _rsq(x1), _rsq(x2),
-                             x1[:0], c)
+    out = _key_lemma_margins(a, _apply(x1, CT), _apply(x2, CT), _rsq(x1), _rsq(x2), c)
     return _row_verdict("key-lemma", out, c, None)
 
 
@@ -912,17 +909,22 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
     """
     Chat, _, a = _restricted_gram(C, sub_basis)
     CT, ChatT = _real_form(C.matrix.T), _real_form(Chat.T)
-    maps = (CT, _real_form(np.linalg.pinv(C.matrix).T))
+    pinvT = _real_form(np.linalg.pinv(C.matrix).T)
 
     def sample(rng, m):
         # the margin reads u1 only through C u1 and |u1|, and u2 = sub_basis z only
         # through C u2 = Chat z and |u2| = |z|: the draws are folded into those as drawn
         Cu1, u1_sq, u1 = _folded_rows(rng, m, C.domain.dim, CT, m // 4)
         Cz, z_sq, _ = _folded_rows(rng, m, sub_basis.shape[1], ChatT, 0)
-        return Cu1, Cz, u1_sq, z_sq, u1, _weights(rng, m)
+        # the kept rows u1 are fixed so that C u1 + C u2 = 0, image and norm included
+        for r in _row_blocks(len(u1), 2 * u1.shape[2]) if len(u1) else ():
+            x = u1[r]
+            x -= _apply(Cu1[r] + Cz[r], pinvT)
+            Cu1[r], u1_sq[r] = _apply(x, CT), _rsq(x)
+        return Cu1, Cz, u1_sq, z_sq, _weights(rng, m)
 
     report = _fuzz("key-lemma", label, samples, seed, (0.0, _C_MAX), sample,
-                   lambda *rows: _key_lemma_margins(a, maps, *rows))
+                   lambda *rows: _key_lemma_margins(a, *rows))
     report.extras["spectral_bound"] = a
     return report
 
@@ -969,9 +971,8 @@ def line_component_setup(op: OperatorSpec):
     spectral bound is rho^2 - epsilon.
     """
     n, dE = op.base_dim, op.domain_fiber.dim
-    F1 = line_image_basis(op.full_symbol, unit_covector(n), dE)
-    C = LinearMap(op.full_symbol.domain, fiber_space(F1.shape[1], "image"),
-                  F1.conj().T @ op.full_symbol.matrix)
+    P1 = _line_split(op, unit_covector(n))[0]
+    C = LinearMap(op.full_symbol.domain, fiber_space(len(P1), "image"), P1)
     # with xi0 = e_1* the perp part is every covector slot but the first
     sub_basis = np.eye(n * dE, dtype=complex)[:, dE:]
     rho2, eps = operator_constants(op)

@@ -285,22 +285,3 @@ def conformity_table(max_n: int, tolerance: float) -> list:
             for family, fam in FAMILIES.items() for k in fam.degrees(n)]
 
 
-def line_image_basis(P: LinearMap, xi: np.ndarray, fiber_dim: int) -> np.ndarray:
-    """Orthonormal basis of P(span(xi) (x) E) inside the codomain.
-
-    xi is a real covector of length n with n * fiber_dim the domain
-    dimension of P.  Deterministic: Gram-Schmidt over P(xi (x) e_j) in
-    basis order.
-    """
-    xi = np.asarray(xi, dtype=float)
-    n = xi.shape[0]
-    if n * fiber_dim != P.domain.dim:
-        raise ValueError("covector length does not match the domain split")
-    cols = np.zeros((P.codomain.dim, fiber_dim), dtype=np.complex128)
-    m = P.matrix
-    for e in range(fiber_dim):
-        v = np.zeros(P.domain.dim, dtype=np.complex128)
-        v[e::fiber_dim] = xi
-        cols[:, e] = m @ v
-    return gram_schmidt_columns(cols)
-

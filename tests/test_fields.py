@@ -294,7 +294,8 @@ def test_sample_points_avoid_lattice_planes():
     assert np.min(np.abs(np.sin(X))) > 1e-3
 
 
-@pytest.mark.parametrize("n,count", [(1, 7), (2, 50), (3, 1000), (4, 37), (5, 1)])
+@pytest.mark.parametrize("n,count", [(1, 7), (2, 50), (3, 1000), (4, 37), (5, 1),
+                                     (6, 10000), (7, 2), (7, 10000)])
 def test_sample_points_are_the_leading_mesh_rows(n, count):
     # the first count rows of the full row-major mesh, bit for bit
     q = max(2, math.ceil(count ** (1.0 / n)))
@@ -305,6 +306,14 @@ def test_sample_points_are_the_leading_mesh_rows(n, count):
             for j in range(n)]
     mesh = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     assert np.array_equal(sample_points(n, count), mesh[:count])
+
+
+@pytest.mark.parametrize("n", [63, 64, 70, 200])
+def test_sample_points_past_an_index_sized_mesh(n):
+    # the 2^n-row mesh overflows an index from n = 63, and numpy takes at most 64 axes
+    X = sample_points(n, 5)
+    assert X.shape == (5, n)
+    assert np.all(X >= 0.0) and np.all(X < 2 * np.pi)
 
 
 @pytest.mark.parametrize("count", [0, -3])

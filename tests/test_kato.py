@@ -44,7 +44,6 @@ from katolab.kato import (
     _form_maps,
     _restricted_gram,
 )
-from katolab.projections import line_image_basis
 from katolab.spaces import exterior_power
 from katolab.symbols import catalog
 
@@ -305,9 +304,7 @@ def test_perp_gram_matches_an_explicit_frame(name, n, k):
     # the frameless perp Gram P1 P1* - T T* against P1 on a frame completing xi0
     op = catalog(name, n, k=k) if k is not None else catalog(name, n)
     xi = _unit(np.random.default_rng(5), n)
-    dE = op.domain_fiber.dim
-    F1 = line_image_basis(op.full_symbol, xi, dE)
-    P1 = (F1.conj().T @ op.full_symbol.matrix).reshape(-1, n, dE)
+    P1 = kato._line_split(op, xi)[0].reshape(-1, n, op.domain_fiber.dim)
     frame = np.linalg.qr(np.column_stack([xi, np.eye(n)[:, :n - 1]]))[0]
     H = np.einsum("rie,ij->rje", P1, frame[:, 1:]).reshape(P1.shape[0], -1)
     framed = float(np.linalg.eigvalsh(H @ H.conj().T)[-1])
@@ -326,6 +323,18 @@ def test_spectral_bounds_tight_for_dirac():
 def test_spectral_bounds_need_a_unit_covector():
     with pytest.raises(NotUnit, match="direction covector must be unit length"):
         verify_spectral_bounds(catalog("dirac", 3), 2.0 * np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_bounds_refuse_a_non_finite_covector(bad):
+    # |nan - 1| > 1e-12 is False: a NaN covector gave bounds 0.0 and 0.0, satisfied
+    with pytest.raises(NotUnit, match="direction covector must be unit length"):
+        verify_spectral_bounds(catalog("exterior-only", 3, 1), [bad, 0.0, 0.0])
+
+
+def test_spectral_bounds_need_a_covector_per_direction():
+    with pytest.raises(ValueError, match="covector length does not match the domain split"):
+        verify_spectral_bounds(catalog("dirac", 3), [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +669,8 @@ def test_fuzz_key_lemma_batches():
 
 def _key_lemma_rows(monkeypatch, C, sub, label):
     # the fuzzer's report and every row its kernel returned, in draw chunks of 2300 rows;
-    # the kernel takes images, squared norms, forced rows and weights, and the recorder
-    # passes them on as they come
+    # the kernel takes images, squared norms and weights, the forced rows already fixed
+    # by the fuzzer's sampler, and the recorder passes them on as they come
     rows, kernel = [], kato._key_lemma_margins
     monkeypatch.setattr(kato, "_key_lemma_margins",
                         lambda *args: rows.append(kernel(*args)) or rows[-1])

@@ -299,12 +299,10 @@ def test_key_lemma_batch_equals_single_shots(seed, which, m, matched):
     if matched:
         u1 = np.array([matching_first_component(C, row) for row in u2])
     c = _weights(rng, m)
-    # the kernel takes images and squared norms, here from complex products, and no
-    # forced rows
+    # the kernel takes images and squared norms, here from complex products
     Cu1, Cu2 = (np.stack([x.real, x.imag], 1) for x in (u1 @ C.matrix.T, u2 @ C.matrix.T))
     u1_sq, u2_sq = (np.sum(np.abs(x) ** 2, axis=1) for x in (u1, u2))
-    out = _key_lemma_margins(_restricted_gram(C, sub)[2], None, Cu1, Cu2, u1_sq, u2_sq,
-                             np.zeros((0, 2, C.domain.dim)), c)
+    out = _key_lemma_margins(_restricted_gram(C, sub)[2], Cu1, Cu2, u1_sq, u2_sq, c)
     verdicts = [check_key_lemma(C, sub, u1[i], u2[i], c[i]) for i in range(m)]
     _assert_rows_match(out, verdicts)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import katolab
-from katolab import cli, projections
+from katolab import cli, kato, projections
 from katolab.clifford import clifford_generators, spinor_dim
 from katolab.errors import BadDegree, NotConformal, NotSurjective
 from katolab.linmap import LinearMap, _row_blocks, gram_schmidt_columns, stack_maps
@@ -25,11 +25,11 @@ from katolab.projections import (
     contraction_projection,
     exterior_projection,
     interior_projection,
-    line_image_basis,
     symmetrization_projection,
     twistor_projection,
 )
 from katolab.spaces import direct_sum, exterior_power, fiber_space, symmetric_power
+from katolab.symbols import catalog
 
 # frozen factors: (constructor, n, k) -> rho^2
 FROZEN_FACTORS = {
@@ -522,7 +522,10 @@ def test_not_conformal_raises_with_residual():
 
 
 def test_line_image_basis_orthonormal():
-    P = exterior_projection(4, 1)
-    xi = np.array([0.5, -0.5, 0.5, 0.5])
-    B = line_image_basis(P, xi, P.domain.dim // 4)
-    assert np.allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-12)
+    # the wedge symbol exterior_projection(4, 1) is an isometry on the 3 forms
+    # orthogonal to xi, so on the orthonormal frame of P(xi (x) E) its line part
+    # T = F1* P_xi has T T* = 1
+    op = catalog("exterior-only", 4, 1)
+    assert np.array_equal(op.full_symbol.matrix, exterior_projection(4, 1).matrix)
+    T = kato._line_split(op, np.array([0.5, -0.5, 0.5, 0.5]))[1]
+    assert np.allclose(T @ T.conj().T, np.eye(3), atol=1e-12)
