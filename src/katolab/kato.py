@@ -729,18 +729,15 @@ def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
     return z
 
 
-def _folded_rows(rng, count: int, dim: int, M: np.ndarray, keep: int) -> tuple:
+def _folded_rows(rng, count: int, dim: int, M: np.ndarray) -> tuple:
     """The draws of _complex_rows(rng, count, dim), each block folded as it is drawn into
     the rows' images under the matrix with _real_form M, as real halves (count, 2, F),
-    and their squared norms.  Returns (images, norms, the first keep rows as real halves
-    (keep, 2, dim)); no other rows are held."""
+    and their squared norms; no drawn row is held."""
     real = len(M) == dim
     width = M.shape[1] if real else M.shape[1] // 2
     # np.empty, not np.zeros: calloc can hand out fresh pages, which fault on every call
-    img, sq, kept = np.empty((count, 2, width)), np.empty(count), np.empty((keep, 2, dim))
+    img, sq = np.empty((count, 2, width)), np.empty(count)
     for h, r, x in _drawn_halves(rng, count, dim):
-        if r.start < keep:
-            kept[r, h] = x[:len(kept[r])]
         if real:
             img[r, h] = x @ M
         elif h:  # the half's rows of the real form give [Re | Im] of its image part
@@ -749,7 +746,7 @@ def _folded_rows(rng, count: int, dim: int, M: np.ndarray, keep: int) -> tuple:
             img[r] = (x @ M[:dim]).reshape(len(x), 2, width)
         x_sq = np.einsum("ij,ij->i", x, x)
         sq[r] = sq[r] + x_sq if h else x_sq
-    return img, sq, kept
+    return img, sq
 
 
 def _redraw_in_kernels(rng, rows: np.ndarray, nulls, fraction: float) -> None:
@@ -903,24 +900,25 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
                    seed: int, label: str = "restriction") -> FuzzReport:
     """Batch check of the two-component lemma for one restricted map.
 
-    The first quarter of every chunk gets u1 adjusted so C(u1 + u2) = 0
-    exactly (up to least squares rounding), exercising the vanishing branch.
+    The first quarter of every chunk gets u1 moved to u1 - C+(C u1 + C u2), so
+    C(u1 + u2) = 0 holds exactly, exercising the vanishing branch.
     sub_basis must hold orthonormal columns (ValueError otherwise).
     """
     Chat, _, a = _restricted_gram(C, sub_basis)
-    CT, ChatT = _real_form(C.matrix.T), _real_form(Chat.T)
-    pinvT = _real_form(np.linalg.pinv(C.matrix).T)
+    CT, ChatT, pinv = _real_form(C.matrix.T), _real_form(Chat.T), np.linalg.pinv(C.matrix)
+    G = _real_form(pinv.T @ pinv.conj())  # C+* C+ in row form: |C+ y|^2 = Re y G y*
 
     def sample(rng, m):
         # the margin reads u1 only through C u1 and |u1|, and u2 = sub_basis z only
         # through C u2 = Chat z and |u2| = |z|: the draws are folded into those as drawn
-        Cu1, u1_sq, u1 = _folded_rows(rng, m, C.domain.dim, CT, m // 4)
-        Cz, z_sq, _ = _folded_rows(rng, m, sub_basis.shape[1], ChatT, 0)
-        # the kept rows u1 are fixed so that C u1 + C u2 = 0, image and norm included
-        for r in _row_blocks(len(u1), 2 * u1.shape[2]) if len(u1) else ():
-            x = u1[r]
-            x -= _apply(Cu1[r] + Cz[r], pinvT)
-            Cu1[r], u1_sq[r] = _apply(x, CT), _rsq(x)
+        Cu1, u1_sq = _folded_rows(rng, m, C.domain.dim, CT)
+        Cz, z_sq = _folded_rows(rng, m, sub_basis.shape[1], ChatT)
+        # forced rows: u1 - C+(C u1 + C u2) has image -C u2 (C C+ projects onto range C),
+        # its ker C part (>= 0 past rounding) and -C+ C u2 in place of C+ C u1
+        f = slice(0, m // 4)
+        q1, q2 = (np.einsum("ihj,ihj->i", _apply(y[f], G), y[f]) for y in (Cu1, Cz))
+        u1_sq[f] = np.maximum(u1_sq[f] - q1, 0.0) + q2
+        Cu1[f] = -Cz[f]
         return Cu1, Cz, u1_sq, z_sq, _weights(rng, m)
 
     report = _fuzz("key-lemma", label, samples, seed, (0.0, _C_MAX), sample,

@@ -248,12 +248,14 @@ def twistor_symbol_rows(max_n: int, tolerance: float,
 
 
 def twist(op: OperatorSpec, extra_fiber: SpaceDescriptor) -> OperatorSpec:
-    """Tensor the symbol with the identity of an auxiliary fiber.
+    """Tensor the symbol with the identity of an auxiliary fiber (BadDegree if empty).
 
     Twisting preserves both the conformity factor and the ellipticity
     constant; the declared values are carried over unchanged.
     """
     d2 = extra_fiber.dim
+    if d2 < 1:
+        raise BadDegree("twist fiber dimension must be >= 1")
     T = op.symbol_tensor()
     N = np.einsum("fie,ab->faieb", T, np.eye(d2)).reshape(
         op.target.dim * d2, op.base_dim * op.domain_fiber.dim * d2

@@ -44,7 +44,8 @@ from katolab.kato import (
     _form_maps,
     _restricted_gram,
 )
-from katolab.spaces import exterior_power
+from katolab.linmap import LinearMap
+from katolab.spaces import exterior_power, fiber_space
 from katolab.symbols import catalog
 
 
@@ -421,8 +422,6 @@ def test_equality_witness_saturates_bound():
 
 
 def test_equality_witness_zero_restriction():
-    from katolab.linmap import LinearMap
-    from katolab.spaces import fiber_space
     C = LinearMap(fiber_space(2, "u"), fiber_space(2, "y"),
                   np.array([[1.0, 0.0], [0.0, 0.0]]))
     sub = np.array([[0.0], [1.0]], dtype=complex)  # second axis maps to zero
@@ -740,16 +739,16 @@ def _key_lemma_peak(samples):
         tracemalloc.stop()
 
 
-def test_fuzz_key_lemma_memory_is_images_forced_rows_and_one_block():
+def test_fuzz_key_lemma_memory_is_images_and_one_block():
     # (5,2) contraction: u1 has 28 and z 24 complex coordinates and C 5 image ones.  A
     # default chunk keeps the images C u1 and Chat z as real halves (2 * 2 * 20000 * 5
-    # * 8 B), the 5000 forced rows of u1 (2 * 5000 * 28 * 8 B) and one draw block
-    # (1053 rows of 28 reals); the allowance covers the chunk's one-row-per-entry
-    # arrays (weights, norms, outputs and the fuzz loop's masks, about 2.5 MiB at
-    # 20,000 rows) and the forced rows' temporaries, one block at a time.  The whole
-    # chunk of draws alone (15.9 MiB) is over the bound
-    images, forced, block = 2 * 2 * 20_000 * 5 * 8, 2 * 5000 * 28 * 8, 1053 * 28 * 8
-    bound = images + forced + block + 3 * 2**20
+    # * 8 B) and one draw block (1053 rows of 28 reals), and no drawn row; the
+    # allowance covers the forced slice's two temporaries (5000, 2, 5) and the chunk's
+    # one-row-per-entry arrays (weights, norms, outputs and the fuzz loop's masks, about
+    # 2.5 MiB at 20,000 rows).  The whole chunk of draws alone (15.9 MiB) is over the
+    # bound, and so is a chunk that also keeps the 5000 forced rows of u1
+    images, block, forced = 2 * 2 * 20_000 * 5 * 8, 1053 * 28 * 8, 2 * 5000 * 2 * 5 * 8
+    bound = images + block + forced + int(2.5 * 2**20)
     peaks = [_key_lemma_peak(samples) for samples in (100_000, 500_000)]
     assert max(peaks) <= 1.1 * min(peaks), peaks
     assert max(peaks) <= bound < 2 * 20_000 * 52 * 8, (peaks, bound)
@@ -759,26 +758,62 @@ def test_fuzz_key_lemma_memory_is_images_forced_rows_and_one_block():
 @pytest.mark.parametrize("which", ["real", "complex"])
 def test_folded_draws_keep_the_complex_rows_stream(m, which):
     # the folded draws of a chunk leave the generator where _complex_rows(d1),
-    # _complex_rows(d2) and _weights leave it, keep the first quarter of u1 bit for bit
-    # and fold the rest into images and squared norms within rounding
+    # _complex_rows(d2) and _weights leave it, and fold every row into its image and
+    # squared norm within rounding; no drawn row comes back
     _, C, sub = (key_lemma_setups(5, 2)[1] if which == "real"
                  else line_component_setup(catalog("dirac", 3)))[:3]
     Chat = C.matrix @ sub
     folded, plain = np.random.default_rng(m), np.random.default_rng(m)
-    Cu1, u1_sq, kept = kato._folded_rows(folded, m, C.domain.dim,
-                                         kato._real_form(C.matrix.T), m // 4)
-    Cz, z_sq, none = kato._folded_rows(folded, m, sub.shape[1], kato._real_form(Chat.T), 0)
+    Cu1, u1_sq = kato._folded_rows(folded, m, C.domain.dim, kato._real_form(C.matrix.T))
+    Cz, z_sq = kato._folded_rows(folded, m, sub.shape[1], kato._real_form(Chat.T))
     c = kato._weights(folded, m)
     u1, z = (kato._complex_rows(plain, m, d) for d in (C.domain.dim, sub.shape[1]))
     assert np.array_equal(c, kato._weights(plain, m))
     assert folded.bit_generator.state == plain.bit_generator.state
-    assert np.array_equal(kept, np.stack([u1.real, u1.imag], 1)[:m // 4])
-    assert none.shape == (0, 2, sub.shape[1])
     for img, sq, x, M in ((Cu1, u1_sq, u1, C.matrix), (Cz, z_sq, z, Chat)):
         want = x @ M.T
+        assert img.shape == (m, 2, M.shape[0])
         assert np.allclose(img[:, 0] + 1j * img[:, 1], want,
                            rtol=0, atol=1e-12 * np.max(np.abs(want)))
         assert np.allclose(sq, np.sum(np.abs(x) ** 2, axis=1), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("which", ["real", "complex"])
+def test_fuzz_key_lemma_forced_rows_cancel_bit_for_bit(monkeypatch, which):
+    # the forced quarter of each chunk reaches the kernel with C u1 = -C u2 exactly,
+    # recorded before the kernel adds C u1 into C u2 in place; chunks of 2300 rows and
+    # a short last one (400 rows, 100 forced)
+    _, C, sub = (key_lemma_setups(5, 2)[1] if which == "real"
+                 else line_component_setup(catalog("dirac", 3)))[:3]
+    images, kernel = [], kato._key_lemma_margins
+
+    def recording(a, Cu1, Cu2, *rest):
+        images.append((Cu1.copy(), Cu2.copy()))
+        return kernel(a, Cu1, Cu2, *rest)
+
+    monkeypatch.setattr(kato, "_key_lemma_margins", recording)
+    monkeypatch.setitem(kato._DRAW_CHUNK, "key-lemma", 2300)
+    report = fuzz_key_lemma(C, sub, 5000, seed=109)
+    assert [len(Cu1) for Cu1, _ in images] == [2300, 2300, 400]
+    for Cu1, Cu2 in images:
+        f = slice(0, len(Cu1) // 4)
+        assert np.array_equal(Cu1[f], -Cu2[f])
+        assert np.all(np.any(Cu1[f.stop:] != -Cu2[f.stop:], axis=(1, 2)))
+    assert report.branch_counts["vanishing"] >= 575 + 575 + 100
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_fuzz_key_lemma_identity_with_an_empty_second_component(monkeypatch, d):
+    # C = I_d has no kernel, so a forced row keeps no part of u1: its squared norm is
+    # |u1|^2 - |C+ C u1|^2, a rounding residue that is clamped at 0 and never negative,
+    # and every forced row passes on the vanishing branch; chunks of 700, 700 and 600
+    C = LinearMap(fiber_space(d, "u"), fiber_space(d, "y"), np.eye(d))
+    monkeypatch.setitem(kato._DRAW_CHUNK, "key-lemma", 700)
+    for seed in range(20):
+        report = fuzz_key_lemma(C, np.zeros((d, 0)), 2000, seed)
+        assert report.violations == 0 and report.nonfinite == 0, (d, seed)
+        assert report.branch_counts == {"vanishing": 175 + 175 + 150,
+                                        "nonvanishing": 1500}, (d, seed)
 
 
 def test_fuzz_key_lemma_on_an_empty_second_component():

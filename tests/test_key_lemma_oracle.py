@@ -9,10 +9,17 @@ fuzz_key_lemma with _complex_rows (the same generator stream, chunks and
 forced slice as its draws folded into images) and compares every kernel row
 of the fuzzer with the reference rows for the eleven restrictions of
 acceptance criterion 4 at two seeds.
+
+The fuzzer moves its forced rows on their images and norms alone.  A second
+test checks those against the explicit u1 - C+(C u1 + C u2) on maps the
+catalog does not have: random real and complex C of rank below both of its
+dimensions, with random orthonormal sub_basis columns that mix coordinates.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katolab import kato
 from katolab.kato import (
@@ -25,6 +32,8 @@ from katolab.kato import (
     key_lemma_setups,
     line_component_setup,
 )
+from katolab.linmap import LinearMap
+from katolab.spaces import fiber_space
 from katolab.symbols import catalog
 
 TOL = 1e-12
@@ -101,3 +110,52 @@ def test_image_kernel_matches_full_space_reference(monkeypatch, seed, which):
     scale = want["full_scale"]
     for key in ("margin", "lhs", "rhs", "full_scale"):
         assert np.all(np.abs(got[key] - want[key]) <= TOL * (np.abs(want[key]) + scale)), key
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(2, 7), st.integers(2, 7),
+       st.data())
+def test_forced_rows_match_the_explicit_fix_up_off_the_catalog(seed, complex_, F, D, data):
+    # C = A B of rank below min(F, D), sub_basis the first width columns of a random
+    # unitary (orthogonal when real); the forced rows the fuzzer hands its kernel have
+    # the image and squared norm of the explicit u1 - C+(C u1 + C u2) on the replayed
+    # draws, within rounding scaled by the condition of C on its range
+    rank = data.draw(st.integers(1, min(F, D) - 1))
+    width = data.draw(st.integers(0, D - 1))
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    Cm, sub = draw(F, rank) @ draw(rank, D), np.linalg.qr(draw(D, D))[0][:, :width]
+    samples, chunk = 150, 70
+    rows, kernel = [], kato._key_lemma_margins
+
+    def recording(a, Cu1, Cu2, u1_sq, u2_sq, c):
+        rows.append([x.copy() for x in (Cu1, Cu2, u1_sq, u2_sq)])
+        return kernel(a, Cu1, Cu2, u1_sq, u2_sq, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kato, "_key_lemma_margins", recording)
+        mp.setitem(kato._DRAW_CHUNK, "key-lemma", chunk)
+        fuzz_key_lemma(LinearMap(fiber_space(D), fiber_space(F), Cm), sub, samples, seed)
+    s = np.linalg.svd(Cm, compute_uv=False)
+    cond = s[0] / s[rank - 1]
+    pinv = np.linalg.pinv(Cm)
+    replay, done = np.random.default_rng(seed), 0
+    for Cu1, Cu2, u1_sq, u2_sq in rows:
+        m = min(chunk, samples - done)
+        u1 = _complex_rows(replay, m, D)
+        u2 = _complex_rows(replay, m, width) @ sub.T
+        _weights(replay, m)
+        f = slice(0, m // 4)
+        fixed = u1[f] - ((u1[f] + u2[f]) @ Cm.T) @ pinv.T
+        scale = _sq(u1[f]) + _sq(u2[f])
+        assert np.array_equal(Cu1[f], -Cu2[f])
+        err_img = _sq(Cu1[f, 0] + 1j * Cu1[f, 1] - fixed @ Cm.T)
+        assert np.all(err_img <= (TOL * cond * s[0]) ** 2 * scale)
+        assert np.all(np.abs(u1_sq[f] - _sq(fixed)) <= TOL * cond ** 2 * scale)
+        assert np.allclose(u2_sq, _sq(u2), rtol=1e-13, atol=0)
+        done += m
+    assert done == samples

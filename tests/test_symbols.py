@@ -239,6 +239,13 @@ def test_twist_action_factorizes():
     assert np.allclose(out, np.kron(symbol_at(op, xi).apply(s), w), atol=1e-12)
 
 
+def test_twist_refuses_an_empty_fiber():
+    # an empty fiber would give a 0 x 0 symbol: 0/0 margins under fuzzing and a failed
+    # reduction in ellipticity_constant
+    with pytest.raises(BadDegree):
+        twist(catalog("dirac", 3), fiber_space(0))
+
+
 def test_catalog_errors():
     with pytest.raises(UnknownName):
         catalog("unknown-op", 3)
