@@ -137,8 +137,11 @@ def hodge_gain_pair(c, c_star, n: int, k: int,
     Wedge side: kato_gain_lemma(c, k), that is 1/k when the derivative
     part vanishes, else c/(1+kc).  Contraction side:
     kato_gain_lemma(c_star, n - k).  The inequality uses the minimum.
-    Degrees 0 and n are rejected: there is nothing two-sided to verify.
+    Degrees 0 and n, and so every n < 2, are rejected: there is nothing two-sided
+    to verify.
     """
+    if n < 2:
+        raise BadDegree(f"hodge gains need n >= 2, got n={n}")
     if k < 1 or k > n - 1:
         raise BadDegree(f"hodge gains need 1 <= k <= {n - 1}, got k={k}")
     gd = kato_gain_lemma(c, k, d_vanishing)
@@ -270,6 +273,8 @@ def _certify_form_algebra(n: int, k: int) -> None:
 def _form_maps(n: int, k: int, fiber_dim: int):
     """(wedge, contraction) of a degree of the two-sided inequality, its tables
     certified; BadDegree or ValueError before a map is built."""
+    if n < 2:
+        raise BadDegree(f"form split needs n >= 2, got n={n}")
     if k < 1 or k > n - 1:
         raise BadDegree(f"form split needs 1 <= k <= {n - 1}, got k={k}")
     if fiber_dim < 1:
@@ -618,11 +623,13 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray)
     V = np.ascontiguousarray(v, dtype=np.complex128).view(float).reshape(m, n, dim_k * f2)
     Phi = np.ascontiguousarray(phi, dtype=np.complex128).view(float).reshape(m, dim_k * f2)
     img = V.reshape(m, n * dim_k * f2) @ _form_images(n, k, f2)
-    up, dn = (x.reshape(m, x.shape[1] // f2, f2)
-              for x in np.hsplit(img, [math.comb(n, k + 1) * f2]))
+    split = math.comb(n, k + 1) * f2
+    up, dn = (x.reshape(m, x.shape[1] // f2, f2) for x in (img[:, :split], img[:, split:]))
     scale, eps_sq, iota_sq = _rsq(V), _rsq(up), _rsq(dn)
     b = np.einsum("nix,nx->ni", V, Phi)
-    bnorm = np.linalg.norm(b, axis=1)
+    # squares in column order: the row sums then run a column at a time, in the order
+    # np.linalg.norm sums each row, with no per-row inner loop
+    bnorm = np.sqrt(np.multiply(b, b, order="F").sum(axis=1))
     dnorm_sq = bnorm ** 2 / _rsq(Phi)
     xi = np.where((bnorm > 1e-14)[:, None],
                   b / np.maximum(bnorm, 1e-300)[:, None], unit_covector(n))
@@ -721,11 +728,14 @@ def _drawn_halves(rng, count: int, dim: int):
             yield h, r, rng.standard_normal(out=buf[:r.stop - r.start])
 
 
-def _complex_rows(rng, count: int, dim: int) -> np.ndarray:
-    """count standard complex normal rows, from _drawn_halves."""
+def _complex_rows(rng, count: int, dim: int, start: int = 0) -> np.ndarray:
+    """count standard complex normal rows, from _drawn_halves.  The draws of the rows
+    before start are made and dropped: those rows are left unset, for a kernel redraw
+    (_redraw_in_kernels) to fill."""
     z = np.empty((count, dim), dtype=complex)
     for h, r, x in _drawn_halves(rng, count, dim):
-        (z.real, z.imag)[h][r] = x
+        skip = max(start - r.start, 0)
+        (z.real, z.imag)[h][r][skip:] = x[skip:]
     return z
 
 
@@ -751,12 +761,25 @@ def _folded_rows(rng, count: int, dim: int, M: np.ndarray) -> tuple:
 
 def _redraw_in_kernels(rng, rows: np.ndarray, nulls, fraction: float) -> None:
     """Redraw consecutive slices of int(fraction * len(rows)) rows, the i-th inside
-    the span of the columns of nulls[i], in place; a zero kernel keeps its slice."""
+    the span of the columns of nulls[i], in place; a zero kernel keeps its slice.  The
+    coefficients are _complex_rows(rng, nk, dim) of the kernel.  A real basis takes
+    each drawn half block (_drawn_halves) times its transpose straight into the slice's
+    real or imaginary rows; a complex one takes the product of the whole coefficient
+    rows."""
     nk = int(fraction * len(rows))
     for i, null in enumerate(nulls):
-        if nk and null.shape[1]:
-            np.matmul(_complex_rows(rng, nk, null.shape[1]), null.T,
-                      out=rows[i * nk:(i + 1) * nk])
+        if not (nk and null.shape[1]):
+            continue
+        out = rows[i * nk:(i + 1) * nk]
+        if null.imag.any():
+            np.matmul(_complex_rows(rng, nk, null.shape[1]), null.T, out=out)
+        else:
+            # transposed from a C-ordered copy: the layout in which OpenBLAS's real products
+            # of 205 rows and more gave the complex product's bits, for every form kernel
+            # of fiber 1 or 2; blocks of a few rows can differ from it in the last bits
+            basis = np.ascontiguousarray(null.real).T
+            for h, r, x in _drawn_halves(rng, nk, null.shape[1]):
+                np.matmul(x, basis, out=(out.real, out.imag)[h][r])
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:
@@ -844,7 +867,8 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
     null = _null_space(op.full_symbol.matrix)
 
     def sample(rng, m):
-        u = _complex_rows(rng, m, n * dE)
+        # the leading quarter is redrawn in ker P, when there is one: its draws are dropped
+        u = _complex_rows(rng, m, n * dE, int(0.25 * m) if null.shape[1] else 0)
         phi = _complex_rows(rng, m, dE)
         c = _weights(rng, m, c_fixed)
         _redraw_in_kernels(rng, u, [null], 0.25)
@@ -870,13 +894,17 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
 
     Every chunk has a fifth of its rows resampled inside ker(wedge) and
     the next fifth inside ker(contraction), so both vanishing branches
-    appear with their exact gains 1/k and 1/(n-k).
+    appear with their exact gains 1/k and 1/(n-k).  The draws those rows
+    replace are made, so the stream is that of whole draws, but not kept;
+    both kernel bases are real, so each block of drawn coefficients goes
+    straight into the real or imaginary parts of its slice.
     """
     nulls = [_null_space(mat) for mat in _form_maps(n, k, fiber_dim)]
     dim_phi = math.comb(n, k) * fiber_dim
 
     def sample(rng, m):
-        v = _complex_rows(rng, m, n * dim_phi)
+        # the two leading fifths are redrawn: both kernels are nonempty, C(n, k+-1) < n C(n, k)
+        v = _complex_rows(rng, m, n * dim_phi, 2 * int(0.2 * m))
         phi = _complex_rows(rng, m, dim_phi)
         c = _weights(rng, m, c_fixed)
         cs = _weights(rng, m, cstar_fixed)

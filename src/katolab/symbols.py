@@ -307,7 +307,7 @@ def catalog(name: str, n: int, k: int | None = None,
 
     The family operators take rho^2 and their degree window from their
     row of projections.FAMILIES; a k outside that window raises BadDegree,
-    and so does a hodge k outside 1..n-1.  An unknown name raises
+    and so does a hodge n below 2 or k outside 1..n-1.  An unknown name raises
     UnknownName.  Each spec is built once per process, whether the
     arguments come by position or keyword, with or without the argument the
     entry ignores, and shared, frozen and read-only.
@@ -328,6 +328,8 @@ def _catalog(name, n, k, fiber_dim):
         return OperatorSpec("connection", n, E, dom, identity_map(dom),
                             Fraction(1), Fraction(1))
     if name == "hodge":
+        if n < 2:
+            raise BadDegree(f"hodge symbol needs n >= 2, got n={n}")
         if k is None or not 1 <= k <= n - 1:
             raise BadDegree(f"hodge symbol needs a degree 1 <= k <= {n - 1}, got k={k}")
         up, down = (FAMILIES[f].rho_squared(n, k) for f in ("exterior", "interior"))

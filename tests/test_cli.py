@@ -388,6 +388,10 @@ def test_path_check_leaves_no_file_behind(tmp_path, capsys):
      "twistor-spinor ignores --c-star"),
     (["kato", "fuzz", "--theorem", "hodge", "--n", "4", "--k", "0"],
      "form split needs 1 <= k <= 3, got k=0"),
+    *((["kato", "fuzz", "--theorem", "hodge", "--n", n, "--k", "1"],
+       f"form split needs n >= 2, got n={n}") for n in ("1", "0", "-3")),
+    *((["kato", "fuzz", "--theorem", "hodge", "--op", f"hodge:{n}:1"],
+       f"hodge symbol needs n >= 2, got n={n}") for n in ("1", "0", "-3")),
 ])
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, line):
     assert _run(capsys, *argv) == (2, "", f"error: {line}\n")

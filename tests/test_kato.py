@@ -101,6 +101,19 @@ def test_hodge_gain_pair_frozen():
         hodge_gain_pair(1, 1, 4, 4, False, False)
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_hodge_degree_checks_name_n_below_2(n):
+    # no degree k has 1 <= k <= n - 1: the message names n, not an empty range of k
+    with pytest.raises(BadDegree, match=f"hodge gains need n >= 2, got n={n}$"):
+        hodge_gain_pair(1, 1, n, 1, False, False)
+    with pytest.raises(BadDegree, match=f"form split needs n >= 2, got n={n}$"):
+        fuzz_hodge_inequality(n, 1, 1, 10, 0)
+    with pytest.raises(BadDegree, match=f"form split needs n >= 2, got n={n}$"):
+        batch_hodge_margins(n, 1, 1, np.ones((2, 2)), np.ones((2, 1)), 1.0, 1.0)
+    with pytest.raises(BadDegree, match=f"hodge symbol needs n >= 2, got n={n}$"):
+        catalog("hodge", n, 1)
+
+
 @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.integers(1, 50))
 @settings(max_examples=80, deadline=None)
 def test_lemma_gain_monotone_and_capped(c_lo, ratio, a):
@@ -871,17 +884,134 @@ def test_complex_rows_hold_one_block_beyond_their_output():
     assert peak <= 20000 * 24 * 16 + _half_block_bytes(20000, 24) + 2**16, peak
 
 
+def _real_half_products(coef, basis):
+    # a complex coefficient array times a real basis, each half its own real product
+    out = np.empty((len(coef), len(basis)), dtype=complex)
+    basis = np.ascontiguousarray(basis.real).T
+    out.real, out.imag = (np.ascontiguousarray(x) @ basis for x in (coef.real, coef.imag))
+    return out
+
+
+def _close_in_rounding(got, want):
+    # a real product and the complex one of the same real basis differ in rounding only
+    return np.allclose(got, want, rtol=0, atol=16 * np.finfo(float).eps * np.max(np.abs(want)))
+
+
 def test_kernel_redraws_hold_their_coefficients_and_one_block():
-    # a quarter of 20,000 rows redrawn inside the 16-dimensional kernel of hodge:4:2:
-    # the 5,000 drawn coefficient rows (1.2 MiB) and one block, and no 1.8 MiB product
-    # of the slice's size
+    # a quarter of 20,000 rows redrawn inside the 16-dimensional kernel of hodge:4:2, a
+    # real basis: one half block of drawn coefficients, each multiplied straight into the
+    # slice's real or imaginary rows, and neither the 5,000 coefficient rows (1.2 MiB)
+    # nor a 1.8 MiB product of the slice's size
     null = kato._null_space(catalog("hodge", 4, 2).full_symbol.matrix)
+    assert not null.imag.any()
+    rows = np.zeros((20000, len(null)), dtype=complex)
+    nk, dim, rng = 5000, null.shape[1], np.random.default_rng(110)
+    peak = _traced_peak(lambda: kato._redraw_in_kernels(rng, rows, [null], 0.25))
+    assert peak <= _half_block_bytes(nk, dim) + 2**16, peak
+    coef = kato._complex_rows(np.random.default_rng(110), nk, dim)
+    assert np.array_equal(rows[:nk], _real_half_products(coef, null))
+    assert _close_in_rounding(rows[:nk], coef @ null.T) and not np.any(rows[nk:])
+
+
+def test_complex_kernel_redraws_hold_their_coefficients_and_one_block():
+    # a quarter of 20,000 rows redrawn inside the 12-dimensional kernel of dirac:4, a
+    # complex basis: the 5,000 drawn coefficient rows (0.9 MiB) and one block, and no
+    # 1.2 MiB product of the slice's size; the rows are the complex product's
+    null = kato._null_space(catalog("dirac", 4).full_symbol.matrix)
+    assert null.imag.any()
     rows = np.zeros((20000, len(null)), dtype=complex)
     nk, dim, rng = 5000, null.shape[1], np.random.default_rng(110)
     peak = _traced_peak(lambda: kato._redraw_in_kernels(rng, rows, [null], 0.25))
     assert peak <= nk * dim * 16 + _half_block_bytes(nk, dim) + 2**16, peak
     want = kato._complex_rows(np.random.default_rng(110), nk, dim) @ null.T
     assert np.array_equal(rows[:nk], want) and not np.any(rows[nk:])
+
+
+@pytest.mark.parametrize("start", [0, 1, 511, 1024, 1025, 4000, 5000])
+def test_complex_rows_from_start_keep_the_stream(start):
+    # the draws of the rows before start are made and dropped: the rows from start on
+    # are those of a whole draw, bit for bit, and the generator ends in the same state
+    rng, whole = np.random.default_rng(start), np.random.default_rng(start)
+    got = kato._complex_rows(rng, 5000, 7, start)
+    assert np.array_equal(got[start:], kato._complex_rows(whole, 5000, 7)[start:])
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+def _sampled_chunks(monkeypatch, fuzz):
+    # each chunk's rows as the kernel gets them, and the generator state at the end of
+    # the chunk's sampling, which a kernel redraw closes
+    chunks, redraw = [], kato._redraw_in_kernels
+
+    def recording(rng, rows, nulls, fraction):
+        redraw(rng, rows, nulls, fraction)
+        chunks.append((rows.copy(), rng.bit_generator.state))
+
+    monkeypatch.setattr(kato, "_redraw_in_kernels", recording)
+    fuzz()
+    return chunks
+
+
+def _check_the_whole_draw_recipe(chunks, theorem, samples, seed, widths, weights, nulls,
+                                 fraction):
+    # the reference recipe of whole draws: per chunk, whole _complex_rows of the rows and
+    # of the sections, the weights, then each kernel's coefficient rows times its basis
+    # over its slice.  The generator ends every chunk in the same state, the kept rows are
+    # bit for bit the same, and so are the redrawn ones against the complex product for a
+    # complex basis; a real basis takes each half in real arithmetic, bit for bit that of
+    # the same coefficients
+    rng, done = np.random.default_rng(seed), 0
+    for got, state in chunks:
+        m = min(kato._DRAW_CHUNK[theorem], samples - done)
+        want = kato._complex_rows(rng, m, widths[0])
+        kato._complex_rows(rng, m, widths[1])
+        for _ in range(weights):
+            kato._weights(rng, m)
+        nk = int(fraction * m)
+        for i, null in enumerate(nulls):
+            if nk and null.shape[1]:
+                coef = kato._complex_rows(rng, nk, null.shape[1])
+                slot = slice(i * nk, (i + 1) * nk)
+                if null.imag.any():
+                    assert np.array_equal(got[slot], coef @ null.T)
+                else:
+                    assert np.array_equal(got[slot], _real_half_products(coef, null))
+                    assert _close_in_rounding(got[slot], coef @ null.T)
+                want[slot] = got[slot]
+        assert np.array_equal(got, want)
+        assert state == rng.bit_generator.state
+        done += m
+    assert done == samples
+
+
+@pytest.mark.parametrize("samples", [1, 4, 1025, 20000])
+@pytest.mark.parametrize("n,k,fiber", [(2, 1, 1), (4, 2, 1), (5, 2, 1), (4, 2, 3)])
+def test_hodge_sampler_keeps_the_whole_draw_stream(monkeypatch, n, k, fiber, samples):
+    # the two leading fifths of a chunk are redrawn in the kernels of the wedge and the
+    # contraction; 20,000 samples are two chunks
+    seed = 1000 * n + 10 * k + fiber
+    chunks = _sampled_chunks(monkeypatch,
+                             lambda: fuzz_hodge_inequality(n, k, fiber, samples, seed))
+    dim_phi = math.comb(n, k) * fiber
+    nulls = [kato._null_space(mat) for mat in kato._form_maps(n, k, fiber)]
+    _check_the_whole_draw_recipe(chunks, "hodge", samples, seed, (n * dim_phi, dim_phi),
+                                 2, nulls, 0.2)
+
+
+@pytest.mark.parametrize("samples", [1, 4, 1025, 20000])
+@pytest.mark.parametrize("name,args", [("connection", (3,)), ("dirac", (4,)),
+                                       ("hodge", (4, 2))])
+def test_foldo_sampler_keeps_the_whole_draw_stream(monkeypatch, name, args, samples):
+    # the leading quarter of a chunk is redrawn in ker P: complex for dirac:4, real for
+    # hodge:4:2, and connection:3 has none, so it keeps its drawn quarter; chunks of
+    # 8,192 rows, so 20,000 samples are three
+    op, seed = catalog(name, *args), 7 * samples + len(name)
+    monkeypatch.setitem(kato._DRAW_CHUNK, "foldo", 8192)
+    chunks = _sampled_chunks(monkeypatch, lambda: fuzz_operator_inequality(op, samples, seed))
+    dE = op.domain_fiber.dim
+    nulls = [kato._null_space(op.full_symbol.matrix)]
+    assert (nulls[0].shape[1] == 0) == (name == "connection")
+    _check_the_whole_draw_recipe(chunks, "foldo", samples, seed, (op.base_dim * dE, dE), 1,
+                                 nulls, 0.25)
 
 
 def test_fuzz_reports_deterministic():
