@@ -153,7 +153,7 @@ def _cmd_kato_fuzz(args) -> int:
             if op.name != "hodge":
                 raise ConfigError("--theorem hodge takes --op hodge:n:k or --n/--k")
             # the degree is that of the forms the operator acts on
-            args.n, args.k = op.base_dim, len(op.domain_fiber.labels[0])
+            args.n, args.k = op.base_dim, len(op.domain_fiber[0])
         if args.n is None or args.k is None:
             raise ConfigError("--theorem hodge needs --n and --k")
         report = fuzz_hodge_inequality(args.n, args.k, args.dim_e or 1,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadDegree
 from .linmap import LinearMap
-from .spaces import fiber_space, SpaceDescriptor
+from .spaces import fiber_space
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -28,7 +28,7 @@ def spinor_dim(n: int) -> int:
     return 2 ** (n // 2)
 
 
-def spinor_space(n: int) -> SpaceDescriptor:
+def spinor_space(n: int) -> tuple:
     return fiber_space(spinor_dim(n), "spinor")
 
 
@@ -57,6 +57,5 @@ def clifford_generators(n: int) -> list:
             prod = prod @ g
         z = 1.0 if m % 2 == 1 else 1.0j
         mats.append(z * prod)
-    S = spinor_space(n)
-    return [LinearMap(S, S, g) for g in mats]
+    return [LinearMap(g) for g in mats]
 

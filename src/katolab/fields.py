@@ -31,7 +31,6 @@ from .kato import (
     finite_minima,
     hodge_gain_pair,
     kato_gain_operator,
-    nonfinite_rows,
     report_json,
 )
 from .linmap import _row_blocks
@@ -176,8 +175,7 @@ def coderivative(f: TrigField, k: int, extra_dim: int = 1) -> TrigField:
 
 def hodge_star_matrix(n: int, k: int) -> np.ndarray:
     """Matrix of the Hodge star from degree k to degree n-k forms."""
-    labels_k = exterior_power(n, k).labels
-    labels_c = exterior_power(n, n - k).labels
+    labels_k, labels_c = exterior_power(n, k), exterior_power(n, n - k)
     pos = {lab: j for j, lab in enumerate(labels_c)}
     S = np.zeros((len(labels_c), len(labels_k)))
     for j, lab in enumerate(labels_k):
@@ -323,8 +321,8 @@ def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0) -> Sce
     rng = np.random.default_rng(seed)
     if theorem != "hodge":
         op = catalog(theorem, n)
-        f = random_field(n, op.domain_fiber.dim, *_SECTION_BAND, rng)
-        return Scenario(name, "foldo", n, None, op.domain_fiber.dim, f,
+        f = random_field(n, len(op.domain_fiber), *_SECTION_BAND, rng)
+        return Scenario(name, "foldo", n, None, len(op.domain_fiber), f,
                         operator=op, notes=notes)
     f = random_field(n, math.comb(n, k + shift) * extra, *_SECTION_BAND, rng)
     if shift:
@@ -454,12 +452,11 @@ def evaluate_scenario(sc: Scenario, X: np.ndarray, c: float,
         op_label = sc.operator.name
         cstar_out = None
         side_gains = {}
-    nonfinite = nonfinite_rows(out)
+    # the fuzzers' pass rule per point, at the field lab's tolerance
+    nonfinite, failing = failing_rows(out, FIELD_MARGIN_TOL_FACTOR)
     return {
         "points": X[keep], "margin": margin,
-        "tol_scale": tol_scale, "nonfinite": nonfinite,
-        # the fuzzers' pass rule per point, at the field lab's tolerance
-        "ok": ~failing_rows(out, FIELD_MARGIN_TOL_FACTOR),
+        "tol_scale": tol_scale, "nonfinite": nonfinite, "ok": ~failing,
         "gain": gain, "branch": branch,
         "operator": op_label, "c_star": cstar_out,
         "skipped": int(np.sum(~keep)), "side_gains": side_gains, "table": table,

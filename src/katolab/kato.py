@@ -53,10 +53,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadConstants, BadDegree, BrokenIdentity, NotUnit, ZeroOperator, ZeroSection
+from .errors import BadConstants, BrokenIdentity, NotUnit, ZeroOperator, ZeroSection
 from .linmap import LinearMap, _row_blocks, gram_schmidt_columns
 from .projections import conformity_factor, exterior_projection, interior_projection
-from .spaces import exterior_power, fiber_space
+from .spaces import check_form_degree, exterior_power
 from .symbols import OperatorSpec, ellipticity_constant, unit_covector
 
 INF = math.inf
@@ -137,13 +137,10 @@ def hodge_gain_pair(c, c_star, n: int, k: int,
     Wedge side: kato_gain_lemma(c, k), that is 1/k when the derivative
     part vanishes, else c/(1+kc).  Contraction side:
     kato_gain_lemma(c_star, n - k).  The inequality uses the minimum.
-    Degrees 0 and n, and so every n < 2, are rejected: there is nothing two-sided
-    to verify.
+    Degrees 0 and n, and so every n < 2, are rejected, as is a k that is not an
+    integer: there is nothing two-sided to verify.
     """
-    if n < 2:
-        raise BadDegree(f"hodge gains need n >= 2, got n={n}")
-    if k < 1 or k > n - 1:
-        raise BadDegree(f"hodge gains need 1 <= k <= {n - 1}, got k={k}")
+    check_form_degree("hodge gains need", n, k)
     gd = kato_gain_lemma(c, k, d_vanishing)
     gs = kato_gain_lemma(c_star, n - k, dstar_vanishing)
     return HodgeGains(gd, gs, min(gd, gs))
@@ -273,10 +270,7 @@ def _certify_form_algebra(n: int, k: int) -> None:
 def _form_maps(n: int, k: int, fiber_dim: int):
     """(wedge, contraction) of a degree of the two-sided inequality, its tables
     certified; BadDegree or ValueError before a map is built."""
-    if n < 2:
-        raise BadDegree(f"form split needs n >= 2, got n={n}")
-    if k < 1 or k > n - 1:
-        raise BadDegree(f"form split needs 1 <= k <= {n - 1}, got k={k}")
+    check_form_degree("form split needs", n, k)
     if fiber_dim < 1:
         raise ValueError(f"fiber dimension must be >= 1, got {fiber_dim}")
     _certify_form_algebra(n, k)
@@ -375,8 +369,9 @@ class KatoVerdict:
         """The fuzzers' pass rule, failing_rows, on this one row."""
         row = {"margin": self.margin, "lhs": self.lhs, "rhs": self.rhs, "full_scale": self.scale,
                "margin_cor": self.corollary_margin, "cor_scale": self.corollary_scale}
-        return not failing_rows({key: np.array([float(x)]) for key, x in row.items()
-                                 if x is not None}, MARGIN_TOL_FACTOR)[0]
+        _, failing = failing_rows({key: np.array([float(x)]) for key, x in row.items()
+                                   if x is not None}, MARGIN_TOL_FACTOR)
+        return not failing[0]
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -538,7 +533,7 @@ def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray, c) 
     full_scale (lhs plus the finite rhs), vanishing mask and gain.  Squared
     norms run in row blocks (_row_blocks); margins once over the batch.
     """
-    n, dE = op.base_dim, op.domain_fiber.dim
+    n, dE = op.base_dim, len(op.domain_fiber)
     rho2, eps = operator_constants(op)
     m = len(u)
     if len(phi) != m:
@@ -789,24 +784,20 @@ def _null_space(M: np.ndarray) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def nonfinite_rows(out: dict) -> np.ndarray:
-    """Rows of a kernel output with a non-finite margin, side or scale."""
-    bad = np.zeros(np.shape(out["margin"]), dtype=bool)
+def failing_rows(out: dict, tol_factor: float) -> tuple:
+    """The one pass rule, per row of a kernel output, as the masks (nonfinite,
+    failing): a row is nonfinite when a margin, side or scale is not finite; it fails
+    when it is nonfinite, when its margin drops below -tol_factor * full_scale, or when
+    its corollary margin, where there is one, drops below -tol_factor * cor_scale."""
+    nonfinite = np.zeros(np.shape(out["margin"]), dtype=bool)
     for key in ("margin", "lhs", "rhs", "full_scale", "margin_cor", "cor_scale"):
         if key in out:
-            bad |= ~np.isfinite(out[key])
-    return bad
-
-
-def failing_rows(out: dict, tol_factor: float) -> np.ndarray:
-    """The one pass rule, per row of a kernel output: a row fails when a margin, side
-    or scale is not finite, when its margin drops below -tol_factor * full_scale, or its
-    corollary margin, where there is one, below -tol_factor * cor_scale."""
+            nonfinite |= ~np.isfinite(out[key])
     # written so that a NaN margin fails too
-    bad = nonfinite_rows(out) | ~(out["margin"] >= -tol_factor * out["full_scale"])
+    bad = nonfinite | ~(out["margin"] >= -tol_factor * out["full_scale"])
     if "margin_cor" in out:
         bad |= ~(out["margin_cor"] >= -tol_factor * out["cor_scale"])
-    return bad
+    return nonfinite, bad
 
 
 def finite_minima(margin: np.ndarray, scale: np.ndarray, ok: np.ndarray):
@@ -837,7 +828,7 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
     while done < samples:
         m = min(_DRAW_CHUNK[theorem], samples - done)
         out = kernel(*sample(rng, m))
-        odd, bad = nonfinite_rows(out), failing_rows(out, MARGIN_TOL_FACTOR)
+        odd, bad = failing_rows(out, MARGIN_TOL_FACTOR)
         if "margin_cor" in out:
             # np.minimum, unlike min, keeps a NaN
             worst["min_margin_corollary"] = np.minimum(
@@ -863,7 +854,7 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
     branch (and its exact gain) gets exercised whenever the kernel is
     nonzero.
     """
-    n, dE = op.base_dim, op.domain_fiber.dim
+    n, dE = op.base_dim, len(op.domain_fiber)
     null = _null_space(op.full_symbol.matrix)
 
     def sample(rng, m):
@@ -939,7 +930,7 @@ def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
     def sample(rng, m):
         # the margin reads u1 only through C u1 and |u1|, and u2 = sub_basis z only
         # through C u2 = Chat z and |u2| = |z|: the draws are folded into those as drawn
-        Cu1, u1_sq = _folded_rows(rng, m, C.domain.dim, CT)
+        Cu1, u1_sq = _folded_rows(rng, m, C.matrix.shape[1], CT)
         Cz, z_sq = _folded_rows(rng, m, sub_basis.shape[1], ChatT)
         # forced rows: u1 - C+(C u1 + C u2) has image -C u2 (C C+ projects onto range C),
         # its ker C part (>= 0 past rounding) and -C+ C u2 in place of C+ C u1
@@ -967,7 +958,7 @@ def key_lemma_setups(n: int, k: int):
     symbols.  Returns a list of (label, C, sub_basis, exact_bound).
     """
     eps_mat, iota_mat = _form_maps(n, k, 1)
-    labels_k = exterior_power(n, k).labels
+    labels_k = exterior_power(n, k)
     has1 = [j for j, lab in enumerate(labels_k) if 1 in lab]
     no1 = [j for j, lab in enumerate(labels_k) if 1 not in lab]
 
@@ -982,8 +973,7 @@ def key_lemma_setups(n: int, k: int):
          cols(range(1, n), no1), float(n - k)),
     ):
         keep = first + second
-        C = LinearMap(fiber_space(len(keep), "restricted"),
-                      fiber_space(mat.shape[0], "image"), mat[:, keep])
+        C = LinearMap(mat[:, keep])
         # the second component is the trailing block of coordinates
         sub_basis = np.eye(len(keep), dtype=complex)[:, len(first):]
         setups.append((label, C, sub_basis, bound))
@@ -996,9 +986,9 @@ def line_component_setup(op: OperatorSpec):
     The second component is the perp part of the domain; the exact
     spectral bound is rho^2 - epsilon.
     """
-    n, dE = op.base_dim, op.domain_fiber.dim
+    n, dE = op.base_dim, len(op.domain_fiber)
     P1 = _line_split(op, unit_covector(n))[0]
-    C = LinearMap(op.full_symbol.domain, fiber_space(len(P1), "image"), P1)
+    C = LinearMap(P1)
     # with xi0 = e_1* the perp part is every covector slot but the first
     sub_basis = np.eye(n * dE, dtype=complex)[:, dE:]
     rho2, eps = operator_constants(op)

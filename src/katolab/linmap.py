@@ -1,4 +1,4 @@
-"""Linear maps between descriptor spaces, in orthonormal bases.
+"""Linear maps as matrices in orthonormal bases.
 
 All bases are orthonormal, so the adjoint is the conjugate transpose of
 the coefficient matrix and no Gram matrices ever appear.  Matrices are
@@ -7,11 +7,9 @@ its matrix, except an owning, read-only complex128 array, which it takes
 as it is: a builder that hands such an array over gives up writing to it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .spaces import SpaceDescriptor
 
 # every batched loop runs its m rows as equal blocks (_row_blocks) to keep its
 # temporaries in cache; no block is short, as OpenBLAS sums a product of few rows in
@@ -21,25 +19,18 @@ _FORM_BLOCK = 1024
 
 @dataclass(eq=False, frozen=True)
 class LinearMap:
-    """Matrix of a linear map in the orthonormal bases of its spaces.
+    """Matrix of a linear map in orthonormal bases, read-only, of shape (dim codomain,
+    dim domain); an array that is not 2-D raises ValueError."""
 
-    matrix has shape (codomain.dim, domain.dim) and is read-only.
-    """
-
-    domain: SpaceDescriptor
-    codomain: SpaceDescriptor
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray
 
     def __post_init__(self):
         m = self.matrix
         if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
                 and m.flags.owndata and not m.flags.writeable):
             m = np.array(m, dtype=np.complex128, copy=True)
-        if m.shape != (self.codomain.dim, self.domain.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not fit map "
-                f"{self.domain.dim} -> {self.codomain.dim}"
-            )
+        if m.ndim != 2:
+            raise ValueError(f"a linear map needs a 2-D matrix, got shape {m.shape}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -48,19 +39,7 @@ class LinearMap:
         return self.matrix @ vec
 
     def scale(self, a) -> "LinearMap":
-        return LinearMap(self.domain, self.codomain, a * self.matrix)
-
-
-def identity_map(space: SpaceDescriptor) -> LinearMap:
-    return LinearMap(space, space, np.eye(space.dim))
-
-
-def stack_maps(maps, codomain: SpaceDescriptor) -> LinearMap:
-    """Vertical stack of maps sharing one domain, into a direct sum."""
-    maps = list(maps)
-    if any(m.domain != maps[0].domain for m in maps):
-        raise ValueError("stacked maps must share their domain")
-    return LinearMap(maps[0].domain, codomain, np.vstack([m.matrix for m in maps]))
+        return LinearMap(a * self.matrix)
 
 
 def gram_schmidt_columns(M: np.ndarray) -> np.ndarray:

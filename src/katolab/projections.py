@@ -25,18 +25,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .clifford import clifford_generators, spinor_space
+from .clifford import clifford_generators
 from .errors import BadDegree, NotConformal, NotSurjective
 from .linmap import LinearMap, _row_blocks, gram_schmidt_columns
 from .spaces import (
-    SpaceDescriptor,
-    dual_space,
     exterior_power,
-    fiber_space,
     multiset_insert,
     multiset_remove,
     symmetric_power,
-    tensor_product,
     wedge_delete,
     wedge_insert,
 )
@@ -45,19 +41,19 @@ DEFAULT_CONFORMITY_TOL = 1e-10
 _SURJECTIVITY_CUTOFF = 1e-10   # relative singular value cutoff for rank
 
 
-def _insertion_map(n: int, src: SpaceDescriptor, dst: SpaceDescriptor,
-                   entry) -> LinearMap:
-    """V* (x) src -> dst whose column e_i* (x) label holds the single entry
-    entry(i, label) = (value, target label), or nothing when it is None."""
-    M = np.zeros((dst.dim, n * src.dim), dtype=np.complex128)
-    pos = {lab: p for p, lab in enumerate(dst.labels)}
-    for j, lab in enumerate(src.labels):
+def _insertion_map(n: int, src: tuple, dst: tuple, entry) -> LinearMap:
+    """V* (x) src -> dst, for the label tuples src and dst, whose column e_i* (x) label
+    holds the single entry entry(i, label) = (value, target label), or nothing when it
+    is None."""
+    M = np.zeros((len(dst), n * len(src)), dtype=np.complex128)
+    pos = {lab: p for p, lab in enumerate(dst)}
+    for j, lab in enumerate(src):
         for i in range(1, n + 1):
             hit = entry(i, lab)
             if hit is not None:
-                M[pos[hit[1]], (i - 1) * src.dim + j] = hit[0]
+                M[pos[hit[1]], (i - 1) * len(src) + j] = hit[0]
     M.flags.writeable = False  # handed over to the LinearMap, not copied
-    return LinearMap(tensor_product((dual_space(n), src)), dst, M)
+    return LinearMap(M)
 
 
 def exterior_projection(n: int, k: int) -> LinearMap:
@@ -106,13 +102,7 @@ def contraction_projection(n: int, k: int) -> LinearMap:
 
 def clifford_projection(n: int) -> LinearMap:
     """Clifford action V* (x) S -> S, f (x) s -> c_f(s)."""
-    gens = clifford_generators(n)
-    S = spinor_space(n)
-    dom = tensor_product((dual_space(n), S))
-    M = np.zeros((S.dim, dom.dim), dtype=np.complex128)
-    for i, g in enumerate(gens):
-        M[:, i * S.dim:(i + 1) * S.dim] = g.matrix
-    return LinearMap(dom, S, M)
+    return LinearMap(np.hstack([g.matrix for g in clifford_generators(n)]))
 
 
 def twistor_projection(n: int) -> LinearMap:
@@ -127,15 +117,14 @@ def twistor_projection(n: int) -> LinearMap:
     """
     if n < 2:
         raise BadDegree(f"twistor projection needs n >= 2, got {n}")
-    C = clifford_projection(n)
-    dS = C.codomain.dim
-    B = gram_schmidt_columns(np.eye(C.domain.dim) - C.matrix.conj().T @ C.matrix / n)
+    C = clifford_projection(n).matrix
+    dS = len(C)
+    B = gram_schmidt_columns(np.eye(C.shape[1]) - C.conj().T @ C / n)
     if B.shape[1] != (n - 1) * dS:
         raise NotSurjective(
             f"twistor kernel basis came out rank {B.shape[1]}, expected {(n - 1) * dS}"
         )
-    cod = fiber_space((n - 1) * dS, "twistor")
-    return LinearMap(C.domain, cod, B.conj().T)
+    return LinearMap(B.conj().T)
 
 
 class Family(NamedTuple):
@@ -203,13 +192,13 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
     ||P P* - rho^2 I|| <= tol * rho^2 in the spectral norm.
     """
     m = P.matrix
-    dw = P.codomain.dim
+    dw, dv = m.shape
     if dw == 0:
         # empty codomain: vacuously conformal, rho^2 is reported as 0
-        return ProjectionReport(0.0, 0.0, True, True, tol, P.domain.dim, 0)
+        return ProjectionReport(0.0, 0.0, True, True, tol, dv, 0)
     if not np.all(np.isfinite(m)):
         # a non-finite entry: no rho^2 or residual, and the SVD would not converge
-        return ProjectionReport(nan, nan, False, False, tol, P.domain.dim, dw)
+        return ProjectionReport(nan, nan, False, False, tol, dv, dw)
     # columns with at most one nonzero entry each make m m* diagonal: only its
     # diagonal is formed, and the spectral norm of the shift is its largest modulus
     diagonal = np.count_nonzero(m, axis=0).max(initial=0) <= 1
@@ -234,7 +223,7 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
         surjective = int(np.sum(sv > _SURJECTIVITY_CUTOFF * max(sv[0], 1e-300))) == dw
     certified = surjective and residual <= tol
     return ProjectionReport(rho2 * scale * scale, residual, surjective, certified, tol,
-                            P.domain.dim, dw)
+                            dv, dw)
 
 
 def conformity_factor(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> ProjectionReport:
@@ -247,7 +236,7 @@ def conformity_factor(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
     rep = conformity_report(P, tol)
     if not rep.surjective:
         raise NotSurjective(
-            f"rank deficiency: map onto {P.codomain.dim}-dim codomain is not onto",
+            f"rank deficiency: map onto {len(P.matrix)}-dim codomain is not onto",
             residual=rep.residual,
         )
     if rep.residual > tol:

@@ -1,17 +1,15 @@
-"""Finite-dimensional coefficient spaces and their basis bookkeeping.
+"""Basis labels of the coefficient spaces.
 
-Everything downstream works with explicit orthonormal bases, so a space
-is just a descriptor: what kind of space it is, its dimension, and an
-ordered tuple of basis labels, deterministic and lexicographic
-throughout.  No report writes a label: labels are read only to build the
-exterior and symmetric maps, the Hodge star, the key-lemma setups and the
-CLI's hodge degree (the length of a label).
+Everything downstream works with explicit orthonormal bases, and a space
+is the ordered tuple of its basis labels, deterministic and lexicographic
+throughout; its dimension is the tuple's length.  No report writes a
+label: labels are read only to build the exterior and symmetric maps,
+the Hodge star, the key-lemma setups and the CLI's hodge degree (the
+length of a label).
 
 Conventions
 -----------
-dual            the dual of R^n with the dual basis e_1*..e_n*,
-                orthonormal, labels are the integers 1..n.
-exterior(k)     wedge powers of the dual space; basis e_J* for strictly
+exterior(k)     wedge powers of the dual of R^n; basis e_J* for strictly
                 increasing k-tuples J, orthonormal under the determinant
                 inner product.
 symmetric(k)    degree-k symmetric tensors, realized as the subspace of
@@ -19,86 +17,53 @@ symmetric(k)    degree-k symmetric tensors, realized as the subspace of
                 is the normalized symmetrization of e_a* for each
                 non-decreasing multi-index a, orthonormal in the induced
                 tensor inner product.
-tensor          ordered tensor product; labels are tuples of component
-                labels in itertools.product order.
-sum             orthogonal direct sum; labels are (slot, label) pairs.
 fiber           an abstract auxiliary fiber with numbered basis.
 """
 
-from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
-from math import comb, prod
+from itertools import combinations, combinations_with_replacement
+from numbers import Integral
 
 from .errors import BadDegree
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """Immutable description of one coefficient space."""
+def exterior_power(n: int, k: int) -> tuple:
+    """Labels of the degree-k wedge power of the dual space.
 
-    kind: str
-    dim: int
-    labels: tuple
-
-    def __post_init__(self):
-        if self.dim != len(self.labels):
-            raise ValueError("dim does not match number of labels")
-
-
-def dual_space(n: int) -> SpaceDescriptor:
-    """Dual of R^n with the dual basis; the covector side of every symbol."""
-    if n < 1:
-        raise BadDegree(f"dual space needs n >= 1, got {n}")
-    return SpaceDescriptor("dual", n, tuple(range(1, n + 1)))
-
-
-def exterior_power(n: int, k: int) -> SpaceDescriptor:
-    """Degree-k wedge power of the dual space.
-
-    Basis labels are strictly increasing k-tuples of 1..n in
-    lexicographic order; dimension is C(n, k).  k = 0 gives the scalar
-    line with the empty tuple as its single label.
+    Strictly increasing k-tuples of 1..n in lexicographic order, C(n, k)
+    of them.  k = 0 gives the scalar line with the empty tuple as its
+    single label.
     """
     if k < 0 or k > n:
         raise BadDegree(f"exterior degree k={k} outside [0, {n}]")
-    labels = tuple(combinations(range(1, n + 1), k))
-    return SpaceDescriptor("exterior", comb(n, k), labels)
+    return tuple(combinations(range(1, n + 1), k))
 
 
-def symmetric_power(n: int, k: int) -> SpaceDescriptor:
-    """Degree-k symmetric power of the dual space.
+def symmetric_power(n: int, k: int) -> tuple:
+    """Labels of the degree-k symmetric power of the dual space.
 
-    Labels are non-decreasing k-tuples in lexicographic order; the
-    basis vector for label a is the unit-normalized symmetrization of
-    the elementary tensor e_a* inside the k-th tensor power.
+    Non-decreasing k-tuples in lexicographic order; the basis vector for
+    label a is the unit-normalized symmetrization of the elementary
+    tensor e_a* inside the k-th tensor power.
     """
     if k < 0:
         raise BadDegree(f"symmetric degree k={k} must be >= 0")
-    labels = tuple(combinations_with_replacement(range(1, n + 1), k))
-    return SpaceDescriptor("symmetric", comb(n + k - 1, k), labels)
+    return tuple(combinations_with_replacement(range(1, n + 1), k))
 
 
-def tensor_product(factors) -> SpaceDescriptor:
-    """Ordered tensor product of descriptor factors."""
-    factors = tuple(factors)
-    if not factors:
-        raise ValueError("tensor product needs at least one factor")
-    labels = tuple(product(*(f.labels for f in factors)))
-    return SpaceDescriptor("tensor", prod(f.dim for f in factors), labels)
-
-
-def direct_sum(summands) -> SpaceDescriptor:
-    """Orthogonal direct sum; coordinates are concatenated slotwise."""
-    summands = tuple(summands)
-    labels = tuple((i, lab) for i, s in enumerate(summands) for lab in s.labels)
-    return SpaceDescriptor("sum", sum(s.dim for s in summands), labels)
-
-
-def fiber_space(dim: int, tag: str = "fiber") -> SpaceDescriptor:
-    """Abstract auxiliary fiber with basis labeled (tag, 1..dim)."""
+def fiber_space(dim: int, tag: str = "fiber") -> tuple:
+    """Labels (tag, 1..dim) of an abstract auxiliary fiber."""
     if dim < 0:
         raise ValueError("fiber dimension must be >= 0")
-    return SpaceDescriptor("fiber", dim, tuple((tag, i) for i in range(1, dim + 1)))
+    return tuple((tag, i) for i in range(1, dim + 1))
+
+
+def check_form_degree(subject: str, n: int, k) -> None:
+    """BadDegree, its message led by subject ("form split needs"), unless n >= 2 and
+    k is an integer in 1..n-1: the degrees of the two-sided form inequality."""
+    if n < 2:
+        raise BadDegree(f"{subject} n >= 2, got n={n}")
+    if not (isinstance(k, Integral) and 1 <= k <= n - 1):
+        raise BadDegree(f"{subject} 1 <= k <= {n - 1}, got k={k}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,26 +17,20 @@ refinement whose result is reported as an upper bound.
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import sqrt
 
 import numpy as np
 
 from .errors import BadDegree, UnknownName
-from .linmap import LinearMap, _row_blocks, identity_map, stack_maps
+from .linmap import LinearMap, _row_blocks
 from .projections import (
     FAMILIES,
     exact_to_json,
     exterior_projection,
     interior_projection,
 )
-from .spaces import (
-    SpaceDescriptor,
-    direct_sum,
-    dual_space,
-    exterior_power,
-    fiber_space,
-    tensor_product,
-)
+from .spaces import check_form_degree, exterior_power, fiber_space
 from .clifford import spinor_space
 
 INVARIANCE_TOL = 1e-8
@@ -48,24 +42,22 @@ TWISTOR_SYMBOL_SAMPLES = 64
 class OperatorSpec:
     """A first-order operator reduced to its constant-coefficient symbol.
 
-    rho_squared and epsilon hold the declared exact constants (Fraction
-    where one exists) or None when nothing is declared; measurements
-    never read them silently.
+    domain_fiber is the label tuple of E.  rho_squared and epsilon hold the
+    declared exact constants (Fraction where one exists) or None when
+    nothing is declared; measurements never read them silently.
     """
 
     name: str
     base_dim: int
-    domain_fiber: SpaceDescriptor
-    target: SpaceDescriptor
+    domain_fiber: tuple
     full_symbol: LinearMap
     rho_squared: object = None
     epsilon: object = None
 
     def symbol_tensor(self) -> np.ndarray:
         """Full symbol reshaped to (target, direction, fiber)."""
-        return self.full_symbol.matrix.reshape(
-            self.target.dim, self.base_dim, self.domain_fiber.dim
-        )
+        m = self.full_symbol.matrix
+        return m.reshape(len(m), self.base_dim, len(self.domain_fiber))
 
 
 def principal_squares(op: OperatorSpec, xis) -> np.ndarray:
@@ -193,7 +185,7 @@ def ellipticity_constant(op: OperatorSpec,
     # its own directions, keep memory flat in coarse_samples; xi and val follow the
     # sweep's first argmin
     worst = 0.0
-    for r in _row_blocks(coarse_samples, 2 * op.target.dim * op.domain_fiber.dim):
+    for r in _row_blocks(coarse_samples, 2 * op.symbol_tensor()[:, 0].size):
         pts = _sphere_points(n, r.start, r.stop)
         spectra = np.linalg.eigvalsh(principal_squares(op, pts))
         worst = max(worst, float(np.max(np.abs(spectra - ref))))
@@ -247,28 +239,25 @@ def twistor_symbol_rows(max_n: int, tolerance: float,
     return rows
 
 
-def twist(op: OperatorSpec, extra_fiber: SpaceDescriptor) -> OperatorSpec:
-    """Tensor the symbol with the identity of an auxiliary fiber (BadDegree if empty).
+def twist(op: OperatorSpec, extra_fiber: tuple) -> OperatorSpec:
+    """Tensor the symbol with the identity of an auxiliary fiber, given by its label
+    tuple (BadDegree if empty); the twisted fiber's labels are the label pairs.
 
     Twisting preserves both the conformity factor and the ellipticity
     constant; the declared values are carried over unchanged.
     """
-    d2 = extra_fiber.dim
+    d2 = len(extra_fiber)
     if d2 < 1:
         raise BadDegree("twist fiber dimension must be >= 1")
     T = op.symbol_tensor()
     N = np.einsum("fie,ab->faieb", T, np.eye(d2)).reshape(
-        op.target.dim * d2, op.base_dim * op.domain_fiber.dim * d2
+        len(T) * d2, op.base_dim * len(op.domain_fiber) * d2
     )
-    dom_fiber = tensor_product((op.domain_fiber, extra_fiber))
-    target = tensor_product((op.target, extra_fiber))
-    dom = tensor_product((dual_space(op.base_dim), dom_fiber))
     return OperatorSpec(
         name=f"{op.name}xE{d2}",
         base_dim=op.base_dim,
-        domain_fiber=dom_fiber,
-        target=target,
-        full_symbol=LinearMap(dom, target, N),
+        domain_fiber=tuple(product(op.domain_fiber, extra_fiber)),
+        full_symbol=LinearMap(N),
         rho_squared=op.rho_squared,
         epsilon=op.epsilon,
     )
@@ -317,27 +306,22 @@ def catalog(name: str, n: int, k: int | None = None,
     return _catalog(name, n, k, None)
 
 
-@functools.lru_cache(maxsize=None)
+# typed: a float degree such as 2.0 is refused, not served the spec of degree 2
+@functools.lru_cache(maxsize=None, typed=True)
 def _catalog(name, n, k, fiber_dim):
     if name == "connection":
         d = 2 if fiber_dim is None else fiber_dim
         if d < 1:
             raise BadDegree("connection fiber dimension must be >= 1")
-        E = fiber_space(d, "coef")
-        dom = tensor_product((dual_space(n), E))
-        return OperatorSpec("connection", n, E, dom, identity_map(dom),
-                            Fraction(1), Fraction(1))
+        return OperatorSpec("connection", n, fiber_space(d, "coef"),
+                            LinearMap(np.eye(n * d)), Fraction(1), Fraction(1))
     if name == "hodge":
-        if n < 2:
-            raise BadDegree(f"hodge symbol needs n >= 2, got n={n}")
-        if k is None or not 1 <= k <= n - 1:
-            raise BadDegree(f"hodge symbol needs a degree 1 <= k <= {n - 1}, got k={k}")
+        check_form_degree("hodge symbol needs", n, k)
         up, down = (FAMILIES[f].rho_squared(n, k) for f in ("exterior", "interior"))
         wedge = exterior_projection(n, k).scale(1.0 / sqrt(up))
         contr = interior_projection(n, k).scale(1.0 / sqrt(down))
-        target = direct_sum((exterior_power(n, k + 1), exterior_power(n, k - 1)))
-        sym = stack_maps((wedge, contr), target)
-        return OperatorSpec("hodge", n, exterior_power(n, k), target, sym,
+        return OperatorSpec("hodge", n, exterior_power(n, k),
+                            LinearMap(np.vstack((wedge.matrix, contr.matrix))),
                             Fraction(1), min(1 / up, 1 / down))
     if name not in _FAMILY_OPERATORS:
         raise UnknownName(f"no catalog operator named {name!r}")
@@ -349,8 +333,7 @@ def _catalog(name, n, k, fiber_dim):
                   else f"{window.start} <= k <= {window.stop - 1}")
         raise BadDegree(f"{name} at n={n} takes {wanted}, got k={k}")
     P = fam.build(n, k)
-    return OperatorSpec(name, n, fiber(n, k), P.codomain, P,
-                        fam.rho_squared(n, k), eps(n, k))
+    return OperatorSpec(name, n, fiber(n, k), P, fam.rho_squared(n, k), eps(n, k))
 
 
 def parse_op_string(text: str) -> OperatorSpec:

@@ -38,7 +38,7 @@ def flip_table(monkeypatch):
 
 
 def _direction_blocks(P, width):
-    n = P.domain.dim // width
+    n = P.matrix.shape[1] // width
     return np.stack([P.matrix[:, i * width:(i + 1) * width].real for i in range(n)])
 
 

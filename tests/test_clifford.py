@@ -13,7 +13,7 @@ def clifford_relation_residual(gens) -> float:
     """
     if not gens:
         return 0.0
-    d = gens[0].domain.dim
+    d = gens[0].matrix.shape[1]
     eye = np.eye(d)
     worst = 0.0
     for i, gi in enumerate(gens):
@@ -52,7 +52,7 @@ def test_n2_pauli_pair():
 def test_relations_up_to_dim_8(n):
     gens = clifford_generators(n)
     assert len(gens) == n
-    assert gens[0].domain.dim == spinor_dim(n)
+    assert gens[0].matrix.shape[1] == spinor_dim(n)
     assert clifford_relation_residual(gens) <= 1e-12
 
 

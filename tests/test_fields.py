@@ -171,14 +171,14 @@ def _per_label_derivative(f, k, extra_dim, up):
     the direction tables behind exterior_derivative and coderivative."""
     n = f.n
     degree = k + 1 if up else k - 1
-    labels_out = exterior_power(n, degree).labels if 0 <= degree <= n else []
+    labels_out = exterior_power(n, degree) if 0 <= degree <= n else []
     pos = {lab: j for j, lab in enumerate(labels_out)}
     K, width = len(f.freqs), len(labels_out) * extra_dim
     cos_d = np.zeros((K, width), dtype=np.complex128)
     sin_d = np.zeros((K, width), dtype=np.complex128)
     A = f.cos_coeffs.reshape(K, -1, extra_dim)
     B = f.sin_coeffs.reshape(K, -1, extra_dim)
-    for j, lab in enumerate(exterior_power(n, k).labels):
+    for j, lab in enumerate(exterior_power(n, k)):
         for i in range(1, n + 1):
             hit = wedge_insert(i, lab) if up else wedge_delete(i, lab)
             if hit is None:
@@ -255,7 +255,7 @@ def test_operator_application_matches_symbol_on_gradient():
     rng = np.random.default_rng(17)
     for name, n in [("dirac", 3), ("twistor", 3), ("connection", 2)]:
         op = catalog(name, n)
-        f = random_field(n, op.domain_fiber.dim, 6, 3, rng)
+        f = random_field(n, len(op.domain_fiber), 6, 3, rng)
         X = sample_points(n, 150)
         lhs = f.gradient().map_fiber(op.full_symbol.matrix).evaluate(X)
         rhs = f.gradient().evaluate(X) @ op.full_symbol.matrix.T

@@ -45,7 +45,7 @@ from katolab.kato import (
     _restricted_gram,
 )
 from katolab.linmap import LinearMap
-from katolab.spaces import exterior_power, fiber_space
+from katolab.spaces import exterior_power
 from katolab.symbols import catalog
 
 
@@ -114,6 +114,19 @@ def test_hodge_degree_checks_name_n_below_2(n):
         catalog("hodge", n, 1)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+def test_hodge_degree_checks_refuse_a_degree_that_is_not_an_integer(k):
+    # a bound of 2.5 is no form degree: no gain for it, and BadDegree, not a TypeError
+    # from the label combinatorics
+    with pytest.raises(BadDegree, match=f"hodge gains need 1 <= k <= 3, got k={k}$"):
+        hodge_gain_pair(1, 1, 4, k, False, False)
+    with pytest.raises(BadDegree, match=f"form split needs 1 <= k <= 3, got k={k}$"):
+        fuzz_hodge_inequality(4, k, 1, 10, 0)
+    catalog("hodge", 4, 2)  # cached, and still not served for a k of 2.0
+    with pytest.raises(BadDegree, match=f"hodge symbol needs 1 <= k <= 3, got k={k}$"):
+        catalog("hodge", 4, k)
+
+
 @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.integers(1, 50))
 @settings(max_examples=80, deadline=None)
 def test_lemma_gain_monotone_and_capped(c_lo, ratio, a):
@@ -150,7 +163,7 @@ def _unit(rng, n):
 
 def _exterior_matrix_of(R: np.ndarray, n: int, k: int) -> np.ndarray:
     """Induced map on degree-k forms: entries are k x k minors of R."""
-    labels = exterior_power(n, k).labels
+    labels = exterior_power(n, k)
     out = np.zeros((len(labels), len(labels)))
     for col, J in enumerate(labels):
         for row, K in enumerate(labels):
@@ -169,7 +182,7 @@ def _contains_projector_oracle(xi: np.ndarray, n: int, k: int) -> np.ndarray:
             cols.append(w / np.linalg.norm(w))
     R = np.column_stack(cols[:n])
     Rk = _exterior_matrix_of(R, n, k)
-    labels = exterior_power(n, k).labels
+    labels = exterior_power(n, k)
     diag = np.diag([1.0 if 1 in J else 0.0 for J in labels])
     return Rk @ diag @ Rk.T
 
@@ -318,7 +331,7 @@ def test_perp_gram_matches_an_explicit_frame(name, n, k):
     # the frameless perp Gram P1 P1* - T T* against P1 on a frame completing xi0
     op = catalog(name, n, k=k) if k is not None else catalog(name, n)
     xi = _unit(np.random.default_rng(5), n)
-    P1 = kato._line_split(op, xi)[0].reshape(-1, n, op.domain_fiber.dim)
+    P1 = kato._line_split(op, xi)[0].reshape(-1, n, len(op.domain_fiber))
     frame = np.linalg.qr(np.column_stack([xi, np.eye(n)[:, :n - 1]]))[0]
     H = np.einsum("rie,ij->rje", P1, frame[:, 1:]).reshape(P1.shape[0], -1)
     framed = float(np.linalg.eigvalsh(H @ H.conj().T)[-1])
@@ -366,7 +379,8 @@ def test_key_lemma_random_margins():
     rng = np.random.default_rng(11)
     for label, C, sub, bound in key_lemma_setups(4, 2):
         for trial in range(20):
-            u1 = rng.standard_normal(C.domain.dim) + 1j * rng.standard_normal(C.domain.dim)
+            d = C.matrix.shape[1]
+            u1 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             u2 = sub @ (rng.standard_normal(sub.shape[1])
                         + 1j * rng.standard_normal(sub.shape[1]))
             c = float(rng.random() * 100)
@@ -402,7 +416,7 @@ def _skewed_basis(sub):
 def test_key_lemma_rejects_a_non_orthonormal_sub_basis(spoil):
     label, C, sub, _ = key_lemma_setups(3, 1)[0]
     bad = spoil(sub)
-    u1, u2 = np.ones(C.domain.dim, dtype=complex), bad[:, 0]
+    u1, u2 = np.ones(C.matrix.shape[1], dtype=complex), bad[:, 0]
     with pytest.raises(ValueError, match="orthonormal"):
         check_key_lemma(C, bad, u1, u2, 1.0)
     with pytest.raises(ValueError, match="orthonormal"):
@@ -435,8 +449,7 @@ def test_equality_witness_saturates_bound():
 
 
 def test_equality_witness_zero_restriction():
-    C = LinearMap(fiber_space(2, "u"), fiber_space(2, "y"),
-                  np.array([[1.0, 0.0], [0.0, 0.0]]))
+    C = LinearMap(np.array([[1.0, 0.0], [0.0, 0.0]]))
     sub = np.array([[0.0], [1.0]], dtype=complex)  # second axis maps to zero
     with pytest.raises(ZeroOperator):
         equality_witness(C, sub)
@@ -469,7 +482,7 @@ def test_operator_inequality_kernel_branch_constant():
     rng = np.random.default_rng(21)
     op = catalog("dirac", 3)
     u = _kernel_vector(op, rng)
-    phi = rng.standard_normal(op.domain_fiber.dim) + 1j * rng.standard_normal(op.domain_fiber.dim)
+    phi = rng.standard_normal(len(op.domain_fiber)) + 1j * rng.standard_normal(len(op.domain_fiber))
     verdict = check_operator_inequality(op, u, phi, c=3.0)
     assert verdict.branch == "vanishing"
     assert verdict.gain == pytest.approx(0.5, abs=1e-12)  # 1/(n-1) at n=3
@@ -480,7 +493,7 @@ def test_operator_inequality_twistor_kernel_constant():
     rng = np.random.default_rng(22)
     op = catalog("twistor", 3)
     u = _kernel_vector(op, rng)
-    phi = rng.standard_normal(op.domain_fiber.dim) + 1j * rng.standard_normal(op.domain_fiber.dim)
+    phi = rng.standard_normal(len(op.domain_fiber)) + 1j * rng.standard_normal(len(op.domain_fiber))
     verdict = check_operator_inequality(op, u, phi, c=0.0)
     assert verdict.branch == "vanishing"
     assert verdict.gain == pytest.approx(2.0, abs=1e-12)  # n - 1 at n=3
@@ -490,10 +503,10 @@ def test_operator_inequality_twistor_kernel_constant():
 def test_operator_inequality_generic_margin_and_gain():
     rng = np.random.default_rng(23)
     op = catalog("dirac", 4)
-    dim = op.full_symbol.domain.dim
+    dim = op.full_symbol.matrix.shape[1]
     for _ in range(25):
         u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        phi = rng.standard_normal(op.domain_fiber.dim) + 1j * rng.standard_normal(op.domain_fiber.dim)
+        phi = rng.standard_normal(len(op.domain_fiber)) + 1j * rng.standard_normal(len(op.domain_fiber))
         c = float(rng.random() * 50)
         verdict = check_operator_inequality(op, u, phi, c=c)
         assert verdict.branch == "nonvanishing"
@@ -512,9 +525,9 @@ def test_operator_inequality_scale_free():
     # scaling u and phi together rescales both sides identically
     rng = np.random.default_rng(24)
     op = catalog("twistor", 4)
-    dim = op.full_symbol.domain.dim
+    dim = op.full_symbol.matrix.shape[1]
     u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    phi = rng.standard_normal(op.domain_fiber.dim) + 1j * rng.standard_normal(op.domain_fiber.dim)
+    phi = rng.standard_normal(len(op.domain_fiber)) + 1j * rng.standard_normal(len(op.domain_fiber))
     v1 = check_operator_inequality(op, u, phi, c=2.0)
     v2 = check_operator_inequality(op, 10 * u, 3 * phi, c=2.0)
     assert v2.lhs == pytest.approx(100 * v1.lhs, rel=1e-12)
@@ -530,7 +543,7 @@ def _scale_free_checks(rng, m):
     # rows on the vanishing branch (inside ker P, inside ker(wedge) and ker(contraction),
     # and with C(u1 + u2) = 0); the scale multiplies the gradient part of a row
     op = catalog("twistor", 4)
-    dim, dE = op.full_symbol.domain.dim, op.domain_fiber.dim
+    dim, dE = op.full_symbol.matrix.shape[1], len(op.domain_fiber)
     foldo = [(_crow(rng, dim), _crow(rng, dE)) for _ in range(m)]
     foldo += [(_kernel_vector(op, rng), _crow(rng, dE)) for _ in range(m)]
     null = kato._null_space(np.vstack(_form_maps(4, 2, 1)))
@@ -538,7 +551,7 @@ def _scale_free_checks(rng, m):
     hodge += [(null @ _crow(rng, null.shape[1]), _crow(rng, 6)) for _ in range(m)]
     _, C, sub, _ = key_lemma_setups(4, 2)[0]
     u2s = [sub @ _crow(rng, sub.shape[1]) for _ in range(2 * m)]
-    lemma = [(_crow(rng, C.domain.dim), u2) for u2 in u2s[:m]]
+    lemma = [(_crow(rng, C.matrix.shape[1]), u2) for u2 in u2s[:m]]
     lemma += [(matching_first_component(C, u2), u2) for u2 in u2s[m:]]
     return [
         ("foldo", lambda s, r: check_operator_inequality(op, s * r[0], r[1], 2.0), foldo),
@@ -777,10 +790,10 @@ def test_folded_draws_keep_the_complex_rows_stream(m, which):
                  else line_component_setup(catalog("dirac", 3)))[:3]
     Chat = C.matrix @ sub
     folded, plain = np.random.default_rng(m), np.random.default_rng(m)
-    Cu1, u1_sq = kato._folded_rows(folded, m, C.domain.dim, kato._real_form(C.matrix.T))
+    Cu1, u1_sq = kato._folded_rows(folded, m, C.matrix.shape[1], kato._real_form(C.matrix.T))
     Cz, z_sq = kato._folded_rows(folded, m, sub.shape[1], kato._real_form(Chat.T))
     c = kato._weights(folded, m)
-    u1, z = (kato._complex_rows(plain, m, d) for d in (C.domain.dim, sub.shape[1]))
+    u1, z = (kato._complex_rows(plain, m, d) for d in (C.matrix.shape[1], sub.shape[1]))
     assert np.array_equal(c, kato._weights(plain, m))
     assert folded.bit_generator.state == plain.bit_generator.state
     for img, sq, x, M in ((Cu1, u1_sq, u1, C.matrix), (Cz, z_sq, z, Chat)):
@@ -820,7 +833,7 @@ def test_fuzz_key_lemma_identity_with_an_empty_second_component(monkeypatch, d):
     # C = I_d has no kernel, so a forced row keeps no part of u1: its squared norm is
     # |u1|^2 - |C+ C u1|^2, a rounding residue that is clamped at 0 and never negative,
     # and every forced row passes on the vanishing branch; chunks of 700, 700 and 600
-    C = LinearMap(fiber_space(d, "u"), fiber_space(d, "y"), np.eye(d))
+    C = LinearMap(np.eye(d))
     monkeypatch.setitem(kato._DRAW_CHUNK, "key-lemma", 700)
     for seed in range(20):
         report = fuzz_key_lemma(C, np.zeros((d, 0)), 2000, seed)
@@ -833,7 +846,7 @@ def test_fuzz_key_lemma_on_an_empty_second_component():
     # z has no coordinates (reshape widths are spelled out): u2 = 0, and the 12 forced
     # rows of a 50-row chunk make C u1 vanish
     _, C, _, _ = key_lemma_setups(3, 1)[0]
-    report = fuzz_key_lemma(C, np.zeros((C.domain.dim, 0)), 50, 1)
+    report = fuzz_key_lemma(C, np.zeros((C.matrix.shape[1], 0)), 50, 1)
     assert report.passed and report.samples == 50
     assert report.branch_counts == {"vanishing": 12, "nonvanishing": 38}
     assert report.extras["spectral_bound"] == 0.0
@@ -1007,7 +1020,7 @@ def test_foldo_sampler_keeps_the_whole_draw_stream(monkeypatch, name, args, samp
     op, seed = catalog(name, *args), 7 * samples + len(name)
     monkeypatch.setitem(kato._DRAW_CHUNK, "foldo", 8192)
     chunks = _sampled_chunks(monkeypatch, lambda: fuzz_operator_inequality(op, samples, seed))
-    dE = op.domain_fiber.dim
+    dE = len(op.domain_fiber)
     nulls = [kato._null_space(op.full_symbol.matrix)]
     assert (nulls[0].shape[1] == 0) == (name == "connection")
     _check_the_whole_draw_recipe(chunks, "foldo", samples, seed, (op.base_dim * dE, dE), 1,

@@ -33,7 +33,6 @@ from katolab.kato import (
     line_component_setup,
 )
 from katolab.linmap import LinearMap
-from katolab.spaces import fiber_space
 from katolab.symbols import catalog
 
 TOL = 1e-12
@@ -76,7 +75,7 @@ def _reference_rows(C, sub, seed, forced_fraction=0.25):
     outs, done = [], 0
     while done < SAMPLES:
         m = min(CHUNK, SAMPLES - done)
-        u1 = _complex_rows(rng, m, C.domain.dim)
+        u1 = _complex_rows(rng, m, C.matrix.shape[1])
         u2 = _complex_rows(rng, m, sub.shape[1]) @ sub.T
         c = _weights(rng, m)
         nf = int(forced_fraction * m)
@@ -139,7 +138,7 @@ def test_forced_rows_match_the_explicit_fix_up_off_the_catalog(seed, complex_, F
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kato, "_key_lemma_margins", recording)
         mp.setitem(kato._DRAW_CHUNK, "key-lemma", chunk)
-        fuzz_key_lemma(LinearMap(fiber_space(D), fiber_space(F), Cm), sub, samples, seed)
+        fuzz_key_lemma(LinearMap(Cm), sub, samples, seed)
     s = np.linalg.svd(Cm, compute_uv=False)
     cond = s[0] / s[rank - 1]
     pinv = np.linalg.pinv(Cm)

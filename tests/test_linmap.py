@@ -4,20 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katolab.linmap import (
-    _FORM_BLOCK,
-    LinearMap,
-    _row_blocks,
-    gram_schmidt_columns,
-    identity_map,
-    stack_maps,
-)
-from katolab.spaces import direct_sum, fiber_space
+from katolab.linmap import _FORM_BLOCK, LinearMap, _row_blocks, gram_schmidt_columns
 
 
 def _random_map(rng, dout, din):
-    m = rng.standard_normal((dout, din)) + 1j * rng.standard_normal((dout, din))
-    return LinearMap(fiber_space(din, "in"), fiber_space(dout, "out"), m)
+    shape = (dout, din)
+    return LinearMap(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 @settings(max_examples=60, deadline=None)
@@ -34,7 +26,7 @@ def test_adjoint_inner_product_identity(seed, dout, din):
 
 
 def test_matrix_is_frozen():
-    P = identity_map(fiber_space(2, "x"))
+    P = LinearMap(np.eye(2))
     with pytest.raises(ValueError):
         P.matrix[0, 0] = 5.0
 
@@ -56,16 +48,10 @@ def test_gram_schmidt_orthonormal_and_deterministic():
     assert np.allclose(p1, p2, atol=1e-10)
 
 
-def test_stack_maps():
-    rng = np.random.default_rng(19)
-    A = _random_map(rng, 2, 3)
-    B = LinearMap(A.domain, fiber_space(1, "z"), rng.standard_normal((1, 3)))
-    cod = direct_sum((A.codomain, B.codomain))
-    S = stack_maps((A, B), cod)
-    assert S.matrix.shape == (3, 3)
-    u = rng.standard_normal(3)
-    assert np.allclose(S.apply(u)[:2], A.apply(u))
-    assert np.allclose(S.apply(u)[2:], B.apply(u))
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 4), ()])
+def test_linear_map_refuses_an_array_that_is_not_2d(shape):
+    with pytest.raises(ValueError, match="2-D matrix"):
+        LinearMap(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +109,7 @@ def test_linear_map_copies_a_writable_or_borrowed_matrix(make):
     # only an owning, read-only complex128 array is taken as it is; any other input is
     # copied, so writing to the caller's array or its base leaves the map unchanged
     m = make()
-    P = LinearMap(fiber_space(3, "in"), fiber_space(2, "out"), m)
+    P = LinearMap(m)
     want = P.matrix.copy()
     base = m if m.base is None else m.base
     base.flags.writeable = True
@@ -134,7 +120,7 @@ def test_linear_map_copies_a_writable_or_borrowed_matrix(make):
 def test_linear_map_keeps_an_owning_read_only_complex_matrix():
     m = np.ones((2, 3), dtype=np.complex128)
     m.flags.writeable = False
-    assert LinearMap(fiber_space(3, "in"), fiber_space(2, "out"), m).matrix is m
+    assert LinearMap(m).matrix is m
     view = np.ones((2, 6), dtype=np.complex128)[:, ::2]
     view.flags.writeable = False
-    assert LinearMap(fiber_space(3, "in"), fiber_space(2, "out"), view).matrix is not view
+    assert LinearMap(view).matrix is not view

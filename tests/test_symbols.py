@@ -7,8 +7,8 @@ import pytest
 
 from katolab.errors import BadDegree, UnknownName
 from katolab.linmap import LinearMap
-from katolab.projections import conformity_factor
-from katolab.spaces import dual_space, fiber_space, tensor_product
+from katolab.projections import conformity_factor, exterior_projection, interior_projection
+from katolab.spaces import fiber_space
 from katolab.symbols import (
     OperatorSpec,
     catalog,
@@ -80,8 +80,7 @@ def test_epsilon_never_exceeds_rho_and_connection_saturates():
 
 def symbol_at(op, xi):
     # the directional symbol P_xi : E -> F, the full symbol contracted with xi
-    return LinearMap(op.domain_fiber, op.target,
-                     np.tensordot(xi, op.symbol_tensor(), axes=([0], [1])))
+    return LinearMap(np.tensordot(xi, op.symbol_tensor(), axes=([0], [1])))
 
 
 def test_symbol_at_is_linear_in_xi():
@@ -141,9 +140,8 @@ def test_blocked_sweep_keeps_the_first_argmin_of_the_whole_sweep():
     # directions 18 row blocks, and with no search rounds the result is the sweep's
     # minimum at its first argmin
     rng = np.random.default_rng(3)
-    E, F = fiber_space(8, "e"), fiber_space(40, "f")
     m = rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))
-    op = OperatorSpec("random", 3, E, F, LinearMap(tensor_product((dual_space(3), E)), F, m))
+    op = OperatorSpec("random", 3, fiber_space(8, "e"), LinearMap(m))
     res = ellipticity_constant(op, coarse_samples=3000, refine_steps=0)
     xis = quasi_unit_covectors(3, 3000)
     lows = np.linalg.eigvalsh(principal_squares(op, xis))[:, 0]
@@ -157,15 +155,12 @@ def _axis_weighted_symbol():
     # P_xi = [[xi_1, xi_2], [-xi_2, 2 xi_1]]: injectively elliptic but
     # the spectrum of P_xi* P_xi genuinely depends on the direction;
     # columns of the full symbol are (direction, fiber) pairs
-    E = fiber_space(2, "e")
-    F = fiber_space(2, "f")
-    dom = tensor_product((dual_space(2), E))
     m = np.zeros((2, 4), dtype=complex)
     m[0, 0] = 1.0    # xi1, e1 -> f1
     m[1, 1] = 2.0    # xi1, e2 -> f2
     m[0, 3] = 1.0    # xi2, e2 -> f1
     m[1, 2] = -1.0   # xi2, e1 -> f2
-    return OperatorSpec("skewed", 2, E, F, LinearMap(dom, F, m))
+    return OperatorSpec("skewed", 2, fiber_space(2, "e"), LinearMap(m))
 
 
 def test_ellipticity_fallback_matches_closed_form_oracle():
@@ -225,7 +220,7 @@ def test_twist_preserves_rho_and_epsilon(extra_dim):
     r_base = ellipticity_constant(base)
     r_tw = ellipticity_constant(tw)
     assert abs(r_base.epsilon - r_tw.epsilon) <= 1e-10
-    assert tw.domain_fiber.dim == base.domain_fiber.dim * extra_dim
+    assert len(tw.domain_fiber) == len(base.domain_fiber) * extra_dim
 
 
 def test_twist_action_factorizes():
@@ -289,9 +284,19 @@ def test_catalog_specs_are_built_once_and_read_only():
     assert hodge is not catalog("hodge", 5, 3)
 
 
+def test_hodge_symbol_stacks_the_weighted_wedge_over_the_contraction():
+    # rows: the wedge over 1/sqrt(k+1), then the contraction over 1/sqrt(n-k+1)
+    n, k = 5, 2
+    want = np.vstack((exterior_projection(n, k).matrix / np.sqrt(k + 1),
+                      interior_projection(n, k).matrix / np.sqrt(n - k + 1)))
+    op = catalog("hodge", n, k)
+    assert np.allclose(op.full_symbol.matrix, want, rtol=0, atol=1e-15)
+    assert op.symbol_tensor().shape == (10 + 5, n, 10)
+
+
 def test_parse_op_string():
     op = parse_op_string("hodge:5:2")
     assert op.name == "hodge" and op.base_dim == 5
     con = parse_op_string("connection:3:4")
-    assert con.domain_fiber.dim == 4
+    assert len(con.domain_fiber) == 4
     assert parse_op_string("dirac:3").base_dim == 3
