@@ -13,49 +13,29 @@ matrix stays skew-adjoint; for n = 1 the empty product leaves the 1x1
 matrix (i).
 """
 
+from functools import reduce
+
 import numpy as np
 
 from .errors import BadDegree
-from .linmap import LinearMap
-from .spaces import fiber_space
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
-def spinor_dim(n: int) -> int:
-    return 2 ** (n // 2)
-
-
-def spinor_space(n: int) -> tuple:
-    return fiber_space(spinor_dim(n), "spinor")
-
-
-def _chain(factors) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for f in factors:
-        out = np.kron(out, f)
-    return out
-
-
 def clifford_generators(n: int) -> list:
-    """n anticommuting skew-adjoint unitaries on dimension 2^floor(n/2)."""
+    """n anticommuting skew-adjoint unitary complex128 matrices of size 2^floor(n/2)."""
     if n < 1:
         raise BadDegree(f"need n >= 1 directions, got {n}")
     m = n // 2
-    eye = np.eye(2, dtype=np.complex128)
+    eye, one = np.eye(2, dtype=np.complex128), np.ones((1, 1), dtype=np.complex128)
     mats = []
     for j in range(m):
-        pre = [_SZ] * j
-        post = [eye] * (m - j - 1)
-        mats.append(_chain(pre + [1j * _SX] + post))
-        mats.append(_chain(pre + [1j * _SY] + post))
+        for s in (_SX, _SY):
+            mats.append(reduce(np.kron, [_SZ] * j + [1j * s] + [eye] * (m - j - 1), one))
     if n % 2 == 1:
-        prod = np.eye(2 ** m, dtype=np.complex128)
-        for g in mats:
-            prod = prod @ g
         z = 1.0 if m % 2 == 1 else 1.0j
-        mats.append(z * prod)
-    return [LinearMap(g) for g in mats]
+        mats.append(z * reduce(np.matmul, mats, np.eye(2 ** m, dtype=np.complex128)))
+    return mats
 

@@ -321,8 +321,8 @@ def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0) -> Sce
     rng = np.random.default_rng(seed)
     if theorem != "hodge":
         op = catalog(theorem, n)
-        f = random_field(n, len(op.domain_fiber), *_SECTION_BAND, rng)
-        return Scenario(name, "foldo", n, None, len(op.domain_fiber), f,
+        f = random_field(n, op.fiber_dim, *_SECTION_BAND, rng)
+        return Scenario(name, "foldo", n, None, op.fiber_dim, f,
                         operator=op, notes=notes)
     f = random_field(n, math.comb(n, k + shift) * extra, *_SECTION_BAND, rng)
     if shift:
@@ -376,8 +376,8 @@ def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
         return max(_max_row_norm(d_vals), _max_row_norm(cod_vals)) / ref
     # first order with constant coefficients: the operator is its full
     # symbol applied to the coefficients of the gradient
-    op_vals = f.gradient().map_fiber(sc.operator.full_symbol.matrix).evaluate(points)
-    op_vals -= grad_vals @ sc.operator.full_symbol.matrix.T
+    op_vals = f.gradient().map_fiber(sc.operator.full_symbol).evaluate(points)
+    op_vals -= grad_vals @ sc.operator.full_symbol.T
     return _max_row_norm(op_vals) / ref
 
 

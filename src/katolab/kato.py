@@ -54,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadConstants, BrokenIdentity, NotUnit, ZeroOperator, ZeroSection
-from .linmap import LinearMap, _row_blocks, gram_schmidt_columns
+from .linmap import _check_map, _row_blocks, gram_schmidt_columns
 from .projections import conformity_factor, exterior_projection, interior_projection
 from .spaces import check_form_degree, exterior_power
 from .symbols import OperatorSpec, ellipticity_constant, unit_covector
@@ -88,7 +88,8 @@ def _check_weights(c) -> None:
 
 
 def _check_bound(bound) -> None:
-    if bound < 0:
+    # written so that a NaN bound fails too
+    if not bound >= 0:
         raise BadConstants(f"spectral bound must be >= 0, got {bound}")
 
 
@@ -116,9 +117,10 @@ def kato_gain_operator(c, rho_squared, epsilon, vanishing: bool):
     coincide, and epsilon c / (1 + (rho^2 - epsilon) c) otherwise.
     """
     rho_squared, epsilon = _exactify(rho_squared), _exactify(epsilon)
-    if epsilon <= 0:
+    # written so that NaN constants fail too
+    if not epsilon > 0:
         raise BadConstants(f"epsilon must be positive, got {epsilon}")
-    if epsilon > rho_squared:
+    if not epsilon <= rho_squared:
         raise BadConstants(f"epsilon {epsilon} exceeds rho^2 {rho_squared}")
     return epsilon * kato_gain_lemma(c, rho_squared - epsilon, vanishing)
 
@@ -183,7 +185,7 @@ def _direction_table(n: int, j: int, up: bool) -> np.ndarray:
     where the target degree leaves 0..n."""
     if not 0 <= (j + 1 if up else j - 1) <= n:
         return np.zeros((n, 0, math.comb(n, j)))
-    P = (exterior_projection if up else interior_projection)(n, j).matrix.real
+    P = (exterior_projection if up else interior_projection)(n, j).real
     T = np.ascontiguousarray(P.reshape(len(P), n, -1).transpose(1, 0, 2))
     T.flags.writeable = False
     return T
@@ -316,7 +318,7 @@ def _line_split(op: OperatorSpec, xi: np.ndarray):
     line.  F1 is Gram-Schmidt over the columns P_xi e_j in basis order."""
     P_xi = np.tensordot(xi, op.symbol_tensor(), axes=([0], [1]))
     F1_adj = gram_schmidt_columns(P_xi).conj().T
-    return F1_adj @ op.full_symbol.matrix, F1_adj @ P_xi
+    return F1_adj @ op.full_symbol, F1_adj @ P_xi
 
 
 def verify_spectral_bounds(op: OperatorSpec, xi0,
@@ -431,14 +433,15 @@ def _rsq(x: np.ndarray) -> np.ndarray:
 # the two-component key lemma
 
 
-def _restricted_gram(C: LinearMap, sub_basis: np.ndarray):
+def _restricted_gram(C: np.ndarray, sub_basis: np.ndarray):
     """C on the component spanned by the orthonormal columns of sub_basis
-    (ValueError beyond 1e-10), its Gram C C* there, and the Gram's top
-    eigenvalue (0 when empty)."""
+    (ValueError beyond 1e-10, or for a C that is not a 2-D complex128 matrix), its
+    Gram C C* there, and the Gram's top eigenvalue (0 when empty)."""
+    _check_map(C)
     drift = sub_basis.conj().T @ sub_basis - np.eye(sub_basis.shape[1])
     if not np.max(np.abs(drift), initial=0.0) <= 1e-10:
         raise ValueError("sub_basis columns must be orthonormal within 1e-10")
-    Chat = C.matrix @ sub_basis
+    Chat = C @ sub_basis
     G = Chat @ Chat.conj().T
     return Chat, G, float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0
 
@@ -479,7 +482,7 @@ def _key_lemma_margins(a: float, Cu1: np.ndarray, Cu2: np.ndarray,
             "vanishing": vanishing, "gain": gain}
 
 
-def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
+def check_key_lemma(C: np.ndarray, sub_basis: np.ndarray, u1: np.ndarray,
                     u2: np.ndarray, c: float) -> KatoVerdict:
     """|u2|^2 + c |C(u1+u2)|^2 >= gain * |C(u1)|^2 with the branch gain.
 
@@ -491,12 +494,12 @@ def check_key_lemma(C: LinearMap, sub_basis: np.ndarray, u1: np.ndarray,
     u1, u2 = _row(u1), _row(u2)
     if np.linalg.norm(u2 - u2 @ sub_basis.conj() @ sub_basis.T) > 1e-10 * np.linalg.norm(u2):
         raise ValueError("u2 must lie in the span of sub_basis within 1e-10 |u2|")
-    CT, (x1, x2) = _real_form(C.matrix.T), (np.stack([x.real, x.imag], 1) for x in (u1, u2))
+    CT, (x1, x2) = _real_form(C.T), (np.stack([x.real, x.imag], 1) for x in (u1, u2))
     out = _key_lemma_margins(a, _apply(x1, CT), _apply(x2, CT), _rsq(x1), _rsq(x2), c)
     return _row_verdict("key-lemma", out, c, None)
 
 
-def equality_witness(C: LinearMap, sub_basis: np.ndarray):
+def equality_witness(C: np.ndarray, sub_basis: np.ndarray):
     """Second-component vector saturating the spectral bound.
 
     Returns (u2, ratio) with u2 the pullback C* y of a top eigenvector y
@@ -510,13 +513,14 @@ def equality_witness(C: LinearMap, sub_basis: np.ndarray):
     y = np.linalg.eigh(G)[1][:, -1]
     u2 = sub_basis @ (Chat.conj().T @ y)
     u2 = u2 / np.linalg.norm(u2)
-    return u2, float(np.linalg.norm(C.apply(u2)) ** 2)
+    return u2, float(np.linalg.norm(C @ u2) ** 2)
 
 
-def matching_first_component(C: LinearMap, u2: np.ndarray) -> np.ndarray:
-    """u1 with C(u1) = -C(u2), making the total image vanish exactly."""
-    target = -C.apply(u2)
-    u1, *_ = np.linalg.lstsq(C.matrix, target, rcond=None)
+def matching_first_component(C: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """u1 with C(u1) = -C(u2), making the total image vanish exactly; ValueError for a
+    C that is not a 2-D complex128 matrix."""
+    _check_map(C)
+    u1, *_ = np.linalg.lstsq(C, -(C @ np.asarray(u2, dtype=np.complex128)), rcond=None)
     return u1
 
 
@@ -533,7 +537,7 @@ def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray, c) 
     full_scale (lhs plus the finite rhs), vanishing mask and gain.  Squared
     norms run in row blocks (_row_blocks); margins once over the batch.
     """
-    n, dE = op.base_dim, len(op.domain_fiber)
+    n, dE = op.base_dim, op.fiber_dim
     rho2, eps = operator_constants(op)
     m = len(u)
     if len(phi) != m:
@@ -542,7 +546,7 @@ def batch_operator_margins(op: OperatorSpec, u: np.ndarray, phi: np.ndarray, c) 
     for r in _row_blocks(m, 2 * u.shape[1]):
         x, y = u[r], phi[r]
         b = np.real(np.einsum("nie,ne->ni", x.reshape(len(x), n, dE), y.conj()))
-        norms[:, r] = (_sq(x @ op.full_symbol.matrix.T), _sq(x),
+        norms[:, r] = (_sq(x @ op.full_symbol.T), _sq(x),
                        np.sum(b ** 2, axis=1) / _sq(y))
     pu_sq, scale, dnorm_sq = norms
     vanishing = _branch(None, pu_sq, scale)
@@ -854,8 +858,8 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
     branch (and its exact gain) gets exercised whenever the kernel is
     nonzero.
     """
-    n, dE = op.base_dim, len(op.domain_fiber)
-    null = _null_space(op.full_symbol.matrix)
+    n, dE = op.base_dim, op.fiber_dim
+    null = _null_space(op.full_symbol)
 
     def sample(rng, m):
         # the leading quarter is redrawn in ker P, when there is one: its draws are dropped
@@ -915,22 +919,23 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
     return report
 
 
-def fuzz_key_lemma(C: LinearMap, sub_basis: np.ndarray, samples: int,
+def fuzz_key_lemma(C: np.ndarray, sub_basis: np.ndarray, samples: int,
                    seed: int, label: str = "restriction") -> FuzzReport:
     """Batch check of the two-component lemma for one restricted map.
 
     The first quarter of every chunk gets u1 moved to u1 - C+(C u1 + C u2), so
     C(u1 + u2) = 0 holds exactly, exercising the vanishing branch.
-    sub_basis must hold orthonormal columns (ValueError otherwise).
+    sub_basis must hold orthonormal columns and C be a 2-D complex128 matrix
+    (ValueError otherwise).
     """
     Chat, _, a = _restricted_gram(C, sub_basis)
-    CT, ChatT, pinv = _real_form(C.matrix.T), _real_form(Chat.T), np.linalg.pinv(C.matrix)
+    CT, ChatT, pinv = _real_form(C.T), _real_form(Chat.T), np.linalg.pinv(C)
     G = _real_form(pinv.T @ pinv.conj())  # C+* C+ in row form: |C+ y|^2 = Re y G y*
 
     def sample(rng, m):
         # the margin reads u1 only through C u1 and |u1|, and u2 = sub_basis z only
         # through C u2 = Chat z and |u2| = |z|: the draws are folded into those as drawn
-        Cu1, u1_sq = _folded_rows(rng, m, C.matrix.shape[1], CT)
+        Cu1, u1_sq = _folded_rows(rng, m, C.shape[1], CT)
         Cz, z_sq = _folded_rows(rng, m, sub_basis.shape[1], ChatT)
         # forced rows: u1 - C+(C u1 + C u2) has image -C u2 (C C+ projects onto range C),
         # its ker C part (>= 0 past rounding) and -C+ C u2 in place of C+ C u1
@@ -955,7 +960,7 @@ def key_lemma_setups(n: int, k: int):
 
     With xi0 = e_1* the four blocks align with coordinate slices, so the
     restricted maps are column selections of the wedge/contraction
-    symbols.  Returns a list of (label, C, sub_basis, exact_bound).
+    symbols.  Returns a list of (label, C, sub_basis, exact_bound), C complex128.
     """
     eps_mat, iota_mat = _form_maps(n, k, 1)
     labels_k = exterior_power(n, k)
@@ -973,7 +978,7 @@ def key_lemma_setups(n: int, k: int):
          cols(range(1, n), no1), float(n - k)),
     ):
         keep = first + second
-        C = LinearMap(mat[:, keep])
+        C = mat[:, keep].astype(np.complex128)
         # the second component is the trailing block of coordinates
         sub_basis = np.eye(len(keep), dtype=complex)[:, len(first):]
         setups.append((label, C, sub_basis, bound))
@@ -986,9 +991,8 @@ def line_component_setup(op: OperatorSpec):
     The second component is the perp part of the domain; the exact
     spectral bound is rho^2 - epsilon.
     """
-    n, dE = op.base_dim, len(op.domain_fiber)
-    P1 = _line_split(op, unit_covector(n))[0]
-    C = LinearMap(P1)
+    n, dE = op.base_dim, op.fiber_dim
+    C = _line_split(op, unit_covector(n))[0]
     # with xi0 = e_1* the perp part is every covector slot but the first
     sub_basis = np.eye(n * dE, dtype=complex)[:, dE:]
     rho2, eps = operator_constants(op)

@@ -1,13 +1,10 @@
 """Linear maps as matrices in orthonormal bases.
 
-All bases are orthonormal, so the adjoint is the conjugate transpose of
-the coefficient matrix and no Gram matrices ever appear.  Matrices are
-complex (np.complex128) and frozen after construction.  A LinearMap copies
-its matrix, except an owning, read-only complex128 array, which it takes
-as it is: a builder that hands such an array over gives up writing to it.
+A linear map is the plain ndarray of its coefficients, of shape (dim codomain, dim
+domain).  All bases are orthonormal, so the adjoint is the conjugate transpose and no
+Gram matrices ever appear.  The maps that a caller hands in (a projection to certify,
+the key lemma's C) are complex128 and 2-D, or ValueError (_check_map).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,29 +14,11 @@ import numpy as np
 _FORM_BLOCK = 1024
 
 
-@dataclass(eq=False, frozen=True)
-class LinearMap:
-    """Matrix of a linear map in orthonormal bases, read-only, of shape (dim codomain,
-    dim domain); an array that is not 2-D raises ValueError."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
-                and m.flags.owndata and not m.flags.writeable):
-            m = np.array(m, dtype=np.complex128, copy=True)
-        if m.ndim != 2:
-            raise ValueError(f"a linear map needs a 2-D matrix, got shape {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.complex128)
-        return self.matrix @ vec
-
-    def scale(self, a) -> "LinearMap":
-        return LinearMap(a * self.matrix)
+def _check_map(m) -> None:
+    """ValueError unless m is the 2-D complex128 matrix of a linear map."""
+    if not (isinstance(m, np.ndarray) and m.dtype == np.complex128 and m.ndim == 2):
+        raise ValueError(f"a linear map needs a 2-D complex128 matrix, got "
+                         f"{getattr(m, 'dtype', type(m).__name__)} of shape {np.shape(m)}")
 
 
 def gram_schmidt_columns(M: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .clifford import clifford_generators
 from .errors import BadDegree, NotConformal, NotSurjective
-from .linmap import LinearMap, _row_blocks, gram_schmidt_columns
+from .linmap import _check_map, _row_blocks, gram_schmidt_columns
 from .spaces import (
     exterior_power,
     multiset_insert,
@@ -41,10 +41,10 @@ DEFAULT_CONFORMITY_TOL = 1e-10
 _SURJECTIVITY_CUTOFF = 1e-10   # relative singular value cutoff for rank
 
 
-def _insertion_map(n: int, src: tuple, dst: tuple, entry) -> LinearMap:
+def _insertion_map(n: int, src: tuple, dst: tuple, entry) -> np.ndarray:
     """V* (x) src -> dst, for the label tuples src and dst, whose column e_i* (x) label
     holds the single entry entry(i, label) = (value, target label), or nothing when it
-    is None."""
+    is None; read-only."""
     M = np.zeros((len(dst), n * len(src)), dtype=np.complex128)
     pos = {lab: p for p, lab in enumerate(dst)}
     for j, lab in enumerate(src):
@@ -52,25 +52,25 @@ def _insertion_map(n: int, src: tuple, dst: tuple, entry) -> LinearMap:
             hit = entry(i, lab)
             if hit is not None:
                 M[pos[hit[1]], (i - 1) * len(src) + j] = hit[0]
-    M.flags.writeable = False  # handed over to the LinearMap, not copied
-    return LinearMap(M)
+    M.flags.writeable = False  # an OperatorSpec keeps it without a copy
+    return M
 
 
-def exterior_projection(n: int, k: int) -> LinearMap:
+def exterior_projection(n: int, k: int) -> np.ndarray:
     """Wedge insertion V* (x) Lambda^k -> Lambda^{k+1}; needs 0 <= k <= n-1."""
     if k < 0 or k > n - 1:
         raise BadDegree(f"exterior projection needs 0 <= k <= {n - 1}, got k={k}")
     return _insertion_map(n, exterior_power(n, k), exterior_power(n, k + 1), wedge_insert)
 
 
-def interior_projection(n: int, k: int) -> LinearMap:
+def interior_projection(n: int, k: int) -> np.ndarray:
     """Contraction V* (x) Lambda^k -> Lambda^{k-1}; needs 1 <= k <= n."""
     if k < 1 or k > n:
         raise BadDegree(f"interior projection needs 1 <= k <= {n}, got k={k}")
     return _insertion_map(n, exterior_power(n, k), exterior_power(n, k - 1), wedge_delete)
 
 
-def symmetrization_projection(n: int, k: int) -> LinearMap:
+def symmetrization_projection(n: int, k: int) -> np.ndarray:
     """Symmetrized insertion V* (x) S^k -> S^{k+1}.
 
     In the normalized monomial bases each column carries the single
@@ -88,7 +88,7 @@ def symmetrization_projection(n: int, k: int) -> LinearMap:
     return _insertion_map(n, symmetric_power(n, k), symmetric_power(n, k + 1), entry)
 
 
-def contraction_projection(n: int, k: int) -> LinearMap:
+def contraction_projection(n: int, k: int) -> np.ndarray:
     """First-slot evaluation V* (x) S^k -> S^{k-1}; needs k >= 1.
 
     Column entry sqrt(mult_i(a) / k) at row a minus one copy of i.
@@ -100,12 +100,12 @@ def contraction_projection(n: int, k: int) -> LinearMap:
         lambda i, a: (sqrt(a.count(i) / k), multiset_remove(i, a)) if i in a else None)
 
 
-def clifford_projection(n: int) -> LinearMap:
+def clifford_projection(n: int) -> np.ndarray:
     """Clifford action V* (x) S -> S, f (x) s -> c_f(s)."""
-    return LinearMap(np.hstack([g.matrix for g in clifford_generators(n)]))
+    return np.hstack(clifford_generators(n))
 
 
-def twistor_projection(n: int) -> LinearMap:
+def twistor_projection(n: int) -> np.ndarray:
     """Orthogonal projection of V* (x) S onto the kernel of Clifford action.
 
     The projector is Pi = I - C* C / n, with exact entries, for the
@@ -117,14 +117,14 @@ def twistor_projection(n: int) -> LinearMap:
     """
     if n < 2:
         raise BadDegree(f"twistor projection needs n >= 2, got {n}")
-    C = clifford_projection(n).matrix
+    C = clifford_projection(n)
     dS = len(C)
     B = gram_schmidt_columns(np.eye(C.shape[1]) - C.conj().T @ C / n)
     if B.shape[1] != (n - 1) * dS:
         raise NotSurjective(
             f"twistor kernel basis came out rank {B.shape[1]}, expected {(n - 1) * dS}"
         )
-    return LinearMap(B.conj().T)
+    return B.conj().T
 
 
 class Family(NamedTuple):
@@ -166,8 +166,6 @@ class ProjectionReport:
     surjective: bool
     certified: bool
     tolerance: float
-    domain_dim: int
-    codomain_dim: int
 
 
 def _gram(m: np.ndarray, diagonal: bool):
@@ -185,20 +183,21 @@ def _gram(m: np.ndarray, diagonal: bool):
         return G, (G.sum() if diagonal else np.trace(G))
 
 
-def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> ProjectionReport:
+def conformity_report(P: np.ndarray, tol: float = DEFAULT_CONFORMITY_TOL) -> ProjectionReport:
     """Measure rho^2 = trace(P P*) / dim W and its relative residual.
 
-    Never raises; the certified flag records whether P is surjective and
-    ||P P* - rho^2 I|| <= tol * rho^2 in the spectral norm.
+    ValueError unless P is a 2-D complex128 matrix; otherwise never raises.  The
+    certified flag records whether P is surjective and ||P P* - rho^2 I|| <= tol * rho^2
+    in the spectral norm.
     """
-    m = P.matrix
-    dw, dv = m.shape
+    _check_map(P)
+    m, dw = P, len(P)
     if dw == 0:
         # empty codomain: vacuously conformal, rho^2 is reported as 0
-        return ProjectionReport(0.0, 0.0, True, True, tol, dv, 0)
+        return ProjectionReport(0.0, 0.0, True, True, tol)
     if not np.all(np.isfinite(m)):
         # a non-finite entry: no rho^2 or residual, and the SVD would not converge
-        return ProjectionReport(nan, nan, False, False, tol, dv, dw)
+        return ProjectionReport(nan, nan, False, False, tol)
     # columns with at most one nonzero entry each make m m* diagonal: only its
     # diagonal is formed, and the spectral norm of the shift is its largest modulus
     diagonal = np.count_nonzero(m, axis=0).max(initial=0) <= 1
@@ -222,21 +221,20 @@ def conformity_report(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> Proj
         sv = np.linalg.svd(m, compute_uv=False)
         surjective = int(np.sum(sv > _SURJECTIVITY_CUTOFF * max(sv[0], 1e-300))) == dw
     certified = surjective and residual <= tol
-    return ProjectionReport(rho2 * scale * scale, residual, surjective, certified, tol,
-                            dv, dw)
+    return ProjectionReport(rho2 * scale * scale, residual, surjective, certified, tol)
 
 
-def conformity_factor(P: LinearMap, tol: float = DEFAULT_CONFORMITY_TOL) -> ProjectionReport:
+def conformity_factor(P: np.ndarray, tol: float = DEFAULT_CONFORMITY_TOL) -> ProjectionReport:
     """Certify P as a conformal projection or raise.
 
     Raises NotSurjective when rank(P) < dim W and NotConformal when the
     normalized residual of P P* - rho^2 I exceeds tol; both carry the
-    measured residual.
+    measured residual.  ValueError as conformity_report.
     """
     rep = conformity_report(P, tol)
     if not rep.surjective:
         raise NotSurjective(
-            f"rank deficiency: map onto {len(P.matrix)}-dim codomain is not onto",
+            f"rank deficiency: map onto {len(P)}-dim codomain is not onto",
             residual=rep.residual,
         )
     if rep.residual > tol:

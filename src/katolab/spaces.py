@@ -3,9 +3,9 @@
 Everything downstream works with explicit orthonormal bases, and a space
 is the ordered tuple of its basis labels, deterministic and lexicographic
 throughout; its dimension is the tuple's length.  No report writes a
-label: labels are read only to build the exterior and symmetric maps,
-the Hodge star, the key-lemma setups and the CLI's hodge degree (the
-length of a label).
+label and no operator holds one: labels are read only to build the
+exterior and symmetric maps, the Hodge star and the key-lemma setups,
+and an auxiliary fiber (fiber_space) only through its length.
 
 Conventions
 -----------
@@ -58,9 +58,9 @@ def fiber_space(dim: int, tag: str = "fiber") -> tuple:
 
 
 def check_form_degree(subject: str, n: int, k) -> None:
-    """BadDegree, its message led by subject ("form split needs"), unless n >= 2 and
-    k is an integer in 1..n-1: the degrees of the two-sided form inequality."""
-    if n < 2:
+    """BadDegree, its message led by subject ("form split needs"), unless n is an
+    integer >= 2 and k one in 1..n-1: the degrees of the two-sided form inequality."""
+    if not (isinstance(n, Integral) and n >= 2):
         raise BadDegree(f"{subject} n >= 2, got n={n}")
     if not (isinstance(k, Integral) and 1 <= k <= n - 1):
         raise BadDegree(f"{subject} 1 <= k <= {n - 1}, got k={k}")

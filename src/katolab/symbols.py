@@ -1,7 +1,7 @@
 """First-order operator symbols, ellipticity constants, and twisting.
 
-An operator is carried around as an OperatorSpec: its full symbol is one
-linear map P : V* (x) E -> F, and the symbol in the direction of a
+An operator is carried around as an OperatorSpec: its full symbol is the
+matrix of one linear map P : V* (x) E -> F, and the symbol in the direction of a
 covector xi is P_xi = P(xi (x) .) : E -> F.  The injective ellipticity
 constant is
 
@@ -17,21 +17,20 @@ refinement whose result is reported as an upper bound.
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import sqrt
+from numbers import Integral
 
 import numpy as np
 
 from .errors import BadDegree, UnknownName
-from .linmap import LinearMap, _row_blocks
+from .linmap import _row_blocks
 from .projections import (
     FAMILIES,
     exact_to_json,
     exterior_projection,
     interior_projection,
 )
-from .spaces import check_form_degree, exterior_power, fiber_space
-from .clifford import spinor_space
+from .spaces import check_form_degree
 
 INVARIANCE_TOL = 1e-8
 DEFAULT_DIRECTIONS = 32
@@ -42,22 +41,39 @@ TWISTOR_SYMBOL_SAMPLES = 64
 class OperatorSpec:
     """A first-order operator reduced to its constant-coefficient symbol.
 
-    domain_fiber is the label tuple of E.  rho_squared and epsilon hold the
-    declared exact constants (Fraction where one exists) or None when
-    nothing is declared; measurements never read them silently.
+    full_symbol is the matrix of P : V* (x) E -> F, columns direction-major, kept
+    read-only: an owning read-only complex128 array as it is, anything else as a copy
+    (ValueError unless 2-D with a positive multiple of the integer base_dim columns).
+    rho_squared and epsilon hold the declared exact constants (Fraction where one
+    exists) or None when nothing is declared; measurements never read them silently.
     """
 
     name: str
     base_dim: int
-    domain_fiber: tuple
-    full_symbol: LinearMap
+    full_symbol: np.ndarray
     rho_squared: object = None
     epsilon: object = None
 
+    def __post_init__(self):
+        m = self.full_symbol
+        if not (isinstance(m, np.ndarray) and m.dtype == np.complex128
+                and m.flags.owndata and not m.flags.writeable):
+            m = np.array(m, dtype=np.complex128)
+        d = self.base_dim
+        if m.ndim != 2 or not (isinstance(d, Integral) and 0 < d <= m.shape[1]
+                               and m.shape[1] % d == 0):
+            raise ValueError(f"a symbol on {d!r} directions needs a 2-D matrix of a "
+                             f"positive multiple of {d!r} columns, got {m.shape}")
+        m.setflags(write=False)
+        object.__setattr__(self, "full_symbol", m)
+
+    @property
+    def fiber_dim(self) -> int:
+        return self.full_symbol.shape[1] // self.base_dim
+
     def symbol_tensor(self) -> np.ndarray:
         """Full symbol reshaped to (target, direction, fiber)."""
-        m = self.full_symbol.matrix
-        return m.reshape(len(m), self.base_dim, len(self.domain_fiber))
+        return self.full_symbol.reshape(len(self.full_symbol), self.base_dim, self.fiber_dim)
 
 
 def principal_squares(op: OperatorSpec, xis) -> np.ndarray:
@@ -173,8 +189,9 @@ def ellipticity_constant(op: OperatorSpec,
     xi); that branch is an upper bound and says so in its method field.
     """
     n = op.base_dim
-    if coarse_samples < 1:
-        raise ValueError(f"need coarse_samples >= 1, got {coarse_samples}")
+    if coarse_samples < 1 or refine_steps < 0:
+        raise ValueError(f"need coarse_samples >= 1 and refine_steps >= 0, got "
+                         f"{coarse_samples} and {refine_steps}")
 
     def lam_min(xis):
         return np.linalg.eigvalsh(principal_squares(op, xis))[:, 0]
@@ -241,7 +258,7 @@ def twistor_symbol_rows(max_n: int, tolerance: float,
 
 def twist(op: OperatorSpec, extra_fiber: tuple) -> OperatorSpec:
     """Tensor the symbol with the identity of an auxiliary fiber, given by its label
-    tuple (BadDegree if empty); the twisted fiber's labels are the label pairs.
+    tuple, of which only the length is read (BadDegree if empty).
 
     Twisting preserves both the conformity factor and the ellipticity
     constant; the declared values are carried over unchanged.
@@ -249,28 +266,18 @@ def twist(op: OperatorSpec, extra_fiber: tuple) -> OperatorSpec:
     d2 = len(extra_fiber)
     if d2 < 1:
         raise BadDegree("twist fiber dimension must be >= 1")
-    T = op.symbol_tensor()
-    N = np.einsum("fie,ab->faieb", T, np.eye(d2)).reshape(
-        len(T) * d2, op.base_dim * len(op.domain_fiber) * d2
-    )
-    return OperatorSpec(
-        name=f"{op.name}xE{d2}",
-        base_dim=op.base_dim,
-        domain_fiber=tuple(product(op.domain_fiber, extra_fiber)),
-        full_symbol=LinearMap(N),
-        rho_squared=op.rho_squared,
-        epsilon=op.epsilon,
-    )
+    P = op.full_symbol  # columns (direction, fiber), so (direction, fiber, extra) after
+    N = np.einsum("fc,ab->facb", P, np.eye(d2)).reshape(len(P) * d2, P.shape[1] * d2)
+    return OperatorSpec(f"{op.name}xE{d2}", op.base_dim, N, op.rho_squared, op.epsilon)
 
 
-# catalog operators that are one projection family's map: (family, domain
-# fiber at (n, k), declared epsilon at (n, k))
+# catalog operators that are one projection family's map: (family, declared epsilon
+# at (n, k))
 _FAMILY_OPERATORS = {
-    "dirac": ("clifford", lambda n, k: spinor_space(n), lambda n, k: Fraction(1)),
-    "twistor": ("twistor", lambda n, k: spinor_space(n),
-                lambda n, k: Fraction(n - 1, n)),
-    "exterior-only": ("exterior", exterior_power, lambda n, k: Fraction(int(k == 0))),
-    "interior-only": ("interior", exterior_power, lambda n, k: Fraction(int(k == n))),
+    "dirac": ("clifford", lambda n, k: Fraction(1)),
+    "twistor": ("twistor", lambda n, k: Fraction(n - 1, n)),
+    "exterior-only": ("exterior", lambda n, k: Fraction(int(k == 0))),
+    "interior-only": ("interior", lambda n, k: Fraction(int(k == n))),
 }
 
 
@@ -296,10 +303,12 @@ def catalog(name: str, n: int, k: int | None = None,
 
     The family operators take rho^2 and their degree window from their
     row of projections.FAMILIES; a k outside that window raises BadDegree,
-    and so does a hodge n below 2 or k outside 1..n-1.  An unknown name raises
-    UnknownName.  Each spec is built once per process, whether the
-    arguments come by position or keyword, with or without the argument the
-    entry ignores, and shared, frozen and read-only.
+    and so do a hodge n below 2 or k outside 1..n-1, an n that is not an
+    integer >= 1, and a k or fiber_dim that is given but not an integer.
+    An unknown name raises UnknownName.  Each spec is built once per
+    process, whether the arguments come by position or keyword, with or
+    without the argument the entry ignores, and shared, frozen and
+    read-only.
     """
     if name == "connection":
         return _catalog(name, n, None, fiber_dim)
@@ -309,31 +318,34 @@ def catalog(name: str, n: int, k: int | None = None,
 # typed: a float degree such as 2.0 is refused, not served the spec of degree 2
 @functools.lru_cache(maxsize=None, typed=True)
 def _catalog(name, n, k, fiber_dim):
+    if name == "hodge":
+        check_form_degree("hodge symbol needs", n, k)
+        up, down = (FAMILIES[f].rho_squared(n, k) for f in ("exterior", "interior"))
+        return OperatorSpec("hodge", n, np.vstack((
+            1.0 / sqrt(up) * exterior_projection(n, k),
+            1.0 / sqrt(down) * interior_projection(n, k))),
+            Fraction(1), min(1 / up, 1 / down))
+    # hodge's n and k are check_form_degree's; every other entry's are checked here
+    if not (isinstance(n, Integral) and n >= 1):
+        raise BadDegree(f"catalog operators need an integer n >= 1, got n={n!r}")
+    for field, x in (("k", k), ("fiber_dim", fiber_dim)):
+        if not (x is None or isinstance(x, Integral)):
+            raise BadDegree(f"{field} must be an integer, got {field}={x!r}")
     if name == "connection":
         d = 2 if fiber_dim is None else fiber_dim
         if d < 1:
             raise BadDegree("connection fiber dimension must be >= 1")
-        return OperatorSpec("connection", n, fiber_space(d, "coef"),
-                            LinearMap(np.eye(n * d)), Fraction(1), Fraction(1))
-    if name == "hodge":
-        check_form_degree("hodge symbol needs", n, k)
-        up, down = (FAMILIES[f].rho_squared(n, k) for f in ("exterior", "interior"))
-        wedge = exterior_projection(n, k).scale(1.0 / sqrt(up))
-        contr = interior_projection(n, k).scale(1.0 / sqrt(down))
-        return OperatorSpec("hodge", n, exterior_power(n, k),
-                            LinearMap(np.vstack((wedge.matrix, contr.matrix))),
-                            Fraction(1), min(1 / up, 1 / down))
+        return OperatorSpec("connection", n, np.eye(n * d), Fraction(1), Fraction(1))
     if name not in _FAMILY_OPERATORS:
         raise UnknownName(f"no catalog operator named {name!r}")
-    family, fiber, eps = _FAMILY_OPERATORS[name]
+    family, eps = _FAMILY_OPERATORS[name]
     fam = FAMILIES[family]
     window = fam.degrees(n)
     if k not in window:
         wanted = ("no degree" if None in window
                   else f"{window.start} <= k <= {window.stop - 1}")
         raise BadDegree(f"{name} at n={n} takes {wanted}, got k={k}")
-    P = fam.build(n, k)
-    return OperatorSpec(name, n, fiber(n, k), P, fam.rho_squared(n, k), eps(n, k))
+    return OperatorSpec(name, n, fam.build(n, k), fam.rho_squared(n, k), eps(n, k))
 
 
 def parse_op_string(text: str) -> OperatorSpec:

@@ -38,8 +38,8 @@ def flip_table(monkeypatch):
 
 
 def _direction_blocks(P, width):
-    n = P.matrix.shape[1] // width
-    return np.stack([P.matrix[:, i * width:(i + 1) * width].real for i in range(n)])
+    n = P.shape[1] // width
+    return np.stack([P[:, i * width:(i + 1) * width].real for i in range(n)])
 
 
 def degree_tables(n, j):

@@ -392,6 +392,11 @@ def test_path_check_leaves_no_file_behind(tmp_path, capsys):
        f"form split needs n >= 2, got n={n}") for n in ("1", "0", "-3")),
     *((["kato", "fuzz", "--theorem", "hodge", "--op", f"hodge:{n}:1"],
        f"hodge symbol needs n >= 2, got n={n}") for n in ("1", "0", "-3")),
+    # a foldo fuzz that passed on zero-width rows, and an IndexError traceback
+    (["kato", "fuzz", "--theorem", "foldo", "--op", "connection:0", "--samples", "10"],
+     "catalog operators need an integer n >= 1, got n=0"),
+    (["ellipticity", "--op", "connection:0"],
+     "catalog operators need an integer n >= 1, got n=0"),
 ])
 def test_usage_errors_exit_2_with_one_error_line(capsys, argv, line):
     assert _run(capsys, *argv) == (2, "", f"error: {line}\n")

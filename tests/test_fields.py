@@ -255,10 +255,10 @@ def test_operator_application_matches_symbol_on_gradient():
     rng = np.random.default_rng(17)
     for name, n in [("dirac", 3), ("twistor", 3), ("connection", 2)]:
         op = catalog(name, n)
-        f = random_field(n, len(op.domain_fiber), 6, 3, rng)
+        f = random_field(n, op.fiber_dim, 6, 3, rng)
         X = sample_points(n, 150)
-        lhs = f.gradient().map_fiber(op.full_symbol.matrix).evaluate(X)
-        rhs = f.gradient().evaluate(X) @ op.full_symbol.matrix.T
+        lhs = f.gradient().map_fiber(op.full_symbol).evaluate(X)
+        rhs = f.gradient().evaluate(X) @ op.full_symbol.T
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 

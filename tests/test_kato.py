@@ -44,7 +44,6 @@ from katolab.kato import (
     _form_maps,
     _restricted_gram,
 )
-from katolab.linmap import LinearMap
 from katolab.spaces import exterior_power
 from katolab.symbols import catalog
 
@@ -87,6 +86,19 @@ def test_gain_rejects_bad_constants():
         kato_gain_lemma(1, -1, False)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: kato_gain_lemma(1, math.nan, False),
+    lambda: kato.batch_lemma_gain(1.0, math.nan, False),
+    lambda: kato_gain_operator(1, math.nan, 0.5, False),
+    lambda: kato_gain_operator(1, 1.0, math.nan, False),
+])
+def test_gain_rejects_nan_constants(call):
+    # every comparison with NaN is false: the checks are written so that NaN fails them,
+    # not so that it slips past them to a gain of nan
+    with pytest.raises(BadConstants):
+        call()
+
+
 def test_hodge_gain_pair_frozen():
     g = hodge_gain_pair(Fraction(1), Fraction(1), 4, 1, False, False)
     assert (g.d_gain, g.dstar_gain, g.overall) == (Fraction(1, 2), Fraction(1, 4),
@@ -112,6 +124,14 @@ def test_hodge_degree_checks_name_n_below_2(n):
         batch_hodge_margins(n, 1, 1, np.ones((2, 2)), np.ones((2, 1)), 1.0, 1.0)
     with pytest.raises(BadDegree, match=f"hodge symbol needs n >= 2, got n={n}$"):
         catalog("hodge", n, 1)
+
+
+def test_hodge_degree_checks_refuse_an_n_that_is_not_an_integer():
+    # a TypeError from the label combinatorics, before n was checked as a number
+    with pytest.raises(BadDegree, match="form split needs n >= 2, got n=3.0$"):
+        fuzz_hodge_inequality(3.0, 1, 1, 10, 0)
+    with pytest.raises(BadDegree, match="hodge gains need n >= 2, got n=4.0$"):
+        hodge_gain_pair(1, 1, 4.0, 1, False, False)
 
 
 @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
@@ -331,7 +351,7 @@ def test_perp_gram_matches_an_explicit_frame(name, n, k):
     # the frameless perp Gram P1 P1* - T T* against P1 on a frame completing xi0
     op = catalog(name, n, k=k) if k is not None else catalog(name, n)
     xi = _unit(np.random.default_rng(5), n)
-    P1 = kato._line_split(op, xi)[0].reshape(-1, n, len(op.domain_fiber))
+    P1 = kato._line_split(op, xi)[0].reshape(-1, n, op.fiber_dim)
     frame = np.linalg.qr(np.column_stack([xi, np.eye(n)[:, :n - 1]]))[0]
     H = np.einsum("rie,ij->rje", P1, frame[:, 1:]).reshape(P1.shape[0], -1)
     framed = float(np.linalg.eigvalsh(H @ H.conj().T)[-1])
@@ -379,7 +399,7 @@ def test_key_lemma_random_margins():
     rng = np.random.default_rng(11)
     for label, C, sub, bound in key_lemma_setups(4, 2):
         for trial in range(20):
-            d = C.matrix.shape[1]
+            d = C.shape[1]
             u1 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             u2 = sub @ (rng.standard_normal(sub.shape[1])
                         + 1j * rng.standard_normal(sub.shape[1]))
@@ -416,7 +436,7 @@ def _skewed_basis(sub):
 def test_key_lemma_rejects_a_non_orthonormal_sub_basis(spoil):
     label, C, sub, _ = key_lemma_setups(3, 1)[0]
     bad = spoil(sub)
-    u1, u2 = np.ones(C.matrix.shape[1], dtype=complex), bad[:, 0]
+    u1, u2 = np.ones(C.shape[1], dtype=complex), bad[:, 0]
     with pytest.raises(ValueError, match="orthonormal"):
         check_key_lemma(C, bad, u1, u2, 1.0)
     with pytest.raises(ValueError, match="orthonormal"):
@@ -428,7 +448,7 @@ def test_key_lemma_refuses_a_u2_outside_the_sub_basis_span():
     # hypothesis; it used to come back as a failed verdict
     for n, k in [(3, 1), (4, 2), (5, 2)]:
         for label, C, sub, _ in key_lemma_setups(n, k):
-            u2 = np.linalg.svd(C.matrix)[2][0].conj()
+            u2 = np.linalg.svd(C)[2][0].conj()
             with pytest.raises(ValueError, match="span of sub_basis"):
                 check_key_lemma(C, sub, -u2, u2, 1.0)
             # its part inside the span is a valid input and keeps its verdict
@@ -449,10 +469,33 @@ def test_equality_witness_saturates_bound():
 
 
 def test_equality_witness_zero_restriction():
-    C = LinearMap(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    C = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     sub = np.array([[0.0], [1.0]], dtype=complex)  # second axis maps to zero
     with pytest.raises(ZeroOperator):
         equality_witness(C, sub)
+
+
+@pytest.mark.parametrize("C", [
+    np.eye(3),                                # real
+    np.ones(3, dtype=complex),                # 1-D
+    np.ones((1, 3, 3), dtype=complex),        # 3-D
+    [[1.0 + 0j, 0.0], [0.0, 1.0]],            # not an array
+])
+def test_key_lemma_entry_points_take_only_a_complex_matrix(C):
+    # one input check for C: a real map would run another LAPACK routine in pinv
+    sub = np.eye(3, dtype=complex)[:, 1:]
+    u2 = sub[:, 0]
+    for call in (lambda: check_key_lemma(C, sub, u2, u2, 1.0),
+                 lambda: equality_witness(C, sub),
+                 lambda: matching_first_component(C, u2),
+                 lambda: fuzz_key_lemma(C, sub, 10, 0)):
+        with pytest.raises(ValueError, match="2-D complex128 matrix"):
+            call()
+
+
+def test_key_lemma_setups_hand_over_complex_matrices():
+    for label, C, sub, _ in key_lemma_setups(4, 2) + [line_component_setup(catalog("dirac", 3))]:
+        assert isinstance(C, np.ndarray) and C.dtype == np.complex128 and C.ndim == 2, label
 
 
 def test_line_component_setup_bound():
@@ -469,7 +512,7 @@ def test_line_component_setup_bound():
 
 
 def _kernel_vector(op, rng):
-    M = op.full_symbol.matrix
+    M = op.full_symbol
     u, s, vh = np.linalg.svd(M)
     null = vh[np.sum(s > 1e-12):].conj().T
     if null.shape[1] == 0:
@@ -482,7 +525,7 @@ def test_operator_inequality_kernel_branch_constant():
     rng = np.random.default_rng(21)
     op = catalog("dirac", 3)
     u = _kernel_vector(op, rng)
-    phi = rng.standard_normal(len(op.domain_fiber)) + 1j * rng.standard_normal(len(op.domain_fiber))
+    phi = rng.standard_normal(op.fiber_dim) + 1j * rng.standard_normal(op.fiber_dim)
     verdict = check_operator_inequality(op, u, phi, c=3.0)
     assert verdict.branch == "vanishing"
     assert verdict.gain == pytest.approx(0.5, abs=1e-12)  # 1/(n-1) at n=3
@@ -493,7 +536,7 @@ def test_operator_inequality_twistor_kernel_constant():
     rng = np.random.default_rng(22)
     op = catalog("twistor", 3)
     u = _kernel_vector(op, rng)
-    phi = rng.standard_normal(len(op.domain_fiber)) + 1j * rng.standard_normal(len(op.domain_fiber))
+    phi = rng.standard_normal(op.fiber_dim) + 1j * rng.standard_normal(op.fiber_dim)
     verdict = check_operator_inequality(op, u, phi, c=0.0)
     assert verdict.branch == "vanishing"
     assert verdict.gain == pytest.approx(2.0, abs=1e-12)  # n - 1 at n=3
@@ -503,10 +546,10 @@ def test_operator_inequality_twistor_kernel_constant():
 def test_operator_inequality_generic_margin_and_gain():
     rng = np.random.default_rng(23)
     op = catalog("dirac", 4)
-    dim = op.full_symbol.matrix.shape[1]
+    dim = op.full_symbol.shape[1]
     for _ in range(25):
         u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        phi = rng.standard_normal(len(op.domain_fiber)) + 1j * rng.standard_normal(len(op.domain_fiber))
+        phi = rng.standard_normal(op.fiber_dim) + 1j * rng.standard_normal(op.fiber_dim)
         c = float(rng.random() * 50)
         verdict = check_operator_inequality(op, u, phi, c=c)
         assert verdict.branch == "nonvanishing"
@@ -525,9 +568,9 @@ def test_operator_inequality_scale_free():
     # scaling u and phi together rescales both sides identically
     rng = np.random.default_rng(24)
     op = catalog("twistor", 4)
-    dim = op.full_symbol.matrix.shape[1]
+    dim = op.full_symbol.shape[1]
     u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    phi = rng.standard_normal(len(op.domain_fiber)) + 1j * rng.standard_normal(len(op.domain_fiber))
+    phi = rng.standard_normal(op.fiber_dim) + 1j * rng.standard_normal(op.fiber_dim)
     v1 = check_operator_inequality(op, u, phi, c=2.0)
     v2 = check_operator_inequality(op, 10 * u, 3 * phi, c=2.0)
     assert v2.lhs == pytest.approx(100 * v1.lhs, rel=1e-12)
@@ -543,7 +586,7 @@ def _scale_free_checks(rng, m):
     # rows on the vanishing branch (inside ker P, inside ker(wedge) and ker(contraction),
     # and with C(u1 + u2) = 0); the scale multiplies the gradient part of a row
     op = catalog("twistor", 4)
-    dim, dE = op.full_symbol.matrix.shape[1], len(op.domain_fiber)
+    dim, dE = op.full_symbol.shape[1], op.fiber_dim
     foldo = [(_crow(rng, dim), _crow(rng, dE)) for _ in range(m)]
     foldo += [(_kernel_vector(op, rng), _crow(rng, dE)) for _ in range(m)]
     null = kato._null_space(np.vstack(_form_maps(4, 2, 1)))
@@ -551,7 +594,7 @@ def _scale_free_checks(rng, m):
     hodge += [(null @ _crow(rng, null.shape[1]), _crow(rng, 6)) for _ in range(m)]
     _, C, sub, _ = key_lemma_setups(4, 2)[0]
     u2s = [sub @ _crow(rng, sub.shape[1]) for _ in range(2 * m)]
-    lemma = [(_crow(rng, C.matrix.shape[1]), u2) for u2 in u2s[:m]]
+    lemma = [(_crow(rng, C.shape[1]), u2) for u2 in u2s[:m]]
     lemma += [(matching_first_component(C, u2), u2) for u2 in u2s[m:]]
     return [
         ("foldo", lambda s, r: check_operator_inequality(op, s * r[0], r[1], 2.0), foldo),
@@ -788,15 +831,15 @@ def test_folded_draws_keep_the_complex_rows_stream(m, which):
     # squared norm within rounding; no drawn row comes back
     _, C, sub = (key_lemma_setups(5, 2)[1] if which == "real"
                  else line_component_setup(catalog("dirac", 3)))[:3]
-    Chat = C.matrix @ sub
+    Chat = C @ sub
     folded, plain = np.random.default_rng(m), np.random.default_rng(m)
-    Cu1, u1_sq = kato._folded_rows(folded, m, C.matrix.shape[1], kato._real_form(C.matrix.T))
+    Cu1, u1_sq = kato._folded_rows(folded, m, C.shape[1], kato._real_form(C.T))
     Cz, z_sq = kato._folded_rows(folded, m, sub.shape[1], kato._real_form(Chat.T))
     c = kato._weights(folded, m)
-    u1, z = (kato._complex_rows(plain, m, d) for d in (C.matrix.shape[1], sub.shape[1]))
+    u1, z = (kato._complex_rows(plain, m, d) for d in (C.shape[1], sub.shape[1]))
     assert np.array_equal(c, kato._weights(plain, m))
     assert folded.bit_generator.state == plain.bit_generator.state
-    for img, sq, x, M in ((Cu1, u1_sq, u1, C.matrix), (Cz, z_sq, z, Chat)):
+    for img, sq, x, M in ((Cu1, u1_sq, u1, C), (Cz, z_sq, z, Chat)):
         want = x @ M.T
         assert img.shape == (m, 2, M.shape[0])
         assert np.allclose(img[:, 0] + 1j * img[:, 1], want,
@@ -833,7 +876,7 @@ def test_fuzz_key_lemma_identity_with_an_empty_second_component(monkeypatch, d):
     # C = I_d has no kernel, so a forced row keeps no part of u1: its squared norm is
     # |u1|^2 - |C+ C u1|^2, a rounding residue that is clamped at 0 and never negative,
     # and every forced row passes on the vanishing branch; chunks of 700, 700 and 600
-    C = LinearMap(np.eye(d))
+    C = np.eye(d, dtype=complex)
     monkeypatch.setitem(kato._DRAW_CHUNK, "key-lemma", 700)
     for seed in range(20):
         report = fuzz_key_lemma(C, np.zeros((d, 0)), 2000, seed)
@@ -846,7 +889,7 @@ def test_fuzz_key_lemma_on_an_empty_second_component():
     # z has no coordinates (reshape widths are spelled out): u2 = 0, and the 12 forced
     # rows of a 50-row chunk make C u1 vanish
     _, C, _, _ = key_lemma_setups(3, 1)[0]
-    report = fuzz_key_lemma(C, np.zeros((C.matrix.shape[1], 0)), 50, 1)
+    report = fuzz_key_lemma(C, np.zeros((C.shape[1], 0)), 50, 1)
     assert report.passed and report.samples == 50
     assert report.branch_counts == {"vanishing": 12, "nonvanishing": 38}
     assert report.extras["spectral_bound"] == 0.0
@@ -915,7 +958,7 @@ def test_kernel_redraws_hold_their_coefficients_and_one_block():
     # real basis: one half block of drawn coefficients, each multiplied straight into the
     # slice's real or imaginary rows, and neither the 5,000 coefficient rows (1.2 MiB)
     # nor a 1.8 MiB product of the slice's size
-    null = kato._null_space(catalog("hodge", 4, 2).full_symbol.matrix)
+    null = kato._null_space(catalog("hodge", 4, 2).full_symbol)
     assert not null.imag.any()
     rows = np.zeros((20000, len(null)), dtype=complex)
     nk, dim, rng = 5000, null.shape[1], np.random.default_rng(110)
@@ -930,7 +973,7 @@ def test_complex_kernel_redraws_hold_their_coefficients_and_one_block():
     # a quarter of 20,000 rows redrawn inside the 12-dimensional kernel of dirac:4, a
     # complex basis: the 5,000 drawn coefficient rows (0.9 MiB) and one block, and no
     # 1.2 MiB product of the slice's size; the rows are the complex product's
-    null = kato._null_space(catalog("dirac", 4).full_symbol.matrix)
+    null = kato._null_space(catalog("dirac", 4).full_symbol)
     assert null.imag.any()
     rows = np.zeros((20000, len(null)), dtype=complex)
     nk, dim, rng = 5000, null.shape[1], np.random.default_rng(110)
@@ -1020,8 +1063,8 @@ def test_foldo_sampler_keeps_the_whole_draw_stream(monkeypatch, name, args, samp
     op, seed = catalog(name, *args), 7 * samples + len(name)
     monkeypatch.setitem(kato._DRAW_CHUNK, "foldo", 8192)
     chunks = _sampled_chunks(monkeypatch, lambda: fuzz_operator_inequality(op, samples, seed))
-    dE = len(op.domain_fiber)
-    nulls = [kato._null_space(op.full_symbol.matrix)]
+    dE = op.fiber_dim
+    nulls = [kato._null_space(op.full_symbol)]
     assert (nulls[0].shape[1] == 0) == (name == "connection")
     _check_the_whole_draw_recipe(chunks, "foldo", samples, seed, (op.base_dim * dE, dE), 1,
                                  nulls, 0.25)

@@ -32,7 +32,6 @@ from katolab.kato import (
     key_lemma_setups,
     line_component_setup,
 )
-from katolab.linmap import LinearMap
 from katolab.symbols import catalog
 
 TOL = 1e-12
@@ -68,19 +67,19 @@ def _reference_margins(C, a, u1, u2, c):
 
 
 def _reference_rows(C, sub, seed, forced_fraction=0.25):
-    Chat = C.matrix @ sub
+    Chat = C @ sub
     a = float(np.linalg.eigvalsh(Chat @ Chat.conj().T)[-1])
-    pinv = np.linalg.pinv(C.matrix)
+    pinv = np.linalg.pinv(C)
     rng = np.random.default_rng(seed)
     outs, done = [], 0
     while done < SAMPLES:
         m = min(CHUNK, SAMPLES - done)
-        u1 = _complex_rows(rng, m, C.matrix.shape[1])
+        u1 = _complex_rows(rng, m, C.shape[1])
         u2 = _complex_rows(rng, m, sub.shape[1]) @ sub.T
         c = _weights(rng, m)
         nf = int(forced_fraction * m)
-        u1[:nf] = u1[:nf] - ((u1[:nf] + u2[:nf]) @ C.matrix.T) @ pinv.T
-        outs.append(_reference_margins(C.matrix, a, u1, u2, c))
+        u1[:nf] = u1[:nf] - ((u1[:nf] + u2[:nf]) @ C.T) @ pinv.T
+        outs.append(_reference_margins(C, a, u1, u2, c))
         done += m
     return {key: np.concatenate([out[key] for out in outs]) for key in outs[0]}
 
@@ -138,7 +137,7 @@ def test_forced_rows_match_the_explicit_fix_up_off_the_catalog(seed, complex_, F
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kato, "_key_lemma_margins", recording)
         mp.setitem(kato._DRAW_CHUNK, "key-lemma", chunk)
-        fuzz_key_lemma(LinearMap(Cm), sub, samples, seed)
+        fuzz_key_lemma(Cm.astype(complex), sub, samples, seed)
     s = np.linalg.svd(Cm, compute_uv=False)
     cond = s[0] / s[rank - 1]
     pinv = np.linalg.pinv(Cm)

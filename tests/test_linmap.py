@@ -4,31 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katolab.linmap import _FORM_BLOCK, LinearMap, _row_blocks, gram_schmidt_columns
-
-
-def _random_map(rng, dout, din):
-    shape = (dout, din)
-    return LinearMap(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6))
-def test_adjoint_inner_product_identity(seed, dout, din):
-    # <P u, w> = <u, P* w> for all u, w; the defining property
-    rng = np.random.default_rng(seed)
-    P = _random_map(rng, dout, din)
-    u = rng.standard_normal(din) + 1j * rng.standard_normal(din)
-    w = rng.standard_normal(dout) + 1j * rng.standard_normal(dout)
-    lhs = np.vdot(w, P.apply(u))
-    rhs = np.vdot(P.matrix.conj().T @ w, u)
-    assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+from katolab.linmap import _FORM_BLOCK, _row_blocks, gram_schmidt_columns
+from katolab.symbols import OperatorSpec
 
 
 def test_matrix_is_frozen():
-    P = LinearMap(np.eye(2))
-    with pytest.raises(ValueError):
-        P.matrix[0, 0] = 5.0
+    # an operator's full symbol, the matrix of its linear map, is read-only
+    op = OperatorSpec("eye", 1, np.eye(2))
+    with pytest.raises(ValueError, match="read-only"):
+        op.full_symbol[0, 0] = 5.0
 
 
 def test_gram_schmidt_orthonormal_and_deterministic():
@@ -51,7 +35,15 @@ def test_gram_schmidt_orthonormal_and_deterministic():
 @pytest.mark.parametrize("shape", [(3,), (2, 3, 4), ()])
 def test_linear_map_refuses_an_array_that_is_not_2d(shape):
     with pytest.raises(ValueError, match="2-D matrix"):
-        LinearMap(np.ones(shape))
+        OperatorSpec("flat", 1, np.ones(shape))
+
+
+@pytest.mark.parametrize("base_dim,columns", [(2, 3), (2, 0), (0, 0), (4, 2), (2.0, 4)])
+def test_operator_spec_refuses_columns_that_are_not_a_positive_multiple(base_dim, columns):
+    # fiber_dim = columns // base_dim must be a whole dimension >= 1, and base_dim an
+    # integer: a float one made fiber_dim a float that symbol_tensor cannot reshape to
+    with pytest.raises(ValueError, match="positive multiple"):
+        OperatorSpec("odd", base_dim, np.ones((2, columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +98,24 @@ def test_row_blocks_are_made_lazily():
     lambda: np.arange(12.0).astype(complex).reshape(2, 6)[:, ::2],  # a view
 ])
 def test_linear_map_copies_a_writable_or_borrowed_matrix(make):
-    # only an owning, read-only complex128 array is taken as it is; any other input is
-    # copied, so writing to the caller's array or its base leaves the map unchanged
+    # an OperatorSpec takes only an owning, read-only complex128 symbol as it is; any
+    # other input is copied, so writing to the caller's array or its base leaves the
+    # operator unchanged
     m = make()
-    P = LinearMap(m)
-    want = P.matrix.copy()
+    op = OperatorSpec("copied", 3, m)
+    want = op.full_symbol.copy()
     base = m if m.base is None else m.base
     base.flags.writeable = True
     base[...] = 7
-    assert np.array_equal(P.matrix, want) and not P.matrix.flags.writeable
+    assert np.array_equal(op.full_symbol, want) and not op.full_symbol.flags.writeable
+    assert op.full_symbol.dtype == np.complex128 and op.fiber_dim == 1
 
 
 def test_linear_map_keeps_an_owning_read_only_complex_matrix():
-    m = np.ones((2, 3), dtype=np.complex128)
+    m = np.ones((2, 6), dtype=np.complex128)
     m.flags.writeable = False
-    assert LinearMap(m).matrix is m
-    view = np.ones((2, 6), dtype=np.complex128)[:, ::2]
+    op = OperatorSpec("kept", 3, m)
+    assert op.full_symbol is m and op.fiber_dim == 2
+    view = np.ones((2, 12), dtype=np.complex128)[:, ::2]
     view.flags.writeable = False
-    assert LinearMap(view).matrix is not view
+    assert OperatorSpec("view", 3, view).full_symbol is not view

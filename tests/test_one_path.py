@@ -76,9 +76,9 @@ def _assert_rows_match(out, verdicts, cor=False):
 def test_operator_batch_equals_single_shots(seed, ref, m, in_kernel):
     op = parse_op_string(ref)
     rng = np.random.default_rng(seed)
-    n, dE = op.base_dim, len(op.domain_fiber)
+    n, dE = op.base_dim, op.fiber_dim
     u = _rows(rng, m, n * dE)
-    null = _null_space(op.full_symbol.matrix)
+    null = _null_space(op.full_symbol)
     if in_kernel and null.shape[1]:
         u = _rows(rng, m, null.shape[1]) @ null.T
     phi = _rows(rng, m, dE)
@@ -295,13 +295,13 @@ LEMMA_GEOMETRIES = _lemma_geometries()
 def test_key_lemma_batch_equals_single_shots(seed, which, m, matched):
     _, C, sub = LEMMA_GEOMETRIES[which]
     rng = np.random.default_rng(seed)
-    u1 = _rows(rng, m, C.matrix.shape[1])
+    u1 = _rows(rng, m, C.shape[1])
     u2 = _rows(rng, m, sub.shape[1]) @ sub.T
     if matched:
         u1 = np.array([matching_first_component(C, row) for row in u2])
     c = _weights(rng, m)
     # the kernel takes images and squared norms, here from complex products
-    Cu1, Cu2 = (np.stack([x.real, x.imag], 1) for x in (u1 @ C.matrix.T, u2 @ C.matrix.T))
+    Cu1, Cu2 = (np.stack([x.real, x.imag], 1) for x in (u1 @ C.T, u2 @ C.T))
     u1_sq, u2_sq = (np.sum(np.abs(x) ** 2, axis=1) for x in (u1, u2))
     out = _key_lemma_margins(_restricted_gram(C, sub)[2], Cu1, Cu2, u1_sq, u2_sq, c)
     verdicts = [check_key_lemma(C, sub, u1[i], u2[i], c[i]) for i in range(m)]

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import katolab
 from katolab import cli, kato, projections
-from katolab.clifford import clifford_generators, spinor_dim
+from katolab.clifford import clifford_generators
 from katolab.errors import BadDegree, NotConformal, NotSurjective
-from katolab.linmap import LinearMap, _row_blocks, gram_schmidt_columns
+from katolab.linmap import _row_blocks, gram_schmidt_columns
 from katolab.projections import (
     FAMILIES,
     ProjectionReport,
@@ -85,23 +85,23 @@ def test_factor_formulas_full_grid(n):
 
 def test_exterior_hand_checked_matrices():
     # n=2, k=1: e_i* ^ e_j* in the ordered domain (1,(1,)), (1,(2,)), (2,(1,)), (2,(2,))
-    m = exterior_projection(2, 1).matrix
+    m = exterior_projection(2, 1)
     assert np.array_equal(m.real, np.array([[0.0, 1.0, -1.0, 0.0]]))
     # n=2, k=0 is plain relabeling
-    assert np.array_equal(exterior_projection(2, 0).matrix.real, np.eye(2))
+    assert np.array_equal(exterior_projection(2, 0).real, np.eye(2))
 
 
 def test_interior_hand_checked_matrices():
-    m = interior_projection(2, 1).matrix
+    m = interior_projection(2, 1)
     assert np.array_equal(m.real, np.array([[1.0, 0.0, 0.0, 1.0]]))
-    m2 = interior_projection(2, 2).matrix
+    m2 = interior_projection(2, 2)
     assert np.array_equal(m2.real, np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def _direction_block(P, n, i):
     # block of the covector direction e_i inside a V* (x) fiber domain
-    d = P.matrix.shape[1] // n
-    return P.matrix[:, i * d:(i + 1) * d]
+    d = P.shape[1] // n
+    return P[:, i * d:(i + 1) * d]
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (5, 3)])
@@ -147,7 +147,7 @@ def test_symmetrization_matches_tensor_embedding_oracle(n, k):
     Ek1 = _sym_embedding(n, k + 1)
     assert np.allclose(Ek.T @ Ek, np.eye(Ek.shape[1]), atol=1e-12)
     oracle = (k + 1) * Ek1.T @ np.kron(np.eye(n), Ek)
-    ours = symmetrization_projection(n, k).matrix.real
+    ours = symmetrization_projection(n, k).real
     assert np.allclose(ours, oracle, atol=1e-12)
 
 
@@ -162,7 +162,7 @@ def test_contraction_matches_tensor_embedding_oracle(n, k):
             if head == i:
                 D[tail, i * n ** k + row] = 1.0
     oracle = Ekm.T @ D @ np.kron(np.eye(n), Ek)
-    ours = contraction_projection(n, k).matrix.real
+    ours = contraction_projection(n, k).real
     assert np.allclose(ours, oracle, atol=1e-12)
 
 
@@ -173,7 +173,7 @@ def test_symmetrization_adjoint_is_scaled_inclusion(n, k):
     Ek1 = _sym_embedding(n, k + 1)
     inclusion = np.kron(np.eye(n), Ek).T @ Ek1
     S = symmetrization_projection(n, k)
-    assert np.allclose(S.matrix.conj().T.real, (k + 1) * inclusion, atol=1e-12)
+    assert np.allclose(S.conj().T.real, (k + 1) * inclusion, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (5, 3)])
@@ -200,15 +200,15 @@ def test_clifford_projection_conformity(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_twistor_projection_conformity_and_rank(n):
     P = twistor_projection(n)
-    assert len(P.matrix) == (n - 1) * spinor_dim(n)
+    assert len(P) == (n - 1) * 2 ** (n // 2)
     rep = conformity_factor(P, tol=1e-12)
     assert rep.certified and abs(rep.rho_squared - 1.0) <= 1e-12
 
 
 def _twistor_projector_by_pairs(n):
     # the reference: Pi = I + K / n, with block (i, j) of K the product c_i c_j
-    gens = [g.matrix for g in clifford_generators(n)]
-    dS = spinor_dim(n)
+    gens = clifford_generators(n)
+    dS = len(gens[0])
     K = np.zeros((n * dS, n * dS), dtype=np.complex128)
     for i, gi in enumerate(gens):
         for j, gj in enumerate(gens):
@@ -221,14 +221,14 @@ def test_twistor_projection_equals_the_pairwise_clifford_oracle(n):
     # I - C* C / n has exact entries, so the shipped projector and the loop of
     # c_i c_j products give one matrix, and one Gram-Schmidt basis, bit for bit
     B = gram_schmidt_columns(_twistor_projector_by_pairs(n))
-    assert np.array_equal(twistor_projection(n).matrix, B.conj().T)
+    assert np.array_equal(twistor_projection(n), B.conj().T)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_twistor_point_symbol_eigenvalue(n):
     # P_v* P_v = ((n-1)/n) id on spinors for every unit covector v
     P = twistor_projection(n)
-    dS = spinor_dim(n)
+    dS = 2 ** (n // 2)
     rng = np.random.default_rng(23)
     for _ in range(10):
         v = rng.standard_normal(n)
@@ -236,7 +236,7 @@ def test_twistor_point_symbol_eigenvalue(n):
         emb = np.zeros((n * dS, dS))
         for e in range(dS):
             emb[e::dS, e] = v
-        pv = P.matrix @ emb
+        pv = P @ emb
         assert np.allclose(pv.conj().T @ pv, ((n - 1) / n) * np.eye(dS), atol=1e-10)
 
 
@@ -255,32 +255,47 @@ def test_adjoint_is_conformal_immersion():
     for P in (exterior_projection(4, 2), contraction_projection(4, 2), clifford_projection(4)):
         rep = conformity_factor(P)
         for _ in range(5):
-            w = rng.standard_normal(len(P.matrix)) + 1j * rng.standard_normal(len(P.matrix))
-            lhs = np.linalg.norm(P.matrix.conj().T @ w) ** 2
+            w = rng.standard_normal(len(P)) + 1j * rng.standard_normal(len(P))
+            lhs = np.linalg.norm(P.conj().T @ w) ** 2
             assert abs(lhs - rep.rho_squared * np.linalg.norm(w) ** 2) <= 1e-10 * lhs
+
+
+@pytest.mark.parametrize("P", [np.eye(3), np.ones(3, dtype=complex),
+                               np.ones((1, 3, 3), dtype=complex), [[1.0 + 0j]]])
+def test_conformity_takes_only_a_2d_complex_matrix(P):
+    for certify in (conformity_report, conformity_factor):
+        with pytest.raises(ValueError, match="2-D complex128 matrix"):
+            certify(P)
+
+
+def test_projection_builders_hand_over_complex_matrices():
+    for name, fam in FAMILIES.items():
+        for k in fam.degrees(4):
+            P = fam.build(4, k)
+            assert isinstance(P, np.ndarray) and P.dtype == np.complex128, (name, k)
+            assert conformity_report(P).certified, (name, k)
 
 
 def test_not_surjective_raises():
     P = exterior_projection(3, 1)
     with pytest.raises(NotSurjective) as exc:
-        conformity_factor(LinearMap(P.matrix.conj().T))
+        conformity_factor(P.conj().T)
     assert exc.value.residual is not None
 
 
 def test_not_surjective_raises_on_a_wide_rank_deficient_map():
     # onto a 3-dim codomain, with the last row repeating the first
     P = exterior_projection(3, 1)
-    m = P.matrix.copy()
+    m = P.copy()
     m[-1] = m[0]
     with pytest.raises(NotSurjective):
-        conformity_factor(LinearMap(m))
+        conformity_factor(m)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_map_is_not_surjective_without_an_svd(monkeypatch, bad):
-    m = np.ones((2, 3))
-    m[0, 1] = bad
-    P = LinearMap(m)
+    P = np.ones((2, 3), dtype=np.complex128)
+    P[0, 1] = bad
 
     def no_svd(*args, **kwargs):
         raise AssertionError("conformity_report ran an SVD")
@@ -297,10 +312,10 @@ def test_finite_map_whose_gram_overflows_is_measured_rescaled():
     # 1e200 entries: m m* overflows, so the map is measured over its largest entry;
     # the verdict and residual are the unscaled map's, warning-free
     E = exterior_projection(3, 1)
-    ones = LinearMap(np.full((2, 3), 1e200))
+    ones = np.full((2, 3), 1e200 + 0j)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        big = conformity_report(E.scale(1e200))
+        big = conformity_report(1e200 * E)
         flat = conformity_report(ones)
     want = conformity_report(E)
     assert (big.surjective, big.certified) == (want.surjective, want.certified) == (True, True)
@@ -311,28 +326,27 @@ def test_finite_map_whose_gram_overflows_is_measured_rescaled():
     # a Gram whose entries are finite but whose trace overflows: rho^2 = 1.5e308 on each
     # of the three diagonal entries, or of the four (dense) twistor ones
     for P in (E, twistor_projection(3)):
-        huge = P.scale(math.sqrt(1.5e308 / conformity_report(P).rho_squared))
+        huge = math.sqrt(1.5e308 / conformity_report(P).rho_squared) * P
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = conformity_report(huge)
         assert rep.certified and rep.residual <= 1e-15
         assert abs(rep.rho_squared - 1.5e308) <= 1e-15 * 1.5e308
     # the twistor matrix B* is stored column-major: its largest part is read all the same
-    twistor = conformity_report(twistor_projection(3).scale(1e200))
-    assert not twistor_projection(3).matrix.flags.c_contiguous
+    twistor = conformity_report(1e200 * twistor_projection(3))
+    assert not twistor_projection(3).flags.c_contiguous
     assert twistor.certified and twistor.rho_squared == math.inf
 
 
 def _off_balance_stack():
     # the unnormalized (5,2) wedge/contraction stack: onto, not conformal
-    return LinearMap(np.vstack((exterior_projection(5, 2).matrix,
-                                interior_projection(5, 2).matrix)))
+    return np.vstack((exterior_projection(5, 2), interior_projection(5, 2)))
 
 
 def test_finite_map_whose_gram_underflows_is_measured_rescaled():
     # 1e-200 entries: m m* is 0, which read as residual 0 certified any onto map
     P = _off_balance_stack()
-    want, tiny = conformity_report(P), conformity_report(P.scale(1e-200))
+    want, tiny = conformity_report(P), conformity_report(1e-200 * P)
     assert tiny.surjective and not tiny.certified and tiny.rho_squared == 0.0
     assert abs(tiny.residual - want.residual) <= 1e-14
 
@@ -341,16 +355,14 @@ def _svd_rank_report(P, tol):
     # the dense reference: the one product m m*, its np.trace, the LAPACK 2-norm of
     # its shift, and the rank test run on every map: surjective when the singular
     # values above the relative cutoff number dim W
-    m = P.matrix
-    dw = len(m)
+    m, dw = P, len(P)
     G = m @ m.conj().T
     rho2 = float(np.real(np.trace(G))) / dw
     sv = np.linalg.svd(m, compute_uv=False)
     cutoff = projections._SURJECTIVITY_CUTOFF * max(float(sv[0]), 1e-300)
     surjective = int(np.sum(sv > cutoff)) == dw
     residual = float(np.linalg.norm(G - rho2 * np.eye(dw), 2)) / max(rho2, 1e-300)
-    return ProjectionReport(rho2, residual, surjective, surjective and residual <= tol,
-                            tol, m.shape[1], dw)
+    return ProjectionReport(rho2, residual, surjective, surjective and residual <= tol, tol)
 
 
 def _random_map(rng, kind, dw, extra, spread):
@@ -366,7 +378,7 @@ def _random_map(rng, kind, dw, extra, spread):
         lam = np.ones(dw)
         lam[0], lam[-1] = 1.0 + spread, 1.0 - spread
         a = np.sqrt(lam)[:, None] * q
-    return LinearMap(a)
+    return a
 
 
 @settings(max_examples=120, deadline=None)
@@ -392,7 +404,7 @@ def _random_monomial_map(rng, kind, dw, d):
     if kind == "conformal":
         norms = np.linalg.norm(a, axis=1)
         a = a / np.where(norms > 0, norms, 1.0)[:, None]
-    return LinearMap(a)
+    return a
 
 
 @settings(max_examples=150, deadline=None)
@@ -402,7 +414,7 @@ def test_monomial_conformity_report_matches_svd_rank_reference(seed, kind, dw, d
     # the diagonal Gram against the dense one: the same flags, rho^2 within 1e-13
     # relative, and the residual, already relative to rho^2, within 1e-13 of it
     P = _random_monomial_map(np.random.default_rng(seed), kind, dw, d)
-    assert np.count_nonzero(P.matrix, axis=0).max() <= 1
+    assert np.count_nonzero(P, axis=0).max() <= 1
     got, want = conformity_report(P, tol), _svd_rank_report(P, tol)
     assert (got.surjective, got.certified) == (want.surjective, want.certified)
     assert abs(got.rho_squared - want.rho_squared) <= 1e-13 * want.rho_squared
@@ -426,7 +438,7 @@ def test_projections_verify_runs_no_svd_in_conformity_report(monkeypatch, capsys
         return norm(x, ord, *args, **kwargs)
 
     def marked_report(*args, **kwargs):
-        reports.append(args[0].matrix.shape)
+        reports.append(args[0].shape)
         inside[0] = True
         try:
             return report(*args, **kwargs)
@@ -439,7 +451,7 @@ def test_projections_verify_runs_no_svd_in_conformity_report(monkeypatch, capsys
     assert cli.main(["projections", "verify", "--max-n", "6"]) == 0
     assert '"passed": true' in capsys.readouterr().out
     assert len(reports) == 80 and calls == []
-    assert normed == [twistor_projection(n).matrix.shape for n in range(3, 7)]
+    assert normed == [twistor_projection(n).shape for n in range(3, 7)]
 
 
 _DENSE_REFERENCE_CHECK = """
@@ -496,11 +508,11 @@ def test_conformity_report_holds_a_block_of_the_map_not_a_copy():
 
 def test_symmetrization_map_is_built_once_in_complex():
     # the 462 x 1512 map S^5 -> S^6 at n = 6 is written straight into its complex
-    # matrix, which the LinearMap keeps without a copy: the build peaks at that matrix
+    # matrix, which an OperatorSpec keeps without a copy: the build peaks at that matrix
     # (10.7 MiB) plus the labels, where float entries and their complex copy took 16.0
     P, peak = _traced_peak(lambda: FAMILIES["symmetrization"].build(6, 5))
-    assert P.matrix.dtype == np.complex128 and not P.matrix.flags.writeable
-    assert peak <= P.matrix.nbytes + 2**19, (peak, P.matrix.nbytes)
+    assert P.dtype == np.complex128 and not P.flags.writeable
+    assert peak <= P.nbytes + 2**19, (peak, P.nbytes)
 
 
 def test_projections_verify_max_n_6_memory(capsys):
@@ -526,6 +538,6 @@ def test_line_image_basis_orthonormal():
     # orthogonal to xi, so on the orthonormal frame of P(xi (x) E) its line part
     # T = F1* P_xi has T T* = 1
     op = catalog("exterior-only", 4, 1)
-    assert np.array_equal(op.full_symbol.matrix, exterior_projection(4, 1).matrix)
+    assert np.array_equal(op.full_symbol, exterior_projection(4, 1))
     T = kato._line_split(op, np.array([0.5, -0.5, 0.5, 0.5]))[1]
     assert np.allclose(T @ T.conj().T, np.eye(3), atol=1e-12)

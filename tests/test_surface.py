@@ -1,8 +1,10 @@
 """The public surface has callers: every name in katolab.__all__ is used by the
 package itself, documented in README "Library" or "CLI", or called by the
-acceptance tests or the benchmark, not only by the unit tests; and every layer
-the benchmark traces resolves to a function of the package."""
+acceptance tests or the benchmark, not only by the unit tests; every layer
+the benchmark traces resolves to a function of the package; and no module of
+the package imports a name that it never uses."""
 
+import ast
 import importlib
 import re
 import runpy
@@ -48,3 +50,27 @@ def test_every_traced_layer_resolves_in_katolab():
             unresolved.append(layer)
     assert layers
     assert unresolved == []
+
+
+def _unused_imports(source: str) -> list:
+    """The names a module's import statements bind and its code never reads; a name
+    listed in the module's __all__ counts as read, as a re-export."""
+    tree = ast.parse(source)
+    bound = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a cut that drops the last use of an imported name leaves its import behind
+    unused = {path.name: _unused_imports(path.read_text())
+              for path in sorted((ROOT / "src" / "katolab").glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+    # the rule sees such a leftover: an import of spinor_dim that nothing reads
+    assert _unused_imports("from .clifford import spinor_dim\nx = 1\n") == ["spinor_dim"]
+    assert _unused_imports("import numpy as np\n__all__ = ['np']\n") == []
