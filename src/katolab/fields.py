@@ -39,7 +39,7 @@ from .symbols import OperatorSpec, catalog
 
 FIELD_MARGIN_TOL_FACTOR = 1e-8   # looser than the fuzzers: points accumulate
                                  # rounding through the trig evaluation
-SKIP_NORM_FACTOR = 1e-8          # |phi(x)| below this * sup|phi| is skipped
+SKIP_NORM_FACTOR = 1e-8          # |phi(x)| at most this * the largest sampled |phi| is skipped
 CLOSEDNESS_TOL = 1e-13
 SYMBOL_CONSISTENCY_TOL = 1e-12
 _SECTION_BAND = (8, 3)   # random_field's mode_count and max_freq for every scenario
@@ -61,47 +61,43 @@ def _canonical_mode(m):
 class TrigField:
     """Fiber-valued trigonometric polynomial with exact coefficients.
 
-    Frequencies are an integer matrix, one row per mode; cosine and sine
-    coefficient rows line up with them.  random_field gives them canonical
-    (cos is even, sin is odd) and sorted, and every derived field keeps them.
+    Frequencies are an integer matrix of K rows, one per mode; the (2K, fiber) table
+    coeffs = [A; B] holds their cosine rows over their sine rows.  random_field gives them
+    canonical (cos is even, sin is odd) and sorted, and every derived field keeps them.
     """
 
-    def __init__(self, n: int, fiber_dim: int, freqs: np.ndarray,
-                 cos_coeffs: np.ndarray, sin_coeffs: np.ndarray):
+    def __init__(self, n: int, freqs: np.ndarray, coeffs: np.ndarray):
         self.n = n
-        self.fiber_dim = fiber_dim
         self.freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, n)
-        self.cos_coeffs = np.asarray(cos_coeffs, dtype=np.complex128)
-        self.sin_coeffs = np.asarray(sin_coeffs, dtype=np.complex128)
-        if self.cos_coeffs.shape != (len(self.freqs), fiber_dim):
-            raise FiberMismatch("cosine coefficient table has the wrong shape")
-        if self.sin_coeffs.shape != (len(self.freqs), fiber_dim):
-            raise FiberMismatch("sine coefficient table has the wrong shape")
+        self.coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+        K = len(self.freqs)
+        if self.coeffs.ndim != 2 or len(self.coeffs) != 2 * K:
+            raise FiberMismatch("coefficient table [A; B] has the wrong shape")
+        self.fiber_dim = self.coeffs.shape[1]
+        self.cos_coeffs, self.sin_coeffs = self.coeffs[:K], self.coeffs[K:]
 
     def evaluate(self, points) -> np.ndarray:
         """Values at an (N, n) array of points, one point of n coordinates, or a
         PhaseTable of this field's frequencies, shape (N, fiber_dim); FiberMismatch
-        for points of any other shape."""
+        for points of any other shape; one real product of the table with [A; B]."""
         table = points if isinstance(points, PhaseTable) else PhaseTable(self, points)
         if not np.array_equal(table.freqs, self.freqs):
             raise FiberMismatch("phase table was built for other frequencies")
-        return table.values(self.cos_coeffs, self.sin_coeffs)
+        return (table.trig @ self.coeffs.view(float)).view(np.complex128)
 
     def map_fiber(self, matrix: np.ndarray) -> "TrigField":
         """Apply a constant fiber map to every coefficient."""
         M = np.asarray(matrix, dtype=np.complex128)
         if M.shape[1] != self.fiber_dim:
             raise FiberMismatch("fiber map does not match the field fiber")
-        return TrigField(self.n, M.shape[0], self.freqs,
-                         self.cos_coeffs @ M.T, self.sin_coeffs @ M.T)
+        return TrigField(self.n, self.freqs, self.coeffs @ M.T)
 
     def gradient(self) -> "TrigField":
         """Full derivative, fiber V* (x) old fiber, direction-major layout."""
         n, dF, K = self.n, self.fiber_dim, len(self.freqs)
         m = self.freqs.astype(float)[:, :, None]   # block i scales by m_i
-        return TrigField(n, n * dF, self.freqs,
-                         (m * self.sin_coeffs[:, None]).reshape(K, n * dF),
-                         (-m * self.cos_coeffs[:, None]).reshape(K, n * dF))
+        sin_cos = self.coeffs.reshape(2, K, 1, dF)[::-1]   # [A; B] -> [m B; -m A]
+        return TrigField(n, self.freqs, (np.stack((m, -m)) * sin_cos).reshape(2 * K, n * dF))
 
     def sup_norm_estimate(self) -> float:
         # coefficient-sum bound; exact enough for scale decisions
@@ -127,12 +123,6 @@ class PhaseTable:
         np.cos(phases, out=self.trig[:, :K])
         np.sin(phases, out=self.trig[:, K:])
 
-    def values(self, cos_coeffs: np.ndarray, sin_coeffs: np.ndarray) -> np.ndarray:
-        """sum_m cos(m.x) a_m + sin(m.x) b_m per point: one real product of the table
-        with the stacked coefficients [A; B], which is the only N-row allocation."""
-        AB = np.vstack((cos_coeffs, sin_coeffs)).view(float)
-        return (self.trig @ AB).view(np.complex128)
-
 
 def random_field(n: int, fiber_dim: int, mode_count: int, max_freq: int,
                  rng) -> TrigField:
@@ -153,24 +143,25 @@ def random_field(n: int, fiber_dim: int, mode_count: int, max_freq: int,
         if key not in modes:
             modes[key] = (coeffs(), coeffs())
     keys = sorted(modes)
-    return TrigField(n, fiber_dim, keys, [modes[key][0] for key in keys],
-                     [modes[key][1] for key in keys])
+    return TrigField(n, keys, [modes[key][half] for half in (0, 1) for key in keys])
 
 
 # ---------------------------------------------------------------------------
 # form calculus at the coefficient level
 
 
-def exterior_derivative(f: TrigField, k: int, extra_dim: int = 1) -> TrigField:
+def exterior_derivative(f: TrigField, k: int) -> TrigField:
     """d of a degree-k form field: the wedge symbol applied to its gradient (extra
-    fiber factors ride along)."""
-    return f.gradient().map_fiber(_form_map(f.n, k, extra_dim, True))
+    fiber factors, f.fiber_dim // C(n, k) of them, ride along)."""
+    extra = f.fiber_dim // (math.comb(f.n, k) or 1)   # C(n, k) = 0 above n: an empty map
+    return f.gradient().map_fiber(_form_map(f.n, k, extra, True))
 
 
-def coderivative(f: TrigField, k: int, extra_dim: int = 1) -> TrigField:
+def coderivative(f: TrigField, k: int) -> TrigField:
     """Codifferential of a degree-k form field: minus the contraction symbol applied
     to its gradient, the adjoint of d on the flat torus."""
-    return f.gradient().map_fiber(-_form_map(f.n, k, extra_dim, False))
+    extra = f.fiber_dim // (math.comb(f.n, k) or 1)
+    return f.gradient().map_fiber(-_form_map(f.n, k, extra, False))
 
 
 def hodge_star_matrix(n: int, k: int) -> np.ndarray:
@@ -326,7 +317,7 @@ def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0) -> Sce
                         operator=op, notes=notes)
     f = random_field(n, math.comb(n, k + shift) * extra, *_SECTION_BAND, rng)
     if shift:
-        f = (exterior_derivative if shift < 0 else coderivative)(f, k + shift, extra)
+        f = (exterior_derivative if shift < 0 else coderivative)(f, k + shift)
     d_vanishing, dstar_vanishing = shift < 0 or None, shift > 0 or None
     if name == "instanton-F":  # its self-dual part is in general neither closed nor coclosed
         sd = np.kron((np.eye(6) + hodge_star_matrix(4, 2)) / 2.0, np.eye(extra))
@@ -364,8 +355,8 @@ def symbol_consistency_residual(sc: Scenario, points: np.ndarray) -> float:
     grad_vals = f.gradient().evaluate(points)
     ref = max(_max_row_norm(grad_vals), 1e-300)
     if sc.theorem == "hodge":
-        d_vals = exterior_derivative(f, sc.k, sc.fiber_dim).evaluate(points).view(float)
-        cod_vals = coderivative(f, sc.k, sc.fiber_dim).evaluate(points).view(float)
+        d_vals = exterior_derivative(f, sc.k).evaluate(points).view(float)
+        cod_vals = coderivative(f, sc.k).evaluate(points).view(float)
         # both symbol images in one real product per row block, where (fiber, re/im)
         # is a real fiber: a whole product's threaded BLAS buffers outgrow its output
         G, E = grad_vals.view(float), _form_images(sc.n, sc.k, 2 * sc.fiber_dim)
@@ -389,7 +380,7 @@ def closedness_residual(sc: Scenario, points: np.ndarray) -> float | None:
     ref = max(f.gradient().sup_norm_estimate(), 1e-300)
     pairs = ((sc.d_vanishing, exterior_derivative), (sc.dstar_vanishing, coderivative))
     # np.max, unlike max, keeps a NaN
-    return float(np.max([_max_row_norm(derivative(f, sc.k, sc.fiber_dim).evaluate(points))
+    return float(np.max([_max_row_norm(derivative(f, sc.k).evaluate(points))
                          for certified, derivative in pairs if certified])) / ref
 
 

@@ -860,6 +860,10 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
     """
     n, dE = op.base_dim, op.fiber_dim
     null = _null_space(op.full_symbol)
+    rho2, eps = operator_constants(op)
+    # every chunk's kernel reads these constants, measured once, off a spec that declares
+    # them; replace keeps the read-only symbol without a copy
+    resolved = dataclasses.replace(op, rho_squared=rho2, epsilon=eps)
 
     def sample(rng, m):
         # the leading quarter is redrawn in ker P, when there is one: its draws are dropped
@@ -871,8 +875,7 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
 
     report = _fuzz(
         "foldo", op.name, samples, seed, _weight_range(c_fixed), sample,
-        lambda u, phi, c: batch_operator_margins(op, u, phi, c))
-    rho2, eps = operator_constants(op)
+        lambda u, phi, c: batch_operator_margins(resolved, u, phi, c))
     report.extras.update({
         "gain_vanishing": float(batch_lemma_gain(0.0, rho2 - eps, True, weight=eps)),
         "rho_squared": rho2,

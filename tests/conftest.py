@@ -11,20 +11,21 @@ from katolab.projections import exterior_projection, interior_projection
 
 @pytest.fixture
 def flip_table(monkeypatch):
-    """flip_table(n, j, up, entry) makes kato._direction_table(n, j, up) come back with the
-    sign of its entry-th nonzero entry flipped.  The caches of the maps and signed
-    permutations built from the tables and of their certificate are cleared at each flip
-    and after the test, so no map or certificate of a flipped table outlives it."""
+    """flip_table(n, j, up, entry, factor) makes kato._direction_table(n, j, up) come back
+    with its entry-th nonzero entry times factor, by default -1: its sign flipped.  The
+    caches of the maps and signed permutations built from the tables and of their
+    certificate are cleared at each flip and after the test, so no map or certificate of a
+    flipped table outlives it."""
     shipped = kato._direction_table
     caches = (kato._form_map, kato._form_images, kato._signed_permutation,
               kato._certify_form_algebra)
 
-    def flip(n, j, up, entry=0):
+    def flip(n, j, up, entry=0, factor=-1):
         def table(*key):
             T = shipped(*key)
             if key == (n, j, up):
                 T = T.copy()
-                T.flat[np.flatnonzero(T)[entry]] *= -1
+                T.flat[np.flatnonzero(T)[entry]] *= factor
             return T
 
         monkeypatch.setattr(kato, "_direction_table", table)

@@ -19,13 +19,14 @@ import pytest
 
 import katolab
 from katolab import fields, kato
-from katolab.errors import BrokenIdentity, FiberMismatch, UnknownScenario
+from katolab.errors import BrokenIdentity, FiberMismatch, UnknownScenario, ZeroSection
 from katolab.fields import (
     CLOSEDNESS_TOL,
     SCENARIO_NAMES,
     SYMBOL_CONSISTENCY_TOL,
     PhaseTable,
     Scenario,
+    TrigField,
     closedness_residual,
     coderivative,
     evaluate_scenario,
@@ -36,6 +37,7 @@ from katolab.fields import (
     run_scenario,
     sample_points,
     scenario_grid,
+    scenario_report,
     symbol_consistency_residual,
 )
 from katolab.spaces import exterior_power, wedge_delete, wedge_insert
@@ -112,6 +114,21 @@ def test_map_fiber_rejects_mismatch():
     f = random_field(2, 3, 4, 2, np.random.default_rng(5))
     with pytest.raises(FiberMismatch):
         f.map_fiber(np.eye(4))
+
+
+@pytest.mark.parametrize("rows", [np.zeros((3, 2)), np.zeros(4), np.zeros((4, 2, 1))])
+def test_a_table_that_is_not_two_rows_per_mode_is_refused(rows):
+    # two modes need a 2-D [A; B] of four rows
+    with pytest.raises(FiberMismatch, match=r"\[A; B\]"):
+        TrigField(2, [[0, 0], [1, 0]], rows)
+
+
+def test_the_table_is_cosine_rows_over_sine_rows():
+    f = random_field(3, 2, 6, 2, np.random.default_rng(7))
+    K = len(f.freqs)
+    assert f.coeffs.shape == (2 * K, 2) and f.fiber_dim == 2
+    assert np.shares_memory(f.cos_coeffs, f.coeffs) and np.shares_memory(f.sin_coeffs, f.coeffs)
+    assert np.array_equal(np.vstack((f.cos_coeffs, f.sin_coeffs)), f.coeffs)
 
 
 def test_sup_norm_estimate_bounds_grid_sup():
@@ -204,7 +221,7 @@ def _worst_derivative_gap(cases):
     for n, k, extra, up in cases:
         rng = np.random.default_rng(100 * n + 10 * k + extra)
         f = random_field(n, math.comb(n, k) * extra, 8, 3, rng)
-        got = (exterior_derivative if up else coderivative)(f, k, extra)
+        got = (exterior_derivative if up else coderivative)(f, k)
         ref = _per_label_derivative(f, k, extra, up)
         assert got.fiber_dim == ref[0].shape[1] and np.array_equal(got.freqs, f.freqs)
         for g, r in zip((got.cos_coeffs, got.sin_coeffs), ref):
@@ -600,8 +617,8 @@ def _complex_product_residual(sc, points):
     eps_mat, iota_mat = kato._form_maps(sc.n, sc.k, sc.fiber_dim)
     f = sc.section
     grad_vals = f.gradient().evaluate(points)
-    d_vals = exterior_derivative(f, sc.k, sc.fiber_dim).evaluate(points) - grad_vals @ eps_mat.T
-    cod_vals = coderivative(f, sc.k, sc.fiber_dim).evaluate(points) + grad_vals @ iota_mat.T
+    d_vals = exterior_derivative(f, sc.k).evaluate(points) - grad_vals @ eps_mat.T
+    cod_vals = coderivative(f, sc.k).evaluate(points) + grad_vals @ iota_mat.T
     ref = np.max(np.linalg.norm(grad_vals, axis=1))
     return max(np.max(np.linalg.norm(x, axis=1)) for x in (d_vals, cod_vals)) / ref
 
@@ -644,3 +661,49 @@ def test_run_scenario_overflow_is_counted_not_passed():
     assert rep.violations >= rep.nonfinite
     assert not rep.passed
     assert rep.to_json_dict()["nonfinite"] == rep.nonfinite
+
+
+def _sine_scenario(theorem):
+    """A scenario on the 2-torus whose section is sin(x_1) e_1, which vanishes exactly
+    where x_1 = 0: the 1-form sin(x_1) dx_1, or the Dirac spinor sin(x_1) e_1."""
+    coeffs = np.zeros((4, 2))   # [A; B] over the frequencies (0, 0) and (1, 0)
+    coeffs[3, 0] = 1.0
+    section = TrigField(2, [[0, 0], [1, 0]], coeffs)
+    if theorem == "hodge":
+        return Scenario("sine", "hodge", 2, 1, 1, section)
+    op = catalog("dirac", 2)   # its spinor fiber is 2-dimensional too
+    return Scenario("sine", "foldo", 2, None, op.fiber_dim, section, operator=op)
+
+
+@pytest.mark.parametrize("theorem", ["hodge", "foldo"])
+def test_points_where_the_section_vanishes_are_skipped(theorem):
+    # every fifth point moved onto x_1 = 0: those points leave the margins and are
+    # counted, the others are checked as usual
+    sc = _sine_scenario(theorem)
+    X = sample_points(2, 50)
+    X[::5, 0] = 0.0
+    zero = X[:, 0] == 0.0
+    ev = evaluate_scenario(sc, X, 1.0, 1.0)
+    assert ev["skipped"] == 10 == np.sum(zero)
+    assert np.array_equal(ev["points"], X[~zero])
+    assert len(ev["margin"]) == len(ev["ok"]) == 40
+    rep = scenario_report(sc, X, ev, 1.0, 0)
+    assert (rep.sample_points, rep.skipped_points) == (50, 10)
+    assert rep.violations == 0 and np.isfinite(rep.min_margin)
+
+
+def test_the_skip_threshold_is_taken_against_the_largest_sampled_value():
+    # sin(pi) = 1.2e-16 is far below 1e-8 * sup|phi| = 1e-8, but it is the largest sampled
+    # |phi| here, so only the exact zero at x_1 = 0 is skipped
+    sc = _sine_scenario("hodge")
+    X = np.array([[0.0, 0.3], [np.pi, 0.3]])
+    ev = evaluate_scenario(sc, X, 1.0, 1.0)
+    assert ev["skipped"] == 1 and np.array_equal(ev["points"], X[1:])
+
+
+@pytest.mark.parametrize("theorem", ["hodge", "foldo"])
+def test_a_section_zero_at_every_sampled_point_is_refused(theorem):
+    X = sample_points(2, 20)
+    X[:, 0] = 0.0
+    with pytest.raises(ZeroSection, match="scenario sine produced a vanishing section"):
+        evaluate_scenario(_sine_scenario(theorem), X, 1.0, 1.0)

@@ -242,3 +242,12 @@ def test_a_flipped_sign_in_any_table_is_refused(flip_table):
         batch_hodge_margins(4, 2, 1, np.ones((3, 24)), np.ones((3, 6)), 1.0, 1.0)
     with pytest.raises(BrokenIdentity):
         fuzz_hodge_inequality(4, 2, 1, 100, 0)
+
+
+def test_a_table_that_is_not_a_signed_partial_permutation_is_refused(flip_table):
+    # an entry of 2 in a wedge table, which no other identity reads until the tables are
+    # known to be signed partial permutations: the certificate names that check
+    flip_table(3, 1, True, 0, factor=2)
+    with pytest.raises(BrokenIdentity, match="n=3, degree 1: a signed partial permutation "
+                                             "per direction fails"):
+        kato._certify_form_algebra(3, 1)

@@ -45,7 +45,7 @@ from katolab.kato import (
     _restricted_gram,
 )
 from katolab.spaces import exterior_power
-from katolab.symbols import catalog
+from katolab.symbols import OperatorSpec, catalog
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +170,27 @@ def test_operator_constants_measured_fallback():
     rho2, eps = operator_constants(op)
     assert rho2 == pytest.approx(3.0, abs=1e-12)
     assert eps == pytest.approx(1.0, abs=1e-9)
+
+
+def test_an_undeclared_operator_is_measured_once_per_fuzz(monkeypatch):
+    # five 20,000-row chunks: the kernel of each chunk once measured rho^2 and epsilon
+    # again, six measurements of each with the report's extras
+    calls = {"ellipticity_constant": 0, "conformity_factor": 0}
+
+    def counted(name):
+        measure = getattr(kato, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return measure(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kato, name, counted(name))
+    bare = OperatorSpec("bare", 4, catalog("dirac", 4).full_symbol)
+    rep = fuzz_operator_inequality(bare, 100_000, 0)
+    assert calls == {"ellipticity_constant": 1, "conformity_factor": 1}
+    assert rep.passed and rep.extras["rho_squared"] == pytest.approx(4.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

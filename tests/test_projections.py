@@ -541,3 +541,18 @@ def test_line_image_basis_orthonormal():
     assert np.array_equal(op.full_symbol, exterior_projection(4, 1))
     T = kato._line_split(op, np.array([0.5, -0.5, 0.5, 0.5]))[1]
     assert np.allclose(T @ T.conj().T, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("build, n, k, window", [
+    (exterior_projection, 3, -1, "0 <= k <= 2"), (exterior_projection, 3, 3, "0 <= k <= 2"),
+    (interior_projection, 3, 0, "1 <= k <= 3"), (interior_projection, 3, 4, "1 <= k <= 3"),
+    (symmetrization_projection, 2, -1, "k >= 0"), (contraction_projection, 2, 0, "k >= 1")])
+def test_each_builder_refuses_a_degree_outside_its_window(build, n, k, window):
+    with pytest.raises(BadDegree, match=f"needs {window}, got k={k}"):
+        build(n, k)
+
+
+def test_a_map_with_no_rows_is_vacuously_conformal():
+    # an empty codomain: rho^2 is reported as 0 and the map certified
+    rep = conformity_report(np.zeros((0, 6), dtype=complex))
+    assert rep == ProjectionReport(0.0, 0.0, True, True, projections.DEFAULT_CONFORMITY_TOL)

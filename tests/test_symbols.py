@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -261,6 +262,18 @@ def test_catalog_errors():
         parse_op_string("dirac")
     with pytest.raises(UnknownName):
         parse_op_string("dirac:x")
+    # the README's promise: a connection needs a fiber of at least one dimension
+    with pytest.raises(BadDegree, match="connection fiber dimension must be >= 1"):
+        catalog("connection", 3, fiber_dim=0)
+
+
+def test_an_undeclared_epsilon_is_matched_by_nothing():
+    # a spec that declares no epsilon: nothing to match, and null in the JSON report
+    res = ellipticity_constant(OperatorSpec("bare", 3, catalog("dirac", 3).full_symbol))
+    assert res.declared is None and res.matches_declared() is None
+    row = res.to_json_dict()
+    assert row["declared_epsilon"] is None and row["matches_declared"] is None
+    assert '"declared_epsilon": null' in json.dumps(row)
 
 
 @pytest.mark.parametrize("args", [("dirac", 3.0), ("connection", 0), ("exterior-only", 3, 1.0)])
