@@ -20,7 +20,8 @@ import os
 import sys
 
 from . import __version__
-from .errors import BrokenIdentity, ConfigError, NotConformal, NotSurjective, VerificationError
+from .errors import (BrokenIdentity, ConfigError, NotConformal, NotSurjective,
+                     VerificationError, _check_int)
 from .fields import (
     evaluate_scenario,
     make_scenario,
@@ -86,8 +87,9 @@ def _write_report(args, command: str, fields: dict, header, rows) -> None:
 
 
 def _cmd_projections_verify(args) -> int:
-    if args.max_n < 2 or not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise ConfigError("--max-n >= 2 and a finite --tolerance >= 0 are required")
+    _check_int(ConfigError, "projections verify needs", "--max-n", args.max_n, 2)
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ConfigError("a finite --tolerance >= 0 is required")
     rows = conformity_table(args.max_n, args.tolerance)
     rows += twistor_symbol_rows(args.max_n, args.tolerance)
     passed = all(r["ok"] for r in rows)
@@ -110,8 +112,6 @@ def _cmd_projections_verify(args) -> int:
 
 
 def _cmd_ellipticity(args) -> int:
-    if args.coarse < 1 or args.refine < 0:
-        raise ConfigError("--coarse >= 1 and --refine >= 0 are required")
     op = parse_op_string(args.op)
     result = ellipticity_constant(op, coarse_samples=args.coarse,
                                   refine_steps=args.refine)
@@ -131,8 +131,6 @@ def _cmd_ellipticity(args) -> int:
 
 
 def _cmd_kato_fuzz(args) -> int:
-    if args.samples < 1 or (args.dim_e is not None and args.dim_e < 1):
-        raise ConfigError("samples >= 1 and --dim-e >= 1 are required")
     # flags the run would ignore: a foldo operator fixes all but --c,
     # a hodge --op the degrees
     unused = ("n", "k", "dim_e", "c_star") if args.theorem == "foldo" else (
@@ -156,8 +154,8 @@ def _cmd_kato_fuzz(args) -> int:
             args.n, args.k = op.base_dim, int(args.op.split(":")[2])
         if args.n is None or args.k is None:
             raise ConfigError("--theorem hodge needs --n and --k")
-        report = fuzz_hodge_inequality(args.n, args.k, args.dim_e or 1,
-                                       args.samples, args.seed,
+        dim_e = 1 if args.dim_e is None else args.dim_e
+        report = fuzz_hodge_inequality(args.n, args.k, dim_e, args.samples, args.seed,
                                        c_fixed=args.c, cstar_fixed=args.c_star)
     fields = report.to_json_dict()
     header = ["theorem", "operator", "samples", "violations",
@@ -171,8 +169,6 @@ def _cmd_kato_fuzz(args) -> int:
 
 
 def _cmd_field_run(args) -> int:
-    if args.grid < 1:
-        raise ConfigError("grid >= 1 is required")
     sc = make_scenario(args.scenario, args.n, k=args.k, seed=args.seed)
     if sc.theorem != "hodge" and args.c_star is not None:
         raise ConfigError(f"{args.scenario} ignores --c-star")
@@ -286,10 +282,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, one line, as every other; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser():
     """The process's one parser; handlers are bound here, so patch their callees."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="katolab",
         description="verification laboratory for refined Kato inequalities")
     parser.add_argument("--version", action="version", version=__version__)
@@ -366,9 +369,8 @@ def main(argv=None) -> int:
             if path:
                 _check_writable(path)
         return args.handler(args)
-    except SystemExit as e:
-        code = e.code
-        return 0 if code is None else int(code) if str(code).isdigit() else 2
+    except SystemExit:  # --help or --version, the parser's only exits
+        return 0
     except (NotSurjective, NotConformal, BrokenIdentity) as e:
         print(f"verification error: {e}", file=sys.stderr)
         return 1

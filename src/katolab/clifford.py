@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import BadDegree
+from .errors import BadDegree, _check_int
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -26,8 +26,7 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 def clifford_generators(n: int) -> list:
     """n anticommuting skew-adjoint unitary complex128 matrices of size 2^floor(n/2)."""
-    if n < 1:
-        raise BadDegree(f"need n >= 1 directions, got {n}")
+    _check_int(BadDegree, "clifford generators need", "n", n, 1)
     m = n // 2
     eye, one = np.eye(2, dtype=np.complex128), np.ones((1, 1), dtype=np.complex128)
     mats = []

@@ -2,8 +2,12 @@
 
 Every failure mode that a caller can reasonably branch on gets its own
 class; all of them derive from VerificationError so blanket handling
-stays possible.
+stays possible.  _check_int states the one rule for an integer argument.
 """
+
+import sys
+from math import inf
+from numbers import Integral
 
 
 class VerificationError(Exception):
@@ -59,8 +63,21 @@ class ZeroOperator(VerificationError):
 
 
 class ConfigError(VerificationError):
-    """Malformed config file, inconsistent CLI options or an unwritable output path."""
+    """Malformed command line or config file, clashing options or an unwritable output path."""
 
 
 class BrokenIdentity(VerificationError):
     """A table of the catalog fails an identity that it must satisfy exactly."""
+
+
+def _check_int(error, subject: str, name: str, x, lo: int, hi=inf) -> None:
+    """error(f"{subject} {lo} <= {name} <= {hi}, got {name}={x}") unless x is an integer
+    in lo..hi, hi capped at sys.maxsize, the largest value that fits an index.  subject
+    carries its verb ("form split needs"); an upper bound not given and not exceeded
+    is left out ("n >= 2")."""
+    top = min(hi, sys.maxsize)
+    if isinstance(x, Integral) and lo <= x <= top:
+        return
+    over = isinstance(x, Integral) and x > top
+    span = f"{lo} <= {name} <= {top}" if hi != inf or over else f"{name} >= {lo}"
+    raise error(f"{subject} {span}, got {name}={x}")

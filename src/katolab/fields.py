@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import FiberMismatch, UnknownScenario, ZeroSection
+from .errors import BadDegree, FiberMismatch, UnknownScenario, ZeroSection, _check_int
 from .kato import (
     INF,
     _form_images,
@@ -115,8 +115,7 @@ class PhaseTable:
         if X.ndim != 2 or X.shape[1] != f.n:
             raise FiberMismatch(f"points must be an (N, {f.n}) array or one point of "
                                 f"{f.n} coordinates, got shape {X.shape}")
-        if not len(X):
-            raise ValueError("field evaluation needs points >= 1, got 0")
+        _check_int(ValueError, "field evaluation needs", "points", len(X), 1)
         phases = X @ f.freqs.T.astype(float)
         K = phases.shape[1]
         self.freqs, self.trig = f.freqs, np.empty((len(X), 2 * K))
@@ -129,9 +128,14 @@ def random_field(n: int, fiber_dim: int, mode_count: int, max_freq: int,
     """Random band-limited field; always includes the constant mode.
 
     mode_count is capped at the number of canonical frequencies with
-    entries in [-max_freq, max_freq], ((2 max_freq + 1)^n - 1)/2 + 1.
+    entries in [-max_freq, max_freq], ((2 max_freq + 1)^n - 1)/2 + 1.  ValueError
+    unless n and mode_count are integers >= 1 and fiber_dim and max_freq ones >= 0.
     """
-    mode_count = min(mode_count, ((2 * max_freq + 1) ** n - 1) // 2 + 1)
+    for name, x, lo in (("n", n, 1), ("fiber_dim", fiber_dim, 0),
+                        ("mode_count", mode_count, 1), ("max_freq", max_freq, 0)):
+        _check_int(ValueError, "random field needs", name, x, lo)
+    # mode_count < 2^63 < 3^64 / 2: past n = 64 the cap cannot bind
+    mode_count = min(mode_count, ((2 * max_freq + 1) ** min(n, 64) - 1) // 2 + 1)
 
     def coeffs():
         return rng.standard_normal(fiber_dim) + 1j * rng.standard_normal(fiber_dim)
@@ -152,15 +156,18 @@ def random_field(n: int, fiber_dim: int, mode_count: int, max_freq: int,
 
 def exterior_derivative(f: TrigField, k: int) -> TrigField:
     """d of a degree-k form field: the wedge symbol applied to its gradient (extra
-    fiber factors, f.fiber_dim // C(n, k) of them, ride along)."""
-    extra = f.fiber_dim // (math.comb(f.n, k) or 1)   # C(n, k) = 0 above n: an empty map
+    fiber factors, f.fiber_dim // C(n, k) of them, ride along); BadDegree unless k is
+    in 0..n."""
+    _check_int(BadDegree, "exterior derivative needs", "k", k, 0, f.n)
+    extra = f.fiber_dim // math.comb(f.n, k)
     return f.gradient().map_fiber(_form_map(f.n, k, extra, True))
 
 
 def coderivative(f: TrigField, k: int) -> TrigField:
     """Codifferential of a degree-k form field: minus the contraction symbol applied
-    to its gradient, the adjoint of d on the flat torus."""
-    extra = f.fiber_dim // (math.comb(f.n, k) or 1)
+    to its gradient, the adjoint of d on the flat torus; BadDegree unless k is in 0..n."""
+    _check_int(BadDegree, "coderivative needs", "k", k, 0, f.n)
+    extra = f.fiber_dim // math.comb(f.n, k)
     return f.gradient().map_fiber(-_form_map(f.n, k, extra, False))
 
 
@@ -186,10 +193,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def sample_points(n: int, count: int) -> np.ndarray:
     """Deterministic near-uniform grid on the torus, irrational offsets."""
-    if n < 1:
-        raise ValueError(f"sampling needs n >= 1, got n={n}")
-    if count < 1:
-        raise ValueError(f"sampling needs points >= 1, got {count}")
+    _check_int(ValueError, "sampling needs", "n", n, 1)
+    _check_int(ValueError, "sampling needs", "points", count, 1)
     q = max(2, math.ceil(count ** (1.0 / n)))
     while q ** n < count:
         q += 1
@@ -297,15 +302,11 @@ def make_scenario(name: str, n: int, k: int | None = None, seed: int = 0) -> Sce
         raise UnknownScenario(f"unknown scenario '{name}'; choose from "
                               + ", ".join(SCENARIO_NAMES))
     theorem, n_min, n_max, degree, shift, extra, notes = _SCENARIOS[name]
-    if not n_min <= n <= n_max:
-        raise UnknownScenario(
-            f"{name} is a dimension-{n_min} scenario, got n={n}"
-            if n_min == n_max else f"{name} needs n >= {n_min}, got n={n}")
+    _check_int(UnknownScenario, f"{name} needs", "n", n, n_min, n_max)
     own = _degree(name, n)
     k = own if k is None else k
     if theorem == "hodge" and degree is None:
-        if k < 1 or k > n - 1:
-            raise UnknownScenario(f"{name} needs 1 <= k <= {n - 1}, got k={k}")
+        _check_int(UnknownScenario, f"{name} needs", "k", k, 1, n - 1)
     elif k != own:
         raise UnknownScenario(
             f"{name} takes {'no k' if own is None else f'only k={own}'}, got k={k}")

@@ -53,7 +53,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadConstants, BrokenIdentity, NotUnit, ZeroOperator, ZeroSection
+from .errors import BadConstants, BrokenIdentity, NotUnit, ZeroOperator, ZeroSection, _check_int
 from .linmap import _check_map, _row_blocks, gram_schmidt_columns
 from .projections import conformity_factor, exterior_projection, interior_projection
 from .spaces import check_form_degree, exterior_power
@@ -273,8 +273,7 @@ def _form_maps(n: int, k: int, fiber_dim: int):
     """(wedge, contraction) of a degree of the two-sided inequality, its tables
     certified; BadDegree or ValueError before a map is built."""
     check_form_degree("form split needs", n, k)
-    if fiber_dim < 1:
-        raise ValueError(f"fiber dimension must be >= 1, got {fiber_dim}")
+    _check_int(ValueError, "form split needs", "fiber_dim", fiber_dim, 1)
     _certify_form_algebra(n, k)
     return _form_map(n, k, fiber_dim, True), _form_map(n, k, fiber_dim, False)
 
@@ -822,8 +821,7 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
     inequality on the same rows) and a "vanishing" branch mask.  The extras
     get min_margin_corollary, the least margin_cor over the chunks.
     """
-    if samples < 1:
-        raise ValueError(f"fuzzing needs samples >= 1, got {samples}")
+    _check_int(ValueError, "fuzzing needs", "samples", samples, 1)
     rng = np.random.default_rng(seed)
     done = violations = nonfinite = 0
     min_margin = min_rel = INF

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .clifford import clifford_generators
-from .errors import BadDegree, NotConformal, NotSurjective
+from .errors import BadDegree, NotConformal, NotSurjective, _check_int
 from .linmap import _check_map, _row_blocks, gram_schmidt_columns
 from .spaces import (
     exterior_power,
@@ -58,15 +58,13 @@ def _insertion_map(n: int, src: tuple, dst: tuple, entry) -> np.ndarray:
 
 def exterior_projection(n: int, k: int) -> np.ndarray:
     """Wedge insertion V* (x) Lambda^k -> Lambda^{k+1}; needs 0 <= k <= n-1."""
-    if k < 0 or k > n - 1:
-        raise BadDegree(f"exterior projection needs 0 <= k <= {n - 1}, got k={k}")
+    _check_int(BadDegree, "exterior projection needs", "k", k, 0, n - 1)
     return _insertion_map(n, exterior_power(n, k), exterior_power(n, k + 1), wedge_insert)
 
 
 def interior_projection(n: int, k: int) -> np.ndarray:
     """Contraction V* (x) Lambda^k -> Lambda^{k-1}; needs 1 <= k <= n."""
-    if k < 1 or k > n:
-        raise BadDegree(f"interior projection needs 1 <= k <= {n}, got k={k}")
+    _check_int(BadDegree, "interior projection needs", "k", k, 1, n)
     return _insertion_map(n, exterior_power(n, k), exterior_power(n, k - 1), wedge_delete)
 
 
@@ -78,8 +76,7 @@ def symmetrization_projection(n: int, k: int) -> np.ndarray:
     e_i* (x) s_a onto s_{sort(a+i)} inside the tensor power and scaling
     by the k+1 slot insertions.
     """
-    if k < 0:
-        raise BadDegree(f"symmetrization needs k >= 0, got k={k}")
+    _check_int(BadDegree, "symmetrization needs", "k", k, 0)
 
     def entry(i, a):
         b = multiset_insert(i, a)
@@ -93,8 +90,7 @@ def contraction_projection(n: int, k: int) -> np.ndarray:
 
     Column entry sqrt(mult_i(a) / k) at row a minus one copy of i.
     """
-    if k < 1:
-        raise BadDegree(f"contraction needs k >= 1, got k={k}")
+    _check_int(BadDegree, "contraction needs", "k", k, 1)
     return _insertion_map(
         n, symmetric_power(n, k), symmetric_power(n, k - 1),
         lambda i, a: (sqrt(a.count(i) / k), multiset_remove(i, a)) if i in a else None)
@@ -115,8 +111,7 @@ def twistor_projection(n: int) -> np.ndarray:
     returned map is B* Pi = B* with codomain dimension (n-1) * dim S.
     Needs n >= 2 (for n = 1 the kernel is zero).
     """
-    if n < 2:
-        raise BadDegree(f"twistor projection needs n >= 2, got {n}")
+    _check_int(BadDegree, "twistor projection needs", "n", n, 2)
     C = clifford_projection(n)
     dS = len(C)
     B = gram_schmidt_columns(np.eye(C.shape[1]) - C.conj().T @ C / n)

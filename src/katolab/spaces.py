@@ -21,9 +21,8 @@ fiber           an abstract auxiliary fiber with numbered basis.
 """
 
 from itertools import combinations, combinations_with_replacement
-from numbers import Integral
 
-from .errors import BadDegree
+from .errors import BadDegree, _check_int
 
 
 def exterior_power(n: int, k: int) -> tuple:
@@ -33,8 +32,8 @@ def exterior_power(n: int, k: int) -> tuple:
     of them.  k = 0 gives the scalar line with the empty tuple as its
     single label.
     """
-    if k < 0 or k > n:
-        raise BadDegree(f"exterior degree k={k} outside [0, {n}]")
+    _check_int(BadDegree, "exterior power needs", "n", n, 0)
+    _check_int(BadDegree, "exterior power needs", "k", k, 0, n)
     return tuple(combinations(range(1, n + 1), k))
 
 
@@ -45,25 +44,23 @@ def symmetric_power(n: int, k: int) -> tuple:
     label a is the unit-normalized symmetrization of the elementary
     tensor e_a* inside the k-th tensor power.
     """
-    if k < 0:
-        raise BadDegree(f"symmetric degree k={k} must be >= 0")
+    _check_int(BadDegree, "symmetric power needs", "n", n, 0)
+    _check_int(BadDegree, "symmetric power needs", "k", k, 0)
     return tuple(combinations_with_replacement(range(1, n + 1), k))
 
 
 def fiber_space(dim: int, tag: str = "fiber") -> tuple:
     """Labels (tag, 1..dim) of an abstract auxiliary fiber."""
-    if dim < 0:
-        raise ValueError("fiber dimension must be >= 0")
+    _check_int(ValueError, "fiber space needs", "dim", dim, 0)
     return tuple((tag, i) for i in range(1, dim + 1))
 
 
 def check_form_degree(subject: str, n: int, k) -> None:
     """BadDegree, its message led by subject ("form split needs"), unless n is an
-    integer >= 2 and k one in 1..n-1: the degrees of the two-sided form inequality."""
-    if not (isinstance(n, Integral) and n >= 2):
-        raise BadDegree(f"{subject} n >= 2, got n={n}")
-    if not (isinstance(k, Integral) and 1 <= k <= n - 1):
-        raise BadDegree(f"{subject} 1 <= k <= {n - 1}, got k={k}")
+    integer >= 2 that fits an index and k one in 1..n-1: the degrees of the two-sided
+    form inequality."""
+    _check_int(BadDegree, subject, "n", n, 2)
+    _check_int(BadDegree, subject, "k", k, 1, n - 1)
 
 
 # ---------------------------------------------------------------------------

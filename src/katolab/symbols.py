@@ -22,7 +22,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import BadDegree, UnknownName
+from .errors import BadDegree, UnknownName, _check_int
 from .linmap import _row_blocks
 from .projections import (
     FAMILIES,
@@ -110,8 +110,8 @@ def quasi_unit_covectors(n: int, count: int) -> np.ndarray:
     quasi-gaussian vectors which are then normalized.  Refining count
     keeps earlier points, so minima over these sweeps are monotone.
     """
-    if n < 1 or count < 1:
-        raise ValueError("need n >= 1 and count >= 1")
+    _check_int(ValueError, "covector sweep needs", "n", n, 1)
+    _check_int(ValueError, "covector sweep needs", "count", count, 1)
     return _sphere_points(n, 0, count)
 
 
@@ -133,12 +133,8 @@ def _sphere_points(n: int, start: int, stop: int) -> np.ndarray:
     g[:, 0::2] = r * np.cos(th)
     g[:, 1::2] = r * np.sin(th)
     g = g[:, :n]
-    norms = np.linalg.norm(g, axis=1)
-    degenerate = norms < 1e-9
-    if np.any(degenerate):
-        g[degenerate, 0] = 1.0
-        norms = np.linalg.norm(g, axis=1)
-    return g / norms[:, None]
+    # every norm is at least |g[:, :2]| = r >= sqrt(-2 ln(1 - 1e-12)) > 1.4e-6
+    return g / np.linalg.norm(g, axis=1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -189,9 +185,8 @@ def ellipticity_constant(op: OperatorSpec,
     xi); that branch is an upper bound and says so in its method field.
     """
     n = op.base_dim
-    if coarse_samples < 1 or refine_steps < 0:
-        raise ValueError(f"need coarse_samples >= 1 and refine_steps >= 0, got "
-                         f"{coarse_samples} and {refine_steps}")
+    _check_int(ValueError, "ellipticity needs", "coarse_samples", coarse_samples, 1)
+    _check_int(ValueError, "ellipticity needs", "refine_steps", refine_steps, 0)
 
     def lam_min(xis):
         return np.linalg.eigvalsh(principal_squares(op, xis))[:, 0]
@@ -264,8 +259,7 @@ def twist(op: OperatorSpec, extra_fiber: tuple) -> OperatorSpec:
     constant; the declared values are carried over unchanged.
     """
     d2 = len(extra_fiber)
-    if d2 < 1:
-        raise BadDegree("twist fiber dimension must be >= 1")
+    _check_int(BadDegree, "twist needs", "fiber", d2, 1)
     P = op.full_symbol  # columns (direction, fiber), so (direction, fiber, extra) after
     N = np.einsum("fc,ab->facb", P, np.eye(d2)).reshape(len(P) * d2, P.shape[1] * d2)
     return OperatorSpec(f"{op.name}xE{d2}", op.base_dim, N, op.rho_squared, op.epsilon)
@@ -326,25 +320,20 @@ def _catalog(name, n, k, fiber_dim):
             1.0 / sqrt(down) * interior_projection(n, k))),
             Fraction(1), min(1 / up, 1 / down))
     # hodge's n and k are check_form_degree's; every other entry's are checked here
-    if not (isinstance(n, Integral) and n >= 1):
-        raise BadDegree(f"catalog operators need an integer n >= 1, got n={n!r}")
-    for field, x in (("k", k), ("fiber_dim", fiber_dim)):
-        if not (x is None or isinstance(x, Integral)):
-            raise BadDegree(f"{field} must be an integer, got {field}={x!r}")
+    _check_int(BadDegree, "catalog operators need an integer", "n", n, 1)
     if name == "connection":
         d = 2 if fiber_dim is None else fiber_dim
-        if d < 1:
-            raise BadDegree("connection fiber dimension must be >= 1")
+        _check_int(BadDegree, "connection needs", "fiber_dim", d, 1)
         return OperatorSpec("connection", n, np.eye(n * d), Fraction(1), Fraction(1))
     if name not in _FAMILY_OPERATORS:
         raise UnknownName(f"no catalog operator named {name!r}")
     family, eps = _FAMILY_OPERATORS[name]
     fam = FAMILIES[family]
     window = fam.degrees(n)
-    if k not in window:
-        wanted = ("no degree" if None in window
-                  else f"{window.start} <= k <= {window.stop - 1}")
-        raise BadDegree(f"{name} at n={n} takes {wanted}, got k={k}")
+    if isinstance(window, range):
+        _check_int(BadDegree, f"{name} at n={n} takes", "k", k, window.start, window.stop - 1)
+    elif k is not None:
+        raise BadDegree(f"{name} at n={n} takes no degree, got k={k}")
     return OperatorSpec(name, n, fam.build(n, k), fam.rho_squared(n, k), eps(n, k))
 
 

@@ -19,7 +19,8 @@ import pytest
 
 import katolab
 from katolab import fields, kato
-from katolab.errors import BrokenIdentity, FiberMismatch, UnknownScenario, ZeroSection
+from katolab.errors import (BadDegree, BrokenIdentity, FiberMismatch, UnknownScenario,
+                            ZeroSection)
 from katolab.fields import (
     CLOSEDNESS_TOL,
     SCENARIO_NAMES,
@@ -248,6 +249,15 @@ def test_derivative_oracle_sees_one_flipped_sign(monkeypatch):
     monkeypatch.setattr(fields, "_form_map", flipped)
     assert _worst_derivative_gap([(4, 2, 1, True)]) > 0.1
     assert _worst_derivative_gap([(4, 2, 1, False), (4, 1, 1, True)]) <= 1e-15
+
+
+@pytest.mark.parametrize("derivative", [exterior_derivative, coderivative])
+@pytest.mark.parametrize("k", [-1, 4, 5, 1.0])
+def test_a_degree_outside_0_to_n_is_a_bad_degree(derivative, k):
+    # at n = 3 these gave ValueError, FiberMismatch or BadDegree by side and degree
+    f = random_field(3, 3, 4, 2, np.random.default_rng(8))
+    with pytest.raises(BadDegree, match=f"needs 0 <= k <= 3, got k={k}"):
+        derivative(f, k)
 
 
 def test_a_flipped_form_table_fails_the_field_lab(flip_table):

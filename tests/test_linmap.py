@@ -32,6 +32,13 @@ def test_gram_schmidt_orthonormal_and_deterministic():
     assert np.allclose(p1, p2, atol=1e-10)
 
 
+@pytest.mark.parametrize("rows", [0, 3])
+def test_gram_schmidt_of_a_zero_matrix_is_an_empty_basis(rows):
+    # no column clears the drop threshold: no columns, and the rows kept
+    basis = gram_schmidt_columns(np.zeros((rows, 2)))
+    assert basis.shape == (rows, 0) and basis.dtype == np.complex128
+
+
 @pytest.mark.parametrize("shape", [(3,), (2, 3, 4), ()])
 def test_linear_map_refuses_an_array_that_is_not_2d(shape):
     with pytest.raises(ValueError, match="2-D matrix"):

@@ -486,7 +486,7 @@ def test_fuzzers_refuse_sizes_below_one(monkeypatch, theorem, samples, chunk):
 
 @pytest.mark.parametrize("fiber_dim", [0, -1])
 def test_hodge_fuzz_refuses_empty_fiber(fiber_dim):
-    with pytest.raises(ValueError, match="fiber dimension must be >= 1"):
+    with pytest.raises(ValueError, match="form split needs fiber_dim >= 1"):
         _fuzz_at("hodge", 10, fiber_dim)
 
 
@@ -496,9 +496,9 @@ def test_hodge_kernel_and_single_shot_refuse_empty_fiber(fiber_dim):
     # reshape of them can fail on its own terms
     rng = np.random.default_rng(4)
     v, phi = _rows(rng, 1, 9), _rows(rng, 1, 3)
-    with pytest.raises(ValueError, match=f"fiber dimension must be >= 1, got {fiber_dim}"):
+    with pytest.raises(ValueError, match=f"needs fiber_dim >= 1, got fiber_dim={fiber_dim}"):
         batch_hodge_margins(3, 1, fiber_dim, v, phi, 1.0, 1.0)
-    with pytest.raises(ValueError, match=f"fiber dimension must be >= 1, got {fiber_dim}"):
+    with pytest.raises(ValueError, match=f"needs fiber_dim >= 1, got fiber_dim={fiber_dim}"):
         check_hodge_inequality(v[0], phi[0], 3, 1, fiber_dim=fiber_dim)
 
 

@@ -34,6 +34,12 @@ def test_symmetric_dims(n, k):
     assert list(labels) == sorted(labels)
 
 
+@pytest.mark.parametrize("k", [-1, 2.0])
+def test_symmetric_power_refuses_a_degree_that_is_not_an_integer_from_0(k):
+    with pytest.raises(BadDegree, match=f"symmetric power needs k >= 0, got k={k}"):
+        symmetric_power(3, k)
+
+
 def test_fiber_space():
     assert fiber_space(3, "aux") == (("aux", 1), ("aux", 2), ("aux", 3))
     assert fiber_space(0) == ()

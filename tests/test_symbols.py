@@ -211,6 +211,12 @@ def test_quasi_unit_covectors_are_unit_and_deterministic(n):
     assert np.array_equal(c[:40], a)
 
 
+@pytest.mark.parametrize("n, count, name", [(0, 5, "n"), (3, 0, "count"), (2.0, 5, "n")])
+def test_quasi_unit_covectors_need_a_direction_and_a_point(n, count, name):
+    with pytest.raises(ValueError, match=f"covector sweep needs {name} >= 1"):
+        quasi_unit_covectors(n, count)
+
+
 @pytest.mark.parametrize("extra_dim", [1, 2, 3])
 def test_twist_preserves_rho_and_epsilon(extra_dim):
     base = catalog("hodge", 4, k=1)
@@ -263,7 +269,7 @@ def test_catalog_errors():
     with pytest.raises(UnknownName):
         parse_op_string("dirac:x")
     # the README's promise: a connection needs a fiber of at least one dimension
-    with pytest.raises(BadDegree, match="connection fiber dimension must be >= 1"):
+    with pytest.raises(BadDegree, match="connection needs fiber_dim >= 1, got fiber_dim=0"):
         catalog("connection", 3, fiber_dim=0)
 
 
@@ -285,7 +291,7 @@ def test_catalog_refuses_an_n_or_k_that_is_not_an_integer_in_range(args):
 
 
 def test_catalog_refuses_a_fiber_dim_that_is_not_an_integer():
-    with pytest.raises(BadDegree, match="fiber_dim must be an integer, got fiber_dim=2.0"):
+    with pytest.raises(BadDegree, match="connection needs fiber_dim >= 1, got fiber_dim=2.0"):
         catalog("connection", 3, fiber_dim=2.0)
     assert catalog("connection", 3, fiber_dim=2).fiber_dim == 2
 
