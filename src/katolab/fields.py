@@ -33,7 +33,7 @@ from .kato import (
     kato_gain_operator,
     report_json,
 )
-from .linmap import _row_blocks
+from .projections import _row_blocks
 from .spaces import exterior_power
 from .symbols import OperatorSpec, catalog
 
@@ -88,7 +88,7 @@ class TrigField:
     def map_fiber(self, matrix: np.ndarray) -> "TrigField":
         """Apply a constant fiber map to every coefficient."""
         M = np.asarray(matrix, dtype=np.complex128)
-        if M.shape[1] != self.fiber_dim:
+        if M.ndim != 2 or M.shape[1] != self.fiber_dim:
             raise FiberMismatch("fiber map does not match the field fiber")
         return TrigField(self.n, self.freqs, self.coeffs @ M.T)
 

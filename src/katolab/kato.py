@@ -54,8 +54,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadConstants, BrokenIdentity, NotUnit, ZeroOperator, ZeroSection, _check_int
-from .linmap import _check_map, _row_blocks, gram_schmidt_columns
-from .projections import conformity_factor, exterior_projection, interior_projection
+from .projections import (_check_map, _row_blocks, conformity_factor, exterior_projection,
+                          gram_schmidt_columns, interior_projection)
 from .spaces import check_form_degree, exterior_power
 from .symbols import OperatorSpec, ellipticity_constant, unit_covector
 

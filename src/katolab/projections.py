@@ -16,18 +16,22 @@ All live on V* tensor (fiber) with V* the n-dimensional covector space.
 FAMILIES declares each family's degree window and exact rho^2.  Matrix
 entries of the wedge and symmetric constructions are assembled
 combinatorially; conformity is then measured, never assumed.
+
+A linear map is the matrix of its coefficients in orthonormal bases, so its adjoint is
+the conjugate transpose; a map handed in (a projection to certify, the key lemma's C)
+is 2-D complex128 or ValueError (_check_map).  Shared here as well: clifford_generators,
+gram_schmidt_columns and the row-block rule of every batched loop (_row_blocks).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import nan, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .clifford import clifford_generators
 from .errors import BadDegree, NotConformal, NotSurjective, _check_int
-from .linmap import _check_map, _row_blocks, gram_schmidt_columns
 from .spaces import (
     exterior_power,
     multiset_insert,
@@ -39,6 +43,55 @@ from .spaces import (
 
 DEFAULT_CONFORMITY_TOL = 1e-10
 _SURJECTIVITY_CUTOFF = 1e-10   # relative singular value cutoff for rank
+
+# every batched loop runs its m rows as equal blocks (_row_blocks) to keep its
+# temporaries in cache; no block is short, as OpenBLAS sums a product of few rows in
+# another order
+_FORM_BLOCK = 1024
+
+
+def _check_map(m) -> None:
+    """ValueError unless m is the 2-D complex128 matrix of a linear map."""
+    if not (isinstance(m, np.ndarray) and m.dtype == np.complex128 and m.ndim == 2):
+        raise ValueError(f"a linear map needs a 2-D complex128 matrix, got "
+                         f"{getattr(m, 'dtype', type(m).__name__)} of shape {np.shape(m)}")
+
+
+def gram_schmidt_columns(M: np.ndarray) -> np.ndarray:
+    """Orthonormalize the columns of M in order, skipping dependents.
+
+    Deterministic modified Gram-Schmidt with one reorthogonalization
+    pass; the drop threshold is 1e-10 times the largest column norm.
+    Returns a matrix with orthonormal columns spanning the column space.
+    """
+    M = np.asarray(M, dtype=np.complex128)
+    # no column of an empty or zero M clears the threshold
+    scale = float(np.max(np.linalg.norm(M, axis=0), initial=0.0))
+    basis = []
+    for col in M.T:
+        w = col.astype(np.complex128, copy=True)
+        for _ in range(2):
+            for b in basis:
+                w = w - b * np.vdot(b, w)
+        nw = np.linalg.norm(w)
+        if nw > 1e-10 * scale:
+            basis.append(w / nw)
+    if not basis:
+        return np.zeros((M.shape[0], 0), dtype=np.complex128)
+    return np.column_stack(basis)
+
+
+def _row_blocks(m: int, width: int):
+    """Slices of m rows of `width` reals each into equal blocks, made lazily: at least
+    one, and enough that a block has fewer than 2 _FORM_BLOCK rows and, unless it is
+    one row, fewer than 2 _FORM_BLOCK * 100 entries (100 reals: the widest fiber-1 form
+    row at n <= 5, whose blocks the row count alone sets).  Block sizes differ by at
+    most one row: the first blocks take one row more."""
+    nb = max(1, m // _FORM_BLOCK, min(m, m * width // (_FORM_BLOCK * 100)))
+    size, longer = divmod(m, nb)
+    for i in range(nb):
+        lo = i * size + min(i, longer)
+        yield slice(lo, lo + size + (i < longer))
 
 
 def _insertion_map(n: int, src: tuple, dst: tuple, entry) -> np.ndarray:
@@ -94,6 +147,38 @@ def contraction_projection(n: int, k: int) -> np.ndarray:
     return _insertion_map(
         n, symmetric_power(n, k), symmetric_power(n, k - 1),
         lambda i, a: (sqrt(a.count(i) / k), multiset_remove(i, a)) if i in a else None)
+
+
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+
+def clifford_generators(n: int) -> list:
+    """n anticommuting skew-adjoint unitary complex128 matrices of size 2^floor(n/2).
+
+    For n directions we build n matrices c_1..c_n with
+
+        c_i c_j + c_j c_i = -2 delta_ij * I,   c_i* = -c_i,   c_i unitary,
+
+    acting on a fiber of dimension 2^floor(n/2), the minimal unitary choice.  Even n
+    uses the iterated 2x2 tensor construction: generator pair (i sigma_x, i sigma_y) in
+    each new factor, preceded by chirality (sigma_z) factors so distinct pairs
+    anticommute.  Odd n appends z * c_1 ... c_{n-1} with z in {1, i} picked so the
+    square is -I and the matrix stays skew-adjoint; for n = 1 the empty product leaves
+    the 1x1 matrix (i).
+    """
+    _check_int(BadDegree, "clifford generators need", "n", n, 1)
+    m = n // 2
+    eye, one = np.eye(2, dtype=np.complex128), np.ones((1, 1), dtype=np.complex128)
+    mats = []
+    for j in range(m):
+        for s in (_SX, _SY):
+            mats.append(reduce(np.kron, [_SZ] * j + [1j * s] + [eye] * (m - j - 1), one))
+    if n % 2 == 1:
+        z = 1.0 if m % 2 == 1 else 1.0j
+        mats.append(z * reduce(np.matmul, mats, np.eye(2 ** m, dtype=np.complex128)))
+    return mats
 
 
 def clifford_projection(n: int) -> np.ndarray:
@@ -265,5 +350,3 @@ def conformity_table(max_n: int, tolerance: float) -> list:
                             tolerance)
             for n in range(2, max_n + 1)
             for family, fam in FAMILIES.items() for k in fam.degrees(n)]
-
-

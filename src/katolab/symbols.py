@@ -23,9 +23,9 @@ from numbers import Integral
 import numpy as np
 
 from .errors import BadDegree, UnknownName, _check_int
-from .linmap import _row_blocks
 from .projections import (
     FAMILIES,
+    _row_blocks,
     exact_to_json,
     exterior_projection,
     interior_projection,

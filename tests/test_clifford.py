@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from katolab.clifford import clifford_generators
 from katolab.errors import BadDegree
+from katolab.projections import clifford_generators
 
 
 def clifford_relation_residual(gens) -> float:

@@ -7,6 +7,7 @@ polynomials are exact integrals, so the L2 adjointness of d and the
 codifferential is testable to rounding.
 """
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -42,7 +43,7 @@ from katolab.fields import (
     symbol_consistency_residual,
 )
 from katolab.spaces import exterior_power, wedge_delete, wedge_insert
-from katolab.symbols import catalog
+from katolab.symbols import OperatorSpec, catalog
 
 
 def _dense_grid(n, q):
@@ -112,9 +113,11 @@ def test_map_fiber_matches_pointwise_application():
 
 
 def test_map_fiber_rejects_mismatch():
+    # a map of another fiber, or no matrix at all
     f = random_field(2, 3, 4, 2, np.random.default_rng(5))
-    with pytest.raises(FiberMismatch):
-        f.map_fiber(np.eye(4))
+    for M in (np.eye(4), np.ones(3), np.float64(2.0)):
+        with pytest.raises(FiberMismatch):
+            f.map_fiber(M)
 
 
 @pytest.mark.parametrize("rows", [np.zeros((3, 2)), np.zeros(4), np.zeros((4, 2, 1))])
@@ -514,6 +517,20 @@ def test_run_scenario_report_constants():
     assert rep.refined_limit_constant == "3/2"  # 1 + 1/(n-1)
     d = rep.to_json_dict()
     assert d["passed"] is True and d["scenario"] == "dirac-spinor"
+
+
+def test_a_scenario_operator_without_declared_constants_still_runs():
+    # the dirac symbol with no rho^2 or epsilon declared: the same margins and gain as
+    # the declared run, and no refined limit to report
+    declared = make_scenario("dirac-spinor", 3)
+    X = sample_points(3, 400)
+    undeclared = dataclasses.replace(
+        declared, operator=OperatorSpec("undeclared", 3, catalog("dirac", 3).full_symbol))
+    reps = [scenario_report(sc, X, evaluate_scenario(sc, X, 1.0, 1.0), 1.0, 0)
+            for sc in (declared, undeclared)]
+    assert all(rep.passed for rep in reps)
+    assert reps[1].refined_limit_constant is None and reps[1].operator == "undeclared"
+    assert reps[1].gain_bound == pytest.approx(reps[0].gain_bound, rel=1e-12)
 
 
 def test_run_scenario_deterministic():

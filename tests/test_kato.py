@@ -18,7 +18,7 @@ from conftest import four_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab import kato, linmap
+from katolab import kato, projections
 from katolab.errors import BadConstants, BadDegree, NotUnit, ZeroOperator, ZeroSection
 from katolab.kato import (
     INF,
@@ -777,9 +777,9 @@ def test_fuzz_key_lemma_row_blocks_do_not_change_the_report(monkeypatch):
     # 100 forced); on a real restriction and on a complex one (2x real block form)
     for label, C, sub in (key_lemma_setups(5, 2)[1][:3],
                           line_component_setup(catalog("dirac", 3))[:3]):
-        monkeypatch.setattr(linmap, "_FORM_BLOCK", 10**6)
+        monkeypatch.setattr(projections, "_FORM_BLOCK", 10**6)
         whole = _key_lemma_rows(monkeypatch, C, sub, label)
-        monkeypatch.setattr(linmap, "_FORM_BLOCK", 333)
+        monkeypatch.setattr(projections, "_FORM_BLOCK", 333)
         blocked = _key_lemma_rows(monkeypatch, C, sub, label)
         assert blocked[0] == whole[0], label
         for key, x in whole[1].items():
@@ -951,7 +951,7 @@ def _traced_peak(call):
 
 def _half_block_bytes(count, dim):
     # one real half of the longest row block of count complex rows of dim coordinates
-    return max(r.stop - r.start for r in linmap._row_blocks(count, 2 * dim)) * dim * 8
+    return max(r.stop - r.start for r in projections._row_blocks(count, 2 * dim)) * dim * 8
 
 
 def test_complex_rows_hold_one_block_beyond_their_output():

@@ -1,10 +1,13 @@
+"""Linear maps as matrices: the matrix helpers that projections shares with the
+package (the row-block rule, Gram-Schmidt) and the symbol matrix of an OperatorSpec."""
+
 import inspect
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katolab.linmap import _FORM_BLOCK, _row_blocks, gram_schmidt_columns
+from katolab.projections import _FORM_BLOCK, _row_blocks, gram_schmidt_columns
 from katolab.symbols import OperatorSpec
 
 

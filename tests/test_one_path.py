@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from katolab import fields, kato, linmap
+from katolab import fields, kato, projections
 from katolab.errors import BadConstants
 from katolab.kato import (
     INF,
@@ -161,7 +161,7 @@ def test_hodge_kernel_does_not_depend_on_the_row_block(monkeypatch, n, k, f,
     op = parse_op_string(f"hodge:{n}:{k}" if f == 1 else f"connection:{n}:{len(phi[0])}")
     outs = {}
     for size in FORM_BLOCKS + [7]:
-        monkeypatch.setattr(linmap, "_FORM_BLOCK", size)
+        monkeypatch.setattr(projections, "_FORM_BLOCK", size)
         outs[size] = (batch_hodge_margins(n, k, f, v, phi, c, cs, d_flag, s_flag),
                       batch_operator_margins(op, v, phi, c))
     for kernel, whole in enumerate(outs[10**9]):
@@ -186,7 +186,7 @@ def _hodge_report(monkeypatch, chunk, *args):
 def test_hodge_reports_do_not_depend_on_the_row_block(monkeypatch):
     reports = []
     for size in FORM_BLOCKS:
-        monkeypatch.setattr(linmap, "_FORM_BLOCK", size)
+        monkeypatch.setattr(projections, "_FORM_BLOCK", size)
         reports.append([_hodge_report(monkeypatch, 10000, 4, 2, 1, 3000, 5),
                         _hodge_report(monkeypatch, 1100, 3, 1, 3, 2500, 6),
                         _hodge_report(monkeypatch, 1500, 5, 2, 3, 3000, 8),
@@ -204,7 +204,7 @@ def test_nan_row_in_a_later_block_fails_as_unblocked(monkeypatch):
     v, phi = _hodge_rows(rng, 4, 2, 1, 2101)
     v[1500, 3] = math.nan
     for size in FORM_BLOCKS + [7]:
-        monkeypatch.setattr(linmap, "_FORM_BLOCK", size)
+        monkeypatch.setattr(projections, "_FORM_BLOCK", size)
         out = batch_hodge_margins(4, 2, 1, v, phi, 1.0, 1.0)
         nonfinite, failing = failing_rows(out, kato.MARGIN_TOL_FACTOR)
         assert np.flatnonzero(nonfinite).tolist() == np.flatnonzero(failing).tolist() == [1500]

@@ -13,17 +13,18 @@ from hypothesis import strategies as st
 
 import katolab
 from katolab import cli, kato, projections
-from katolab.clifford import clifford_generators
 from katolab.errors import BadDegree, NotConformal, NotSurjective
-from katolab.linmap import _row_blocks, gram_schmidt_columns
 from katolab.projections import (
     FAMILIES,
     ProjectionReport,
+    _row_blocks,
+    clifford_generators,
     clifford_projection,
     conformity_factor,
     conformity_report,
     contraction_projection,
     exterior_projection,
+    gram_schmidt_columns,
     interior_projection,
     symmetrization_projection,
     twistor_projection,
@@ -243,6 +244,15 @@ def test_twistor_point_symbol_eigenvalue(n):
 def test_twistor_rejects_n1():
     with pytest.raises(BadDegree):
         twistor_projection(1)
+
+
+def test_twistor_projection_refuses_a_kernel_basis_of_the_wrong_rank(monkeypatch):
+    # a Gram-Schmidt sweep that lost a column leaves the kernel of Clifford action
+    # short of its (n-1) dim S dimensions
+    sweep = projections.gram_schmidt_columns
+    monkeypatch.setattr(projections, "gram_schmidt_columns", lambda M: sweep(M)[:, 1:])
+    with pytest.raises(NotSurjective, match="came out rank 3, expected 4"):
+        twistor_projection(3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The public surface has callers: every name in katolab.__all__ is used by the
 package itself, documented in README "Library" or "CLI", or called by the
 acceptance tests or the benchmark, not only by the unit tests; every layer
-the benchmark traces resolves to a function of the package; and no module of
-the package imports a name that it never uses."""
+the benchmark traces, and every dotted name of README.md, resolves in the
+package; and no module of the package imports a name that it never uses."""
 
 import ast
 import importlib
@@ -50,6 +50,31 @@ def test_every_traced_layer_resolves_in_katolab():
             unresolved.append(layer)
     assert layers
     assert unresolved == []
+
+
+def _readme_object(name: str):
+    """The object a dotted name of README.md refers to in katolab, or None: its head is
+    the package, one of its modules, or a name the package exports."""
+    head, *path = name.split(".")
+    try:
+        obj = katolab if head == "katolab" else importlib.import_module(f"katolab.{head}")
+    except ModuleNotFoundError:
+        obj = getattr(katolab, head, None)
+    for part in path:
+        obj = getattr(obj, part, None)
+    return obj
+
+
+def test_every_dotted_name_in_the_readme_resolves_in_katolab():
+    # a module move or a rename leaves no backticked `module.name` of README.md pointing
+    # at nothing; numpy's and the standard library's names are not the package's
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`",
+                           (ROOT / "README.md").read_text()))
+    names = {name for name in names if name.split(".")[0] not in ("np", "sys")}
+    assert "projections.FAMILIES" in names and "katolab.spaces" in names
+    assert sorted(name for name in names if _readme_object(name) is None) == []
+    # the rule sees a name that a move left behind
+    assert _readme_object("linmap._row_blocks") is None
 
 
 def _unused_imports(source: str) -> list:
