@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import BadConstants, BrokenIdentity, NotUnit, ZeroOperator, ZeroSection, _check_int
 from .projections import (_check_map, _row_blocks, conformity_factor, exterior_projection,
-                          gram_schmidt_columns, interior_projection)
+                          gram_schmidt_columns, interior_projection, json_number)
 from .spaces import check_form_degree, exterior_power
 from .symbols import OperatorSpec, ellipticity_constant, unit_covector
 
@@ -353,7 +353,7 @@ def verify_spectral_bounds(op: OperatorSpec, xi0,
 class KatoVerdict:
     """One pointwise inequality evaluation."""
 
-    theorem: str                  # "foldo" or "hodge"
+    theorem: str                  # "foldo", "hodge" or "key-lemma"
     branch: str                   # "vanishing" or "nonvanishing"
     c: float
     c_star: float | None
@@ -382,15 +382,9 @@ class KatoVerdict:
         return {k: json_number(v) for k, v in out.items()}
 
 
-def json_number(x):
-    """x as standard JSON holds it: a non-finite float becomes "inf", "-inf" or "nan"."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return x
-
-
 def _row(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.complex128)[None, :]
+    # contiguous, for the real views of the rows: a column of a matrix is strided
+    return np.ascontiguousarray(x, dtype=np.complex128)[None, :]
 
 
 def _section_row(phi) -> np.ndarray:
@@ -423,8 +417,9 @@ def _sq(x: np.ndarray) -> np.ndarray:
 
 
 def _rsq(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of a real array, over all trailing axes."""
-    x = x.reshape(len(x), math.prod(x.shape[1:]))
+    """Squared norm of each row of a real array, or of a complex one's real view, over
+    all trailing axes."""
+    x = x.reshape(len(x), math.prod(x.shape[1:])).view(float)
     return np.einsum("ij,ij->i", x, x)
 
 
@@ -434,9 +429,9 @@ def _rsq(x: np.ndarray) -> np.ndarray:
 
 def _restricted_gram(C: np.ndarray, sub_basis: np.ndarray):
     """C on the component spanned by the orthonormal columns of sub_basis
-    (ValueError beyond 1e-10, or for a C that is not a 2-D complex128 matrix), its
-    Gram C C* there, and the Gram's top eigenvalue (0 when empty)."""
-    _check_map(C)
+    (ValueError beyond 1e-10, or for a C that is not a finite 2-D complex128 matrix),
+    its Gram C C* there, and the Gram's top eigenvalue (0 when empty)."""
+    _check_map(C, finite=True)
     drift = sub_basis.conj().T @ sub_basis - np.eye(sub_basis.shape[1])
     if not np.max(np.abs(drift), initial=0.0) <= 1e-10:
         raise ValueError("sub_basis columns must be orthonormal within 1e-10")
@@ -445,27 +440,11 @@ def _restricted_gram(C: np.ndarray, sub_basis: np.ndarray):
     return Chat, G, float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0
 
 
-def _real_form(M: np.ndarray) -> np.ndarray:
-    """M for _apply: its real part when M is real, else its 2x real block form."""
-    return M.real.copy() if not np.any(M.imag) else np.block([[M.real, M.imag], [-M.imag, M.real]])
-
-
-def _apply(h: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Complex rows x times a complex matrix, on real halves: h (m, 2, d) holds Re x
-    and Im x of each row, M is the matrix's _real_form, and the product comes back as
-    halves."""
-    m, _, d = h.shape
-    if len(M) == d:
-        return h @ M
-    # the rows [Re | Im], widths spelled out: a -1 cannot be resolved for 0 rows
-    return (h.reshape(m, 2 * d) @ M).reshape(m, 2, M.shape[1] // 2)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _key_lemma_margins(a: float, Cu1: np.ndarray, Cu2: np.ndarray,
                        u1_sq: np.ndarray, u2_sq: np.ndarray, c) -> dict:
-    """Row margins of |u2|^2 + c |C u1 + C u2|^2 >= gain * |C u1|^2 from the images C u1
-    and C u2 as real halves (m, 2, F) and the squared norms |u1|^2 and |u2|^2.  Cu2 is
+    """Row margins of |u2|^2 + c |C u1 + C u2|^2 >= gain * |C u1|^2 from the complex
+    images C u1 and C u2 (m, F) and the squared norms |u1|^2 and |u2|^2.  Cu2 is
     overwritten in place."""
     first_sq = _rsq(Cu1)
     Cu2 += Cu1
@@ -493,8 +472,7 @@ def check_key_lemma(C: np.ndarray, sub_basis: np.ndarray, u1: np.ndarray,
     u1, u2 = _row(u1), _row(u2)
     if np.linalg.norm(u2 - u2 @ sub_basis.conj() @ sub_basis.T) > 1e-10 * np.linalg.norm(u2):
         raise ValueError("u2 must lie in the span of sub_basis within 1e-10 |u2|")
-    CT, (x1, x2) = _real_form(C.T), (np.stack([x.real, x.imag], 1) for x in (u1, u2))
-    out = _key_lemma_margins(a, _apply(x1, CT), _apply(x2, CT), _rsq(x1), _rsq(x2), c)
+    out = _key_lemma_margins(a, u1 @ C.T, u2 @ C.T, _rsq(u1), _rsq(u2), c)
     return _row_verdict("key-lemma", out, c, None)
 
 
@@ -517,8 +495,8 @@ def equality_witness(C: np.ndarray, sub_basis: np.ndarray):
 
 def matching_first_component(C: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """u1 with C(u1) = -C(u2), making the total image vanish exactly; ValueError for a
-    C that is not a 2-D complex128 matrix."""
-    _check_map(C)
+    C that is not a finite 2-D complex128 matrix."""
+    _check_map(C, finite=True)
     u1, *_ = np.linalg.lstsq(C, -(C @ np.asarray(u2, dtype=np.complex128)), rcond=None)
     return u1
 
@@ -739,19 +717,23 @@ def _complex_rows(rng, count: int, dim: int, start: int = 0) -> np.ndarray:
 
 def _folded_rows(rng, count: int, dim: int, M: np.ndarray) -> tuple:
     """The draws of _complex_rows(rng, count, dim), each block folded as it is drawn into
-    the rows' images under the matrix with _real_form M, as real halves (count, 2, F),
-    and their squared norms; no drawn row is held."""
-    real = len(M) == dim
-    width = M.shape[1] if real else M.shape[1] // 2
+    the rows' complex images x M (count, F) and their squared norms; no drawn row is
+    held.  A real M, from a C-ordered copy, takes each half into its own part of the
+    images; a complex one is the real views of M and i M, whose products with the real
+    and the imaginary half are their images as (Re, Im) pairs."""
+    real = not np.any(M.imag)
+    tables = ([M.real.copy()] * 2 if real
+              else [np.ascontiguousarray(w * M).view(float) for w in (1, 1j)])
     # np.empty, not np.zeros: calloc can hand out fresh pages, which fault on every call
-    img, sq = np.empty((count, 2, width)), np.empty(count)
+    img, sq = np.empty((count, M.shape[1]), dtype=complex), np.empty(count)
     for h, r, x in _drawn_halves(rng, count, dim):
+        y = x @ tables[h]
         if real:
-            img[r, h] = x @ M
-        elif h:  # the half's rows of the real form give [Re | Im] of its image part
-            img[r] += (x @ M[dim:]).reshape(len(x), 2, width)
+            (img.real, img.imag)[h][r] = y
+        elif h:
+            img[r] += y.view(complex)
         else:
-            img[r] = (x @ M[:dim]).reshape(len(x), 2, width)
+            img[r] = y.view(complex)
         x_sq = np.einsum("ij,ij->i", x, x)
         sq[r] = sq[r] + x_sq if h else x_sq
     return img, sq
@@ -778,6 +760,25 @@ def _redraw_in_kernels(rng, rows: np.ndarray, nulls, fraction: float) -> None:
             basis = np.ascontiguousarray(null.real).T
             for h, r, x in _drawn_halves(rng, nk, null.shape[1]):
                 np.matmul(x, basis, out=(out.real, out.imag)[h][r])
+
+
+def _section_sampler(width: int, section: int, nulls, fraction: float, fixed: tuple):
+    """sample(rng, m) of a section fuzzer: m gradient rows of width and m section rows of
+    section complex coordinates (_complex_rows), one weight array per entry of fixed
+    (_weights), then consecutive slices of int(fraction * m) gradient rows redrawn
+    inside the kernels nulls (_redraw_in_kernels).  The draws of the rows before lead *
+    int(fraction * m), lead the number of leading nonempty kernels, are made and
+    dropped: those slices are all redrawn."""
+    lead = next((i for i, null in enumerate(nulls) if not null.shape[1]), len(nulls))
+
+    def sample(rng, m):
+        rows = _complex_rows(rng, m, width, lead * int(fraction * m))
+        phi = _complex_rows(rng, m, section)
+        weights = [_weights(rng, m, c) for c in fixed]
+        _redraw_in_kernels(rng, rows, nulls, fraction)
+        return rows, phi, *weights
+
+    return sample
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:
@@ -811,15 +812,16 @@ def finite_minima(margin: np.ndarray, scale: np.ndarray, ok: np.ndarray):
             float(np.min(rel, where=ok, initial=INF)))
 
 
-def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
-          sample, kernel):
+def _fuzz(theorem: str, label: str, samples: int, seed: int, c_fixed: float | None,
+          sample, kernel, **extras):
     """The fuzz loop shared by every fuzzer.
 
     Each chunk draws up to _DRAW_CHUNK[theorem] rows with sample(rng, m)
     and checks them with kernel(*rows).  The kernel output carries
     "margin" and "full_scale" (plus "margin_cor"/"cor_scale" for a second
-    inequality on the same rows) and a "vanishing" branch mask.  The extras
-    get min_margin_corollary, the least margin_cor over the chunks.
+    inequality on the same rows) and a "vanishing" branch mask.  The report's
+    c_range is _weight_range(c_fixed); its extras are min_margin_corollary, the
+    least margin_cor over the chunks, then the given extras.
     """
     _check_int(ValueError, "fuzzing needs", "samples", samples, 1)
     rng = np.random.default_rng(seed)
@@ -844,8 +846,8 @@ def _fuzz(theorem: str, label: str, samples: int, seed: int, c_range: tuple,
         branches["nonvanishing"] += m - vanishing
         done += m
     return FuzzReport(theorem, label, samples, violations, min_margin, min_rel,
-                      MARGIN_TOL_FACTOR, seed, c_range, branches,
-                      {key: float(x) for key, x in worst.items()}, nonfinite)
+                      MARGIN_TOL_FACTOR, seed, _weight_range(c_fixed), branches,
+                      {**{key: float(x) for key, x in worst.items()}, **extras}, nonfinite)
 
 
 def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
@@ -862,25 +864,12 @@ def fuzz_operator_inequality(op: OperatorSpec, samples: int, seed: int,
     # every chunk's kernel reads these constants, measured once, off a spec that declares
     # them; replace keeps the read-only symbol without a copy
     resolved = dataclasses.replace(op, rho_squared=rho2, epsilon=eps)
-
-    def sample(rng, m):
-        # the leading quarter is redrawn in ker P, when there is one: its draws are dropped
-        u = _complex_rows(rng, m, n * dE, int(0.25 * m) if null.shape[1] else 0)
-        phi = _complex_rows(rng, m, dE)
-        c = _weights(rng, m, c_fixed)
-        _redraw_in_kernels(rng, u, [null], 0.25)
-        return u, phi, c
-
-    report = _fuzz(
-        "foldo", op.name, samples, seed, _weight_range(c_fixed), sample,
-        lambda u, phi, c: batch_operator_margins(resolved, u, phi, c))
-    report.extras.update({
-        "gain_vanishing": float(batch_lemma_gain(0.0, rho2 - eps, True, weight=eps)),
-        "rho_squared": rho2,
-        "epsilon": eps,
-        "kernel_dim": int(null.shape[1]),
-    })
-    return report
+    return _fuzz(
+        "foldo", op.name, samples, seed, c_fixed,
+        _section_sampler(n * dE, dE, [null], 0.25, (c_fixed,)),
+        lambda u, phi, c: batch_operator_margins(resolved, u, phi, c),
+        gain_vanishing=float(batch_lemma_gain(0.0, rho2 - eps, True, weight=eps)),
+        rho_squared=rho2, epsilon=eps, kernel_dim=int(null.shape[1]))
 
 
 def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
@@ -897,27 +886,15 @@ def fuzz_hodge_inequality(n: int, k: int, fiber_dim: int, samples: int,
     """
     nulls = [_null_space(mat) for mat in _form_maps(n, k, fiber_dim)]
     dim_phi = math.comb(n, k) * fiber_dim
-
-    def sample(rng, m):
-        # the two leading fifths are redrawn: both kernels are nonempty, C(n, k+-1) < n C(n, k)
-        v = _complex_rows(rng, m, n * dim_phi, 2 * int(0.2 * m))
-        phi = _complex_rows(rng, m, dim_phi)
-        c = _weights(rng, m, c_fixed)
-        cs = _weights(rng, m, cstar_fixed)
-        _redraw_in_kernels(rng, v, nulls, 0.2)
-        return v, phi, c, cs
-
-    report = _fuzz(
+    return _fuzz(
         "hodge", f"hodge:{n}:{k}" + (f" fiber={fiber_dim}" if fiber_dim > 1 else ""),
-        samples, seed, _weight_range(c_fixed), sample,
-        lambda v, phi, c, cs: batch_hodge_margins(n, k, fiber_dim, v, phi, c, cs))
-    report.extras.update({
-        "form_algebra": "exact",  # _form_maps certified it before the first row
-        "c_star_range": _weight_range(cstar_fixed),
-        "gain_d_vanishing": float(batch_lemma_gain(0.0, k, True)),
-        "gain_dstar_vanishing": float(batch_lemma_gain(0.0, n - k, True)),
-    })
-    return report
+        samples, seed, c_fixed,
+        _section_sampler(n * dim_phi, dim_phi, nulls, 0.2, (c_fixed, cstar_fixed)),
+        lambda v, phi, c, cs: batch_hodge_margins(n, k, fiber_dim, v, phi, c, cs),
+        form_algebra="exact",  # _form_maps certified it before the first row
+        c_star_range=_weight_range(cstar_fixed),
+        gain_d_vanishing=float(batch_lemma_gain(0.0, k, True)),
+        gain_dstar_vanishing=float(batch_lemma_gain(0.0, n - k, True)))
 
 
 def fuzz_key_lemma(C: np.ndarray, sub_basis: np.ndarray, samples: int,
@@ -930,26 +907,25 @@ def fuzz_key_lemma(C: np.ndarray, sub_basis: np.ndarray, samples: int,
     (ValueError otherwise).
     """
     Chat, _, a = _restricted_gram(C, sub_basis)
-    CT, ChatT, pinv = _real_form(C.T), _real_form(Chat.T), np.linalg.pinv(C)
-    G = _real_form(pinv.T @ pinv.conj())  # C+* C+ in row form: |C+ y|^2 = Re y G y*
+    pinv = np.linalg.pinv(C)
+    G = pinv.T @ pinv.conj()  # C+* C+ in row form: |C+ y|^2 = Re y G y*
 
     def sample(rng, m):
         # the margin reads u1 only through C u1 and |u1|, and u2 = sub_basis z only
         # through C u2 = Chat z and |u2| = |z|: the draws are folded into those as drawn
-        Cu1, u1_sq = _folded_rows(rng, m, C.shape[1], CT)
-        Cz, z_sq = _folded_rows(rng, m, sub_basis.shape[1], ChatT)
+        Cu1, u1_sq = _folded_rows(rng, m, C.shape[1], C.T)
+        Cz, z_sq = _folded_rows(rng, m, sub_basis.shape[1], Chat.T)
         # forced rows: u1 - C+(C u1 + C u2) has image -C u2 (C C+ projects onto range C),
         # its ker C part (>= 0 past rounding) and -C+ C u2 in place of C+ C u1
         f = slice(0, m // 4)
-        q1, q2 = (np.einsum("ihj,ihj->i", _apply(y[f], G), y[f]) for y in (Cu1, Cz))
+        q1, q2 = (np.einsum("ij,ij->i", (y[f] @ G).view(float), y[f].view(float))
+                  for y in (Cu1, Cz))
         u1_sq[f] = np.maximum(u1_sq[f] - q1, 0.0) + q2
         Cu1[f] = -Cz[f]
         return Cu1, Cz, u1_sq, z_sq, _weights(rng, m)
 
-    report = _fuzz("key-lemma", label, samples, seed, (0.0, _C_MAX), sample,
-                   lambda *rows: _key_lemma_margins(a, *rows))
-    report.extras["spectral_bound"] = a
-    return report
+    return _fuzz("key-lemma", label, samples, seed, None, sample,
+                 lambda *rows: _key_lemma_margins(a, *rows), spectral_bound=a)
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,15 @@ entries of the wedge and symmetric constructions are assembled
 combinatorially; conformity is then measured, never assumed.
 
 A linear map is the matrix of its coefficients in orthonormal bases, so its adjoint is
-the conjugate transpose; a map handed in (a projection to certify, the key lemma's C)
-is 2-D complex128 or ValueError (_check_map).  Shared here as well: clifford_generators,
-gram_schmidt_columns and the row-block rule of every batched loop (_row_blocks).
+the conjugate transpose; a map handed in (a projection to certify, the key lemma's C,
+finite) is 2-D complex128 or ValueError (_check_map).  Shared here as well: json_number,
+clifford_generators, gram_schmidt_columns and the batched loops' row blocks (_row_blocks).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import nan, sqrt
+from math import isfinite, isnan, nan, sqrt
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,11 +50,15 @@ _SURJECTIVITY_CUTOFF = 1e-10   # relative singular value cutoff for rank
 _FORM_BLOCK = 1024
 
 
-def _check_map(m) -> None:
-    """ValueError unless m is the 2-D complex128 matrix of a linear map."""
+def _check_map(m, finite: bool = False) -> None:
+    """ValueError unless m is the 2-D complex128 matrix of a linear map, with finite
+    entries when finite is set: the first non-finite entry is named."""
     if not (isinstance(m, np.ndarray) and m.dtype == np.complex128 and m.ndim == 2):
         raise ValueError(f"a linear map needs a 2-D complex128 matrix, got "
                          f"{getattr(m, 'dtype', type(m).__name__)} of shape {np.shape(m)}")
+    if finite and not np.all(np.isfinite(m)):
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"a linear map needs finite entries, got {m[i, j]} at ({i}, {j})")
 
 
 def gram_schmidt_columns(M: np.ndarray) -> np.ndarray:
@@ -325,11 +329,19 @@ def conformity_factor(P: np.ndarray, tol: float = DEFAULT_CONFORMITY_TOL) -> Pro
     return rep
 
 
+def json_number(x):
+    """x as standard JSON holds it: a non-finite float becomes "inf", "-inf" or "nan"."""
+    if isinstance(x, float) and not isfinite(x):
+        return "nan" if isnan(x) else ("inf" if x > 0 else "-inf")
+    return x
+
+
 def exact_to_json(x):
-    """Fractions go out as 'p/q' strings so exactness survives JSON."""
+    """Fractions go out as 'p/q' strings so exactness survives JSON; floats as
+    json_number writes them."""
     if x is None:
         return None
-    return str(x) if isinstance(x, Fraction) else float(x)
+    return str(x) if isinstance(x, Fraction) else json_number(float(x))
 
 
 def _conformity_row(family: str, n: int, k, P, declared, tolerance: float) -> dict:

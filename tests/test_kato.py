@@ -10,6 +10,7 @@ composition the split uses.
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -514,6 +515,33 @@ def test_key_lemma_entry_points_take_only_a_complex_matrix(C):
             call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_key_lemma_entry_points_refuse_a_non_finite_map(capfd, bad):
+    # the map check names the entry before LAPACK sees it: no LinAlgError from eigvalsh
+    # or lstsq, no LAPACK line on stderr and no invalid-value warning from C @ sub_basis
+    _, C, sub, _ = key_lemma_setups(3, 1)[0]
+    C = C.copy()
+    C[0, 0] = bad
+    u2 = sub[:, 0]
+    for call in (lambda: check_key_lemma(C, sub, u2, u2, 1.0),
+                 lambda: equality_witness(C, sub),
+                 lambda: matching_first_component(C, u2),
+                 lambda: fuzz_key_lemma(C, sub, 10, 0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"finite entries, got \({bad}\+0j\) at \(0, 0\)"):
+                call()
+    assert capfd.readouterr().err == ""
+
+
+def test_check_key_lemma_takes_strided_rows():
+    # columns of sub_basis are strided vectors; the kernel reads its rows' real views
+    _, C, sub, _ = key_lemma_setups(3, 1)[0]
+    u1 = np.ones((C.shape[1], 2), dtype=complex)[:, 0]
+    verdict = check_key_lemma(C, sub, u1, sub[:, 0], 1.0)
+    assert verdict == check_key_lemma(C, sub, u1.copy(), sub[:, 0].copy(), 1.0)
+
+
 def test_key_lemma_setups_hand_over_complex_matrices():
     for label, C, sub, _ in key_lemma_setups(4, 2) + [line_component_setup(catalog("dirac", 3))]:
         assert isinstance(C, np.ndarray) and C.dtype == np.complex128 and C.ndim == 2, label
@@ -774,7 +802,7 @@ def test_fuzz_key_lemma_row_blocks_do_not_change_the_report(monkeypatch):
     # each chunk in one block against blocks of a 333-row budget, which split the
     # draws of the 2300-row chunks into 6 blocks of 383-384 rows, folded one at a time,
     # with the 575 kept rows across a block edge, then a short last chunk (400 rows,
-    # 100 forced); on a real restriction and on a complex one (2x real block form)
+    # 100 forced); on a real restriction and on a complex one
     for label, C, sub in (key_lemma_setups(5, 2)[1][:3],
                           line_component_setup(catalog("dirac", 3))[:3]):
         monkeypatch.setattr(projections, "_FORM_BLOCK", 10**6)
@@ -831,8 +859,8 @@ def _key_lemma_peak(samples):
 
 def test_fuzz_key_lemma_memory_is_images_and_one_block():
     # (5,2) contraction: u1 has 28 and z 24 complex coordinates and C 5 image ones.  A
-    # default chunk keeps the images C u1 and Chat z as real halves (2 * 2 * 20000 * 5
-    # * 8 B) and one draw block (1053 rows of 28 reals), and no drawn row; the
+    # default chunk keeps the complex images C u1 and Chat z (2 * 20000 * 5 * 16 B) and
+    # one draw block (1053 rows of 28 reals), and no drawn row; the
     # allowance covers the forced slice's two temporaries (5000, 2, 5) and the chunk's
     # one-row-per-entry arrays (weights, norms, outputs and the fuzz loop's masks, about
     # 2.5 MiB at 20,000 rows).  The whole chunk of draws alone (15.9 MiB) is over the
@@ -854,16 +882,16 @@ def test_folded_draws_keep_the_complex_rows_stream(m, which):
                  else line_component_setup(catalog("dirac", 3)))[:3]
     Chat = C @ sub
     folded, plain = np.random.default_rng(m), np.random.default_rng(m)
-    Cu1, u1_sq = kato._folded_rows(folded, m, C.shape[1], kato._real_form(C.T))
-    Cz, z_sq = kato._folded_rows(folded, m, sub.shape[1], kato._real_form(Chat.T))
+    Cu1, u1_sq = kato._folded_rows(folded, m, C.shape[1], C.T)
+    Cz, z_sq = kato._folded_rows(folded, m, sub.shape[1], Chat.T)
     c = kato._weights(folded, m)
     u1, z = (kato._complex_rows(plain, m, d) for d in (C.shape[1], sub.shape[1]))
     assert np.array_equal(c, kato._weights(plain, m))
     assert folded.bit_generator.state == plain.bit_generator.state
     for img, sq, x, M in ((Cu1, u1_sq, u1, C), (Cz, z_sq, z, Chat)):
         want = x @ M.T
-        assert img.shape == (m, 2, M.shape[0])
-        assert np.allclose(img[:, 0] + 1j * img[:, 1], want,
+        assert img.shape == (m, M.shape[0])
+        assert np.allclose(img, want,
                            rtol=0, atol=1e-12 * np.max(np.abs(want)))
         assert np.allclose(sq, np.sum(np.abs(x) ** 2, axis=1), rtol=1e-14, atol=0)
 
@@ -888,7 +916,7 @@ def test_fuzz_key_lemma_forced_rows_cancel_bit_for_bit(monkeypatch, which):
     for Cu1, Cu2 in images:
         f = slice(0, len(Cu1) // 4)
         assert np.array_equal(Cu1[f], -Cu2[f])
-        assert np.all(np.any(Cu1[f.stop:] != -Cu2[f.stop:], axis=(1, 2)))
+        assert np.all(np.any(Cu1[f.stop:] != -Cu2[f.stop:], axis=1))
     assert report.branch_counts["vanishing"] >= 575 + 575 + 100
 
 
@@ -1089,6 +1117,32 @@ def test_foldo_sampler_keeps_the_whole_draw_stream(monkeypatch, name, args, samp
     assert (nulls[0].shape[1] == 0) == (name == "connection")
     _check_the_whole_draw_recipe(chunks, "foldo", samples, seed, (op.base_dim * dE, dE), 1,
                                  nulls, 0.25)
+
+
+@pytest.mark.parametrize("samples", [1, 1025, 20000])
+@pytest.mark.parametrize("name,args", [("dirac", (4,)), ("hodge", (4, 2))])
+@pytest.mark.parametrize("empty", [(False, True), (True, False), (True, True)])
+def test_section_sampler_keeps_the_whole_draw_stream_past_an_empty_kernel(
+        monkeypatch, empty, name, args, samples):
+    # kernel lists that no fuzzer builds: the draws of a slice are dropped only while
+    # every kernel before it is nonempty, and the rows a later empty kernel keeps, or a
+    # kernel after it redraws, come out as in whole draws; a complex kernel (dirac:4)
+    # and a real one (hodge:4:2), in chunks of 10,000 rows
+    op, seed = catalog(name, *args), samples + 10 * sum(empty)
+    null = kato._null_space(op.full_symbol)
+    nulls = [null[:, :0] if e else null for e in empty]
+    widths = (len(null), op.fiber_dim)
+    sample = kato._section_sampler(*widths, nulls, 0.2, (None, None))
+
+    def run():
+        rng, done = np.random.default_rng(seed), 0
+        while done < samples:
+            m = min(kato._DRAW_CHUNK["hodge"], samples - done)
+            sample(rng, m)
+            done += m
+
+    chunks = _sampled_chunks(monkeypatch, run)
+    _check_the_whole_draw_recipe(chunks, "hodge", samples, seed, widths, 2, nulls, 0.2)
 
 
 def test_fuzz_reports_deterministic():

@@ -151,7 +151,7 @@ def test_forced_rows_match_the_explicit_fix_up_off_the_catalog(seed, complex_, F
         fixed = u1[f] - ((u1[f] + u2[f]) @ Cm.T) @ pinv.T
         scale = _sq(u1[f]) + _sq(u2[f])
         assert np.array_equal(Cu1[f], -Cu2[f])
-        err_img = _sq(Cu1[f, 0] + 1j * Cu1[f, 1] - fixed @ Cm.T)
+        err_img = _sq(Cu1[f] - fixed @ Cm.T)
         assert np.all(err_img <= (TOL * cond * s[0]) ** 2 * scale)
         assert np.all(np.abs(u1_sq[f] - _sq(fixed)) <= TOL * cond ** 2 * scale)
         assert np.allclose(u2_sq, _sq(u2), rtol=1e-13, atol=0)

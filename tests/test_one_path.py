@@ -301,7 +301,7 @@ def test_key_lemma_batch_equals_single_shots(seed, which, m, matched):
         u1 = np.array([matching_first_component(C, row) for row in u2])
     c = _weights(rng, m)
     # the kernel takes images and squared norms, here from complex products
-    Cu1, Cu2 = (np.stack([x.real, x.imag], 1) for x in (u1 @ C.T, u2 @ C.T))
+    Cu1, Cu2 = u1 @ C.T, u2 @ C.T
     u1_sq, u2_sq = (np.sum(np.abs(x) ** 2, axis=1) for x in (u1, u2))
     out = _key_lemma_margins(_restricted_gram(C, sub)[2], Cu1, Cu2, u1_sq, u2_sq, c)
     verdicts = [check_key_lemma(C, sub, u1[i], u2[i], c[i]) for i in range(m)]
@@ -409,7 +409,7 @@ def test_nan_margin_never_passes(monkeypatch):
                 "vanishing": np.zeros(m, dtype=bool)}
 
     monkeypatch.setitem(kato._DRAW_CHUNK, "foldo", 4)
-    report = _fuzz("foldo", "stub", 10, 0, (0.0, 0.0), sample, kernel)
+    report = _fuzz("foldo", "stub", 10, 0, 0.0, sample, kernel)
     # one finite row per chunk of 4, 4, 2 rows
     assert report.violations == 7
     assert not report.passed
@@ -431,7 +431,7 @@ def test_one_pass_rule_fails_a_corollary_miss(monkeypatch, consumer):
     # the fuzzer, the single-shot verdict and the field lab read one failing-row mask,
     # so a row whose corollary misses its own scale fails in all three
     if consumer == "fuzz":
-        report = _fuzz("hodge", "stub", 10, 0, (0.0, 0.0),
+        report = _fuzz("hodge", "stub", 10, 0, 0.0,
                        lambda rng, m: (None, None, None, np.empty(m)), _corollary_miss)
         assert report.violations == 10
     elif consumer == "single-shot":

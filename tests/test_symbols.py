@@ -282,6 +282,16 @@ def test_an_undeclared_epsilon_is_matched_by_nothing():
     assert '"declared_epsilon": null' in json.dumps(row)
 
 
+@pytest.mark.parametrize("declared", ["nan", "inf"])
+def test_a_non_finite_declared_epsilon_is_standard_json(declared):
+    # written as a string, as every non-finite float of a report is, so that strict JSON
+    # takes the row
+    res = ellipticity_constant(OperatorSpec("x", 2, np.eye(2), 1.0, float(declared)))
+    row = res.to_json_dict()
+    assert row["declared_epsilon"] == declared
+    assert f'"declared_epsilon": "{declared}"' in json.dumps(row, allow_nan=False)
+
+
 @pytest.mark.parametrize("args", [("dirac", 3.0), ("connection", 0), ("exterior-only", 3, 1.0)])
 def test_catalog_refuses_an_n_or_k_that_is_not_an_integer_in_range(args):
     # a raw TypeError from the label combinatorics, or for n = 0 a 0 x 0 symbol whose
