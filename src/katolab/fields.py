@@ -14,7 +14,7 @@ same batched inequality arithmetic used by the fuzzers.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,8 +250,8 @@ class ScenarioReport:
     symbol_residual: float
     tolerance_factor: float
     seed: int
-    extras: dict = dc_field(default_factory=dict)
-    nonfinite: int = 0   # points with a non-finite number, counted as violations too
+    extras: dict
+    nonfinite: int   # points with a non-finite number, counted as violations too
 
     @property
     def passed(self) -> bool:
@@ -475,10 +475,10 @@ def scenario_report(sc: Scenario, X: np.ndarray, ev: dict, c: float,
     )
 
 
-def run_scenario(name: str, n: int, k: int | None = None, c: float = 1.0,
-                 c_star: float = 1.0, points: int = 10000,
+def run_scenario(name: str, n: int, k: int | None = None, points: int = 10000,
                  seed: int = 0) -> ScenarioReport:
-    """Sample a scenario on its grid and check every admissible point."""
+    """Sample a scenario on its grid and check every admissible point at weights
+    c = c_star = 1; evaluate_scenario and scenario_report take other weights."""
     sc = make_scenario(name, n, k=k, seed=seed)
     X = sample_points(sc.n, points)
-    return scenario_report(sc, X, evaluate_scenario(sc, X, c, c_star), c, seed)
+    return scenario_report(sc, X, evaluate_scenario(sc, X, 1.0, 1.0), 1.0, seed)

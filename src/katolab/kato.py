@@ -48,7 +48,7 @@ rhs = 0 through a zero pairing, which is itself checked.
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -96,15 +96,14 @@ def _check_bound(bound) -> None:
 def kato_gain_lemma(c, bound, vanishing: bool):
     """Interpolation gain of the two-component lemma.
 
-    bound is an upper bound for the spectrum of the restricted map
-    C C* on the second component.  Vanishing branch: 1/bound (inf when
-    bound is 0); otherwise c / (1 + bound * c).  Exact for Fraction or
-    int inputs.
+    bound is an upper bound for the spectrum of the restricted map C C* on the second
+    component.  Vanishing branch: 1/bound (inf when bound is 0); otherwise c / (1 + bound c),
+    or its limit 1/bound where bound * c overflows.  Exact for Fraction or int inputs.
     """
     c, bound = _exactify(c), _exactify(bound)
     _check_weights(c)
     _check_bound(bound)
-    if vanishing:
+    if vanishing or bound * c == INF:
         return INF if bound == 0 else 1 / bound
     return c / (1 + bound * c)
 
@@ -429,9 +428,11 @@ def _rsq(x: np.ndarray) -> np.ndarray:
 
 def _restricted_gram(C: np.ndarray, sub_basis: np.ndarray):
     """C on the component spanned by the orthonormal columns of sub_basis
-    (ValueError beyond 1e-10, or for a C that is not a finite 2-D complex128 matrix),
-    its Gram C C* there, and the Gram's top eigenvalue (0 when empty)."""
+    (ValueError beyond 1e-10, for a C that is not a finite 2-D complex128 matrix, or for a
+    sub_basis that is not a finite 2-D one as complex128), its Gram C C* there, and the
+    Gram's top eigenvalue (0 when empty)."""
     _check_map(C, finite=True)
+    _check_map(np.asarray(sub_basis, dtype=np.complex128), finite=True)
     drift = sub_basis.conj().T @ sub_basis - np.eye(sub_basis.shape[1])
     if not np.max(np.abs(drift), initial=0.0) <= 1e-10:
         raise ValueError("sub_basis columns must be orthonormal within 1e-10")
@@ -616,8 +617,7 @@ def _hodge_block(n: int, k: int, fiber_dim: int, v: np.ndarray, phi: np.ndarray)
 
 
 def check_hodge_inequality(v: np.ndarray, phi: np.ndarray, n: int, k: int,
-                           fiber_dim: int = 1, c: float = 1.0,
-                           c_star: float = 1.0,
+                           fiber_dim: int, c: float, c_star: float,
                            d_vanishing: bool | None = None,
                            dstar_vanishing: bool | None = None) -> KatoVerdict:
     """Two-sided refined Kato inequality for degree-k form coefficients.
@@ -653,8 +653,8 @@ class FuzzReport:
     seed: int
     c_range: tuple
     branch_counts: dict
-    extras: dict = field(default_factory=dict)
-    nonfinite: int = 0   # rows with a non-finite number, counted as violations too
+    extras: dict
+    nonfinite: int   # rows with a non-finite number, counted as violations too
 
     @property
     def passed(self) -> bool:
@@ -903,8 +903,8 @@ def fuzz_key_lemma(C: np.ndarray, sub_basis: np.ndarray, samples: int,
 
     The first quarter of every chunk gets u1 moved to u1 - C+(C u1 + C u2), so
     C(u1 + u2) = 0 holds exactly, exercising the vanishing branch.
-    sub_basis must hold orthonormal columns and C be a 2-D complex128 matrix
-    (ValueError otherwise).
+    sub_basis must hold finite orthonormal columns and C be a finite 2-D complex128
+    matrix (ValueError otherwise).
     """
     Chat, _, a = _restricted_gram(C, sub_basis)
     pinv = np.linalg.pinv(C)

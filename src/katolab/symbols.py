@@ -145,7 +145,7 @@ class EllipticityResult:
     samples: int
     refinement_steps: int
     method: str
-    declared: object = None
+    declared: object
 
     def matches_declared(self, tol: float = 1e-9) -> bool | None:
         if self.declared is None:

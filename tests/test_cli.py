@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import runpy
+import sys
 import warnings
 
 import pytest
@@ -456,6 +458,18 @@ def test_version_flag(capsys):
     for _ in range(2):
         code, out, _ = _run(capsys, "--version")
         assert (code, out.strip()) == (0, __version__)
+
+
+def test_the_module_runs_as_a_script(capsys, monkeypatch):
+    # python -m katolab.cli: the exit code of main() is the process's; run in process so
+    # that the script's last line is seen to run, with the module imported afresh
+    from katolab import __version__
+    monkeypatch.delitem(sys.modules, "katolab.cli")
+    monkeypatch.setattr(sys, "argv", ["katolab", "--version"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("katolab.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.strip() == __version__
 
 
 def test_bad_subcommand_is_usage_error(capsys):

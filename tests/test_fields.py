@@ -346,6 +346,15 @@ def test_sample_points_past_an_index_sized_mesh(n):
     assert np.all(X >= 0.0) and np.all(X < 2 * np.pi)
 
 
+def test_sample_points_widens_a_mesh_whose_float_root_rounds_down():
+    # the float sixth root of 272^6 + 1 rounds to 272, whose mesh is one point short: the
+    # width goes to 273 and the point indices, 2.88 PiB of them, are refused at once
+    count = 272 ** 6 + 1
+    assert math.ceil(count ** (1.0 / 6)) == 272
+    with pytest.raises(MemoryError):
+        sample_points(6, count)
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_sample_points_needs_a_point(count):
     # 0 gave an empty grid, a negative count a TypeError from a complex root
@@ -501,8 +510,16 @@ def test_run_scenario_no_violations_small():
         assert rep.sample_points == 800
 
 
+def _run_at_weights(name, n, c, c_star, points, seed=0):
+    """run_scenario at weights other than 1: the same scenario and grid through
+    evaluate_scenario and scenario_report."""
+    sc = make_scenario(name, n, seed=seed)
+    X = sample_points(n, points)
+    return scenario_report(sc, X, evaluate_scenario(sc, X, c, c_star), c, seed)
+
+
 def test_run_scenario_yang_mills_refined_limit():
-    rep = run_scenario("yang-mills-F", 4, c_star=1e6, points=1500, seed=12)
+    rep = _run_at_weights("yang-mills-F", 4, 1.0, 1e6, points=1500, seed=12)
     assert rep.violations == 0
     # d side is certified, so the gain approaches min(1/2, 1/2) from below
     assert rep.gain_bound == pytest.approx(0.5, abs=1e-5)
@@ -511,7 +528,7 @@ def test_run_scenario_yang_mills_refined_limit():
 
 
 def test_run_scenario_report_constants():
-    rep = run_scenario("dirac-spinor", 3, c=2.0, points=600, seed=13)
+    rep = _run_at_weights("dirac-spinor", 3, 2.0, 1.0, points=600, seed=13)
     # nonvanishing gain: eps c / (1 + (rho^2 - eps) c) = 2/5 at n=3
     assert rep.gain_bound == pytest.approx(0.4, rel=1e-12)
     assert rep.refined_limit_constant == "3/2"  # 1 + 1/(n-1)
@@ -683,7 +700,7 @@ def test_phase_table_rejects_other_frequencies():
 
 
 def test_run_scenario_overflow_is_counted_not_passed():
-    rep = run_scenario("generic-form", 3, c=1e308, points=50)
+    rep = _run_at_weights("generic-form", 3, 1e308, 1.0, points=50)
     assert rep.nonfinite > 0
     assert rep.violations >= rep.nonfinite
     assert not rep.passed

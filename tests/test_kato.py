@@ -339,7 +339,7 @@ def test_the_form_kernel_rejects_degrees_0_and_n():
         with pytest.raises(BadDegree, match=f"form split needs 1 <= k <= 3, got k={k}"):
             batch_hodge_margins(n, k, 1, np.ones((2, n * dim)), np.ones((2, dim)), 1.0, 1.0)
         with pytest.raises(BadDegree, match="form split needs"):
-            check_hodge_inequality(np.ones(n * dim), np.ones(dim), n, k)
+            check_hodge_inequality(np.ones(n * dim), np.ones(dim), n, k, 1, 1.0, 1.0)
         with pytest.raises(BadDegree, match="form split needs"):
             fuzz_hodge_inequality(n, k, 1, 10, 0)
 
@@ -534,6 +534,24 @@ def test_key_lemma_entry_points_refuse_a_non_finite_map(capfd, bad):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_key_lemma_entry_points_refuse_a_non_finite_sub_basis(capfd, bad):
+    # sub_basis is checked as C is, before its orthonormality drift: no invalid-value
+    # warning from sub_basis* sub_basis or C @ sub_basis, and the entry is named
+    _, C, sub, _ = key_lemma_setups(3, 1)[0]
+    sub = sub.copy()
+    sub[0, 0] = bad
+    u = np.ones(C.shape[1], dtype=complex)
+    for call in (lambda: check_key_lemma(C, sub, u, u, 1.0),
+                 lambda: equality_witness(C, sub),
+                 lambda: fuzz_key_lemma(C, sub, 10, 0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"finite entries, got \({bad}\+0j\) at \(0, 0\)"):
+                call()
+    assert capfd.readouterr().err == ""
+
+
 def test_check_key_lemma_takes_strided_rows():
     # columns of sub_basis are strided vectors; the kernel reads its rows' real views
     _, C, sub, _ = key_lemma_setups(3, 1)[0]
@@ -647,7 +665,8 @@ def _scale_free_checks(rng, m):
     lemma += [(matching_first_component(C, u2), u2) for u2 in u2s[m:]]
     return [
         ("foldo", lambda s, r: check_operator_inequality(op, s * r[0], r[1], 2.0), foldo),
-        ("hodge", lambda s, r: check_hodge_inequality(s * r[0], r[1], 4, 2), hodge),
+        ("hodge", lambda s, r: check_hodge_inequality(s * r[0], r[1], 4, 2, 1, 1.0, 1.0),
+         hodge),
         ("key-lemma", lambda s, r: check_key_lemma(C, sub, s * r[0], s * r[1], 2.0), lemma),
     ]
 
@@ -673,7 +692,7 @@ def test_hodge_inequality_random_margins():
         for _ in range(15):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             phi = rng.standard_normal(math.comb(n, k)) + 1j * rng.standard_normal(math.comb(n, k))
-            verdict = check_hodge_inequality(v, phi, n, k,
+            verdict = check_hodge_inequality(v, phi, n, k, fiber_dim=1,
                                              c=float(rng.random() * 20),
                                              c_star=float(rng.random() * 20))
             assert verdict.margin >= -1e-9 * verdict.scale
@@ -689,7 +708,7 @@ def test_hodge_inequality_forced_branch_flags():
     null = kato._null_space(_form_maps(n, k, 1)[0])
     v = null @ (rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1]))
     phi = rng.standard_normal(math.comb(n, k)) + 1j * rng.standard_normal(math.comb(n, k))
-    verdict = check_hodge_inequality(v, phi, n, k, c=1.0, c_star=1.0,
+    verdict = check_hodge_inequality(v, phi, n, k, fiber_dim=1, c=1.0, c_star=1.0,
                                      d_vanishing=True)
     # min(1/k, c*/(1+(n-k)c*)) = min(1/2, 1/3) = 1/3
     assert verdict.gain == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -699,7 +718,7 @@ def test_hodge_inequality_forced_branch_flags():
 def test_hodge_inequality_rejects_zero_section():
     with pytest.raises(ZeroSection):
         check_hodge_inequality(np.ones(6, dtype=complex),
-                               np.zeros(3, dtype=complex), 3, 1)
+                               np.zeros(3, dtype=complex), 3, 1, 1, 1.0, 1.0)
 
 
 def test_hodge_surrogate_bounded_by_line_blocks():
@@ -1181,7 +1200,7 @@ def test_verdict_jsonl_inf_encoding():
 def test_fuzz_report_json_roundtrip():
     report = FuzzReport("foldo", "dirac:2", 10, 0, 0.5, 0.1, 1e-9, 3,
                         (0.0, 1e3), {"vanishing": 1, "nonvanishing": 9},
-                        extras={"gain_vanishing": INF})
+                        extras={"gain_vanishing": INF}, nonfinite=0)
     d = report.to_json_dict()
     assert d["passed"] is True
     assert d["gain_vanishing"] == "inf"

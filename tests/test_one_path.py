@@ -359,6 +359,23 @@ def test_batch_gain_matches_exact_hodge_pair():
                         assert _within_one_ulp(min(gd, gs), pair.overall)
 
 
+@pytest.mark.parametrize("c,bound", [(1e308, 2), (1e200, 1e200), (1e308, 1e308)])
+def test_exact_gain_takes_the_batch_limit_where_bound_times_c_overflows(c, bound):
+    # c / (1 + bound c) is c / inf = 0 in floats; both gains return the limit 1/bound
+    want = batch_lemma_gain(c, float(bound), False)
+    assert want == 1 / bound
+    assert kato_gain_lemma(c, bound, False) == want
+    assert kato_gain_operator(c, bound + 1, 1, False) == batch_lemma_gain(
+        c, float(bound), False, weight=1.0)
+
+
+def test_exact_hodge_pair_takes_the_batch_limit_where_bound_times_c_overflows():
+    # k = n - k = 2: 2 * 1e308 overflows on both sides
+    pair = hodge_gain_pair(1e308, 1e308, 4, 2, False, False)
+    batch = float(batch_lemma_gain(1e308, 2, False))
+    assert (pair.d_gain, pair.dstar_gain, pair.overall) == (batch, batch, batch) == (0.5,) * 3
+
+
 def test_batch_gain_is_vectorized_over_rows():
     c = np.array([0.0, 0.5, 2.0])
     van = np.array([False, True, False])
@@ -436,7 +453,7 @@ def test_one_pass_rule_fails_a_corollary_miss(monkeypatch, consumer):
         assert report.violations == 10
     elif consumer == "single-shot":
         monkeypatch.setattr(kato, "batch_hodge_margins", _corollary_miss)
-        verdict = check_hodge_inequality(np.ones(9), np.ones(3), 3, 1)
+        verdict = check_hodge_inequality(np.ones(9), np.ones(3), 3, 1, 1, 1.0, 1.0)
         assert verdict.corollary_margin == -5e-8 and verdict.corollary_scale == 1.0
         assert not verdict.passed and not verdict.to_json_dict()["passed"]
     else:
@@ -499,7 +516,7 @@ def test_hodge_kernel_and_single_shot_refuse_empty_fiber(fiber_dim):
     with pytest.raises(ValueError, match=f"needs fiber_dim >= 1, got fiber_dim={fiber_dim}"):
         batch_hodge_margins(3, 1, fiber_dim, v, phi, 1.0, 1.0)
     with pytest.raises(ValueError, match=f"needs fiber_dim >= 1, got fiber_dim={fiber_dim}"):
-        check_hodge_inequality(v[0], phi[0], 3, 1, fiber_dim=fiber_dim)
+        check_hodge_inequality(v[0], phi[0], 3, 1, fiber_dim, 1.0, 1.0)
 
 
 def test_overflowing_rows_fail_and_are_counted():
